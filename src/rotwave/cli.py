@@ -73,30 +73,25 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _output_dir(args, config) -> pathlib.Path:
-    path = (
+def _output_dir(args, config: ExperimentConfig | None) -> pathlib.Path:
+    return pathlib.Path(
         args.output_dir
-        or config.output_dir
+        or (config.output_dir if config is not None else None)
         or os.environ.get("ROTWAVE_OUTPUT_DIR")
         or "rotwave_out"
     )
-    out = pathlib.Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _echo_config(config: ExperimentConfig, outdir: pathlib.Path) -> ExperimentConfig:
     config = ExperimentConfig.from_dict(
         {**json.loads(config.to_json()), "output_dir": str(outdir)}
     )
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.json").write_text(config.to_json())
     return config
 
 
-def cmd_forward(args) -> int:
-    config = _load_config(args)
-    outdir = _output_dir(args, config)
-    config = _echo_config(config, outdir)
+def cmd_forward(args, config, outdir) -> int:
     truth, grid, stencils, problem, psi, y = build_problem(config)
     rows = [["theta", "re_psi", "im_psi"]]
     for th, v in zip(grid.nodes, psi.values):
@@ -111,10 +106,7 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    config = _load_config(args)
-    outdir = _output_dir(args, config)
-    config = _echo_config(config, outdir)
+def cmd_reconstruct(args, config, outdir) -> int:
     record = run_experiment(config)
     print(
         f"reconstruct: K={record.stop_index} ({record.stop_reason}) "
@@ -140,10 +132,7 @@ def _smooth_pair(metric, grid, rng):
     return GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
 
 
-def cmd_adjoint_check(args) -> int:
-    config = _load_config(args)
-    outdir = _output_dir(args, config)
-    config = _echo_config(config, outdir)
+def cmd_adjoint_check(args, config, outdir) -> int:
     truth, grid, stencils, problem, psi, y = build_problem(config)
     metric = ParameterMetric(
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
@@ -174,10 +163,7 @@ def cmd_adjoint_check(args) -> int:
     return 0 if worst <= 1e-10 else 3
 
 
-def cmd_gradient_check(args) -> int:
-    config = _load_config(args)
-    outdir = _output_dir(args, config)
-    config = _echo_config(config, outdir)
+def cmd_gradient_check(args, config, outdir) -> int:
     truth, grid, stencils, problem, psi, y = build_problem(config)
     metric = ParameterMetric(
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
@@ -214,10 +200,7 @@ def cmd_gradient_check(args) -> int:
     return 0 if worst <= 1e-6 else 3
 
 
-def cmd_tcc(args) -> int:
-    config = _load_config(args)
-    outdir = _output_dir(args, config)
-    config = _echo_config(config, outdir)
+def cmd_tcc(args, config, outdir) -> int:
     truth, grid, stencils, problem, psi, y = build_problem(config)
     metric = ParameterMetric(
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
@@ -247,10 +230,7 @@ def cmd_tcc(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args)
-    outdir = _output_dir(args, config)
-    config = _echo_config(config, outdir)
+def cmd_sweep(args, config, outdir) -> int:
     values = [_parse_value(v) for v in args.values.split(",")] if args.values else []
     records, summary = sweep(config, args.axis, values)
     (outdir / "sweep_summary.csv").write_text(summary)
@@ -259,10 +239,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_grid_convergence(args) -> int:
-    config = _load_config(args)
-    outdir = _output_dir(args, config)
-    config = _echo_config(config, outdir)
+def cmd_grid_convergence(args, config, outdir) -> int:
     truth = manufacture_truth(config.truth, config.truth_overrides)
     sizes = [int(v) for v in args.sizes.split(",")]
     rows = [["n", "rel_l2_error"]]
@@ -343,32 +320,32 @@ _COMMANDS = {
 }
 
 
-def _write_error(args, config, kind: str, message: str) -> None:
+def _write_error(outdir: pathlib.Path, kind: str, message: str) -> None:
     try:
-        outdir = _output_dir(args, config) if config else pathlib.Path(
-            args.output_dir or os.environ.get("ROTWAVE_OUTPUT_DIR") or "rotwave_out"
-        )
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "error.json").write_text(
             json.dumps({"error": kind, "message": message})
         )
-    except OSError:
-        pass
+    except OSError as exc:
+        print(f"could not write error.json to {outdir}: {exc}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = None
+    outdir = _output_dir(args, None)  # until the config has loaded
     try:
-        return _COMMANDS[args.command](args)
+        config = _load_config(args)
+        outdir = _output_dir(args, config)
+        config = _echo_config(config, outdir)
+        return _COMMANDS[args.command](args, config, outdir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        _write_error(args, config, "configuration", str(exc))
+        _write_error(outdir, "configuration", str(exc))
         return 2
     except (NearResonanceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        _write_error(args, config, "numerical", str(exc))
+        _write_error(outdir, "numerical", str(exc))
         return 3
 
 

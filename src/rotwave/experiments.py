@@ -4,9 +4,11 @@ Ground truths are closed-form pairs (psi*, Omega*) chosen so that psi* is an
 admissible separated field of the requested azimuthal order: it must satisfy
 the pole conditions *and* vanish like sin^|m| there, otherwise the
 manufactured source falls outside L^2 and the discretization error stops
-contracting.  Sources are produced by exact symbolic differentiation of the
-operator applied to psi*, never by the solver's own stencils, so solving on
-any grid measures genuine discretization error (no inverse crime).
+contracting.  Every shape and profile is sin^k(theta) times a polynomial in
+x = cos(theta), and the operator maps sin^|m| P(x) to sin^|m| times another
+polynomial, so sources come from exact polynomial algebra in x (numpy
+polynomials, no computer algebra), never from the solver's own stencils:
+solving on any grid measures genuine discretization error (no inverse crime).
 
 Experiment configs are plain JSON documents; unknown keys are rejected.  A
 run writes a JSON record plus a per-iteration CSV, and sweeps aggregate the
@@ -23,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import sympy as sp
+from numpy.polynomial import Polynomial
 
 from .errors import ConfigurationError
 from .grid import ComplexField, Grid, ScalarField, build_grid, build_stencils
@@ -40,8 +42,6 @@ from .inversion import (
 )
 from .operator import RotationProfile, assemble_forward, solve
 
-_THETA = sp.symbols("theta", positive=True)
-
 ITERATION_CSV_HEADER = "iter,residual,gamma,rel_err_gamma,rel_err_omega,step_size"
 SWEEP_CSV_HEADER = (
     "run_id,noise,epsilon,scheme,K,final_residual,rel_err_gamma,rel_err_omega,wall_ms"
@@ -49,77 +49,90 @@ SWEEP_CSV_HEADER = (
 
 
 # ----------------------------------------------------------------------
-# symbolic catalogue
+# polynomial catalogue in x = cos(theta)
 # ----------------------------------------------------------------------
 
+_X = Polynomial([0.0, 1.0])
 
-def _psi_shape(name: str, m: int, coeffs: dict) -> sp.Expr:
-    """Closed-form state shapes (complex amplitude applied separately)."""
-    b = sp.Rational(coeffs.get("b", 0)).limit_denominator(10**6)
+
+def _coeff(coeffs: dict, key: str, default: float) -> float:
+    try:
+        return float(coeffs.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"truth coefficient {key!r} must be a number") from exc
+
+
+def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, Polynomial]:
+    """Closed-form state shape sin^k(theta) P(cos theta), returned as (k, P).
+
+    The complex amplitude is applied separately.
+    """
+    b = _coeff(coeffs, "b", 0)
     if name == "sin_power":
-        return sp.sin(_THETA) ** abs(m) * (1 + b * sp.cos(_THETA))
+        return abs(m), 1 + b * _X
     if name == "clamped_sin2":
-        return sp.sin(_THETA) ** 2 * (1 + b * sp.cos(_THETA))
+        return 2, 1 + b * _X
     if name == "cos_poly":  # m = 0 shapes
-        a = sp.Rational(coeffs.get("a", 1)).limit_denominator(10**6)
-        return a * sp.cos(_THETA) + b * sp.cos(_THETA) ** 2
+        return 0, _coeff(coeffs, "a", 1) * _X + b * _X**2
     raise ConfigurationError(f"unknown state shape {name!r}")
 
 
-def _omega_profile(name: str, coeffs: dict) -> sp.Expr:
-    ratio = lambda key, default: sp.Rational(coeffs.get(key, default)).limit_denominator(10**6)
+def _omega_profile(name: str, coeffs: dict) -> Polynomial:
+    """Rotation profile Omega as a polynomial in cos(theta)."""
     if name == "constant":
-        return ratio("a", 1) * sp.Integer(1)
+        return Polynomial([_coeff(coeffs, "a", 1)])
     if name == "solar_like":  # a + b cos^2; default mean-zero
-        b = ratio("b", 1)
-        a = coeffs.get("a")
-        a = -b / 3 if a is None else sp.Rational(a).limit_denominator(10**6)
-        return a + b * sp.cos(_THETA) ** 2
+        b = _coeff(coeffs, "b", 1)
+        a = -b / 3 if coeffs.get("a") is None else _coeff(coeffs, "a", 0)
+        return a + b * _X**2
     if name == "odd_poly":
         return (
-            ratio("a", 0)
-            + ratio("b", 1) * sp.cos(_THETA)
-            + ratio("c", sp.Rational(-1, 2)) * sp.cos(_THETA) ** 3
+            _coeff(coeffs, "a", 0)
+            + _coeff(coeffs, "b", 1) * _X
+            + _coeff(coeffs, "c", -0.5) * _X**3
         )
     raise ConfigurationError(f"unknown rotation profile {name!r}")
 
 
-def _delta_m_sym(expr: sp.Expr, m: int, r: sp.Expr) -> sp.Expr:
-    th = _THETA
+def _delta_m(q: Polynomial, m: int, r: float) -> Polynomial:
+    """delta_m(sin^|m| q) = sin^|m| * result, all in x = cos(theta).
+
+    This is the associated-Legendre form of the separated Laplacian:
+    [(1 - x^2) q'' - 2(|m| + 1) x q' - |m|(|m| + 1) q] / r^2.
+    """
+    mu = abs(m)
     return (
-        sp.diff(sp.sin(th) * sp.diff(expr, th), th) / sp.sin(th)
-        - m * m * expr / sp.sin(th) ** 2
+        (1 - _X**2) * q.deriv(2) - 2 * (mu + 1) * _X * q.deriv() - mu * (mu + 1) * q
     ) / r**2
 
 
-def _check_admissible(shape: sp.Expr, m: int) -> None:
-    """Reject shapes that are not order-m fields.
+def _check_admissible(k: int, m: int) -> None:
+    """Reject shapes sin^k(theta) P(cos theta) that are not order-m fields.
 
     Admissible shapes factor as sin^|m|(theta) times a smooth even function
     about both poles; that is exactly what makes them traces of smooth
-    fields of azimuthal order m.  Checking only the pole conditions is not
-    enough: a shape with the wrong vanishing rate or parity (sin^2 at
-    m = 1, sin^3 at m = 2, ...) can satisfy them while the manufactured
-    source leaves L^2 and breaks the convergence of the solve.
+    fields of azimuthal order m.  Since cos(theta) is even and sin(theta) odd
+    about each pole, that holds when k >= |m| and k - |m| is even.  Checking
+    only the pole conditions is not enough: a shape with the wrong vanishing
+    rate or parity (sin^2 at m = 1, sin^3 at m = 2, ...) can satisfy them
+    while the manufactured source leaves L^2 and breaks the convergence of
+    the solve.
     """
-    ratio = sp.simplify(shape / sp.sin(_THETA) ** abs(m))
-    for pole in (sp.Integer(0), sp.pi):
-        lim = sp.limit(ratio, _THETA, pole, "+" if pole == 0 else "-")
-        if not lim.is_finite:
-            raise ConfigurationError(
-                f"state shape is not an admissible order-{m} field: "
-                f"shape/sin^|m| diverges at theta={pole}"
-            )
-    for pole, name in ((sp.Integer(0), "0"), (sp.pi, "pi")):
-        t = sp.symbols("t", positive=True)
-        odd_part = sp.simplify(
-            ratio.subs(_THETA, pole + t) - ratio.subs(_THETA, pole - t)
+    if k < abs(m):
+        raise ConfigurationError(
+            f"state shape is not an admissible order-{m} field: "
+            f"it vanishes like sin^{k}, slower than sin^|m|"
         )
-        if odd_part != 0:
-            raise ConfigurationError(
-                f"state shape is not an admissible order-{m} field: "
-                f"shape/sin^|m| is not even about theta={name}"
-            )
+    if (k - abs(m)) % 2:
+        raise ConfigurationError(
+            f"state shape is not an admissible order-{m} field: "
+            f"shape/sin^|m| = sin^{k - abs(m)} * P(cos) is not even about the poles"
+        )
+
+
+def _on_grid(grid: Grid, k: int, poly: Polynomial) -> np.ndarray:
+    """sin^k(theta) * poly(cos(theta)) at the grid nodes."""
+    return np.sin(grid.nodes) ** k * poly(np.cos(grid.nodes))
 
 
 TRUTH_PRESETS = {
@@ -169,7 +182,7 @@ TRUTH_PRESETS = {
 
 
 class GroundTruth:
-    """Closed-form truth with the source computed by exact differentiation."""
+    """Closed-form truth with the source computed by exact polynomial algebra."""
 
     def __init__(
         self,
@@ -199,46 +212,35 @@ class GroundTruth:
         if self.gamma_true <= 0:
             raise ConfigurationError("gamma_true must be positive")
 
-        shape = _psi_shape(psi_name, self.m, self.psi_coeffs)
-        _check_admissible(shape, self.m)
+        k, shape = _psi_shape(psi_name, self.m, self.psi_coeffs)
+        _check_admissible(k, self.m)
         omega = _omega_profile(omega_name, self.omega_coeffs)
-        r_sym = sp.Rational(self.r).limit_denominator(10**6)
-        gamma_sym = sp.Rational(self.gamma_true).limit_denominator(10**9)
-        omf_sym = sp.Rational(self.omega_freq).limit_denominator(10**9)
-        oref_sym = sp.Rational(self.omega_ref).limit_denominator(10**9)
 
-        amp = self.amplitude * np.exp(1j * self.phase)
-        lap = _delta_m_sym(shape, self.m, r_sym)
-        bilap = _delta_m_sym(lap, self.m, r_sym)
-        alpha = sp.diff(
-            sp.diff(omega * sp.sin(_THETA) ** 2, _THETA) / sp.sin(_THETA), _THETA
-        ) / (r_sym**2 * sp.sin(_THETA))
-        beta = omega - oref_sym
-        source = (
-            gamma_sym * bilap
-            + sp.I * omf_sym * lap
-            - sp.I * self.m * beta * lap
-            + sp.I * self.m * alpha * shape
-        )
-
-        self._psi_fn = sp.lambdify(_THETA, shape, "numpy")
-        self._omega_fn = sp.lambdify(_THETA, omega, "numpy")
-        self._source_fn = sp.lambdify(_THETA, sp.simplify(source), "numpy")
-        self._amp = amp
+        # psi = sin^|m| q and delta_m keeps the sin^|m| factor, so every term
+        # of the source is sin^|m| times a polynomial in x = cos(theta)
+        q = (1 - _X**2) ** ((k - abs(self.m)) // 2) * shape
+        lap = _delta_m(q, self.m, self.r)
+        bilap = _delta_m(lap, self.m, self.r)
+        alpha = ((1 - _X**2) * omega).deriv(2) / self.r**2
+        beta = omega - self.omega_ref
+        self._source_re = self.gamma_true * bilap
+        self._source_im = (self.omega_freq - self.m * beta) * lap + self.m * alpha * q
+        self._shape = (k, shape)
+        self._omega = omega
+        self._amp = self.amplitude * np.exp(1j * self.phase)
 
     def psi_exact(self, grid: Grid) -> ComplexField:
-        vals = self._amp * np.broadcast_to(
-            self._psi_fn(grid.nodes), grid.nodes.shape
-        ).astype(complex)
-        return ComplexField(m=self.m, values=np.array(vals))
+        vals = self._amp * _on_grid(grid, *self._shape)
+        return ComplexField(m=self.m, values=vals)
 
     def omega_exact(self, grid: Grid) -> ScalarField:
-        vals = np.broadcast_to(self._omega_fn(grid.nodes), grid.nodes.shape)
-        return ScalarField(values=np.array(vals, dtype=float))
+        return ScalarField(values=_on_grid(grid, 0, self._omega))
 
     def source(self, grid: Grid) -> ComplexField:
-        vals = self._amp * np.asarray(self._source_fn(grid.nodes), dtype=complex)
-        return ComplexField(m=self.m, values=vals)
+        mu = abs(self.m)
+        re = _on_grid(grid, mu, self._source_re)
+        im = _on_grid(grid, mu, self._source_im)
+        return ComplexField(m=self.m, values=self._amp * (re + 1j * im))
 
 
 def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
@@ -530,9 +532,11 @@ def sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[list[RunReco
         cfg = replace(cfg, run_id=f"{base.run_id}_{axis}_{i}")
         try:
             rec = run_experiment(cfg)
-        except Exception as exc:  # keep sweeping, record the failure
+        except (ConfigurationError, ArithmeticError) as exc:
+            # an invalid or numerically failing run: record it, keep sweeping
             records.append(None)
-            rows.append([cfg.run_id, "", "", "", "", "", "", "", f"error: {exc}"])
+            error = f"error: {type(exc).__name__}: {exc}"
+            rows.append([cfg.run_id, "", "", "", "", "", "", "", error])
             continue
         records.append(rec)
         rows.append(

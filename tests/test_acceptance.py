@@ -302,7 +302,8 @@ def test_criterion_6_clean_reconstruction(clean33_problem):
         "criterion 6 (clean reconstruction)",
         ok,
         f"rel_err(gamma)={eg:.2e} (<=0.02), rel_err(Omega)={eo:.2e} (<=0.05), "
-        f"residual {res_rel:.2e}||y|| within K={trace.stop_index}, wall {elapsed:.1f}s (<10s)",
+        f"residual {res_rel:.2e}||y|| within K={trace.stop_index} "
+        f"(stop: {trace.stop_reason}), wall {elapsed:.1f}s (<10s)",
     )
 
 

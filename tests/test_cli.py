@@ -179,3 +179,28 @@ def test_tcc_dotted_probe_overrides(tmp_path):
     assert len(lines) == 5
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["probe"] == {"radius": 0.05, "samples": 4}
+
+
+def test_error_json_beside_config_from_config_output_dir(tmp_path, monkeypatch):
+    # the output directory comes from the config file alone: error.json must
+    # land beside the echoed config.json, not in ./rotwave_out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ROTWAVE_OUTPUT_DIR", raising=False)
+    out = tmp_path / "from_config"
+    cfg = write_config(tmp_path, output_dir=str(out))
+    code = main(["tcc", "--config", cfg, "--overrides", "probe.radius=-1"])
+    assert code == 2
+    assert (out / "config.json").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert not (tmp_path / "rotwave_out").exists()
+
+
+def test_unwritable_error_json_is_reported(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 64, "bogus_key": 1}))
+    code = main(["forward", "--config", str(path), "--output-dir", str(blocker / "out")])
+    assert code == 2
+    assert "could not write error.json" in capsys.readouterr().err

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import observed_order, wl2
+import rotwave.experiments as experiments
 from rotwave import (
     ComplexField,
     ConfigurationError,
     DataVector,
     ExperimentConfig,
     IterationConfig,
+    NearResonanceError,
     NoiseSpec,
     ObservationScheme,
     Parameters,
@@ -352,7 +354,26 @@ def test_sweep_records_individual_failures():
     )
     assert records[0] is not None
     assert records[1] is None
-    assert "error" in summary.splitlines()[2]
+    assert "error: ConfigurationError" in summary.splitlines()[2]
+
+
+def test_sweep_records_numerical_failure(monkeypatch):
+    def resonant(config):
+        raise NearResonanceError(config.n, 2, 1e-16)
+
+    monkeypatch.setattr(experiments, "run_experiment", resonant)
+    records, summary = sweep(ExperimentConfig(run_id="swr"), "noise_levels", [0.01])
+    assert records == [None]
+    assert "error: NearResonanceError" in summary.splitlines()[1]
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(config):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(experiments, "run_experiment", broken)
+    with pytest.raises(TypeError):
+        sweep(ExperimentConfig(run_id="swt"), "noise_levels", [0.01])
 
 
 def test_paper_literal_negative_gamma_init_runs():
