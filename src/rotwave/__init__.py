@@ -41,14 +41,11 @@ from .inversion import (
     ParameterMetric,
     ReconstructionTrace,
     adjoint_gradient,
-    calibrate_gradient_sign,
     data_inner,
     data_norm,
-    forward,
     nesterov_landweber,
     observe,
     observe_adjoint,
-    riesz_map,
     sensitivity,
     tcc_probe,
 )

@@ -20,6 +20,7 @@ import json
 import os
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,17 +29,15 @@ from .experiments import (
     ExperimentConfig,
     apply_overrides,
     build_problem,
-    manufacture_truth,
     run_experiment,
     sweep,
 )
-from .grid import build_grid, build_stencils
+from .grid import ScalarField
 from .inversion import (
     GradientPair,
     ParameterMetric,
     DataVector,
     adjoint_gradient,
-    calibrate_gradient_sign,
     data_inner,
     data_norm,
     observation_mask,
@@ -46,7 +45,6 @@ from .inversion import (
     sensitivity,
     tcc_probe,
 )
-from .grid import ScalarField
 
 
 def _parse_value(text: str):
@@ -58,7 +56,13 @@ def _parse_value(text: str):
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        doc = json.loads(pathlib.Path(args.config).read_text())
+        path = pathlib.Path(args.config)
+        try:
+            doc = json.loads(path.read_text())
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
         config = ExperimentConfig.from_dict(doc)
     else:
         config = ExperimentConfig()
@@ -86,8 +90,11 @@ def _echo_config(config: ExperimentConfig, outdir: pathlib.Path) -> ExperimentCo
     config = ExperimentConfig.from_dict(
         {**json.loads(config.to_json()), "output_dir": str(outdir)}
     )
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(config.to_json())
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "config.json").write_text(config.to_json())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output directory {outdir}: {exc}") from exc
     return config
 
 
@@ -137,7 +144,6 @@ def cmd_adjoint_check(args, config, outdir) -> int:
     metric = ParameterMetric(
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
     )
-    sign = calibrate_gradient_sign(problem, metric, truth.gamma_true, truth.omega_exact(grid).values)
     rng = np.random.default_rng(config.noise.seed)
     system, state = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
     mask = observation_mask(grid, problem.scheme)
@@ -151,7 +157,7 @@ def cmd_adjoint_check(args, config, outdir) -> int:
         lhs = data_inner(
             grid, sensitivity(dp, state, system, grid, stencils, problem.scheme), data
         )
-        grad, _ = adjoint_gradient(problem, data, state, system, metric, sign=sign)
+        grad, _ = adjoint_gradient(problem, data, state, system, metric)
         rhs = metric.pair_inner(dp, grad)
         # normalized by ||dp|| * ||y|| (the acceptance-contract scaling)
         rel = abs(lhs - rhs) / max(metric.pair_norm(dp) * data_norm(grid, data), 1e-300)
@@ -170,7 +176,6 @@ def cmd_gradient_check(args, config, outdir) -> int:
     )
     gamma0 = truth.gamma_true * 1.7
     omega0 = 0.5 * truth.omega_exact(grid).values
-    sign = calibrate_gradient_sign(problem, metric, gamma0, omega0)
 
     def misfit(ga, om):
         d = problem.observed(ga, om)
@@ -181,7 +186,7 @@ def cmd_gradient_check(args, config, outdir) -> int:
     system, state = problem.state(gamma0, omega0)
     obs = observe(state, problem.scheme, grid)
     res = DataVector(values=obs.values - y.values, mask=obs.mask, scheme=obs.scheme)
-    grad, _ = adjoint_gradient(problem, res, state, system, metric, sign=sign)
+    grad, _ = adjoint_gradient(problem, res, state, system, metric)
     rng = np.random.default_rng(config.noise.seed)
     worst = 0.0
     step = 1e-5
@@ -240,24 +245,11 @@ def cmd_sweep(args, config, outdir) -> int:
 
 
 def cmd_grid_convergence(args, config, outdir) -> int:
-    truth = manufacture_truth(config.truth, config.truth_overrides)
     sizes = [int(v) for v in args.sizes.split(",")]
     rows = [["n", "rel_l2_error"]]
     errors = []
     for n in sizes:
-        grid = build_grid(n, truth.r)
-        stencils = build_stencils(grid)
-        from .operator import RotationProfile, assemble_forward, solve, Parameters
-
-        rot = RotationProfile.from_values(truth.omega_exact(grid).values, stencils)
-        system = assemble_forward(
-            Parameters(gamma=truth.gamma_true, omega=rot, omega_ref=truth.omega_ref),
-            truth.omega_freq,
-            truth.m,
-            grid,
-            stencils,
-        )
-        psi = solve(system, truth.source(grid))
+        truth, grid, _, _, psi, _ = build_problem(replace(config, n=n))
         ref = truth.psi_exact(grid)
         w = grid.weights
         err = float(

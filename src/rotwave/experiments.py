@@ -40,7 +40,6 @@ from .inversion import (
     nesterov_landweber,
     observe,
 )
-from .operator import RotationProfile, assemble_forward, solve
 
 ITERATION_CSV_HEADER = "iter,residual,gamma,rel_err_gamma,rel_err_omega,step_size"
 SWEEP_CSV_HEADER = (
@@ -423,30 +422,19 @@ def build_problem(config: ExperimentConfig):
     truth = manufacture_truth(config.truth, config.truth_overrides)
     grid = build_grid(config.n, truth.r)
     stencils = build_stencils(grid)
-    scheme = config.scheme.build()
-    rot = RotationProfile.from_values(truth.omega_exact(grid).values, stencils)
-    system = assemble_forward(
-        _params(truth, rot), truth.omega_freq, truth.m, grid, stencils
-    )
-    psi = solve(system, truth.source(grid))
-    y_clean = observe(psi, scheme, grid)
     problem = InverseProblem(
         grid=grid,
         stencils=stencils,
         m=truth.m,
         omega_freq=truth.omega_freq,
         source=truth.source(grid),
-        scheme=scheme,
+        scheme=config.scheme.build(),
         omega_ref=truth.omega_ref,
         allow_negative_gamma=config.allow_negative_gamma,
     )
+    _, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
+    y_clean = observe(psi, problem.scheme, grid)
     return truth, grid, stencils, problem, psi, y_clean
-
-
-def _params(truth, rot):
-    from .operator import Parameters
-
-    return Parameters(gamma=truth.gamma_true, omega=rot, omega_ref=truth.omega_ref)
 
 
 def iteration_table(

@@ -6,11 +6,12 @@ to the observed colatitudes (optionally taking the real part).  Gradients
 come from one adjoint solve per evaluation:
 
     z = B*^-1 L* residual,
-    d/dgamma  ->  sigma * Re <delta^2 psi, z>
-    d/dOmega  ->  sigma * m * Im{ adjoint-of-alpha-map (conj(psi) z)
-                                  - (delta_m conj(psi)) z }
+    d/dgamma  ->  -Re <delta^2 psi, z>
+    d/dOmega  ->  -m * Im{ adjoint-of-alpha-map (conj(psi) z)
+                           - (delta_m conj(psi)) z }
 
-with the overall sign sigma fixed once per run by an adjoint identity check.
+The minus sign is fixed by the analysis: it is the sign of the sensitivity
+F'(p) dp = -L B^-1 B'(dp) psi.
 The Omega gradient density is mapped into the parameter space by a Riesz
 solve in the configured Sobolev metric (H1 or H2), which acts as a
 smoothing preconditioner and pins the weighted mean to zero.
@@ -162,18 +163,6 @@ class ParameterMetric:
         return math.sqrt(max(self.pair_inner(a, a), 0.0))
 
 
-def riesz_map(
-    g: ScalarField | np.ndarray,
-    metric: str,
-    grid: Grid,
-    stencils: DerivativeStencils,
-) -> ScalarField:
-    """Riesz representative of an L^2 density in the H1 or H2 metric."""
-    vals = g.values if isinstance(g, ScalarField) else np.asarray(g, float)
-    pm = ParameterMetric(grid, stencils, metric)
-    return ScalarField(values=pm.riesz(vals))
-
-
 @dataclass(frozen=True, eq=False)
 class GradientPair:
     """Riesz representative of a parameter-space functional."""
@@ -223,20 +212,6 @@ class InverseProblem:
         return observe(self.state(gamma, omega_values)[1], self.scheme, self.grid)
 
 
-def forward(
-    p: Parameters,
-    f: ComplexField,
-    omega_freq: float,
-    m: int,
-    scheme: ObservationScheme,
-    grid: Grid,
-    stencils: DerivativeStencils,
-) -> DataVector:
-    """F(p) = observe(solve(B(p), f))."""
-    sys = assemble_forward(p, omega_freq, m, grid, stencils)
-    return observe(solve(sys, f), scheme, grid)
-
-
 def sensitivity(
     dp: GradientPair,
     psi: ComplexField,
@@ -252,7 +227,7 @@ def sensitivity(
 
 
 def _gradient_parts(problem, system, psi_values, residual):
-    """Adjoint state and raw gradient functional (sign convention sigma=+1).
+    """Adjoint state and raw gradient functional, before the minus sign.
 
     The Omega density pairs the weighted transpose of the alpha coefficient
     map against Im(conj(psi) z), which is the discretely exact counterpart
@@ -313,7 +288,6 @@ def adjoint_gradient(
     psi: ComplexField,
     system: WaveSystem,
     metric: ParameterMetric,
-    sign: float = -1.0,
     mode: str = "algebraic",
     parameters=None,
 ):
@@ -322,6 +296,9 @@ def adjoint_gradient(
     Returns (pair, density) where pair is the GradientPair in the metric and
     density the raw (pre-Riesz) Omega functional density; the latter gives
     the squared gradient norm as gamma_scale*dgamma^2 + <domega, density>_w.
+
+    The raw parts pair the adjoint state with +B'(.) psi; the functional is
+    their negative because the sensitivity is F'(p) dp = -L B^-1 B'(dp) psi.
 
     mode "algebraic" (default) uses the exact discrete adjoint via the
     forward factorization; "continuous" discretizes the analytic adjoint
@@ -338,43 +315,10 @@ def adjoint_gradient(
         )
     else:
         raise ValueError(f"unknown gradient mode {mode!r}")
-    dgamma = sign * raw_gamma / metric.gamma_scale
-    g = sign * density
+    dgamma = -raw_gamma / metric.gamma_scale
+    g = -density
     domega = metric.riesz(g)
     return GradientPair(dgamma=dgamma, domega=ScalarField(values=domega)), g
-
-
-def calibrate_gradient_sign(
-    problem: InverseProblem,
-    metric: ParameterMetric,
-    gamma: float,
-    omega_values: np.ndarray,
-    rng_seed: int = 0,
-) -> float:
-    """Fix the overall adjoint sign by one sensitivity/adjoint identity check."""
-    rng = np.random.default_rng(rng_seed)
-    system, psi = problem.state(gamma, omega_values)
-    mask = observation_mask(problem.grid, problem.scheme)
-    y_vals = rng.standard_normal(len(mask))
-    if not problem.scheme.real_part_only:
-        y_vals = y_vals + 1j * rng.standard_normal(len(mask))
-    y = DataVector(values=y_vals, mask=mask, scheme=problem.scheme)
-    dgamma = rng.standard_normal()
-    domega = metric.project_mean_zero(rng.standard_normal(problem.grid.n))
-    dp = GradientPair(dgamma=dgamma, domega=ScalarField(values=domega))
-    lhs = data_inner(
-        problem.grid,
-        sensitivity(dp, psi, system, problem.grid, problem.stencils, problem.scheme),
-        y,
-    )
-    raw_gamma, density = _gradient_parts(problem, system, psi.values, y)
-    w = problem.grid.weights
-    rhs = dgamma * raw_gamma + float(np.sum(domega * density * w))
-    sign = -1.0 if abs(lhs + rhs) <= abs(lhs - rhs) else 1.0
-    mismatch = abs(lhs - sign * rhs) / max(abs(lhs), 1e-300)
-    if mismatch > 1e-8:
-        raise ArithmeticError(f"adjoint sign calibration failed (mismatch {mismatch:.2e})")
-    return sign
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +361,6 @@ class ReconstructionTrace:
     #                   line_search_failure | near_resonance
     threshold: float
     delta: float
-    sign: float
 
 
 def nesterov_landweber(
@@ -450,27 +393,24 @@ def nesterov_landweber(
     omega = (
         np.zeros(grid.n) if omega_init is None else np.asarray(omega_init, float).copy()
     )
+    def misfit(ga, om):
+        d = problem.observed(ga, om)
+        r = DataVector(values=d.values - y_delta.values, mask=d.mask, scheme=d.scheme)
+        return data_norm(grid, r)
+
+    iterates = [(gamma, omega.copy())]
     try:
-        sign = calibrate_gradient_sign(problem, metric, gamma, omega)
+        res0 = misfit(gamma, omega)
     except NearResonanceError:
         return ReconstructionTrace(
-            iterates=[(gamma, omega.copy())],
+            iterates=iterates,
             residuals=[float("nan")],
             step_sizes=[],
             stop_index=0,
             stop_reason="near_resonance",
             threshold=threshold,
             delta=delta,
-            sign=-1.0,
         )
-
-    def misfit(ga, om):
-        d = problem.observed(ga, om)
-        r = DataVector(values=d.values - y_delta.values, mask=d.mask, scheme=d.scheme)
-        return r, data_norm(grid, r)
-
-    iterates = [(gamma, omega.copy())]
-    _, res0 = misfit(gamma, omega)
     residuals = [res0]
     step_sizes: list[float] = []
     stop_reason = "max_iter"
@@ -511,9 +451,7 @@ def nesterov_landweber(
             res_vec = DataVector(
                 values=obs.values - y_delta.values, mask=obs.mask, scheme=obs.scheme
             )
-            grad, g_density = adjoint_gradient(
-                problem, res_vec, psi, system, metric, sign=sign
-            )
+            grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
             phi0 = 0.5 * data_norm(grid, res_vec) ** 2
             decrease = metric.gamma_scale * grad.dgamma**2 + float(
                 np.sum(grad.domega.values * g_density * grid.weights)
@@ -525,7 +463,7 @@ def nesterov_landweber(
                 trial_omega = src_omega - mu * grad.domega.values
                 if trial_gamma > 0 or problem.allow_negative_gamma:
                     try:
-                        _, trial_res = misfit(trial_gamma, trial_omega)
+                        trial_res = misfit(trial_gamma, trial_omega)
                     except NearResonanceError:
                         mu *= ls.shrink
                         continue
@@ -561,7 +499,6 @@ def nesterov_landweber(
         stop_reason=stop_reason,
         threshold=threshold,
         delta=delta,
-        sign=sign,
     )
 
 

@@ -30,7 +30,6 @@ from rotwave import (
     assemble_forward,
     build_grid,
     build_stencils,
-    calibrate_gradient_sign,
     data_inner,
     data_norm,
     inner_product,
@@ -131,13 +130,13 @@ def test_criterion_2_discrete_symmetry(suite_grids):
     report("criterion 2 (discrete symmetry)", ok, "; ".join(details))
 
 
-def _gradient_for(problem, metric, gamma, omega_values, y, sign, mode="algebraic"):
+def _gradient_for(problem, metric, gamma, omega_values, y, mode="algebraic"):
     system, psi = problem.state(gamma, omega_values)
     obs = observe(psi, problem.scheme, problem.grid)
     res = DataVector(values=obs.values - y.values, mask=obs.mask, scheme=obs.scheme)
     params = problem.parameters(gamma, omega_values)
     return adjoint_gradient(
-        problem, res, psi, system, metric, sign=sign, mode=mode, parameters=params
+        problem, res, psi, system, metric, mode=mode, parameters=params
     )
 
 
@@ -164,7 +163,6 @@ def test_criterion_3_adjoint_identity(clean33_problem):
             omega_ref=truth.omega_ref,
         )
         metric = ParameterMetric(grid, stencils, "H2", gamma_scale=1.0)
-        sign = calibrate_gradient_sign(problem, metric, g0, om0)
         system, psi = problem.state(g0, om0)
         mask = observation_mask(grid, scheme)
         for _ in range(20):
@@ -175,7 +173,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
             dom = metric.project_mean_zero(rng.standard_normal(grid.n))
             dp = GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
             lhs = data_inner(grid, sensitivity(dp, psi, system, grid, stencils, scheme), y)
-            grad, _ = adjoint_gradient(problem, y, psi, system, metric, sign=sign)
+            grad, _ = adjoint_gradient(problem, y, psi, system, metric)
             rhs = metric.pair_inner(dp, grad)
             worst = max(worst, abs(lhs - rhs) / (metric.pair_norm(dp) * data_norm(grid, y)))
     identity_ok = worst <= 1e-10
@@ -201,9 +199,9 @@ def test_criterion_3_adjoint_identity(clean33_problem):
         y_off = DataVector(
             values=0.9 * y_n.values, mask=y_n.mask, scheme=y_n.scheme
         )
-        ga, _ = _gradient_for(problem_n, metric_n, truth_n.gamma_true, om_n, y_off, -1.0)
+        ga, _ = _gradient_for(problem_n, metric_n, truth_n.gamma_true, om_n, y_off)
         gc, _ = _gradient_for(
-            problem_n, metric_n, truth_n.gamma_true, om_n, y_off, -1.0, mode="continuous"
+            problem_n, metric_n, truth_n.gamma_true, om_n, y_off, mode="continuous"
         )
         num = np.sqrt(
             (ga.dgamma - gc.dgamma) ** 2
@@ -234,8 +232,7 @@ def test_criterion_4_gradient_check(clean33_problem):
     worst = 0.0
     for gamma0, om_scale in ((0.08, 0.0), (0.12, 0.6), (0.03, 1.8)):
         om0 = om_scale * truth.omega_exact(grid).values
-        sign = calibrate_gradient_sign(problem, metric, gamma0, om0)
-        grad, _ = _gradient_for(problem, metric, gamma0, om0, y, sign)
+        grad, _ = _gradient_for(problem, metric, gamma0, om0, y)
         for _ in range(5):
             coeffs = rng.standard_normal(5) / np.arange(1, 6) ** 1.5
             dom = sum(

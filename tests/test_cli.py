@@ -204,3 +204,28 @@ def test_unwritable_error_json_is_reported(tmp_path, capsys):
     code = main(["forward", "--config", str(path), "--output-dir", str(blocker / "out")])
     assert code == 2
     assert "could not write error.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["{bad", None], ids=["malformed", "missing"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "err"
+    code = main(["forward", "--config", str(path), "--output-dir", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert str(path) in err["message"]
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    cfg = write_config(tmp_path)
+    code = main(["forward", "--config", cfg, "--output-dir", str(blocker / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(blocker / "out") in err
+    assert "could not write error.json" in err
