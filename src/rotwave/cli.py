@@ -23,6 +23,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
 from .errors import ConfigurationError, NearResonanceError
 from .experiments import (
@@ -41,7 +42,6 @@ from .inversion import (
     data_inner,
     data_norm,
     observation_mask,
-    observe,
     sensitivity,
     tcc_probe,
 )
@@ -131,15 +131,19 @@ def _random_pair(metric, grid, rng):
 
 def _smooth_pair(metric, grid, rng):
     # smooth directions keep finite-difference truncation well under 1e-6
-    from scipy.special import eval_legendre
-
     coeffs = rng.standard_normal(5) / np.arange(1, 6) ** 1.5
-    dom = sum(c * eval_legendre(l + 1, np.cos(grid.nodes)) for l, c in enumerate(coeffs))
-    dom = metric.project_mean_zero(dom)
+    dom = metric.project_mean_zero(legval(np.cos(grid.nodes), np.concatenate([[0.0], coeffs])))
     return GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
 
 
+def _check_trials(args) -> None:
+    # a check over zero trials would pass without checking anything
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
+
+
 def cmd_adjoint_check(args, config, outdir) -> int:
+    _check_trials(args)
     truth, grid, stencils, problem, psi, y = build_problem(config)
     metric = ParameterMetric(
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
@@ -152,7 +156,7 @@ def cmd_adjoint_check(args, config, outdir) -> int:
         yv = rng.standard_normal(len(mask))
         if not problem.scheme.real_part_only:
             yv = yv + 1j * rng.standard_normal(len(mask))
-        data = DataVector(values=yv, mask=mask, scheme=problem.scheme)
+        data = DataVector(values=yv, mask=mask)
         dp = _random_pair(metric, grid, rng)
         lhs = data_inner(
             grid, sensitivity(dp, state, system, grid, stencils, problem.scheme), data
@@ -170,6 +174,7 @@ def cmd_adjoint_check(args, config, outdir) -> int:
 
 
 def cmd_gradient_check(args, config, outdir) -> int:
+    _check_trials(args)
     truth, grid, stencils, problem, psi, y = build_problem(config)
     metric = ParameterMetric(
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
@@ -178,14 +183,9 @@ def cmd_gradient_check(args, config, outdir) -> int:
     omega0 = 0.5 * truth.omega_exact(grid).values
 
     def misfit(ga, om):
-        d = problem.observed(ga, om)
-        return 0.5 * data_norm(
-            grid, DataVector(values=d.values - y.values, mask=d.mask, scheme=d.scheme)
-        ) ** 2
+        return 0.5 * data_norm(grid, problem.residual(ga, om, y)[2]) ** 2
 
-    system, state = problem.state(gamma0, omega0)
-    obs = observe(state, problem.scheme, grid)
-    res = DataVector(values=obs.values - y.values, mask=obs.mask, scheme=obs.scheme)
+    system, state, res = problem.residual(gamma0, omega0, y)
     grad, _ = adjoint_gradient(problem, res, state, system, metric)
     rng = np.random.default_rng(config.noise.seed)
     worst = 0.0
@@ -244,8 +244,19 @@ def cmd_sweep(args, config, outdir) -> int:
     return 0
 
 
+def _parse_sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"--sizes must be comma-separated integers, got {text!r}") from exc
+    # fitting an order needs two distinct points
+    if len(set(sizes)) < 2:
+        raise ConfigurationError(f"--sizes needs at least two distinct grid sizes, got {text!r}")
+    return sizes
+
+
 def cmd_grid_convergence(args, config, outdir) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
+    sizes = _parse_sizes(args.sizes)
     rows = [["n", "rel_l2_error"]]
     errors = []
     for n in sizes:

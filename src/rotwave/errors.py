@@ -8,8 +8,10 @@ class ConfigurationError(ValueError):
 class NearResonanceError(ArithmeticError):
     """Wave operator is numerically singular at the requested frequency.
 
-    Raised when an LU pivot falls below the singularity threshold, which
-    happens when the temporal frequency sits near an inertial-mode resonance.
+    Raised when LAPACK gecon's reciprocal condition estimate of the LU
+    factorization falls below the singularity threshold, which happens when
+    the temporal frequency sits near an inertial-mode resonance.  The
+    estimate is reported as `pivot_ratio`.
     """
 
     def __init__(self, omega_freq: float, m: int, pivot_ratio: float):

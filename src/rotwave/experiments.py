@@ -22,7 +22,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -285,8 +285,8 @@ def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, f
     if np.iscomplexobj(y.values):
         draw = draw + 1j * rng.standard_normal(len(y.values))
     draw *= spec.relative_level * np.linalg.norm(y.values) / np.linalg.norm(draw)
-    noisy = DataVector(values=y.values + draw, mask=y.mask, scheme=y.scheme)
-    delta = data_norm(grid, DataVector(values=draw, mask=y.mask, scheme=y.scheme))
+    noisy = DataVector(values=y.values + draw, mask=y.mask)
+    delta = data_norm(grid, DataVector(values=draw, mask=y.mask))
     return noisy, delta
 
 
@@ -349,19 +349,40 @@ _NESTED = {
 }
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of its field's default.
+
+    An int field takes an int but not a bool or a float; a float field takes
+    an int or a float; a field defaulting to None takes anything.
+    """
+    if default is None:
+        return True
+    if isinstance(value, bool) and not isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _dataclass_from_dict(cls, doc: dict, path: str):
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path} must be an object")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(doc) - fields
+    defaults = {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+    }
+    unknown = set(doc) - set(defaults)
     if unknown:
         raise ConfigurationError(f"unknown keys in {path}: {sorted(unknown)}")
     kwargs = {}
     for key, value in doc.items():
         if key in _NESTED and isinstance(value, dict):
-            kwargs[key] = _dataclass_from_dict(_NESTED[key], value, f"{path}.{key}")
-        else:
-            kwargs[key] = value
+            value = _dataclass_from_dict(_NESTED[key], value, f"{path}.{key}")
+        if not _fits(value, defaults[key]):
+            raise ConfigurationError(
+                f"{path}.{key} must be {type(defaults[key]).__name__}, got {value!r}"
+            )
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -499,6 +520,21 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 SWEEP_AXES = ("noise_levels", "epsilon_values", "schemes")
 
 
+def _sweep_point(base: ExperimentConfig, axis: str, value, path: str) -> ExperimentConfig:
+    """The config of one sweep run; a value that does not fit the axis is a
+    ConfigurationError."""
+    if axis == "schemes":
+        return replace(base, scheme=_dataclass_from_dict(SchemeConfig, value, path))
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path} must be a number, got {value!r}") from exc
+    if axis == "noise_levels":
+        return replace(base, noise=replace(base.noise, relative_level=x))
+    kind = "full" if x == 0.0 else "restricted"
+    return replace(base, scheme=replace(base.scheme, kind=kind, epsilon=x))
+
+
 def sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[list[RunRecord], str]:
     """Run a family of experiments along one axis; returns records + summary CSV."""
     if axis not in SWEEP_AXES:
@@ -506,25 +542,15 @@ def sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[list[RunReco
     records = []
     rows = [SWEEP_CSV_HEADER.split(",")]
     for i, value in enumerate(values):
-        cfg = base
-        if axis == "noise_levels":
-            cfg = replace(base, noise=replace(base.noise, relative_level=float(value)))
-        elif axis == "epsilon_values":
-            eps = float(value)
-            kind = "full" if eps == 0.0 else "restricted"
-            cfg = replace(
-                base, scheme=replace(base.scheme, kind=kind, epsilon=eps)
-            )
-        else:
-            cfg = replace(base, scheme=SchemeConfig(**value))
-        cfg = replace(cfg, run_id=f"{base.run_id}_{axis}_{i}")
+        run_id = f"{base.run_id}_{axis}_{i}"
         try:
+            cfg = replace(_sweep_point(base, axis, value, f"{axis}[{i}]"), run_id=run_id)
             rec = run_experiment(cfg)
         except (ConfigurationError, ArithmeticError) as exc:
             # an invalid or numerically failing run: record it, keep sweeping
             records.append(None)
             error = f"error: {type(exc).__name__}: {exc}"
-            rows.append([cfg.run_id, "", "", "", "", "", "", "", error])
+            rows.append([run_id, "", "", "", "", "", "", "", error])
             continue
         records.append(rec)
         rows.append(

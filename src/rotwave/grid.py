@@ -138,7 +138,6 @@ class DerivativeStencils:
     def __init__(self, grid: Grid):
         self.grid = grid
         n, h = grid.n, grid.h
-        theta = grid.nodes
         self._theta_ext = (np.arange(-_GHOST_LAYERS, n + _GHOST_LAYERS) + 0.5) * h
 
         self.d1 = self._plain_matrix(order=1, width=6)
@@ -149,14 +148,6 @@ class DerivativeStencils:
         self._ext_cache: dict[int, np.ndarray] = {}
         self._delta_cache: dict[int, np.ndarray] = {}
         self._bilap_cache: dict[int, np.ndarray] = {}
-
-        # one-sided trace functionals over the first/last 6 interior nodes
-        self._trace_north = {
-            d: fd_weights(0.0, theta[:_FUNCTIONAL_POINTS], d) for d in range(4)
-        }
-        self._trace_south = {
-            d: fd_weights(math.pi, theta[-_FUNCTIONAL_POINTS:], d) for d in range(4)
-        }
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -259,9 +250,12 @@ class DerivativeStencils:
         return cached
 
     def trace_weights(self, pole: str, order: int) -> np.ndarray:
-        """One-sided weights estimating the order-th derivative at a pole."""
-        table = self._trace_north if pole == "north" else self._trace_south
-        return table[order]
+        """One-sided weights over the 6 interior nodes nearest a pole that
+        estimate the order-th derivative there."""
+        theta = self.grid.nodes
+        if pole == "north":
+            return fd_weights(0.0, theta[:_FUNCTIONAL_POINTS], order)
+        return fd_weights(math.pi, theta[-_FUNCTIONAL_POINTS:], order)
 
 
 def build_stencils(grid: Grid) -> DerivativeStencils:

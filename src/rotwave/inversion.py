@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 from scipy.linalg import lu_factor, lu_solve
-from scipy.special import eval_legendre
 
 from .errors import ConfigurationError, NearResonanceError
 from .grid import ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
@@ -34,6 +34,7 @@ from .operator import (
     WaveSystem,
     alpha_operator,
     apply_B_prime,
+    assemble_adjoint,
     assemble_forward,
     solve,
 )
@@ -68,7 +69,6 @@ class ObservationScheme:
 class DataVector:
     values: np.ndarray  # complex, or real when real_part_only
     mask: np.ndarray  # observed node indices
-    scheme: ObservationScheme
 
 
 def observation_mask(grid: Grid, scheme: ObservationScheme) -> np.ndarray:
@@ -83,12 +83,10 @@ def observe(psi: ComplexField, scheme: ObservationScheme, grid: Grid) -> DataVec
     vals = psi.values[mask]
     if scheme.real_part_only:
         vals = vals.real.copy()
-    return DataVector(values=vals, mask=mask, scheme=scheme)
+    return DataVector(values=vals, mask=mask)
 
 
-def observe_adjoint(
-    d: DataVector, scheme: ObservationScheme, grid: Grid, m: int = 0
-) -> ComplexField:
+def observe_adjoint(d: DataVector, grid: Grid, m: int = 0) -> ComplexField:
     """Zero-extension back to the full grid (real data embed as complex).
 
     The azimuthal tag m is metadata for downstream pairing; the data vector
@@ -132,8 +130,10 @@ class ParameterMetric:
         self.grid = grid
         self.name = name
         self.gamma_scale = float(gamma_scale)
-        lap0 = stencils.delta_matrix(0)
-        self.operator = -lap0 if name == "H1" else lap0 @ lap0
+        if name == "H1":
+            self.operator = -stencils.delta_matrix(0)
+        else:
+            self.operator = stencils.bilaplacian_matrix(0)
         n = grid.n
         kkt = np.zeros((n + 1, n + 1))
         kkt[:n, :n] = self.operator
@@ -211,6 +211,14 @@ class InverseProblem:
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
         return observe(self.state(gamma, omega_values)[1], self.scheme, self.grid)
 
+    def residual(
+        self, gamma: float, omega_values: np.ndarray, y: DataVector
+    ) -> tuple[WaveSystem, ComplexField, DataVector]:
+        """State at a point and its data residual F(p) - y."""
+        system, psi = self.state(gamma, omega_values)
+        d = observe(psi, self.scheme, self.grid)
+        return system, psi, DataVector(values=d.values - y.values, mask=d.mask)
+
 
 def sensitivity(
     dp: GradientPair,
@@ -235,9 +243,7 @@ def _gradient_parts(problem, system, psi_values, residual):
     """
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
-    ext = np.zeros(grid.n, dtype=complex)
-    ext[residual.mask] = residual.values
-    z = system.solve_weighted_adjoint(ext, w)
+    z = system.solve_weighted_adjoint(observe_adjoint(residual, grid).values, w)
     lap = st.delta_matrix(m)
     raw_gamma = float(np.sum((lap @ (lap @ psi_values)) * np.conj(z) * w).real)
     if m != 0:
@@ -250,24 +256,20 @@ def _gradient_parts(problem, system, psi_values, residual):
 
 
 def _gradient_parts_continuous(problem, parameters, psi_values, residual):
-    """Analytic-adjoint route: continuous-mode operator for the adjoint state
-    and the differential form of the Omega density (cross-validation only)."""
-    from .operator import assemble_adjoint
-
+    """Analytic-adjoint route: continuous reference operator for the adjoint
+    state and the differential form of the Omega density (cross-validation
+    only)."""
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
-    ext = np.zeros(grid.n, dtype=complex)
-    ext[residual.mask] = residual.values
     adj = assemble_adjoint(
         parameters,
         problem.omega_freq,
         m,
         grid,
         st,
-        mode="continuous",
         _allow_any_gamma=problem.allow_negative_gamma,
     )
-    z = adj.solve_values(ext)
+    z = adj.solve_values(observe_adjoint(residual, grid).values)
     lap = st.delta_matrix(m)
     raw_gamma = float(np.sum((lap @ (lap @ psi_values)) * np.conj(z) * w).real)
     if m != 0:
@@ -301,9 +303,10 @@ def adjoint_gradient(
     their negative because the sensitivity is F'(p) dp = -L B^-1 B'(dp) psi.
 
     mode "algebraic" (default) uses the exact discrete adjoint via the
-    forward factorization; "continuous" discretizes the analytic adjoint
-    operator and density directly and needs the Parameters of the linearization
-    point (the two agree to discretization error).
+    forward factorization; "continuous" solves with the continuous reference
+    `assemble_adjoint` and the differential form of the density, and needs the
+    Parameters of the linearization point (the two agree to discretization
+    error).
     """
     if mode == "algebraic":
         raw_gamma, density = _gradient_parts(problem, system, psi.values, residual)
@@ -393,40 +396,27 @@ def nesterov_landweber(
     omega = (
         np.zeros(grid.n) if omega_init is None else np.asarray(omega_init, float).copy()
     )
+
     def misfit(ga, om):
-        d = problem.observed(ga, om)
-        r = DataVector(values=d.values - y_delta.values, mask=d.mask, scheme=d.scheme)
-        return data_norm(grid, r)
+        return data_norm(grid, problem.residual(ga, om, y_delta)[2])
 
     iterates = [(gamma, omega.copy())]
-    try:
-        res0 = misfit(gamma, omega)
-    except NearResonanceError:
-        return ReconstructionTrace(
-            iterates=iterates,
-            residuals=[float("nan")],
-            step_sizes=[],
-            stop_index=0,
-            stop_reason="near_resonance",
-            threshold=threshold,
-            delta=delta,
-        )
-    residuals = [res0]
     step_sizes: list[float] = []
-    stop_reason = "max_iter"
-    stop_index = config.max_iter
+    stop_reason = None
+    try:
+        res_current = misfit(gamma, omega)
+    except NearResonanceError:
+        res_current, stop_reason = float("nan"), "near_resonance"
+    residuals = [res_current]
     gamma_prev, omega_prev = gamma, omega.copy()
     mu_start = ls.mu0
-    res_current = res0
 
     k = 0
-    while True:
+    while stop_reason is None:
         if res_current <= threshold:
-            stop_index = k
             stop_reason = "discrepancy" if config.tau * delta >= res_current else "residual_floor"
             break
         if k >= config.max_iter:
-            stop_index = k
             stop_reason = "max_iter"
             break
         k += 1
@@ -437,20 +427,15 @@ def nesterov_landweber(
             z_gamma, z_omega = gamma, omega  # momentum point infeasible
 
         accepted = None
-        failure = None
         for src_gamma, src_omega, is_fallback in (
             (z_gamma, z_omega, False),
             (gamma, omega, True),
         ):
             try:
-                system, psi = problem.state(src_gamma, src_omega)
+                system, psi, res_vec = problem.residual(src_gamma, src_omega, y_delta)
             except NearResonanceError:
-                failure = "near_resonance"
+                stop_reason = "near_resonance"
                 break
-            obs = observe(psi, problem.scheme, grid)
-            res_vec = DataVector(
-                values=obs.values - y_delta.values, mask=obs.mask, scheme=obs.scheme
-            )
             grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
             phi0 = 0.5 * data_norm(grid, res_vec) ** 2
             decrease = metric.gamma_scale * grad.dgamma**2 + float(
@@ -476,13 +461,8 @@ def nesterov_landweber(
                 mu *= ls.shrink
             if accepted is not None:
                 break
-        if failure is not None:
-            stop_index = k - 1
-            stop_reason = failure
-            break
-        if accepted is None:
-            stop_index = k - 1
-            stop_reason = "line_search_failure"
+        if accepted is None:  # stop_reason is set if a state solve failed
+            stop_reason = stop_reason or "line_search_failure"
             break
         gamma_prev, omega_prev = gamma, omega
         gamma, omega, res_current, mu = accepted
@@ -495,7 +475,7 @@ def nesterov_landweber(
         iterates=iterates,
         residuals=residuals,
         step_sizes=step_sizes,
-        stop_index=stop_index,
+        stop_index=len(iterates) - 1,
         stop_reason=stop_reason,
         threshold=threshold,
         delta=delta,
@@ -521,10 +501,7 @@ def _smooth_direction(rng, grid, metric, degree_cap=6):
     """Random unit-norm parameter direction with a smooth Omega part."""
     dgamma = rng.standard_normal()
     coeffs = rng.standard_normal(degree_cap) / np.arange(1, degree_cap + 1) ** 1.5
-    domega = np.zeros(grid.n)
-    x = np.cos(grid.nodes)
-    for l, c in enumerate(coeffs, start=1):
-        domega += c * eval_legendre(l, x)
+    domega = legval(np.cos(grid.nodes), np.concatenate([[0.0], coeffs]))
     domega = metric.project_mean_zero(domega)
     pair = GradientPair(dgamma=dgamma, domega=ScalarField(values=domega))
     norm = metric.pair_norm(pair)
@@ -541,7 +518,6 @@ def tcc_probe(
     n_samples: int,
     rng_seed: int,
     metric: ParameterMetric | None = None,
-    cauchy_projection: bool = False,
 ) -> TCCReport:
     """Empirical tangential-cone ratio over random parameter pairs.
 
@@ -552,11 +528,7 @@ def tcc_probe(
         ---------------------------------------------
         ||p - p~||_{R x X} * ||F(p) - F(p~)||_Y
 
-    Pairs with ||F(p) - F(p~)|| below 1e-13 are skipped and counted.  With
-    `cauchy_projection` and a restricted scheme, sampled states are adjusted
-    by a smooth blend to share the truth state's Cauchy data at the window
-    boundary before observation (the constraint under which the partial-data
-    convergence theory holds; reconstructions themselves never use it).
+    Pairs with ||F(p) - F(p~)|| below 1e-13 are skipped and counted.
     """
     if radius <= 0:
         raise ConfigurationError("probe radius must be positive")
@@ -565,11 +537,6 @@ def tcc_probe(
     grid = problem.grid
     metric = metric or ParameterMetric(grid, problem.stencils)
     rng = np.random.default_rng(rng_seed)
-
-    projector = None
-    if cauchy_projection and problem.scheme.kind == "restricted":
-        _, psi_truth = problem.state(gamma_truth, omega_truth)
-        projector = _cauchy_projector(problem, psi_truth.values)
 
     def point(direction, rad):
         g = gamma_truth + rad * direction.dgamma
@@ -592,12 +559,9 @@ def tcc_probe(
         except NearResonanceError:
             skipped += 1
             continue
-        v1, v2 = psi1.values, psi2.values
-        if projector is not None:
-            v1, v2 = projector(v1), projector(v2)
-        f1 = observe(ComplexField(m=problem.m, values=v1), problem.scheme, grid)
-        f2 = observe(ComplexField(m=problem.m, values=v2), problem.scheme, grid)
-        diff = DataVector(values=f1.values - f2.values, mask=f1.mask, scheme=f1.scheme)
+        f1 = observe(psi1, problem.scheme, grid)
+        f2 = observe(psi2, problem.scheme, grid)
+        diff = DataVector(values=f1.values - f2.values, mask=f1.mask)
         diff_norm = data_norm(grid, diff)
         if diff_norm < 1e-13:
             skipped += 1
@@ -606,9 +570,7 @@ def tcc_probe(
             dgamma=g1 - g2, domega=ScalarField(values=om1 - om2)
         )
         lin = sensitivity(step, psi1, sys1, grid, problem.stencils, problem.scheme)
-        rem = DataVector(
-            values=f1.values - f2.values - lin.values, mask=f1.mask, scheme=f1.scheme
-        )
+        rem = DataVector(values=f1.values - f2.values - lin.values, mask=f1.mask)
         ratios.append(
             data_norm(grid, rem) / (metric.pair_norm(step) * diff_norm)
         )
@@ -621,32 +583,3 @@ def tcc_probe(
         radius=radius,
         samples=n_samples,
     )
-
-
-def _cauchy_projector(problem, psi_truth):
-    """Blend correction matching value and slope of the truth at the window edge."""
-    grid = problem.grid
-    mask = observation_mask(grid, problem.scheme)
-    lo, hi = mask[0], mask[-1]
-    theta = grid.nodes
-    width = max(problem.scheme.epsilon, 4 * grid.h)
-
-    def hermite_bump(t0, slope_sign):
-        t = (theta - t0) * slope_sign / width
-        val = np.where((t >= 0) & (t < 1), (1 - t) ** 2 * (1 + 2 * t), 0.0)
-        der = np.where((t >= 0) & (t < 1), (1 - t) ** 2 * t * width * slope_sign, 0.0)
-        return val, der
-
-    d1 = problem.stencils.d1
-
-    def project(v):
-        dv = d1 @ (v - psi_truth)
-        out = v.copy()
-        for idx, sgn in ((lo, 1.0), (hi, -1.0)):
-            val_mismatch = v[idx] - psi_truth[idx]
-            der_mismatch = dv[idx]
-            bump_v, bump_d = hermite_bump(theta[idx], sgn)
-            out = out - val_mismatch * bump_v - der_mismatch * bump_d
-        return out
-
-    return project

@@ -10,12 +10,14 @@ with rotation-derived coefficients
     alpha(theta) = (Omega'' + 3 Omega' cot(theta) - 2 Omega) / r^2
     beta(theta)  = Omega(theta) - Omega_ref
 
-and the Gamma_m pole closure baked into delta_m.  The adjoint is available
-in two modes: `algebraic` is the exact adjoint of the discrete matrix with
-respect to the weighted inner product (W^-1 B^H W), `continuous` discretizes
-the analytic adjoint  gamma delta_m^2 - i omega delta_m + i m delta_m(beta .)
-- i m alpha  directly; the two agree to discretization error on fields
-compatible with the pole conditions.
+and the Gamma_m pole closure baked into delta_m.  The exact adjoint of the
+discrete operator with respect to the weighted inner product, W^-1 B^H W, is
+applied by `WaveSystem.solve_weighted_adjoint` through the forward
+factorization.  `assemble_adjoint` is the continuous reference: it
+discretizes the analytic adjoint  gamma delta_m^2 - i omega delta_m
++ i m delta_m(beta .) - i m alpha  directly, and agrees with the discrete
+adjoint to discretization error on fields compatible with the pole
+conditions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from .errors import ConfigurationError, NearResonanceError
 from .grid import ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
 
-PIVOT_RTOL = 1e-14  # near-resonance threshold on the smallest LU pivot
+PIVOT_RTOL = 1e-14  # near-resonance threshold on gecon's reciprocal condition estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +66,6 @@ class Parameters:
 class Coefficients:
     alpha: ScalarField
     beta: ScalarField
-    alpha_tilde: ScalarField
 
 
 def alpha_operator(grid: Grid, stencils: DerivativeStencils) -> np.ndarray:
@@ -77,17 +78,12 @@ def alpha_operator(grid: Grid, stencils: DerivativeStencils) -> np.ndarray:
 def compute_coefficients(
     omega: RotationProfile, omega_ref: float, grid: Grid
 ) -> Coefficients:
-    """Rotation-derived coefficients alpha, beta and alpha-tilde."""
+    """Rotation-derived coefficients alpha and beta."""
     om = omega.values.values
     cot = np.cos(grid.nodes) / np.sin(grid.nodes)
     alpha = (omega.d2.values + 3.0 * cot * omega.d1.values - 2.0 * om) / grid.r**2
     beta = om - omega_ref
-    alpha_tilde = omega.d1.values * np.sin(grid.nodes) + 2.0 * om * np.cos(grid.nodes)
-    return Coefficients(
-        alpha=ScalarField(values=alpha),
-        beta=ScalarField(values=beta),
-        alpha_tilde=ScalarField(values=alpha_tilde),
-    )
+    return Coefficients(alpha=ScalarField(values=alpha), beta=ScalarField(values=beta))
 
 
 class WaveSystem:
@@ -97,14 +93,11 @@ class WaveSystem:
     are safe (the factorization itself is computed on first use).
     """
 
-    def __init__(self, matrix, m, omega_freq, role, grid):
+    def __init__(self, matrix, m, omega_freq):
         self.matrix = matrix
         self.m = m
         self.omega_freq = omega_freq
-        self.role = role
-        self.grid = grid
         self._lu = None
-        self._scale = None
 
     def factorization(self):
         if self._lu is None:
@@ -139,7 +132,8 @@ def _mean_pin(grid: Grid, scale: float) -> np.ndarray:
     delta_0 annihilates constants, so the axisymmetric problem is posed on
     mean-zero fields; scale * P with P x = mean_w(x) * 1 removes the null
     space, acts as zero on discretely mean-zero fields, and is self-adjoint
-    in the weighted inner product (so both adjoint modes stay consistent).
+    in the weighted inner product (so the discrete and continuous adjoints
+    share it).
     """
     w = grid.weights
     return scale * np.outer(np.ones(grid.n), w) / np.sum(w)
@@ -170,7 +164,7 @@ def assemble_forward(
     if p.gamma <= 0 and not _allow_any_gamma:
         raise ConfigurationError(f"forward operator needs gamma > 0, got {p.gamma}")
     mat = _assemble_matrix(p.gamma, p.omega, p.omega_ref, omega_freq, m, grid, stencils)
-    return WaveSystem(mat, m, omega_freq, "forward", grid)
+    return WaveSystem(mat, m, omega_freq)
 
 
 def assemble_adjoint(
@@ -179,35 +173,27 @@ def assemble_adjoint(
     m: int,
     grid: Grid,
     stencils: DerivativeStencils,
-    mode: str = "algebraic",
     _allow_any_gamma: bool = False,
 ) -> WaveSystem:
-    """Assemble the adjoint operator.
+    """Assemble the continuous adjoint reference operator, the discretization of
 
-    algebraic:  exact discrete adjoint W^-1 B^H W of the forward matrix.
-    continuous: discretization of
-                gamma delta^2 - i omega delta + i m delta(beta .) - i m alpha.
+        gamma delta^2 - i omega delta + i m delta(beta .) - i m alpha.
+
+    The exact discrete adjoint is `WaveSystem.solve_weighted_adjoint` of the
+    forward system; the two agree to discretization error.
     """
     if p.gamma <= 0 and not _allow_any_gamma:
         raise ConfigurationError(f"adjoint operator needs gamma > 0, got {p.gamma}")
-    if mode == "algebraic":
-        fwd = _assemble_matrix(p.gamma, p.omega, p.omega_ref, omega_freq, m, grid, stencils)
-        w = grid.weights
-        mat = fwd.conj().T * (w[None, :] / w[:, None])
-    elif mode == "continuous":
-        lap = stencils.delta_matrix(m)
-        bilap = stencils.bilaplacian_matrix(m)
-        coeff = compute_coefficients(p.omega, p.omega_ref, grid)
-        mat = p.gamma * bilap - 1j * omega_freq * lap
-        if m != 0:
-            mat = mat + 1j * m * (lap * coeff.beta.values[None, :])
-            mat = mat - 1j * m * np.diag(coeff.alpha.values)
-        else:
-            mat = mat + _mean_pin(grid, float(np.max(np.abs(mat))))
-        mat = mat.astype(complex)
+    lap = stencils.delta_matrix(m)
+    bilap = stencils.bilaplacian_matrix(m)
+    coeff = compute_coefficients(p.omega, p.omega_ref, grid)
+    mat = p.gamma * bilap - 1j * omega_freq * lap
+    if m != 0:
+        mat = mat + 1j * m * (lap * coeff.beta.values[None, :])
+        mat = mat - 1j * m * np.diag(coeff.alpha.values)
     else:
-        raise ValueError(f"unknown adjoint mode {mode!r}")
-    return WaveSystem(np.ascontiguousarray(mat), m, omega_freq, "adjoint", grid)
+        mat = mat + _mean_pin(grid, float(np.max(np.abs(mat))))
+    return WaveSystem(np.ascontiguousarray(mat.astype(complex)), m, omega_freq)
 
 
 def solve(system: WaveSystem, rhs: ComplexField) -> ComplexField:

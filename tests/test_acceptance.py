@@ -133,7 +133,7 @@ def test_criterion_2_discrete_symmetry(suite_grids):
 def _gradient_for(problem, metric, gamma, omega_values, y, mode="algebraic"):
     system, psi = problem.state(gamma, omega_values)
     obs = observe(psi, problem.scheme, problem.grid)
-    res = DataVector(values=obs.values - y.values, mask=obs.mask, scheme=obs.scheme)
+    res = DataVector(values=obs.values - y.values, mask=obs.mask)
     params = problem.parameters(gamma, omega_values)
     return adjoint_gradient(
         problem, res, psi, system, metric, mode=mode, parameters=params
@@ -169,7 +169,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
             yv = rng.standard_normal(len(mask))
             if not scheme.real_part_only:
                 yv = yv + 1j * rng.standard_normal(len(mask))
-            y = DataVector(values=yv, mask=mask, scheme=scheme)
+            y = DataVector(values=yv, mask=mask)
             dom = metric.project_mean_zero(rng.standard_normal(grid.n))
             dp = GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
             lhs = data_inner(grid, sensitivity(dp, psi, system, grid, stencils, scheme), y)
@@ -196,9 +196,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
         metric_n = ParameterMetric(gn, stn, "H2", gamma_scale=1.0)
         om_n = truth_n.omega_exact(gn).values
         y_n = problem_n.observed(truth_n.gamma_true, om_n)
-        y_off = DataVector(
-            values=0.9 * y_n.values, mask=y_n.mask, scheme=y_n.scheme
-        )
+        y_off = DataVector(values=0.9 * y_n.values, mask=y_n.mask)
         ga, _ = _gradient_for(problem_n, metric_n, truth_n.gamma_true, om_n, y_off)
         gc, _ = _gradient_for(
             problem_n, metric_n, truth_n.gamma_true, om_n, y_off, mode="continuous"
@@ -226,7 +224,7 @@ def test_criterion_4_gradient_check(clean33_problem):
 
     def misfit(ga, om):
         d = problem.observed(ga, om)
-        r = DataVector(values=d.values - y.values, mask=d.mask, scheme=d.scheme)
+        r = DataVector(values=d.values - y.values, mask=d.mask)
         return 0.5 * data_norm(grid, r) ** 2
 
     worst = 0.0
@@ -425,7 +423,7 @@ def test_criterion_10_tcc_probe(clean33_problem):
         )
         rem = base.values - pert.values - lin.values
         ratios.append(
-            data_norm(grid, DataVector(values=rem, mask=base.mask, scheme=base.scheme))
+            data_norm(grid, DataVector(values=rem, mask=base.mask))
             / t**2
         )
     quad_ok = max(ratios) <= 5 * min(ratios)

@@ -229,3 +229,48 @@ def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and str(blocker / "out") in err
     assert "could not write error.json" in err
+
+
+@pytest.mark.parametrize("command", ["adjoint-check", "gradient-check"])
+def test_check_with_zero_trials_exits_2(tmp_path, command):
+    # a check that ran no trial must not report a pass
+    cfg = write_config(tmp_path)
+    out = tmp_path / "zero"
+    code = main([command, "--config", cfg, "--output-dir", str(out), "--trials", "0"])
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "configuration"
+
+
+@pytest.mark.parametrize("sizes", ["50,abc", "", "50", "50,50"])
+def test_grid_convergence_needs_two_distinct_sizes(tmp_path, sizes):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "conv_bad"
+    code = main(["grid-convergence", "--config", cfg, "--output-dir", str(out), "--sizes", sizes])
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "configuration"
+
+
+@pytest.mark.parametrize(
+    "override", ["n=abc", "n=20.5", "iteration.max_iter=abc", "allow_negative_gamma=1"]
+)
+def test_mistyped_override_exits_2(tmp_path, override):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "typed"
+    code = main(["forward", "--config", cfg, "--overrides", override, "--output-dir", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert f"config.{override.partition('=')[0]}" in err["message"]
+
+
+@pytest.mark.parametrize("axis,values", [("noise_levels", "abc,1.5"), ("schemes", "1")])
+def test_sweep_records_unusable_values(tmp_path, axis, values):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep_bad"
+    code = main(
+        ["sweep", "--config", cfg, "--output-dir", str(out), "--axis", axis, "--values", values]
+    )
+    assert code == 0
+    rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(values.split(","))
+    assert all("error: ConfigurationError" in row for row in rows)

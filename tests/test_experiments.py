@@ -13,7 +13,6 @@ from rotwave import (
     IterationConfig,
     NearResonanceError,
     NoiseSpec,
-    ObservationScheme,
     Parameters,
     RotationProfile,
     RunRecord,
@@ -159,8 +158,7 @@ def _clean_data(n=64):
     )
     psi = solve(system, truth.source(grid))
     mask = np.arange(n)
-    scheme = ObservationScheme()
-    return grid, DataVector(values=psi.values.copy(), mask=mask, scheme=scheme)
+    return grid, DataVector(values=psi.values.copy(), mask=mask)
 
 
 def test_add_noise_zero_level():
@@ -190,11 +188,7 @@ def test_add_noise_deterministic():
 
 def test_add_noise_real_data_stays_real():
     grid, y = _clean_data()
-    real = DataVector(
-        values=y.values.real.copy(),
-        mask=y.mask,
-        scheme=ObservationScheme(real_part_only=True),
-    )
+    real = DataVector(values=y.values.real.copy(), mask=y.mask)
     noisy, _ = add_noise(real, NoiseSpec(relative_level=0.1, seed=0), grid)
     assert not np.iscomplexobj(noisy.values)
 
@@ -332,6 +326,21 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"noise": {"relative_level": 0.1, "sigma": 1}})
 
 
+def test_config_checks_scalar_types():
+    # a float field takes an int; an int field takes neither a float nor a bool
+    config = ExperimentConfig.from_dict({"iteration": {"gamma_scale": 3000}})
+    assert config.iteration.gamma_scale == 3000
+    for doc, path in (
+        ({"n": 20.5}, "config.n"),
+        ({"n": True}, "config.n"),
+        ({"noise": {"seed": "1"}}, "config.noise.seed"),
+        ({"iteration": {"line_search": {"mu0": "big"}}}, "config.iteration.line_search.mu0"),
+        ({"scheme": 3}, "config.scheme"),
+    ):
+        with pytest.raises(ConfigurationError, match=path):
+            ExperimentConfig.from_dict(doc)
+
+
 def test_config_dotted_overrides():
     config = ExperimentConfig()
     out = apply_overrides(config, {"iteration.tau": 1.5, "noise.seed": 9, "n": 128})
@@ -355,6 +364,27 @@ def test_sweep_records_individual_failures():
     assert records[0] is not None
     assert records[1] is None
     assert "error: ConfigurationError" in summary.splitlines()[2]
+
+
+@pytest.mark.parametrize(
+    "axis,bad,good",
+    [
+        ("noise_levels", 1.5, 0.05),
+        ("noise_levels", "abc", 0.05),
+        ("epsilon_values", 3.5, 0.0),
+        ("epsilon_values", "abc", 0.0),
+        ("schemes", 1, {"kind": "full"}),
+        ("schemes", {"kind": "full", "bogus": 1}, {"kind": "full"}),
+    ],
+)
+def test_sweep_records_unusable_value_and_continues(axis, bad, good):
+    base = ExperimentConfig(
+        run_id="swv", n=64, truth="m2_default", iteration=small_iteration(max_iter=5)
+    )
+    records, summary = sweep(base, axis, [bad, good])
+    assert records[0] is None
+    assert records[1] is not None
+    assert "error: ConfigurationError" in summary.splitlines()[1]
 
 
 def test_sweep_records_numerical_failure(monkeypatch):

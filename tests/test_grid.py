@@ -323,14 +323,13 @@ def test_ghost_closure_matches_smooth_extension(grid100, stencils100):
 @settings(deadline=None, max_examples=20)
 @given(level=st.floats(min_value=1e-6, max_value=0.9), seed=st.integers(0, 2**31))
 def test_noise_calibration_property(level, seed):
-    from rotwave import DataVector, NoiseSpec, ObservationScheme, add_noise
+    from rotwave import DataVector, NoiseSpec, add_noise
 
     g = build_grid(24)
     rng = np.random.default_rng(1)
     y = DataVector(
         values=rng.standard_normal(24) + 1j * rng.standard_normal(24),
         mask=np.arange(24),
-        scheme=ObservationScheme(),
     )
     noisy, delta = add_noise(y, NoiseSpec(relative_level=level, seed=seed), g)
     measured = np.linalg.norm(noisy.values - y.values) / np.linalg.norm(y.values)
@@ -352,8 +351,7 @@ def test_observation_projection_property(eps, seed):
     d = DataVector(
         values=rng.standard_normal(len(mask)) + 1j * rng.standard_normal(len(mask)),
         mask=mask,
-        scheme=scheme,
     )
     lhs = data_inner(g, observe(psi, scheme, g), d)
-    rhs = inner_product(g, psi, observe_adjoint(d, scheme, g, m=1)).real
+    rhs = inner_product(g, psi, observe_adjoint(d, g, m=1)).real
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

@@ -100,8 +100,8 @@ def test_restricted_equals_masked_full(grid100):
 def test_observe_adjoint_zero_extension(grid100):
     scheme = ObservationScheme(kind="restricted", epsilon=0.5)
     mask = observation_mask(grid100, scheme)
-    d = DataVector(values=np.ones(len(mask), dtype=complex), mask=mask, scheme=scheme)
-    ext = observe_adjoint(d, scheme, grid100)
+    d = DataVector(values=np.ones(len(mask), dtype=complex), mask=mask)
+    ext = observe_adjoint(d, grid100)
     outside = np.setdiff1d(np.arange(100), mask)
     assert np.all(ext.values[outside] == 0)
     assert np.all(ext.values[mask] == 1)
@@ -117,9 +117,9 @@ def test_observe_adjoint_identity(grid100, scheme):
     dv = rng.standard_normal(len(mask))
     if not scheme.real_part_only:
         dv = dv + 1j * rng.standard_normal(len(mask))
-    d = DataVector(values=dv, mask=mask, scheme=scheme)
+    d = DataVector(values=dv, mask=mask)
     lhs = data_inner(grid100, observe(psi, scheme, grid100), d)
-    ext = observe_adjoint(d, scheme, grid100, m=2)
+    ext = observe_adjoint(d, grid100, m=2)
     rhs = float(inner_product(grid100, psi, ext).real)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -131,9 +131,7 @@ def test_observe_projection_property(grid100, scheme):
     rng = np.random.default_rng(5)
 
     def project(field):
-        return observe_adjoint(
-            observe(field, scheme, grid100), scheme, grid100, m=field.m
-        )
+        return observe_adjoint(observe(field, scheme, grid100), grid100, m=field.m)
 
     u = ComplexField(m=2, values=rng.standard_normal(100) + 1j * rng.standard_normal(100))
     v = ComplexField(m=2, values=rng.standard_normal(100) + 1j * rng.standard_normal(100))
@@ -224,7 +222,7 @@ def test_sensitivity_taylor_remainder():
         pert = problem.observed(g0 + t * dp.dgamma, om0 + t * dom)
         rem = pert.values - base.values - t * sens.values
         ratios.append(
-            data_norm(grid, DataVector(values=rem, mask=base.mask, scheme=base.scheme)) / t**2
+            data_norm(grid, DataVector(values=rem, mask=base.mask)) / t**2
         )
     # remainder is O(t^2): the ratio stays bounded as t shrinks
     assert max(ratios) < 10 * ratios[0] + 1e-9
@@ -252,7 +250,7 @@ def test_adjoint_identity_all_schemes(scheme):
                 yv = rng.standard_normal(len(mask))
                 if not scheme.real_part_only:
                     yv = yv + 1j * rng.standard_normal(len(mask))
-                y = DataVector(values=yv, mask=mask, scheme=scheme)
+                y = DataVector(values=yv, mask=mask)
                 dom = metric.project_mean_zero(rng.standard_normal(100))
                 dp = GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
                 lhs = data_inner(grid, sensitivity(dp, psi, system, grid, stencils, scheme), y)
@@ -268,9 +266,7 @@ def test_gradient_zero_residual():
     metric = ParameterMetric(grid, stencils, "H2")
     system, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
     mask = observation_mask(grid, problem.scheme)
-    zero = DataVector(
-        values=np.zeros(len(mask), dtype=complex), mask=mask, scheme=problem.scheme
-    )
+    zero = DataVector(values=np.zeros(len(mask), dtype=complex), mask=mask)
     grad, dens = adjoint_gradient(problem, zero, psi, system, metric)
     assert grad.dgamma == 0.0
     assert np.all(grad.domega.values == 0)
@@ -285,7 +281,7 @@ def test_gradient_matches_finite_differences():
 
     def misfit(ga, om):
         d = problem.observed(ga, om)
-        r = DataVector(values=d.values - y.values, mask=d.mask, scheme=d.scheme)
+        r = DataVector(values=d.values - y.values, mask=d.mask)
         return 0.5 * data_norm(grid, r) ** 2
 
     rng = np.random.default_rng(9)
@@ -305,7 +301,7 @@ def test_gradient_matches_finite_differences():
         om0 = om_scale * truth.omega_exact(grid).values
         system, psi = problem.state(gamma0, om0)
         obs = observe(psi, problem.scheme, grid)
-        res = DataVector(values=obs.values - y.values, mask=obs.mask, scheme=obs.scheme)
+        res = DataVector(values=obs.values - y.values, mask=obs.mask)
         grad, _ = adjoint_gradient(problem, res, psi, system, metric)
         for _ in range(5):
             dom = smooth_direction()
@@ -343,8 +339,8 @@ def test_landweber_trace_invariants_on_noisy_run():
     rng = np.random.default_rng(1)
     noise = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     noise *= 0.05 * np.linalg.norm(y_clean.values) / np.linalg.norm(noise)
-    y = DataVector(values=y_clean.values + noise, mask=y_clean.mask, scheme=y_clean.scheme)
-    delta = data_norm(grid, DataVector(values=noise, mask=y.mask, scheme=y.scheme))
+    y = DataVector(values=y_clean.values + noise, mask=y_clean.mask)
+    delta = data_norm(grid, DataVector(values=noise, mask=y.mask))
     config = IterationConfig(max_iter=200, gamma_scale=3000.0)
     trace = nesterov_landweber(
         problem, y, delta=delta, config=config, gamma_init=3 * truth.gamma_true
@@ -393,7 +389,7 @@ def test_landweber_momentum_weight_first_step_is_plain():
     metric = ParameterMetric(grid, stencils, config.parameter_metric, config.gamma_scale)
     system, psi = problem.state(gamma0, omega0)
     obs = observe(psi, problem.scheme, grid)
-    res = DataVector(values=obs.values - y.values, mask=obs.mask, scheme=obs.scheme)
+    res = DataVector(values=obs.values - y.values, mask=obs.mask)
     grad, _ = adjoint_gradient(problem, res, psi, system, metric)
     mu = trace.step_sizes[0]
     gamma1, omega1 = trace.iterates[1]
@@ -507,15 +503,13 @@ def test_tcc_ratio_gamma_only_perturbations():
         sys1, psi1 = problem.state(g1, om_true)
         f1 = observe(psi1, problem.scheme, grid)
         f2 = problem.observed(g2, om_true)
-        diff = DataVector(values=f1.values - f2.values, mask=f1.mask, scheme=f1.scheme)
+        diff = DataVector(values=f1.values - f2.values, mask=f1.mask)
         dn = data_norm(grid, diff)
         if dn < 1e-13:
             continue
         step = GradientPair(dgamma=g1 - g2, domega=ScalarField(values=np.zeros(64)))
         lin = sensitivity(step, psi1, sys1, grid, stencils, problem.scheme)
-        rem = DataVector(
-            values=f1.values - f2.values - lin.values, mask=f1.mask, scheme=f1.scheme
-        )
+        rem = DataVector(values=f1.values - f2.values - lin.values, mask=f1.mask)
         ratios.append(data_norm(grid, rem) / (metric.pair_norm(step) * dn))
     assert len(ratios) > 50
     assert np.isfinite(ratios).all()

@@ -138,10 +138,14 @@ def test_cli_import_leaves_sympy_out():
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, rotwave.cli; print('sympy' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, rotwave.cli; print(sorted({'sympy', 'scipy.special'} & set(sys.modules)))",
+        ],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
