@@ -24,7 +24,6 @@ from .operator import (
     RotationProfile,
     WaveSystem,
     apply_B_prime,
-    assemble_adjoint,
     assemble_forward,
     compute_coefficients,
     frequency_condition,

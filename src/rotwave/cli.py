@@ -23,8 +23,8 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
+from .checks import adjoint_identity_mismatch, gradient_fd_mismatch
 from .errors import ConfigurationError, NearResonanceError
 from .experiments import (
     ExperimentConfig,
@@ -33,18 +33,7 @@ from .experiments import (
     run_experiment,
     sweep,
 )
-from .grid import ScalarField
-from .inversion import (
-    GradientPair,
-    ParameterMetric,
-    DataVector,
-    adjoint_gradient,
-    data_inner,
-    data_norm,
-    observation_mask,
-    sensitivity,
-    tcc_probe,
-)
+from .inversion import ParameterMetric, tcc_probe
 
 
 def _parse_value(text: str):
@@ -102,7 +91,7 @@ def cmd_forward(args, config, outdir) -> int:
     truth, grid, stencils, problem, psi, y = build_problem(config)
     rows = [["theta", "re_psi", "im_psi"]]
     for th, v in zip(grid.nodes, psi.values):
-        rows.append([repr(th), repr(v.real), repr(v.imag)])
+        rows.append([repr(float(th)), repr(float(v.real)), repr(float(v.imag))])
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     (outdir / "state.csv").write_text(buf.getvalue())
@@ -124,18 +113,6 @@ def cmd_reconstruct(args, config, outdir) -> int:
     return 0
 
 
-def _random_pair(metric, grid, rng):
-    dom = metric.project_mean_zero(rng.standard_normal(grid.n))
-    return GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
-
-
-def _smooth_pair(metric, grid, rng):
-    # smooth directions keep finite-difference truncation well under 1e-6
-    coeffs = rng.standard_normal(5) / np.arange(1, 6) ** 1.5
-    dom = metric.project_mean_zero(legval(np.cos(grid.nodes), np.concatenate([[0.0], coeffs])))
-    return GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
-
-
 def _check_trials(args) -> None:
     # a check over zero trials would pass without checking anything
     if args.trials < 1:
@@ -149,23 +126,9 @@ def cmd_adjoint_check(args, config, outdir) -> int:
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
     )
     rng = np.random.default_rng(config.noise.seed)
-    system, state = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
-    mask = observation_mask(grid, problem.scheme)
-    worst = 0.0
-    for _ in range(args.trials):
-        yv = rng.standard_normal(len(mask))
-        if not problem.scheme.real_part_only:
-            yv = yv + 1j * rng.standard_normal(len(mask))
-        data = DataVector(values=yv, mask=mask)
-        dp = _random_pair(metric, grid, rng)
-        lhs = data_inner(
-            grid, sensitivity(dp, state, system, grid, stencils, problem.scheme), data
-        )
-        grad, _ = adjoint_gradient(problem, data, state, system, metric)
-        rhs = metric.pair_inner(dp, grad)
-        # normalized by ||dp|| * ||y|| (the acceptance-contract scaling)
-        rel = abs(lhs - rhs) / max(metric.pair_norm(dp) * data_norm(grid, data), 1e-300)
-        worst = max(worst, rel)
+    worst = adjoint_identity_mismatch(
+        problem, metric, truth.gamma_true, truth.omega_exact(grid).values, rng, args.trials
+    )
     print(f"adjoint-check: max relative mismatch {worst:.3e} over {args.trials} trials")
     (outdir / "adjoint_check.json").write_text(
         json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
@@ -181,23 +144,8 @@ def cmd_gradient_check(args, config, outdir) -> int:
     )
     gamma0 = truth.gamma_true * 1.7
     omega0 = 0.5 * truth.omega_exact(grid).values
-
-    def misfit(ga, om):
-        return 0.5 * data_norm(grid, problem.residual(ga, om, y)[2]) ** 2
-
-    system, state, res = problem.residual(gamma0, omega0, y)
-    grad, _ = adjoint_gradient(problem, res, state, system, metric)
     rng = np.random.default_rng(config.noise.seed)
-    worst = 0.0
-    step = 1e-5
-    for _ in range(args.trials):
-        dp = _smooth_pair(metric, grid, rng)
-        fd = (
-            misfit(gamma0 + step * dp.dgamma, omega0 + step * dp.domega.values)
-            - misfit(gamma0 - step * dp.dgamma, omega0 - step * dp.domega.values)
-        ) / (2 * step)
-        pred = metric.pair_inner(dp, grad)
-        worst = max(worst, abs(fd - pred) / max(abs(fd), 1e-300))
+    worst = gradient_fd_mismatch(problem, metric, gamma0, omega0, y, rng, args.trials)
     print(f"gradient-check: max relative FD mismatch {worst:.3e} over {args.trials} trials")
     (outdir / "gradient_check.json").write_text(
         json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
@@ -222,7 +170,7 @@ def cmd_tcc(args, config, outdir) -> int:
         metric=metric,
     )
     rows = [["sample", "ratio"]] + [
-        [str(i), repr(r)] for i, r in enumerate(report.ratios)
+        [str(i), repr(float(r))] for i, r in enumerate(report.ratios)
     ]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -249,7 +197,7 @@ def _parse_sizes(text: str) -> list[int]:
         sizes = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"--sizes must be comma-separated integers, got {text!r}") from exc
-    # fitting an order needs two distinct points
+    # an observed order needs two distinct sizes
     if len(set(sizes)) < 2:
         raise ConfigurationError(f"--sizes needs at least two distinct grid sizes, got {text!r}")
     return sizes
@@ -272,8 +220,17 @@ def cmd_grid_convergence(args, config, outdir) -> int:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     (outdir / "grid_convergence.csv").write_text(buf.getvalue())
-    order = float(-np.polyfit(np.log(sizes), np.log(errors), 1)[0])
-    print(f"grid-convergence: errors {['%.3e' % e for e in errors]} observed order {order:.2f}")
+    # one order per refinement step: a single fit through every size lets a
+    # roundoff-polluted point decide the order of the whole study
+    by_n = sorted(dict(zip(sizes, errors)).items())
+    orders = [
+        f"{n0}->{n1} {np.log(e0 / e1) / np.log(n1 / n0):.2f}"
+        for (n0, e0), (n1, e1) in zip(by_n, by_n[1:])
+    ]
+    print(
+        f"grid-convergence: errors {['%.3e' % e for e in errors]} "
+        f"observed order {', '.join(orders)}"
+    )
     return 0
 
 

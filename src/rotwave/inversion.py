@@ -5,10 +5,12 @@ S(gamma, Omega) solves the separated wave equation and L restricts the state
 to the observed colatitudes (optionally taking the real part).  Gradients
 come from one adjoint solve per evaluation:
 
-    z = B*^-1 L* residual,
+    z = B*^-1 L* residual,          B* = W^-1 B^H W, the exact discrete adjoint
     d/dgamma  ->  -Re <delta^2 psi, z>
-    d/dOmega  ->  -m * Im{ adjoint-of-alpha-map (conj(psi) z)
-                           - (delta_m conj(psi)) z }
+    d/dOmega  ->  -m * Im{ alpha* (conj(psi) z) - (delta_m conj(psi)) z }
+
+where alpha* (`apply_alpha_adjoint`) is the weighted adjoint of the map
+Omega -> alpha_Omega.
 
 The minus sign is fixed by the analysis: it is the sign of the sensitivity
 F'(p) dp = -L B^-1 B'(dp) psi.
@@ -32,9 +34,8 @@ from .operator import (
     Parameters,
     RotationProfile,
     WaveSystem,
-    alpha_operator,
+    apply_alpha_adjoint,
     apply_B_prime,
-    assemble_adjoint,
     assemble_forward,
     solve,
 )
@@ -234,64 +235,12 @@ def sensitivity(
     return observe(dpsi, scheme, grid)
 
 
-def _gradient_parts(problem, system, psi_values, residual):
-    """Adjoint state and raw gradient functional, before the minus sign.
-
-    The Omega density pairs the weighted transpose of the alpha coefficient
-    map against Im(conj(psi) z), which is the discretely exact counterpart
-    of the analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.)) form.
-    """
-    grid, st, m = problem.grid, problem.stencils, problem.m
-    w = grid.weights
-    z = system.solve_weighted_adjoint(observe_adjoint(residual, grid).values, w)
-    lap = st.delta_matrix(m)
-    raw_gamma = float(np.sum((lap @ (lap @ psi_values)) * np.conj(z) * w).real)
-    if m != 0:
-        c = np.imag(np.conj(psi_values) * z)
-        aop = alpha_operator(grid, st)
-        density = m * ((aop.T @ (w * c)) / w - np.imag((lap @ np.conj(psi_values)) * z))
-    else:
-        density = np.zeros(grid.n)
-    return raw_gamma, density
-
-
-def _gradient_parts_continuous(problem, parameters, psi_values, residual):
-    """Analytic-adjoint route: continuous reference operator for the adjoint
-    state and the differential form of the Omega density (cross-validation
-    only)."""
-    grid, st, m = problem.grid, problem.stencils, problem.m
-    w = grid.weights
-    adj = assemble_adjoint(
-        parameters,
-        problem.omega_freq,
-        m,
-        grid,
-        st,
-        _allow_any_gamma=problem.allow_negative_gamma,
-    )
-    z = adj.solve_values(observe_adjoint(residual, grid).values)
-    lap = st.delta_matrix(m)
-    raw_gamma = float(np.sum((lap @ (lap @ psi_values)) * np.conj(z) * w).real)
-    if m != 0:
-        c = np.imag(np.conj(psi_values) * z)
-        sin = np.sin(grid.nodes)
-        density = m * (
-            sin / grid.r**2 * (st.d1 @ ((st.d1 @ c) / sin))
-            - np.imag((lap @ np.conj(psi_values)) * z)
-        )
-    else:
-        density = np.zeros(grid.n)
-    return raw_gamma, density
-
-
 def adjoint_gradient(
     problem: InverseProblem,
     residual: DataVector,
     psi: ComplexField,
     system: WaveSystem,
     metric: ParameterMetric,
-    mode: str = "algebraic",
-    parameters=None,
 ):
     """Riesz gradient of the misfit functional driven by a data residual.
 
@@ -299,25 +248,24 @@ def adjoint_gradient(
     density the raw (pre-Riesz) Omega functional density; the latter gives
     the squared gradient norm as gamma_scale*dgamma^2 + <domega, density>_w.
 
-    The raw parts pair the adjoint state with +B'(.) psi; the functional is
-    their negative because the sensitivity is F'(p) dp = -L B^-1 B'(dp) psi.
-
-    mode "algebraic" (default) uses the exact discrete adjoint via the
-    forward factorization; "continuous" solves with the continuous reference
-    `assemble_adjoint` and the differential form of the density, and needs the
-    Parameters of the linearization point (the two agree to discretization
-    error).
+    The adjoint state is the exact discrete one, solved through the forward
+    factorization.  The raw parts pair it with +B'(.) psi; the Omega part
+    applies the weighted adjoint of the alpha coefficient map, the discretely
+    exact counterpart of the analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.))
+    form.  The functional is their negative because the sensitivity is
+    F'(p) dp = -L B^-1 B'(dp) psi.
     """
-    if mode == "algebraic":
-        raw_gamma, density = _gradient_parts(problem, system, psi.values, residual)
-    elif mode == "continuous":
-        if parameters is None:
-            raise ValueError("continuous mode needs the linearization parameters")
-        raw_gamma, density = _gradient_parts_continuous(
-            problem, parameters, psi.values, residual
-        )
+    grid, st, m = problem.grid, problem.stencils, problem.m
+    w = grid.weights
+    z = system.solve_weighted_adjoint(observe_adjoint(residual, grid).values, w)
+    lap = st.delta_matrix(m)
+    raw_gamma = float(np.sum((lap @ (lap @ psi.values)) * np.conj(z) * w).real)
+    if m != 0:
+        c = np.imag(np.conj(psi.values) * z)
+        shear = np.imag((lap @ np.conj(psi.values)) * z)
+        density = m * (apply_alpha_adjoint(grid, st, c) - shear)
     else:
-        raise ValueError(f"unknown gradient mode {mode!r}")
+        density = np.zeros(grid.n)
     dgamma = -raw_gamma / metric.gamma_scale
     g = -density
     domega = metric.riesz(g)

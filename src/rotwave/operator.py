@@ -13,11 +13,7 @@ with rotation-derived coefficients
 and the Gamma_m pole closure baked into delta_m.  The exact adjoint of the
 discrete operator with respect to the weighted inner product, W^-1 B^H W, is
 applied by `WaveSystem.solve_weighted_adjoint` through the forward
-factorization.  `assemble_adjoint` is the continuous reference: it
-discretizes the analytic adjoint  gamma delta_m^2 - i omega delta_m
-+ i m delta_m(beta .) - i m alpha  directly, and agrees with the discrete
-adjoint to discretization error on fields compatible with the pole
-conditions.
+factorization; it is never assembled.
 """
 
 from __future__ import annotations
@@ -68,11 +64,23 @@ class Coefficients:
     beta: ScalarField
 
 
-def alpha_operator(grid: Grid, stencils: DerivativeStencils) -> np.ndarray:
-    """Matrix of the linear map Omega -> alpha_Omega (expanded form)."""
+def _alpha(grid: Grid, om: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """alpha_Omega = (Omega'' + 3 Omega' cot - 2 Omega) / r^2 from nodal values."""
     cot = np.cos(grid.nodes) / np.sin(grid.nodes)
-    n = grid.n
-    return (stencils.d2 + 3.0 * cot[:, None] * stencils.d1 - 2.0 * np.eye(n)) / grid.r**2
+    return (d2 + 3.0 * cot * d1 - 2.0 * om) / grid.r**2
+
+
+def apply_alpha(grid: Grid, stencils: DerivativeStencils, om: np.ndarray) -> np.ndarray:
+    """The linear map Omega -> alpha_Omega, through derivative matvecs."""
+    return _alpha(grid, om, stencils.d1 @ om, stencils.d2 @ om)
+
+
+def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray) -> np.ndarray:
+    """Adjoint of `apply_alpha` in the weighted inner product, W^-1 alpha^T W v."""
+    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
+    wv = grid.weights * v
+    out = stencils.d2.T @ wv + stencils.d1.T @ (3.0 * cot * wv) - 2.0 * wv
+    return out / grid.r**2 / grid.weights
 
 
 def compute_coefficients(
@@ -80,8 +88,7 @@ def compute_coefficients(
 ) -> Coefficients:
     """Rotation-derived coefficients alpha and beta."""
     om = omega.values.values
-    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
-    alpha = (omega.d2.values + 3.0 * cot * omega.d1.values - 2.0 * om) / grid.r**2
+    alpha = _alpha(grid, om, omega.d1.values, omega.d2.values)
     beta = om - omega_ref
     return Coefficients(alpha=ScalarField(values=alpha), beta=ScalarField(values=beta))
 
@@ -119,11 +126,6 @@ class WaveSystem:
         """Solve (W^-1 A^H W) z = rhs reusing this system's factorization."""
         lu = self.factorization()
         return lu_solve(lu, weights * rhs, trans=2, check_finite=False) / weights
-
-    def bandwidth(self) -> int:
-        """Largest |i - j| with a structurally nonzero entry."""
-        i, j = np.nonzero(np.abs(self.matrix) > 0)
-        return int(np.max(np.abs(i - j))) if len(i) else 0
 
 
 def _mean_pin(grid: Grid, scale: float) -> np.ndarray:
@@ -167,35 +169,6 @@ def assemble_forward(
     return WaveSystem(mat, m, omega_freq)
 
 
-def assemble_adjoint(
-    p: Parameters,
-    omega_freq: float,
-    m: int,
-    grid: Grid,
-    stencils: DerivativeStencils,
-    _allow_any_gamma: bool = False,
-) -> WaveSystem:
-    """Assemble the continuous adjoint reference operator, the discretization of
-
-        gamma delta^2 - i omega delta + i m delta(beta .) - i m alpha.
-
-    The exact discrete adjoint is `WaveSystem.solve_weighted_adjoint` of the
-    forward system; the two agree to discretization error.
-    """
-    if p.gamma <= 0 and not _allow_any_gamma:
-        raise ConfigurationError(f"adjoint operator needs gamma > 0, got {p.gamma}")
-    lap = stencils.delta_matrix(m)
-    bilap = stencils.bilaplacian_matrix(m)
-    coeff = compute_coefficients(p.omega, p.omega_ref, grid)
-    mat = p.gamma * bilap - 1j * omega_freq * lap
-    if m != 0:
-        mat = mat + 1j * m * (lap * coeff.beta.values[None, :])
-        mat = mat - 1j * m * np.diag(coeff.alpha.values)
-    else:
-        mat = mat + _mean_pin(grid, float(np.max(np.abs(mat))))
-    return WaveSystem(np.ascontiguousarray(mat.astype(complex)), m, omega_freq)
-
-
 def solve(system: WaveSystem, rhs: ComplexField) -> ComplexField:
     """Solve the assembled system for one right-hand side."""
     if rhs.m != system.m:
@@ -223,7 +196,7 @@ def apply_B_prime(
     lap = stencils.delta_matrix(m)
     out = dgamma * (lap @ (lap @ psi.values))
     if m != 0:
-        alpha_d = alpha_operator(grid, stencils) @ dom
+        alpha_d = apply_alpha(grid, stencils, dom)
         out = out - 1j * m * dom * (lap @ psi.values) + 1j * m * alpha_d * psi.values
     return ComplexField(m=m, values=out)
 

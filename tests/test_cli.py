@@ -1,7 +1,12 @@
+import csv
 import json
+import math
+import pathlib
+import shlex
 
 import pytest
 
+from rotwave import ExperimentConfig
 from rotwave.cli import main
 
 
@@ -274,3 +279,76 @@ def test_sweep_records_unusable_values(tmp_path, axis, values):
     rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
     assert len(rows) == len(values.split(","))
     assert all("error: ConfigurationError" in row for row in rows)
+
+
+def _numeric_cells(path):
+    # every column but the identifiers and the scheme label must parse
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows, path
+    return [v for row in rows for k, v in row.items() if k not in ("run_id", "scheme")]
+
+
+def test_every_csv_cell_parses_as_a_number(tmp_path):
+    cfg = write_config(tmp_path, iteration={"max_iter": 5, "gamma_scale": 3000.0})
+    out = tmp_path / "csv"
+    common = ["--config", cfg, "--output-dir", str(out)]
+    assert main(["forward", *common]) == 0
+    assert main(["reconstruct", *common]) == 0
+    assert main(["tcc", *common, "--samples", "3", "--radius", "0.05"]) == 0
+    assert main(["sweep", *common, "--values", "0.05,0.2"]) == 0
+    assert main(["grid-convergence", *common, "--sizes", "32,64"]) == 0
+    written = sorted(p.name for p in out.glob("*.csv"))
+    assert written == [
+        "clitest_iterations.csv",
+        "clitest_noise_levels_0_iterations.csv",
+        "clitest_noise_levels_1_iterations.csv",
+        "grid_convergence.csv",
+        "state.csv",
+        "sweep_summary.csv",
+        "tcc_ratios.csv",
+    ]
+    for name in written:
+        for cell in _numeric_cells(out / name):
+            float(cell)
+
+
+def test_grid_convergence_prints_each_refinement_order(tmp_path, capsys):
+    cfg = write_config(tmp_path, truth="m3_default")
+    out = tmp_path / "orders"
+    argv = ["grid-convergence", "--config", cfg, "--output-dir", str(out), "--sizes", "50,100,200"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.split("observed order ")[1]
+    orders = dict(item.split() for item in printed.strip().split(", "))
+    assert list(orders) == ["50->100", "100->200"]
+    rows = csv.DictReader((out / "grid_convergence.csv").read_text().splitlines())
+    errors = [float(r["rel_l2_error"]) for r in rows]
+    for (key, order), e0, e1 in zip(orders.items(), errors, errors[1:]):
+        assert float(order) == pytest.approx(math.log2(e0 / e1), abs=0.005)
+        assert float(order) >= 3.5, key  # the operator is fourth order
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+STUDIES = [
+    shlex.split(line)
+    for line in README.read_text().splitlines()
+    if line.startswith("rotwave ") and "configs/" in line
+]
+
+
+def test_study_configs_load_and_are_named_in_readme():
+    configs = sorted(README.parent.glob("configs/*.json"))
+    assert configs
+    named = {argv[argv.index("--config") + 1] for argv in STUDIES}
+    for path in configs:
+        ExperimentConfig.from_dict(json.loads(path.read_text()))
+        assert f"configs/{path.name}" in named, path.name
+
+
+@pytest.mark.parametrize("argv", STUDIES, ids=[a[a.index("--output-dir") + 1] for a in STUDIES])
+def test_study_command_runs(tmp_path, monkeypatch, argv):
+    # the README line as written, at a small grid and few iterations/samples
+    monkeypatch.chdir(README.parent)
+    small = "n=32,iteration.max_iter=5,probe.samples=3"
+    code = main([*argv[1:], "--overrides", small, "--output-dir", str(tmp_path / "out")])
+    assert code == 0

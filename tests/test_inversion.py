@@ -29,6 +29,7 @@ from rotwave import (
     sensitivity,
     tcc_probe,
 )
+from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
 from rotwave.inversion import observation_mask
 
 SCHEMES = [
@@ -243,22 +244,10 @@ def test_adjoint_identity_all_schemes(scheme):
             "start": (3 * truth.gamma_true, np.zeros(100)),
         }
         for point, (g0, om0) in points.items():
-            system, psi = problem.state(g0, om0)
-            mask = observation_mask(grid, scheme)
             rng = np.random.default_rng(3)
-            for _ in range(5):
-                yv = rng.standard_normal(len(mask))
-                if not scheme.real_part_only:
-                    yv = yv + 1j * rng.standard_normal(len(mask))
-                y = DataVector(values=yv, mask=mask)
-                dom = metric.project_mean_zero(rng.standard_normal(100))
-                dp = GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
-                lhs = data_inner(grid, sensitivity(dp, psi, system, grid, stencils, scheme), y)
-                grad, _ = adjoint_gradient(problem, y, psi, system, metric)
-                rhs = metric.pair_inner(dp, grad)
-                # normalized as in the acceptance contract: by ||dp|| * ||y||
-                scale = metric.pair_norm(dp) * data_norm(grid, y)
-                assert abs(lhs - rhs) / scale < 1e-10, (truth_name, point)
+            # normalized as in the acceptance contract: by ||dp|| * ||y||
+            worst = adjoint_identity_mismatch(problem, metric, g0, om0, rng, 5)
+            assert worst < 1e-10, (truth_name, point)
 
 
 def test_gradient_zero_residual():
@@ -278,41 +267,12 @@ def test_gradient_matches_finite_differences():
     )
     metric = ParameterMetric(grid, stencils, "H2", gamma_scale=3.0)
     y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
-
-    def misfit(ga, om):
-        d = problem.observed(ga, om)
-        r = DataVector(values=d.values - y.values, mask=d.mask)
-        return 0.5 * data_norm(grid, r) ** 2
-
     rng = np.random.default_rng(9)
-
-    def smooth_direction():
-        # smooth directions keep the cubic Taylor term of the misfit small
-        # enough for central differences at step 1e-5 to resolve 1e-6
-        coeffs = rng.standard_normal(5) / np.arange(1, 6) ** 1.5
-        dom = sum(
-            c * eval_legendre(l + 1, np.cos(grid.nodes)) for l, c in enumerate(coeffs)
-        )
-        return metric.project_mean_zero(dom)
-
     # three parameter points x five directions (points away from the truth
     # so the directional derivatives stay O(1) against FD roundoff)
     for gamma0, om_scale in ((0.08, 0.0), (0.12, 0.6), (0.03, 1.8)):
         om0 = om_scale * truth.omega_exact(grid).values
-        system, psi = problem.state(gamma0, om0)
-        obs = observe(psi, problem.scheme, grid)
-        res = DataVector(values=obs.values - y.values, mask=obs.mask)
-        grad, _ = adjoint_gradient(problem, res, psi, system, metric)
-        for _ in range(5):
-            dom = smooth_direction()
-            dp = GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
-            t = 1e-5
-            fd = (
-                misfit(gamma0 + t * dp.dgamma, om0 + t * dom)
-                - misfit(gamma0 - t * dp.dgamma, om0 - t * dom)
-            ) / (2 * t)
-            pred = metric.pair_inner(dp, grad)
-            assert abs(fd - pred) / max(abs(fd), 1e-300) < 1e-6
+        assert gradient_fd_mismatch(problem, metric, gamma0, om0, y, rng, 5) < 1e-6
 
 
 # ----------------------------------------------------------------------

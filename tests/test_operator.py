@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 from scipy.special import lpmv
 
+from adjoint_reference import assemble_adjoint, bandwidth
 from conftest import observed_order, wl2
 from rotwave import (
     ComplexField,
@@ -13,7 +14,6 @@ from rotwave import (
     RotationProfile,
     ScalarField,
     apply_B_prime,
-    assemble_adjoint,
     assemble_forward,
     build_grid,
     build_stencils,
@@ -23,6 +23,7 @@ from rotwave import (
     smallness_condition,
     solve,
 )
+from rotwave.operator import apply_alpha, apply_alpha_adjoint
 
 
 def rotation(grid, stencils, fn):
@@ -69,6 +70,38 @@ def test_coefficients_against_nested_derivative_oracle(grids):
         errs.append(np.max(np.abs(coeff.alpha.values - ref)) / np.max(np.abs(ref)))
     assert errs[0] < 1e-6
     assert observed_order(ns, errs, floor=1e-13) >= 3.5
+
+
+def _dense_alpha(grid, stencils):
+    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
+    eye = np.eye(grid.n)
+    return (stencils.d2 + 3.0 * cot[:, None] * stencils.d1 - 2.0 * eye) / grid.r**2
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_apply_alpha_matches_dense_reference(n):
+    g = build_grid(n, r=0.8)
+    st_ = build_stencils(g)
+    dense = _dense_alpha(g, st_)
+    rng = np.random.default_rng(n)
+    for om in (rng.standard_normal(n), np.cos(g.nodes) ** 2 + 0.3 * np.cos(g.nodes) ** 3):
+        # matvecs and the dense product round differently; bound the gap by
+        # the rounding of one row sum over the largest stencil entries
+        tol = 20 * np.finfo(float).eps * np.max(np.abs(dense)) * np.max(np.abs(om))
+        assert np.max(np.abs(apply_alpha(g, st_, om) - dense @ om)) < tol
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_apply_alpha_adjoint_identity(n):
+    g = build_grid(n, r=0.8)
+    st_ = build_stencils(g)
+    w = g.weights
+    rng = np.random.default_rng(n + 1)
+    for _ in range(5):
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        lhs = np.sum(apply_alpha(g, st_, u) * v * w)
+        rhs = np.sum(u * apply_alpha_adjoint(g, st_, v) * w)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +160,7 @@ def test_forward_rejects_nonpositive_gamma(grid100, stencils100):
 def test_bandwidth_is_bounded(grid100, stencils100):
     p = Parameters(gamma=0.5, omega=const_rotation(grid100, stencils100, 1.0))
     system = assemble_forward(p, 2.0, 2, grid100, stencils100)
-    assert system.bandwidth() <= 8
+    assert bandwidth(system.matrix) <= 8
 
 
 # ----------------------------------------------------------------------
