@@ -18,14 +18,11 @@ from .grid import (
     norm_sobolev,
 )
 from .operator import (
-    Coefficients,
     EmbeddingConstants,
     Parameters,
-    RotationProfile,
     WaveSystem,
     apply_B_prime,
     assemble_forward,
-    compute_coefficients,
     frequency_condition,
     smallness_condition,
     solve,
@@ -54,7 +51,6 @@ from .experiments import (
     NoiseSpec,
     ProbeConfig,
     RunRecord,
-    SchemeConfig,
     add_noise,
     manufacture_truth,
     run_experiment,

@@ -158,14 +158,12 @@ def cmd_tcc(args, config, outdir) -> int:
     metric = ParameterMetric(
         grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
     )
-    radius = args.radius if args.radius is not None else config.probe.radius
-    samples = args.samples if args.samples is not None else config.probe.samples
     report = tcc_probe(
         problem,
         truth.gamma_true,
         truth.omega_exact(grid).values,
-        radius=radius,
-        n_samples=samples,
+        radius=config.probe.radius,
+        n_samples=config.probe.samples,
         rng_seed=config.noise.seed,
         metric=metric,
     )
@@ -255,10 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradient-check", help="verify gradients against finite differences")
     common(p)
     p.add_argument("--trials", type=int, default=5)
-    p = sub.add_parser("tcc", help="sample the tangential-cone ratio")
-    common(p)
-    p.add_argument("--radius", type=float, default=None, help="overrides probe.radius")
-    p.add_argument("--samples", type=int, default=None, help="overrides probe.samples")
+    common(sub.add_parser("tcc", help="sample the tangential-cone ratio"))
     p = sub.add_parser("sweep", help="run experiments along one axis")
     common(p)
     p.add_argument("--axis", default="noise_levels")

@@ -252,6 +252,10 @@ def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
     for key, value in (overrides or {}).items():
         if key not in preset:
             raise ConfigurationError(f"unknown truth override {key!r}")
+        if not _fits(value, preset[key]):
+            raise ConfigurationError(
+                f"truth_overrides.{key} must be {type(preset[key]).__name__}, got {value!r}"
+            )
         preset[key] = value
     return GroundTruth(**preset)
 
@@ -296,18 +300,6 @@ def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, f
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    kind: str = "full"
-    epsilon: float = 0.0
-    real_part_only: bool = False
-
-    def build(self) -> ObservationScheme:
-        return ObservationScheme(
-            kind=self.kind, epsilon=self.epsilon, real_part_only=self.real_part_only
-        )
-
-
-@dataclass(frozen=True)
 class ProbeConfig:
     radius: float = 0.1
     samples: int = 100
@@ -319,7 +311,7 @@ class ExperimentConfig:
     n: int = 100
     truth: str = "m3_default"
     truth_overrides: dict = field(default_factory=dict)
-    scheme: SchemeConfig = field(default_factory=SchemeConfig)
+    scheme: ObservationScheme = field(default_factory=ObservationScheme)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     iteration: IterationConfig = field(default_factory=IterationConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
@@ -341,7 +333,7 @@ class ExperimentConfig:
 
 
 _NESTED = {
-    "scheme": SchemeConfig,
+    "scheme": ObservationScheme,
     "noise": NoiseSpec,
     "iteration": IterationConfig,
     "line_search": LineSearchConfig,
@@ -449,7 +441,7 @@ def build_problem(config: ExperimentConfig):
         m=truth.m,
         omega_freq=truth.omega_freq,
         source=truth.source(grid),
-        scheme=config.scheme.build(),
+        scheme=config.scheme,
         omega_ref=truth.omega_ref,
         allow_negative_gamma=config.allow_negative_gamma,
     )
@@ -477,8 +469,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     start = time.perf_counter()
     truth, grid, stencils, problem, psi, y_clean = build_problem(config)
     y_delta, delta = add_noise(y_clean, config.noise, grid)
-    # the relative floor wins over any absolute residual_floor in the config
-    floor = config.residual_floor_rel * data_norm(grid, y_delta)
+    floor = max(
+        config.iteration.residual_floor, config.residual_floor_rel * data_norm(grid, y_delta)
+    )
     iteration = replace(config.iteration, residual_floor=floor)
     gamma_init = config.gamma_init_scale * truth.gamma_true
     if not config.allow_negative_gamma:
@@ -524,7 +517,7 @@ def _sweep_point(base: ExperimentConfig, axis: str, value, path: str) -> Experim
     """The config of one sweep run; a value that does not fit the axis is a
     ConfigurationError."""
     if axis == "schemes":
-        return replace(base, scheme=_dataclass_from_dict(SchemeConfig, value, path))
+        return replace(base, scheme=_dataclass_from_dict(ObservationScheme, value, path))
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
@@ -539,6 +532,9 @@ def sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[list[RunReco
     """Run a family of experiments along one axis; returns records + summary CSV."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; one of {SWEEP_AXES}")
+    # a sweep over no values would pass without running anything
+    if not values:
+        raise ConfigurationError(f"sweep along {axis} needs at least one value")
     records = []
     rows = [SWEEP_CSV_HEADER.split(",")]
     for i, value in enumerate(values):

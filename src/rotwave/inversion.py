@@ -32,7 +32,6 @@ from .errors import ConfigurationError, NearResonanceError
 from .grid import ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
 from .operator import (
     Parameters,
-    RotationProfile,
     WaveSystem,
     apply_alpha_adjoint,
     apply_B_prime,
@@ -190,16 +189,9 @@ class InverseProblem:
     omega_ref: float = 0.0
     allow_negative_gamma: bool = False
 
-    def parameters(self, gamma: float, omega_values: np.ndarray) -> Parameters:
-        return Parameters(
-            gamma=gamma,
-            omega=RotationProfile.from_values(omega_values, self.stencils),
-            omega_ref=self.omega_ref,
-        )
-
     def state(self, gamma: float, omega_values: np.ndarray):
         sys = assemble_forward(
-            self.parameters(gamma, omega_values),
+            Parameters(gamma, omega_values, self.omega_ref),
             self.omega_freq,
             self.m,
             self.grid,

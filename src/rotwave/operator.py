@@ -10,10 +10,12 @@ with rotation-derived coefficients
     alpha(theta) = (Omega'' + 3 Omega' cot(theta) - 2 Omega) / r^2
     beta(theta)  = Omega(theta) - Omega_ref
 
-and the Gamma_m pole closure baked into delta_m.  The exact adjoint of the
-discrete operator with respect to the weighted inner product, W^-1 B^H W, is
-applied by `WaveSystem.solve_weighted_adjoint` through the forward
-factorization; it is never assembled.
+and the Gamma_m pole closure baked into delta_m.  Omega enters as its nodal
+values (`Parameters.omega`); `apply_alpha` is the one spelling of the map
+Omega -> alpha, shared by assembly and `apply_B_prime`.  The exact adjoint
+of the discrete operator with respect to the weighted inner product,
+W^-1 B^H W, is applied by `WaveSystem.solve_weighted_adjoint` through the
+forward factorization; it is never assembled.
 """
 
 from __future__ import annotations
@@ -30,49 +32,21 @@ PIVOT_RTOL = 1e-14  # near-resonance threshold on gecon's reciprocal condition e
 
 
 @dataclass(frozen=True, eq=False)
-class RotationProfile:
-    """Axisymmetric rotation Omega(theta) with cached derivatives."""
-
-    values: ScalarField
-    d1: ScalarField
-    d2: ScalarField
-
-    @classmethod
-    def from_values(
-        cls, values: np.ndarray | ScalarField, stencils: DerivativeStencils
-    ) -> "RotationProfile":
-        v = values.values if isinstance(values, ScalarField) else np.asarray(values, float)
-        return cls(
-            values=ScalarField(values=v),
-            d1=ScalarField(values=stencils.d1 @ v),
-            d2=ScalarField(values=stencils.d2 @ v),
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class Parameters:
-    """Unknowns of the inverse problem plus the rotating-frame reference."""
+    """Unknowns of the inverse problem plus the rotating-frame reference.
+
+    `omega` holds the nodal values of Omega(theta)."""
 
     gamma: float
-    omega: RotationProfile
+    omega: np.ndarray
     omega_ref: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class Coefficients:
-    alpha: ScalarField
-    beta: ScalarField
-
-
-def _alpha(grid: Grid, om: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """alpha_Omega = (Omega'' + 3 Omega' cot - 2 Omega) / r^2 from nodal values."""
-    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
-    return (d2 + 3.0 * cot * d1 - 2.0 * om) / grid.r**2
-
-
 def apply_alpha(grid: Grid, stencils: DerivativeStencils, om: np.ndarray) -> np.ndarray:
-    """The linear map Omega -> alpha_Omega, through derivative matvecs."""
-    return _alpha(grid, om, stencils.d1 @ om, stencils.d2 @ om)
+    """The linear map Omega -> alpha_Omega = (Omega'' + 3 Omega' cot - 2 Omega) / r^2,
+    through derivative matvecs."""
+    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
+    return (stencils.d2 @ om + 3.0 * cot * (stencils.d1 @ om) - 2.0 * om) / grid.r**2
 
 
 def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray) -> np.ndarray:
@@ -81,16 +55,6 @@ def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray)
     wv = grid.weights * v
     out = stencils.d2.T @ wv + stencils.d1.T @ (3.0 * cot * wv) - 2.0 * wv
     return out / grid.r**2 / grid.weights
-
-
-def compute_coefficients(
-    omega: RotationProfile, omega_ref: float, grid: Grid
-) -> Coefficients:
-    """Rotation-derived coefficients alpha and beta."""
-    om = omega.values.values
-    alpha = _alpha(grid, om, omega.d1.values, omega.d2.values)
-    beta = om - omega_ref
-    return Coefficients(alpha=ScalarField(values=alpha), beta=ScalarField(values=beta))
 
 
 class WaveSystem:
@@ -141,14 +105,12 @@ def _mean_pin(grid: Grid, scale: float) -> np.ndarray:
     return scale * np.outer(np.ones(grid.n), w) / np.sum(w)
 
 
-def _assemble_matrix(gamma, omega, omega_ref, omega_freq, m, grid, stencils):
+def _assemble_matrix(p: Parameters, omega_freq, m, grid, stencils):
     lap = stencils.delta_matrix(m)
-    bilap = stencils.bilaplacian_matrix(m)
-    coeff = compute_coefficients(omega, omega_ref, grid)
-    mat = gamma * bilap + 1j * omega_freq * lap
+    mat = p.gamma * stencils.bilaplacian_matrix(m) + 1j * omega_freq * lap
     if m != 0:
-        mat = mat - 1j * m * coeff.beta.values[:, None] * lap
-        mat = mat + 1j * m * np.diag(coeff.alpha.values)
+        mat = mat - 1j * m * (p.omega - p.omega_ref)[:, None] * lap
+        mat = mat + 1j * m * np.diag(apply_alpha(grid, stencils, p.omega))
     else:
         mat = mat + _mean_pin(grid, float(np.max(np.abs(mat))))
     return np.ascontiguousarray(mat.astype(complex))
@@ -165,8 +127,7 @@ def assemble_forward(
     """Assemble gamma delta_m^2 + i omega delta_m - i m beta delta_m + i m alpha."""
     if p.gamma <= 0 and not _allow_any_gamma:
         raise ConfigurationError(f"forward operator needs gamma > 0, got {p.gamma}")
-    mat = _assemble_matrix(p.gamma, p.omega, p.omega_ref, omega_freq, m, grid, stencils)
-    return WaveSystem(mat, m, omega_freq)
+    return WaveSystem(_assemble_matrix(p, omega_freq, m, grid, stencils), m, omega_freq)
 
 
 def solve(system: WaveSystem, rhs: ComplexField) -> ComplexField:
@@ -241,10 +202,9 @@ def frequency_condition(
 ) -> DiagnosticReport:
     """Large-frequency invertibility bound: |omega| against
     (4/gamma^3) (C1 C2)^4 (||Omega-Omega_ref||_H1^2 + 9 ||Omega||_H1^2)^2."""
-    om = p.omega.values.values
     c = constants.h1_to_l6 * constants.h_half_to_l3
-    nb = _h1_full_norm(grid, stencils, om - p.omega_ref)
-    na = _h1_full_norm(grid, stencils, om)
+    nb = _h1_full_norm(grid, stencils, p.omega - p.omega_ref)
+    na = _h1_full_norm(grid, stencils, p.omega)
     rhs = 4.0 / p.gamma**3 * c**4 * (nb**2 + 9.0 * na**2) ** 2
     return DiagnosticReport(
         satisfied=abs(omega_freq) > rhs,
@@ -258,11 +218,12 @@ def smallness_condition(
     p: Parameters,
     m: int,
     grid: Grid,
+    stencils: DerivativeStencils,
     constants: EmbeddingConstants = EmbeddingConstants(),
 ) -> DiagnosticReport:
     """Uniqueness bound: ||Omega'||_L2 |m| C1 C2 / r compared against gamma."""
     w = grid.weights
-    dnorm = float(np.sqrt(np.sum(p.omega.d1.values**2 * w)))
+    dnorm = float(np.sqrt(np.sum((stencils.d1 @ p.omega) ** 2 * w)))
     lhs = dnorm * abs(m) / grid.r * constants.h2_to_l3 * constants.h1_to_l6
     return DiagnosticReport(
         satisfied=lhs < p.gamma,

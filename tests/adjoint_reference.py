@@ -10,20 +10,19 @@ criterion 3 check.
 
 import numpy as np
 
-from rotwave import GradientPair, ScalarField, WaveSystem, compute_coefficients
+from rotwave import GradientPair, Parameters, ScalarField, WaveSystem
 from rotwave.inversion import observe_adjoint
-from rotwave.operator import _mean_pin
+from rotwave.operator import _mean_pin, apply_alpha
 
 
 def assemble_adjoint(p, omega_freq, m, grid, stencils):
     """The discretization of  gamma delta^2 - i omega delta + i m delta(beta .) - i m alpha."""
     lap = stencils.delta_matrix(m)
     bilap = stencils.bilaplacian_matrix(m)
-    coeff = compute_coefficients(p.omega, p.omega_ref, grid)
     mat = p.gamma * bilap - 1j * omega_freq * lap
     if m != 0:
-        mat = mat + 1j * m * (lap * coeff.beta.values[None, :])
-        mat = mat - 1j * m * np.diag(coeff.alpha.values)
+        mat = mat + 1j * m * (lap * (p.omega - p.omega_ref)[None, :])
+        mat = mat - 1j * m * np.diag(apply_alpha(grid, stencils, p.omega))
     else:
         mat = mat + _mean_pin(grid, float(np.max(np.abs(mat))))
     return WaveSystem(np.ascontiguousarray(mat.astype(complex)), m, omega_freq)
@@ -35,9 +34,8 @@ def continuous_gradient(problem, gamma, omega_values, psi, residual, metric):
     Omega density."""
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
-    adj = assemble_adjoint(
-        problem.parameters(gamma, omega_values), problem.omega_freq, m, grid, st
-    )
+    p = Parameters(gamma, omega_values, problem.omega_ref)
+    adj = assemble_adjoint(p, problem.omega_freq, m, grid, st)
     z = adj.solve_values(observe_adjoint(residual, grid).values)
     lap = st.delta_matrix(m)
     raw_gamma = float(np.sum((lap @ (lap @ psi.values)) * np.conj(z) * w).real)

@@ -23,9 +23,7 @@ from rotwave import (
     ObservationScheme,
     ParameterMetric,
     Parameters,
-    RotationProfile,
     ScalarField,
-    SchemeConfig,
     adjoint_gradient,
     apply_delta_m,
     assemble_forward,
@@ -213,9 +211,8 @@ def test_criterion_5_manufactured_forward_convergence(suite_grids):
     errs = []
     for n in NS:
         g, st = suite_grids[n]
-        rot = RotationProfile.from_values(truth.omega_exact(g).values, st)
         system = assemble_forward(
-            Parameters(gamma=truth.gamma_true, omega=rot, omega_ref=truth.omega_ref),
+            Parameters(truth.gamma_true, truth.omega_exact(g).values, truth.omega_ref),
             truth.omega_freq,
             truth.m,
             g,
@@ -266,9 +263,9 @@ def test_criterion_6_clean_reconstruction(clean33_problem):
 def _leakage_run(seed, eps_fraction):
     eps = eps_fraction * np.pi / 2
     scheme = (
-        SchemeConfig()
+        ObservationScheme()
         if eps == 0.0
-        else SchemeConfig(kind="restricted", epsilon=float(eps))
+        else ObservationScheme(kind="restricted", epsilon=float(eps))
     )
     config = ExperimentConfig(
         run_id=f"leak_{seed}_{eps_fraction}",

@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from rotwave import ExperimentConfig
+from rotwave import ExperimentConfig, ObservationScheme
 from rotwave.cli import main
 
 
@@ -82,10 +82,8 @@ def test_tcc_writes_samples(tmp_path, capsys):
             cfg,
             "--output-dir",
             str(out),
-            "--samples",
-            "6",
-            "--radius",
-            "0.05",
+            "--overrides",
+            "probe.samples=6,probe.radius=0.05",
         ]
     )
     assert code == 0
@@ -268,6 +266,24 @@ def test_mistyped_override_exits_2(tmp_path, override):
     assert f"config.{override.partition('=')[0]}" in err["message"]
 
 
+@pytest.mark.parametrize("key,value", [("m", "abc"), ("gamma_true", "x"), ("psi_coeffs", [1])])
+def test_mistyped_truth_override_exits_2(tmp_path, key, value):
+    cfg = write_config(tmp_path, truth_overrides={key: value})
+    out = tmp_path / "truth_typed"
+    assert main(["forward", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert f"truth_overrides.{key}" in err["message"]
+
+
+def test_sweep_with_no_values_exits_2(tmp_path):
+    # a sweep that ran nothing must not report a pass
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep_empty"
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out), "--values", ""]) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "configuration"
+
+
 @pytest.mark.parametrize("axis,values", [("noise_levels", "abc,1.5"), ("schemes", "1")])
 def test_sweep_records_unusable_values(tmp_path, axis, values):
     cfg = write_config(tmp_path)
@@ -295,7 +311,7 @@ def test_every_csv_cell_parses_as_a_number(tmp_path):
     common = ["--config", cfg, "--output-dir", str(out)]
     assert main(["forward", *common]) == 0
     assert main(["reconstruct", *common]) == 0
-    assert main(["tcc", *common, "--samples", "3", "--radius", "0.05"]) == 0
+    assert main(["tcc", *common, "--overrides", "probe.samples=3,probe.radius=0.05"]) == 0
     assert main(["sweep", *common, "--values", "0.05,0.2"]) == 0
     assert main(["grid-convergence", *common, "--sizes", "32,64"]) == 0
     written = sorted(p.name for p in out.glob("*.csv"))
@@ -347,8 +363,25 @@ def test_study_configs_load_and_are_named_in_readme():
 
 @pytest.mark.parametrize("argv", STUDIES, ids=[a[a.index("--output-dir") + 1] for a in STUDIES])
 def test_study_command_runs(tmp_path, monkeypatch, argv):
-    # the README line as written, at a small grid and few iterations/samples
+    # the README line as written, at a small grid and few iterations/samples;
+    # argparse keeps only the last --overrides, so the line's own are joined in
     monkeypatch.chdir(README.parent)
-    small = "n=32,iteration.max_iter=5,probe.samples=3"
-    code = main([*argv[1:], "--overrides", small, "--output-dir", str(tmp_path / "out")])
-    assert code == 0
+    argv = argv[1:]
+    own = argv[argv.index("--overrides") + 1] if "--overrides" in argv else ""
+    small = ",".join(filter(None, [own, "n=32,iteration.max_iter=5,probe.samples=3"]))
+    out = tmp_path / "out"
+    assert main([*argv, "--overrides", small, "--output-dir", str(out)]) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    for pair in filter(None, own.split(",")):
+        key, _, value = pair.partition("=")
+        node = echoed
+        for part in key.split("."):
+            node = node[part]
+        assert node == json.loads(value), key
+
+
+def test_readme_config_schema_loads():
+    block = README.read_text().split("### Config schema")[1].split("```json\n")[1]
+    config = ExperimentConfig.from_json(block.split("```")[0])
+    assert config.run_id == "clean33"
+    assert config.scheme == ObservationScheme(kind="restricted", epsilon=0.314)

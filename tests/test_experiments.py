@@ -13,10 +13,9 @@ from rotwave import (
     IterationConfig,
     NearResonanceError,
     NoiseSpec,
+    ObservationScheme,
     Parameters,
-    RotationProfile,
     RunRecord,
-    SchemeConfig,
     add_noise,
     assemble_forward,
     build_grid,
@@ -96,9 +95,8 @@ def test_zero_rotation_truth_runs():
     )
     grid = build_grid(64)
     stencils = build_stencils(grid)
-    rot = RotationProfile.from_values(truth.omega_exact(grid).values, stencils)
     system = assemble_forward(
-        Parameters(gamma=truth.gamma_true, omega=rot, omega_ref=truth.omega_ref),
+        Parameters(truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref),
         truth.omega_freq,
         truth.m,
         grid,
@@ -125,9 +123,8 @@ def test_inverse_crime_guard():
     for n in ns:
         grid = build_grid(n)
         stencils = build_stencils(grid)
-        rot = RotationProfile.from_values(truth.omega_exact(grid).values, stencils)
         system = assemble_forward(
-            Parameters(gamma=truth.gamma_true, omega=rot, omega_ref=truth.omega_ref),
+            Parameters(truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref),
             truth.omega_freq,
             truth.m,
             grid,
@@ -148,9 +145,8 @@ def _clean_data(n=64):
     truth = manufacture_truth("m2_default")
     grid = build_grid(n)
     stencils = build_stencils(grid)
-    rot = RotationProfile.from_values(truth.omega_exact(grid).values, stencils)
     system = assemble_forward(
-        Parameters(gamma=truth.gamma_true, omega=rot, omega_ref=truth.omega_ref),
+        Parameters(truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref),
         truth.omega_freq,
         truth.m,
         grid,
@@ -266,6 +262,16 @@ def test_run_experiment_discrepancy_stop():
     assert record.stop_index < 200
 
 
+def test_run_experiment_keeps_absolute_residual_floor():
+    # an absolute floor above the first residual stops the run at k = 0
+    config = ExperimentConfig(
+        run_id="floor", n=32, iteration=IterationConfig(max_iter=40, residual_floor=1000.0)
+    )
+    record = run_experiment(config)
+    assert record.stop_index == 0
+    assert record.stop_reason == "residual_floor"
+
+
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
@@ -283,10 +289,10 @@ def test_sweep_noise_axis(tmp_path):
 
 
 def test_sweep_empty_axis():
+    # a sweep over no values would pass without running anything
     base = ExperimentConfig(run_id="sw", n=64, iteration=small_iteration())
-    records, summary = sweep(base, "noise_levels", [])
-    assert records == []
-    assert summary.splitlines() == [SWEEP_CSV_HEADER]
+    with pytest.raises(ConfigurationError, match="at least one value"):
+        sweep(base, "noise_levels", [])
 
 
 def test_sweep_epsilon_axis():
@@ -312,7 +318,7 @@ def test_config_json_round_trip():
     config = ExperimentConfig(
         n=80,
         noise=NoiseSpec(relative_level=0.05, seed=2),
-        scheme=SchemeConfig(kind="restricted", epsilon=0.3),
+        scheme=ObservationScheme(kind="restricted", epsilon=0.3),
         iteration=IterationConfig(max_iter=77, gamma_scale=12.0),
     )
     clone = ExperimentConfig.from_json(config.to_json())

@@ -425,11 +425,10 @@ def test_tcc_probe_validation():
 
 
 def test_observed_matches_pipeline():
-    from rotwave import Parameters, RotationProfile, assemble_forward, solve
+    from rotwave import Parameters, assemble_forward, solve
 
     truth, grid, stencils, problem = make_problem(n=64)
-    rot = RotationProfile.from_values(truth.omega_exact(grid).values, stencils)
-    p = Parameters(gamma=truth.gamma_true, omega=rot, omega_ref=truth.omega_ref)
+    p = Parameters(truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref)
     system = assemble_forward(p, truth.omega_freq, truth.m, grid, stencils)
     d = observe(solve(system, truth.source(grid)), problem.scheme, grid)
     d2 = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)

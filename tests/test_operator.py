@@ -11,13 +11,11 @@ from rotwave import (
     EmbeddingConstants,
     NearResonanceError,
     Parameters,
-    RotationProfile,
     ScalarField,
     apply_B_prime,
     assemble_forward,
     build_grid,
     build_stencils,
-    compute_coefficients,
     frequency_condition,
     inner_product,
     smallness_condition,
@@ -26,32 +24,28 @@ from rotwave import (
 from rotwave.operator import apply_alpha, apply_alpha_adjoint
 
 
-def rotation(grid, stencils, fn):
-    return RotationProfile.from_values(fn(grid.nodes), stencils)
+def rotation(grid, fn):
+    return fn(grid.nodes)
 
 
-def const_rotation(grid, stencils, c):
-    return rotation(grid, stencils, lambda t: np.full_like(t, c))
+def const_rotation(grid, c):
+    return np.full(grid.n, float(c))
 
 
 # ----------------------------------------------------------------------
-# coefficients
+# alpha coefficient
 # ----------------------------------------------------------------------
 
 
 def test_coefficients_constant_rotation(grid100, stencils100):
     c = 0.7
-    rot = const_rotation(grid100, stencils100, c)
-    coeff = compute_coefficients(rot, omega_ref=0.2, grid=grid100)
-    assert coeff.alpha.values == pytest.approx(np.full(100, -2 * c), abs=1e-10)
-    assert coeff.beta.values == pytest.approx(np.full(100, c - 0.2), abs=1e-14)
+    alpha = apply_alpha(grid100, stencils100, const_rotation(grid100, c))
+    assert alpha == pytest.approx(np.full(100, -2 * c), abs=1e-10)
 
 
 def test_coefficients_zero_rotation(grid100, stencils100):
-    rot = const_rotation(grid100, stencils100, 0.0)
-    coeff = compute_coefficients(rot, omega_ref=0.4, grid=grid100)
-    assert np.max(np.abs(coeff.alpha.values)) < 1e-12
-    assert coeff.beta.values == pytest.approx(np.full(100, -0.4))
+    alpha = apply_alpha(grid100, stencils100, const_rotation(grid100, 0.0))
+    assert np.max(np.abs(alpha)) < 1e-12
 
 
 def test_coefficients_against_nested_derivative_oracle(grids):
@@ -64,10 +58,9 @@ def test_coefficients_against_nested_derivative_oracle(grids):
     errs = []
     for n in ns:
         g, st_ = grids[n]
-        rot = rotation(g, st_, lambda t: np.cos(t) ** 2)
-        coeff = compute_coefficients(rot, omega_ref=0.0, grid=g)
+        alpha = apply_alpha(g, st_, rotation(g, lambda t: np.cos(t) ** 2))
         ref = oracle(g.nodes)
-        errs.append(np.max(np.abs(coeff.alpha.values - ref)) / np.max(np.abs(ref)))
+        errs.append(np.max(np.abs(alpha - ref)) / np.max(np.abs(ref)))
     assert errs[0] < 1e-6
     assert observed_order(ns, errs, floor=1e-13) >= 3.5
 
@@ -111,9 +104,7 @@ def test_apply_alpha_adjoint_identity(n):
 
 def test_forward_eigen_identity(grid100, stencils100):
     gamma, om_freq, m, om0, om_ref = 0.3, 2.0, 2, 0.8, 0.1
-    p = Parameters(
-        gamma=gamma, omega=const_rotation(grid100, stencils100, om0), omega_ref=om_ref
-    )
+    p = Parameters(gamma=gamma, omega=const_rotation(grid100, om0), omega_ref=om_ref)
     system = assemble_forward(p, om_freq, m, grid100, stencils100)
     psi = np.sin(grid100.nodes) ** 2
     factor = 36 * gamma - 6j * om_freq + 12j * (om0 - om_ref) - 4j * om0
@@ -126,7 +117,7 @@ def test_forward_m0_drops_rotation_terms(grid100, stencils100):
     # mean-zero field (the assembled m = 0 matrix carries a mean pin)
     p = Parameters(
         gamma=0.7,
-        omega=rotation(grid100, stencils100, lambda t: np.cos(t) ** 2),
+        omega=rotation(grid100, lambda t: np.cos(t) ** 2),
         omega_ref=0.3,
     )
     system = assemble_forward(p, 1.5, 0, grid100, stencils100)
@@ -141,9 +132,7 @@ def test_forward_m0_drops_rotation_terms(grid100, stencils100):
 
 def test_forward_reference_rotation_drops_beta(grid100, stencils100):
     om0 = 0.9
-    p = Parameters(
-        gamma=0.5, omega=const_rotation(grid100, stencils100, om0), omega_ref=om0
-    )
+    p = Parameters(gamma=0.5, omega=const_rotation(grid100, om0), omega_ref=om0)
     system = assemble_forward(p, 2.0, 1, grid100, stencils100)
     lap = stencils100.delta_matrix(1)
     alpha = -2 * om0  # r = 1
@@ -152,13 +141,13 @@ def test_forward_reference_rotation_drops_beta(grid100, stencils100):
 
 
 def test_forward_rejects_nonpositive_gamma(grid100, stencils100):
-    p = Parameters(gamma=0.0, omega=const_rotation(grid100, stencils100, 1.0))
+    p = Parameters(gamma=0.0, omega=const_rotation(grid100, 1.0))
     with pytest.raises(ConfigurationError):
         assemble_forward(p, 1.0, 2, grid100, stencils100)
 
 
 def test_bandwidth_is_bounded(grid100, stencils100):
-    p = Parameters(gamma=0.5, omega=const_rotation(grid100, stencils100, 1.0))
+    p = Parameters(gamma=0.5, omega=const_rotation(grid100, 1.0))
     system = assemble_forward(p, 2.0, 2, grid100, stencils100)
     assert bandwidth(system.matrix) <= 8
 
@@ -170,7 +159,7 @@ def test_bandwidth_is_bounded(grid100, stencils100):
 
 def manufactured_case(grid, stencils, gamma=0.3, om_freq=2.0, m=2, om0=0.8):
     """Constant-rotation eigenfunction truth with analytic source."""
-    p = Parameters(gamma=gamma, omega=const_rotation(grid, stencils, om0), omega_ref=0.0)
+    p = Parameters(gamma=gamma, omega=const_rotation(grid, om0), omega_ref=0.0)
     psi = ComplexField.sample(grid, m, lambda t: np.sin(t) ** 2)
     factor = 36 * gamma - 6j * om_freq + 12j * om0 - 4j * om0
     f = ComplexField(m=m, values=factor * psi.values)
@@ -244,9 +233,7 @@ def _resonant_frequency(stencils, m, om0, l):
 def test_near_resonance_detection(grid100, stencils100):
     om0, m = 0.8, 1
     omega_freq = _resonant_frequency(stencils100, m, om0, l=2)
-    p = Parameters(
-        gamma=1e-15, omega=const_rotation(grid100, stencils100, om0), omega_ref=om0
-    )
+    p = Parameters(gamma=1e-15, omega=const_rotation(grid100, om0), omega_ref=om0)
     system = assemble_forward(p, omega_freq, m, grid100, stencils100)
     rhs = ComplexField.sample(grid100, m, np.sin)
     with pytest.raises(NearResonanceError) as err:
@@ -259,9 +246,7 @@ def test_resonance_scan_shows_isolated_dips(grid100, stencils100):
     # smallest singular value dips sharply at the discrete resonances and
     # recovers in between: isolated near-singular frequencies
     om0, m = 0.8, 1
-    p = Parameters(
-        gamma=1e-5, omega=const_rotation(grid100, stencils100, om0), omega_ref=om0
-    )
+    p = Parameters(gamma=1e-5, omega=const_rotation(grid100, om0), omega_ref=om0)
 
     def sigma_min(om_freq):
         system = assemble_forward(p, om_freq, m, grid100, stencils100)
@@ -299,16 +284,8 @@ def test_b_prime_affine_exactness(grid100, stencils100):
     )
     om_vals = np.cos(grid100.nodes) ** 2
     dgamma, dom_vals = 0.37, 0.5 * np.cos(grid100.nodes)
-    p0 = Parameters(
-        gamma=0.6,
-        omega=RotationProfile.from_values(om_vals, stencils100),
-        omega_ref=0.2,
-    )
-    p1 = Parameters(
-        gamma=0.6 + dgamma,
-        omega=RotationProfile.from_values(om_vals + dom_vals, stencils100),
-        omega_ref=0.2,
-    )
+    p0 = Parameters(gamma=0.6, omega=om_vals, omega_ref=0.2)
+    p1 = Parameters(gamma=0.6 + dgamma, omega=om_vals + dom_vals, omega_ref=0.2)
     b0 = assemble_forward(p0, 2.0, 2, grid100, stencils100).matrix
     b1 = assemble_forward(p1, 2.0, 2, grid100, stencils100).matrix
     diff = (b1 - b0) @ psi.values
@@ -325,7 +302,7 @@ def test_b_prime_affine_exactness(grid100, stencils100):
 def test_algebraic_adjoint_identity(grid100, stencils100):
     p = Parameters(
         gamma=0.4,
-        omega=rotation(grid100, stencils100, lambda t: np.cos(t) ** 2 - 1 / 3),
+        omega=rotation(grid100, lambda t: np.cos(t) ** 2 - 1 / 3),
         omega_ref=0.1,
     )
     fwd = assemble_forward(p, 2.0, 2, grid100, stencils100)
@@ -353,11 +330,7 @@ def _mode_agreement(grids, m, omega_fn, omega_ref):
     errs = []
     for n in ns:
         g, st_ = grids[n]
-        p = Parameters(
-            gamma=0.4,
-            omega=RotationProfile.from_values(omega_fn(g.nodes), st_),
-            omega_ref=omega_ref,
-        )
+        p = Parameters(gamma=0.4, omega=omega_fn(g.nodes), omega_ref=omega_ref)
         fwd = assemble_forward(p, 2.0, m, g, st_)
         con = assemble_adjoint(p, 2.0, m, g, st_)
         x = np.cos(g.nodes)
@@ -378,11 +351,7 @@ def test_adjoint_modes_agree_m0(grids):
     errs = []
     for n in ns:
         g, st_ = grids[n]
-        p = Parameters(
-            gamma=0.4,
-            omega=RotationProfile.from_values(np.cos(g.nodes) ** 2, st_),
-            omega_ref=0.1,
-        )
+        p = Parameters(gamma=0.4, omega=np.cos(g.nodes) ** 2, omega_ref=0.1)
         fwd = assemble_forward(p, 2.0, 0, g, st_)
         con = assemble_adjoint(p, 2.0, 0, g, st_)
         x = np.cos(g.nodes)
@@ -406,14 +375,14 @@ def test_adjoint_modes_agree_constant_rotation(grids):
 
 
 def test_frequency_condition_zero_rotation(grid100, stencils100):
-    p = Parameters(gamma=1.0, omega=const_rotation(grid100, stencils100, 0.0))
+    p = Parameters(gamma=1.0, omega=const_rotation(grid100, 0.0))
     rep = frequency_condition(p, 0.5, grid100, stencils100)
     assert rep.rhs == pytest.approx(0.0, abs=1e-20)
     assert rep.satisfied
 
 
 def test_frequency_condition_monotone_in_gamma(grid100, stencils100):
-    rot = rotation(grid100, stencils100, lambda t: np.cos(t) ** 2)
+    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
     r1 = frequency_condition(Parameters(gamma=1.0, omega=rot), 1.0, grid100, stencils100)
     r10 = frequency_condition(Parameters(gamma=10.0, omega=rot), 1.0, grid100, stencils100)
     assert r10.rhs < r1.rhs
@@ -422,7 +391,7 @@ def test_frequency_condition_monotone_in_gamma(grid100, stencils100):
 def test_frequency_condition_quadrature_value(grid100, stencils100):
     # Omega = cos^2, gamma = 1, r = 1, unit constants, Omega_ref = 0:
     # ||Omega||_H1^2 = 2/5 + 16/15 = 22/15, threshold = 4*(10*22/15)^2 = 7744/9
-    rot = rotation(grid100, stencils100, lambda t: np.cos(t) ** 2)
+    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
     rep = frequency_condition(
         Parameters(gamma=1.0, omega=rot, omega_ref=0.0), 1.0, grid100, stencils100
     )
@@ -431,19 +400,19 @@ def test_frequency_condition_quadrature_value(grid100, stencils100):
 
 
 def test_smallness_condition_constant_and_m0(grid100, stencils100):
-    rot_const = const_rotation(grid100, stencils100, 5.0)
-    rep = smallness_condition(Parameters(gamma=0.01, omega=rot_const), 4, grid100)
+    rot_const = const_rotation(grid100, 5.0)
+    rep = smallness_condition(Parameters(gamma=0.01, omega=rot_const), 4, grid100, stencils100)
     assert rep.lhs < 1e-10 and rep.satisfied
-    rot = rotation(grid100, stencils100, lambda t: np.cos(t) ** 2)
-    rep0 = smallness_condition(Parameters(gamma=0.01, omega=rot), 0, grid100)
+    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
+    rep0 = smallness_condition(Parameters(gamma=0.01, omega=rot), 0, grid100, stencils100)
     assert rep0.lhs == 0.0 and rep0.satisfied
 
 
 def test_smallness_condition_quadrature_value(grid100, stencils100):
     # ||Omega'||_L2 = sqrt(16/15) for Omega = cos^2 on r = 1
-    rot = rotation(grid100, stencils100, lambda t: np.cos(t) ** 2)
+    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
     rep = smallness_condition(
-        Parameters(gamma=0.01, omega=rot), 3, grid100, EmbeddingConstants()
+        Parameters(gamma=0.01, omega=rot), 3, grid100, stencils100, EmbeddingConstants()
     )
     assert rep.lhs == pytest.approx(3 * np.sqrt(16 / 15), rel=1e-3)
     assert not rep.satisfied
