@@ -43,18 +43,21 @@ def _parse_value(text: str):
         return text
 
 
-def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        path = pathlib.Path(args.config)
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-        config = ExperimentConfig.from_dict(doc)
-    else:
-        config = ExperimentConfig()
+def _read_config(args):
+    """The raw JSON document named by --config, or None without one."""
+    if not args.config:
+        return None
+    path = pathlib.Path(args.config)
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+
+
+def _load_config(args, doc) -> ExperimentConfig:
+    config = ExperimentConfig() if doc is None else ExperimentConfig.from_dict(doc)
     if args.overrides:
         pairs = {}
         for chunk in args.overrides.split(","):
@@ -66,10 +69,11 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _output_dir(args, config: ExperimentConfig | None) -> pathlib.Path:
+def _output_dir(args, config_dir=None) -> pathlib.Path:
+    # config_dir may come from a document that has not validated yet
     return pathlib.Path(
         args.output_dir
-        or (config.output_dir if config is not None else None)
+        or (config_dir if isinstance(config_dir, str) else None)
         or os.environ.get("ROTWAVE_OUTPUT_DIR")
         or "rotwave_out"
     )
@@ -288,10 +292,14 @@ def _write_error(outdir: pathlib.Path, kind: str, message: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    outdir = _output_dir(args, None)  # until the config has loaded
+    outdir = _output_dir(args)  # until the config file has been read
     try:
-        config = _load_config(args)
-        outdir = _output_dir(args, config)
+        doc = _read_config(args)
+        if isinstance(doc, dict):
+            # so error.json lands beside config.json if validation fails
+            outdir = _output_dir(args, doc.get("output_dir"))
+        config = _load_config(args, doc)
+        outdir = _output_dir(args, config.output_dir)
         config = _echo_config(config, outdir)
         return _COMMANDS[args.command](args, config, outdir)
     except ConfigurationError as exc:

@@ -8,10 +8,10 @@ class ConfigurationError(ValueError):
 class NearResonanceError(ArithmeticError):
     """Wave operator is numerically singular at the requested frequency.
 
-    Raised when LAPACK gecon's reciprocal condition estimate of the LU
-    factorization falls below the singularity threshold, which happens when
-    the temporal frequency sits near an inertial-mode resonance.  The
-    estimate is reported as `pivot_ratio`.
+    Raised when the smallest LU pivot relative to the largest,
+    min|U_ii| / max|U_ii|, falls below the singularity threshold, which
+    happens when the temporal frequency sits near an inertial-mode
+    resonance.  That ratio is reported as `pivot_ratio`.
     """
 
     def __init__(self, omega_freq: float, m: int, pivot_ratio: float):

@@ -121,6 +121,17 @@ def _check_field(grid: Grid, f: ComplexField, m: int | None = None) -> None:
         raise ValueError(f"field has azimuthal order {f.m}, expected {m}")
 
 
+def _stencil_rows(
+    x0: np.ndarray, nodes: np.ndarray, starts: np.ndarray, width: int, order: int
+) -> np.ndarray:
+    """Dense matrix whose row j holds the `order`-th derivative weights at
+    x0[j] over the window nodes[starts[j] : starts[j] + width]."""
+    out = np.zeros((len(x0), len(nodes)))
+    for j, s in enumerate(starts):
+        out[j, s : s + width] = fd_weights(x0[j], nodes[s : s + width], order)
+    return out
+
+
 class DerivativeStencils:
     """Banded derivative matrices and per-m ghost closures for one grid.
 
@@ -131,98 +142,56 @@ class DerivativeStencils:
                   and Sobolev seminorms.
 
     The boundary-value operators are obtained from `delta_matrix(m)` /
-    `bilaplacian_matrix(m)`, which embed the ghost closure for the pole
-    conditions of azimuthal order m.
+    `bilaplacian_matrix(m)`, which fold the ghost closure `ghost_fill(m)`
+    for the pole conditions of azimuthal order m into the four columns
+    nearest each pole.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        n, h = grid.n, grid.h
-        self._theta_ext = (np.arange(-_GHOST_LAYERS, n + _GHOST_LAYERS) + 0.5) * h
+        n, g = grid.n, _GHOST_LAYERS
+        theta = grid.nodes
+        self._theta_ext = (np.arange(-g, n + g) + 0.5) * grid.h
 
-        self.d1 = self._plain_matrix(order=1, width=6)
-        self.d2 = self._plain_matrix(order=2, width=6)
-        self._d1_ext = self._extended_matrix(order=1)
-        self._d2_ext = self._extended_matrix(order=2)
+        # windows start two nodes before j, one further back past the
+        # equator; the plain stencils are clipped into the grid
+        j = np.arange(n)
+        starts = j - 2 - (j >= n // 2)
+        plain = np.clip(starts, 0, n - 6)
+        self.d1 = _stencil_rows(theta, theta, plain, 6, order=1)
+        self.d2 = _stencil_rows(theta, theta, plain, 6, order=2)
 
-        self._ext_cache: dict[int, np.ndarray] = {}
+        # over the ghost-extended grid: the 5-point centered d2 and the
+        # 6-point d1 with its extra node on the equator side (degree-5
+        # exactness, see the module docstring for why).  Only the two rows
+        # nearest each pole reach a ghost node.
+        cot = np.cos(theta) / np.sin(theta)
+        d1_ext = _stencil_rows(theta, self._theta_ext, starts + g, 6, order=1)
+        d2_ext = _stencil_rows(theta, self._theta_ext, j, 5, order=2)
+        self._lap_ext = d2_ext + cot[:, None] * d1_ext
+
+        self._fill_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._delta_cache: dict[int, np.ndarray] = {}
         self._bilap_cache: dict[int, np.ndarray] = {}
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    def _plain_matrix(self, order: int, width: int) -> np.ndarray:
-        """n x n derivative matrix, windows clipped into the grid."""
-        n = self.grid.n
-        theta = self.grid.nodes
-        out = np.zeros((n, n))
-        for j in range(n):
-            start = j - 2 if j < n // 2 else j - 3
-            start = min(max(start, 0), n - width)
-            cols = np.arange(start, start + width)
-            out[j, cols] = fd_weights(theta[j], theta[cols], order)
-        return out
-
-    def _extended_matrix(self, order: int) -> np.ndarray:
-        """n x (n+4) stencil matrix over the ghost-extended grid.
-
-        d2 uses the 5-point centered stencil; d1 uses 6 points with the
-        extra node on the equator side (degree-5 exactness, see module
-        docstring for why).
-        """
-        n = self.grid.n
-        g = _GHOST_LAYERS
-        theta = self.grid.nodes
-        out = np.zeros((n, n + 2 * g))
-        for j in range(n):
-            if order == 2:
-                cols = np.arange(j - 2, j + 3)
-            elif j < n // 2:
-                cols = np.arange(j - 2, j + 4)
-            else:
-                cols = np.arange(j - 3, j + 3)
-            out[j, cols + g] = fd_weights(theta[j], self._theta_ext[cols + g], order)
-        return out
-
-    def extension_matrix(self, m: int) -> np.ndarray:
-        """(n+4) x n map filling two ghost layers per pole from Gamma_m."""
+    def ghost_fill(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """2 x 4 maps (north, south) from the four nodes nearest a pole to
+        that pole's two ghost values, eliminating the Gamma_m conditions."""
         key = min(abs(int(m)), 2)
-        cached = self._ext_cache.get(key)
+        cached = self._fill_cache.get(key)
         if cached is not None:
             return cached
-
-        n, h = self.grid.n, self.grid.h
-        g = _GHOST_LAYERS
-        orders = POLE_CONDITIONS[key]
-        ext = np.zeros((n + 2 * g, n))
-        ext[g : n + g, :] = np.eye(n)
-
-        # north pole: functional over ext nodes [0..5] evaluated at theta=0
-        pts = self._theta_ext[:_FUNCTIONAL_POINTS]
-        ghost_coef = np.zeros((2, g))
-        inner_coef = np.zeros((2, _FUNCTIONAL_POINTS - g))
-        for i, d in enumerate(orders):
-            w = fd_weights(0.0, pts, d) * h**d  # h^d normalization for conditioning
-            ghost_coef[i] = w[:g]
-            inner_coef[i] = w[g:]
-        fill = -np.linalg.solve(ghost_coef, inner_coef)
-        ext[0, : _FUNCTIONAL_POINTS - g] = fill[0]
-        ext[1, : _FUNCTIONAL_POINTS - g] = fill[1]
-
-        # south pole, mirrored
-        pts = self._theta_ext[-_FUNCTIONAL_POINTS:]
-        for i, d in enumerate(orders):
-            w = fd_weights(math.pi, pts, d) * h**d
-            ghost_coef[i] = w[-g:]
-            inner_coef[i] = w[:-g]
-        fill = -np.linalg.solve(ghost_coef, inner_coef)
-        ext[n + g, n - (_FUNCTIONAL_POINTS - g) :] = fill[0]
-        ext[n + g + 1, n - (_FUNCTIONAL_POINTS - g) :] = fill[1]
-
-        self._ext_cache[key] = ext
-        return ext
+        g, k, h = _GHOST_LAYERS, _FUNCTIONAL_POINTS, self.grid.h
+        fills = []
+        for pole, pts, ghost in (
+            (0.0, self._theta_ext[:k], np.arange(k) < g),
+            (math.pi, self._theta_ext[-k:], np.arange(k) >= k - g),
+        ):
+            # h^d normalization for conditioning
+            w = np.array([fd_weights(pole, pts, d) * h**d for d in POLE_CONDITIONS[key]])
+            fills.append(-np.linalg.solve(w[:, ghost], w[:, ~ghost]))
+        self._fill_cache[key] = tuple(fills)
+        return self._fill_cache[key]
 
     def delta_matrix(self, m: int) -> np.ndarray:
         """Dense banded matrix of delta_m including the Gamma_m closure."""
@@ -230,13 +199,15 @@ class DerivativeStencils:
         cached = self._delta_cache.get(key)
         if cached is not None:
             return cached
-        theta = self.grid.nodes
-        r = self.grid.r
-        cot = np.cos(theta) / np.sin(theta)
-        ext = self.extension_matrix(key)
-        lap = (self._d2_ext + cot[:, None] * self._d1_ext) @ ext
-        lap -= np.diag(key * key / np.sin(theta) ** 2)
-        lap /= r * r
+        # fold the ghost columns into the interior columns each fill reads
+        g, s = _GHOST_LAYERS, self._lap_ext
+        north, south = self.ghost_fill(key)
+        k = north.shape[1]
+        lap = s[:, g:-g].copy()
+        lap[:, :k] += s[:, :g] @ north
+        lap[:, -k:] += s[:, -g:] @ south
+        lap[np.diag_indices_from(lap)] -= key * key / np.sin(self.grid.nodes) ** 2
+        lap /= self.grid.r * self.grid.r
         self._delta_cache[key] = lap
         return lap
 
@@ -248,14 +219,6 @@ class DerivativeStencils:
             cached = lap @ lap
             self._bilap_cache[key] = cached
         return cached
-
-    def trace_weights(self, pole: str, order: int) -> np.ndarray:
-        """One-sided weights over the 6 interior nodes nearest a pole that
-        estimate the order-th derivative there."""
-        theta = self.grid.nodes
-        if pole == "north":
-            return fd_weights(0.0, theta[:_FUNCTIONAL_POINTS], order)
-        return fd_weights(math.pi, theta[-_FUNCTIONAL_POINTS:], order)
 
 
 def build_stencils(grid: Grid) -> DerivativeStencils:
@@ -333,7 +296,7 @@ def norm_sobolev(
 
 
 def boundary_trace(
-    grid: Grid, stencils: DerivativeStencils, m: int, psi: ComplexField
+    grid: Grid, m: int, psi: ComplexField
 ) -> tuple[complex, complex, complex, complex]:
     """One-sided estimates of the Gamma_m quantities at both poles.
 
@@ -344,8 +307,7 @@ def boundary_trace(
     """
     _check_field(grid, psi)
     orders = POLE_CONDITIONS[min(abs(int(m)), 2)]
-    head = psi.values[:_FUNCTIONAL_POINTS]
-    tail = psi.values[-_FUNCTIONAL_POINTS:]
-    north = [complex(stencils.trace_weights("north", d) @ head) for d in orders]
-    south = [complex(stencils.trace_weights("south", d) @ tail) for d in orders]
+    k, theta, v = _FUNCTIONAL_POINTS, grid.nodes, psi.values
+    north = [complex(fd_weights(0.0, theta[:k], d) @ v[:k]) for d in orders]
+    south = [complex(fd_weights(math.pi, theta[-k:], d) @ v[-k:]) for d in orders]
     return north[0], north[1], south[0], south[1]

@@ -494,14 +494,10 @@ def tcc_probe(
             skipped += 1
             continue
         try:
-            sys1, psi1 = problem.state(g1, om1)
-            _, psi2 = problem.state(g2, om2)
+            sys1, psi1, diff = problem.residual(g1, om1, problem.observed(g2, om2))
         except NearResonanceError:
             skipped += 1
             continue
-        f1 = observe(psi1, problem.scheme, grid)
-        f2 = observe(psi2, problem.scheme, grid)
-        diff = DataVector(values=f1.values - f2.values, mask=f1.mask)
         diff_norm = data_norm(grid, diff)
         if diff_norm < 1e-13:
             skipped += 1
@@ -510,7 +506,7 @@ def tcc_probe(
             dgamma=g1 - g2, domega=ScalarField(values=om1 - om2)
         )
         lin = sensitivity(step, psi1, sys1, grid, problem.stencils, problem.scheme)
-        rem = DataVector(values=f1.values - f2.values - lin.values, mask=f1.mask)
+        rem = DataVector(values=diff.values - lin.values, mask=diff.mask)
         ratios.append(
             data_norm(grid, rem) / (metric.pair_norm(step) * diff_norm)
         )

@@ -199,6 +199,18 @@ def test_error_json_beside_config_from_config_output_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "rotwave_out").exists()
 
 
+def test_error_json_beside_config_when_config_fails_to_validate(tmp_path, monkeypatch):
+    # a config that fails to validate still names the output directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ROTWAVE_OUTPUT_DIR", raising=False)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": "abc", "output_dir": "from_config"}))
+    assert main(["forward", "--config", str(path)]) == 2
+    err = json.loads((tmp_path / "from_config" / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert not (tmp_path / "rotwave_out").exists()
+
+
 def test_unwritable_error_json_is_reported(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -20,6 +20,7 @@ from rotwave import (
     inner_product,
     norm_sobolev,
 )
+from rotwave.grid import fd_weights
 
 
 # ----------------------------------------------------------------------
@@ -270,28 +271,28 @@ def test_norm_warns_on_nonzero_mean(grid100, stencils100):
 # ----------------------------------------------------------------------
 
 
-def test_trace_clamped_sin2(grid100, stencils100):
+def test_trace_clamped_sin2(grid100):
     psi = ComplexField.sample(grid100, 2, lambda t: np.sin(t) ** 2)
-    traces = boundary_trace(grid100, stencils100, 2, psi)
+    traces = boundary_trace(grid100, 2, psi)
     assert max(abs(t) for t in traces) < 100 * grid100.h**3
 
 
-def test_trace_m1_sin(grid100, stencils100):
+def test_trace_m1_sin(grid100):
     psi = ComplexField.sample(grid100, 1, np.sin)
-    traces = boundary_trace(grid100, stencils100, 1, psi)
+    traces = boundary_trace(grid100, 1, psi)
     assert max(abs(t) for t in traces) < 100 * grid100.h**3
 
 
-def test_trace_m0_cos(grid100, stencils100):
+def test_trace_m0_cos(grid100):
     psi = ComplexField.sample(grid100, 0, np.cos)
-    traces = boundary_trace(grid100, stencils100, 0, psi)
+    traces = boundary_trace(grid100, 0, psi)
     assert max(abs(t) for t in traces) < 100 * grid100.h**3
 
 
-def test_trace_detects_violations(grid100, stencils100):
+def test_trace_detects_violations(grid100):
     # cos(theta) violates the clamped conditions at order 2: psi(0) = 1
     psi = ComplexField.sample(grid100, 2, np.cos)
-    traces = boundary_trace(grid100, stencils100, 2, psi)
+    traces = boundary_trace(grid100, 2, psi)
     assert abs(traces[0] - 1.0) < 1e-6
 
 
@@ -313,11 +314,38 @@ def test_ghost_closure_matches_smooth_extension(grid100, stencils100):
     # fill must reproduce that extension to high order
     h = grid100.h
     ghost_north = np.array([-1.5 * h, -0.5 * h])
+    ghost_south = math.pi + np.array([0.5 * h, 1.5 * h])
     for m, fn in ((0, np.cos), (1, np.sin), (2, lambda t: np.sin(t) ** 2)):
-        ext = stencils100.extension_matrix(m)
-        filled = ext @ fn(grid100.nodes)
+        north, south = stencils100.ghost_fill(m)
+        v = fn(grid100.nodes)
         # O(h^6) fill error; stencil division by h^2 still leaves O(h^4)
-        assert np.max(np.abs(filled[:2] - fn(ghost_north))) < 1e-7, m
+        assert np.max(np.abs(north @ v[:4] - fn(ghost_north))) < 1e-7, m
+        assert np.max(np.abs(south @ v[-4:] - fn(ghost_south))) < 1e-7, m
+
+
+@pytest.mark.parametrize("n", [16, 100])
+def test_delta_matrix_folds_ghost_fill(n):
+    # delta_m psi must equal the ghost-extended stencils d2 + cot d1 (5 and
+    # 6 points, the extra d1 node on the equator side) applied to psi padded
+    # with the ghost_fill values, minus m^2 / sin^2
+    grid = build_grid(n)
+    stencils = build_stencils(grid)
+    theta = grid.nodes
+    ext = (np.arange(-2, n + 2) + 0.5) * grid.h
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for m in range(4):
+        north, south = stencils.ghost_fill(m)
+        padded = np.concatenate([north @ psi[:4], psi, south @ psi[-4:]])
+        want = np.empty(n, dtype=complex)
+        for j in range(n):
+            c = j + 2  # index of theta_j in ext
+            lo = c - 2 if j < n // 2 else c - 3
+            d2 = fd_weights(theta[j], ext[c - 2 : c + 3], 2) @ padded[c - 2 : c + 3]
+            d1 = fd_weights(theta[j], ext[lo : lo + 6], 1) @ padded[lo : lo + 6]
+            want[j] = d2 + d1 / math.tan(theta[j]) - m * m * psi[j] / math.sin(theta[j]) ** 2
+        got = stencils.delta_matrix(m) @ psi
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), m
 
 
 @settings(deadline=None, max_examples=20)

@@ -21,6 +21,7 @@ from rotwave import (
     smallness_condition,
     solve,
 )
+from rotwave.experiments import ExperimentConfig, build_problem
 from rotwave.operator import apply_alpha, apply_alpha_adjoint
 
 
@@ -240,6 +241,14 @@ def test_near_resonance_detection(grid100, stencils100):
         solve(system, rhs)
     assert err.value.m == m
     assert err.value.omega_freq == pytest.approx(omega_freq)
+
+
+@pytest.mark.parametrize("truth_name", ["m0_default", "m2_default", "m3_default"])
+def test_default_truths_solve_at_n1600(truth_name):
+    # the pivot-ratio guard must not mistake a fine grid for a resonance:
+    # the m = 0 ratio falls like n^-3 (7e-9 at n = 1600)
+    _, grid, _, _, psi, _ = build_problem(ExperimentConfig(n=1600, truth=truth_name))
+    assert np.all(np.isfinite(psi.values))
 
 
 def test_resonance_scan_shows_isolated_dips(grid100, stencils100):
