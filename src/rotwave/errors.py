@@ -8,10 +8,11 @@ class ConfigurationError(ValueError):
 class NearResonanceError(ArithmeticError):
     """Wave operator is numerically singular at the requested frequency.
 
-    Raised when the smallest LU pivot relative to the largest,
-    min|U_ii| / max|U_ii|, falls below the singularity threshold, which
-    happens when the temporal frequency sits near an inertial-mode
-    resonance.  That ratio is reported as `pivot_ratio`.
+    Raised when the smallest pivot of the band LU of the mixed-form
+    operator relative to the largest, min|U_ii| / max|U_ii|, falls below the
+    singularity threshold `operator.PIVOT_RTOL`, which happens when the
+    temporal frequency sits near an inertial-mode resonance.  That ratio is
+    reported as `pivot_ratio`.
     """
 
     def __init__(self, omega_freq: float, m: int, pivot_ratio: float):

@@ -26,12 +26,17 @@ the two m-dependent homogeneous conditions
     |m| >= 2:  psi   = psi'   = 0
 
 evaluated at theta in {0, pi} with 6-point one-sided formulas.  The ghost
-elimination keeps the operator banded and is reused by the bilaplacian,
-which is formed as the composition delta_m(delta_m(.)).
+elimination folds into the four columns nearest each pole, so delta_m stays
+a band that couples nodes at most three apart.  Every derivative operator
+is stored as band rows (`BandRows`): an (n, 6) weight array over one window
+of six consecutive nodes per row, so each product costs O(n).  The
+fourth-order operator is never formed here; `operator` solves it in mixed
+form, with delta_m as its only stencil.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,22 +52,25 @@ _GHOST_LAYERS = 2
 _FUNCTIONAL_POINTS = 6  # nodes per pole-condition functional (2 ghosts + 4 interior)
 
 
-def fd_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
+def fd_weights(x0, nodes, order: int) -> np.ndarray:
     """Finite-difference weights for the `order`-th derivative at x0.
 
     Solves the scaled Taylor-moment system, exact on polynomials of degree
     len(nodes)-1.  Well conditioned for the small stencils used here.
+    Batched: x0 of shape (...) with nodes of shape (..., k) gives (..., k).
     """
     nodes = np.asarray(nodes, dtype=float)
-    k = len(nodes)
+    k = nodes.shape[-1]
     if order >= k:
         raise ValueError(f"need more than {k} nodes for derivative order {order}")
-    scale = max(float(np.max(np.abs(nodes - x0))), np.finfo(float).tiny)
-    t = (nodes - x0) / scale
-    moments = np.vander(t, k, increasing=True).T
+    offsets = nodes - np.asarray(x0, dtype=float)[..., None]
+    scale = np.maximum(np.max(np.abs(offsets), axis=-1, keepdims=True), np.finfo(float).tiny)
+    t = offsets / scale
+    moments = t[..., None, :] ** np.arange(k)[:, None]  # moments[p, i] = t_i^p
     rhs = np.zeros(k)
     rhs[order] = math.factorial(order)
-    return np.linalg.solve(moments, rhs) / scale**order
+    rhs = np.broadcast_to(rhs, moments.shape[:-1])[..., None]
+    return np.linalg.solve(moments, rhs)[..., 0] / scale**order
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,30 +129,54 @@ def _check_field(grid: Grid, f: ComplexField, m: int | None = None) -> None:
         raise ValueError(f"field has azimuthal order {f.m}, expected {m}")
 
 
+@dataclass(frozen=True, eq=False)
+class BandRows:
+    """Band matrix stored by rows: row j holds `weights[j]` over the columns
+    `columns[j]`, a window of consecutive nodes.  Products cost O(n * width)."""
+
+    weights: np.ndarray  # (n, width)
+    columns: np.ndarray  # (n, width) column index of each weight
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return np.einsum("jk,jk->j", self.weights, np.asarray(v)[self.columns])
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """A^T u for a real vector u."""
+        return np.bincount(
+            self.columns.ravel(), (self.weights * u[:, None]).ravel(), minlength=len(u)
+        )
+
+    @functools.cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, weights) of the nonzero weights, for writing the
+        matrix into another storage."""
+        nonzero = self.weights != 0
+        rows = np.broadcast_to(np.arange(len(self.weights))[:, None], nonzero.shape)
+        return rows[nonzero], self.columns[nonzero], self.weights[nonzero]
+
+
 def _stencil_rows(
     x0: np.ndarray, nodes: np.ndarray, starts: np.ndarray, width: int, order: int
 ) -> np.ndarray:
-    """Dense matrix whose row j holds the `order`-th derivative weights at
-    x0[j] over the window nodes[starts[j] : starts[j] + width]."""
-    out = np.zeros((len(x0), len(nodes)))
-    for j, s in enumerate(starts):
-        out[j, s : s + width] = fd_weights(x0[j], nodes[s : s + width], order)
-    return out
+    """(len(x0), width) weights: row j holds the `order`-th derivative
+    weights at x0[j] over the window nodes[starts[j] : starts[j] + width]."""
+    return fd_weights(x0, nodes[starts[:, None] + np.arange(width)], order)
 
 
 class DerivativeStencils:
-    """Banded derivative matrices and per-m ghost closures for one grid.
+    """Band derivative operators and per-m ghost closures for one grid.
 
     Public attributes:
-      d1, d2   -- n x n first/second derivative matrices acting on plain
-                  nodal fields with one-sided stencils near the poles (no
+      d1, d2   -- first/second derivative `BandRows` acting on plain nodal
+                  fields with one-sided stencils near the poles (no
                   boundary conditions assumed); used for rotation profiles
                   and Sobolev seminorms.
 
-    The boundary-value operators are obtained from `delta_matrix(m)` /
-    `bilaplacian_matrix(m)`, which fold the ghost closure `ghost_fill(m)`
-    for the pole conditions of azimuthal order m into the four columns
-    nearest each pole.
+    The boundary-value operator delta_m comes from `delta_matrix(m)`, which
+    folds the ghost closure `ghost_fill(m)` for the pole conditions of
+    azimuthal order m into the four columns nearest each pole.  All three
+    operators share one window per row: six nodes starting two before j,
+    one further back past the equator, clipped into the grid.
     """
 
     def __init__(self, grid: Grid):
@@ -153,26 +185,28 @@ class DerivativeStencils:
         theta = grid.nodes
         self._theta_ext = (np.arange(-g, n + g) + 0.5) * grid.h
 
-        # windows start two nodes before j, one further back past the
-        # equator; the plain stencils are clipped into the grid
         j = np.arange(n)
-        starts = j - 2 - (j >= n // 2)
-        plain = np.clip(starts, 0, n - 6)
-        self.d1 = _stencil_rows(theta, theta, plain, 6, order=1)
-        self.d2 = _stencil_rows(theta, theta, plain, 6, order=2)
+        south = j >= n // 2
+        self._starts = j - 2 - south
+        self._columns = np.clip(self._starts, 0, n - 6)[:, None] + np.arange(6)
+        plain = self._columns[:, 0]
+        self.d1 = BandRows(_stencil_rows(theta, theta, plain, 6, order=1), self._columns)
+        self.d2 = BandRows(_stencil_rows(theta, theta, plain, 6, order=2), self._columns)
 
-        # over the ghost-extended grid: the 5-point centered d2 and the
-        # 6-point d1 with its extra node on the equator side (degree-5
-        # exactness, see the module docstring for why).  Only the two rows
+        # over the ghost-extended grid, on the unclipped windows: the 6-point
+        # d1 with its extra node on the equator side (degree-5 exactness, see
+        # the module docstring for why) plus the 5-point centered d2, which
+        # sits one node into the window past the equator.  Only the two rows
         # nearest each pole reach a ghost node.
         cot = np.cos(theta) / np.sin(theta)
-        d1_ext = _stencil_rows(theta, self._theta_ext, starts + g, 6, order=1)
-        d2_ext = _stencil_rows(theta, self._theta_ext, j, 5, order=2)
-        self._lap_ext = d2_ext + cot[:, None] * d1_ext
+        lap = cot[:, None] * _stencil_rows(theta, self._theta_ext, self._starts + g, 6, order=1)
+        d2 = _stencil_rows(theta, self._theta_ext, j, 5, order=2)
+        lap[~south, :5] += d2[~south]
+        lap[south, 1:] += d2[south]
+        self._lap_ext = lap
 
         self._fill_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._delta_cache: dict[int, np.ndarray] = {}
-        self._bilap_cache: dict[int, np.ndarray] = {}
+        self._delta_cache: dict[int, BandRows] = {}
 
     def ghost_fill(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """2 x 4 maps (north, south) from the four nodes nearest a pole to
@@ -193,32 +227,30 @@ class DerivativeStencils:
         self._fill_cache[key] = tuple(fills)
         return self._fill_cache[key]
 
-    def delta_matrix(self, m: int) -> np.ndarray:
-        """Dense banded matrix of delta_m including the Gamma_m closure."""
+    def delta_matrix(self, m: int) -> BandRows:
+        """delta_m including the Gamma_m closure, as band rows."""
         key = abs(int(m))
         cached = self._delta_cache.get(key)
         if cached is not None:
             return cached
-        # fold the ghost columns into the interior columns each fill reads
-        g, s = _GHOST_LAYERS, self._lap_ext
+        n, g = self.grid.n, _GHOST_LAYERS
         north, south = self.ghost_fill(key)
         k = north.shape[1]
-        lap = s[:, g:-g].copy()
-        lap[:, :k] += s[:, :g] @ north
-        lap[:, -k:] += s[:, -g:] @ south
-        lap[np.diag_indices_from(lap)] -= key * key / np.sin(self.grid.nodes) ** 2
-        lap /= self.grid.r * self.grid.r
-        self._delta_cache[key] = lap
-        return lap
-
-    def bilaplacian_matrix(self, m: int) -> np.ndarray:
-        key = abs(int(m))
-        cached = self._bilap_cache.get(key)
-        if cached is None:
-            lap = self.delta_matrix(key)
-            cached = lap @ lap
-            self._bilap_cache[key] = cached
-        return cached
+        weights = self._lap_ext.copy()
+        # rows reaching a ghost node: fold the ghost columns into the
+        # interior columns each fill reads, then take the clipped window
+        for j in (0, 1, n - 2, n - 1):
+            row = np.zeros(n + 2 * g)
+            row[self._starts[j] + g :][:6] = self._lap_ext[j]
+            folded = row[g:-g].copy()
+            folded[:k] += row[:g] @ north
+            folded[-k:] += row[-g:] @ south
+            weights[j] = folded[self._columns[j]]
+        rows = np.arange(n)
+        weights[rows, rows - self._columns[:, 0]] -= key * key / np.sin(self.grid.nodes) ** 2
+        weights /= self.grid.r * self.grid.r
+        self._delta_cache[key] = BandRows(weights, self._columns)
+        return self._delta_cache[key]
 
 
 def build_stencils(grid: Grid) -> DerivativeStencils:

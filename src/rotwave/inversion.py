@@ -26,13 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import legval
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, NearResonanceError
 from .grid import ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
 from .operator import (
     Parameters,
     WaveSystem,
+    _band_factor,
+    _band_solve,
+    _mixed_band,
+    _with_mean_pin,
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
@@ -116,10 +119,14 @@ class ParameterMetric:
     """Product metric gamma_scale * dgamma^2 + ||dOmega||_{H1 or H2}^2.
 
     The Omega block is realized by the closure operator A = -delta_0 (H1) or
-    delta_0^2 (H2); the Riesz map solves A q = g with the weighted mean of q
-    pinned to zero.  The bilinear form is evaluated as <u, A v>_w with A on
-    the second argument, which reproduces the raw density exactly and keeps
-    the discrete adjoint identity at roundoff level.
+    delta_0^2 (H2); the Riesz map solves A q + lambda 1 = g - mean_w(g) with
+    the weighted mean of q pinned to zero.  Since A 1 = 0, that q is
+    x - mean_w(x) for the mean-pinned (A + s 1 v^T) x = g, which is the m = 0
+    forward solve of `operator` in mixed form: A = (gamma delta_0 + d) delta_0
+    with gamma = 1, d = 0 (H2) or gamma = 0, d = -1 (H1).  The bilinear form
+    is evaluated as <u, A v>_w with A on the second argument, which
+    reproduces the raw density exactly and keeps the discrete adjoint
+    identity at roundoff level.
     """
 
     def __init__(self, grid, stencils, name: str = "H2", gamma_scale: float = 1.0):
@@ -130,16 +137,11 @@ class ParameterMetric:
         self.grid = grid
         self.name = name
         self.gamma_scale = float(gamma_scale)
-        if name == "H1":
-            self.operator = -stencils.delta_matrix(0)
-        else:
-            self.operator = stencils.bilaplacian_matrix(0)
+        self._lap = stencils.delta_matrix(0)
         n = grid.n
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = self.operator
-        kkt[:n, n] = 1.0
-        kkt[n, :n] = grid.weights
-        self._kkt_lu = lu_factor(kkt, check_finite=False)
+        gamma, d = (1.0, np.zeros(n)) if name == "H2" else (0.0, -np.ones(n))
+        band, pin = _mixed_band(self._lap, gamma, d, np.zeros(n), grid.weights)
+        self._factors = _with_mean_pin(_band_factor(band), pin)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
         w = self.grid.weights
@@ -147,12 +149,15 @@ class ParameterMetric:
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """Solve the metric operator against a mean-zero projected density."""
-        rhs = np.concatenate([self.project_mean_zero(g), [0.0]])
-        sol = lu_solve(self._kkt_lu, rhs, check_finite=False)
-        return sol[: self.grid.n].copy()
+        return self.project_mean_zero(_band_solve(self._factors, np.asarray(g, dtype=float)))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The metric operator A applied to v."""
+        lap_v = self._lap @ v
+        return -lap_v if self.name == "H1" else self._lap @ lap_v
 
     def omega_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(u * (self.operator @ v) * self.grid.weights))
+        return float(np.sum(u * self.apply(v) * self.grid.weights))
 
     def pair_inner(self, a: "GradientPair", b: "GradientPair") -> float:
         return self.gamma_scale * a.dgamma * b.dgamma + self.omega_inner(

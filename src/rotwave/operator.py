@@ -1,4 +1,5 @@
-"""Separated wave operator: assembly, solve, derivative and diagnostics.
+"""Separated wave operator: mixed-form band assembly, solve, derivative and
+diagnostics.
 
 The forward boundary-value operator for azimuthal order m at temporal
 frequency omega is
@@ -12,27 +13,56 @@ with rotation-derived coefficients
 
 and the Gamma_m pole closure baked into delta_m.  Omega enters as its nodal
 values (`Parameters.omega`); `apply_alpha` is the one spelling of the map
-Omega -> alpha, shared by assembly and `apply_B_prime`.  The exact adjoint
-of the discrete operator with respect to the weighted inner product,
-W^-1 B^H W, is applied by `WaveSystem.solve_weighted_adjoint` through the
-forward factorization; it is never assembled.
+Omega -> alpha, shared by assembly and `apply_B_prime`.
+
+B is never formed.  With phi = delta_m psi (the mixed form of Ciarlet and
+Raviart for the biharmonic) the solve is
+
+    K [phi; psi] = [0; f],
+    K = [[-I, delta_m], [gamma delta_m + diag(i omega - i m beta), diag(i m alpha)]],
+
+and eliminating phi gives back exactly B psi = f.  With the unknowns and
+equations interleaved as (phi_j, psi_j), K is a band with kl = ku = 7
+(delta_m couples nodes at most three apart).  It is written straight into
+LAPACK band storage, factored once with gbtrf, and every solve is one gbtrs
+against those factors.  The exact adjoint of the discrete operator with
+respect to the weighted inner product, W^-1 B^H W, is one conjugate-
+transposed solve: K^H [a; b] = [0; g] gives B^H b = g.  Its condition
+number grows like n^2 where that of B grows like n^4.
+
+For m = 0, delta_0 annihilates constants, so the axisymmetric problem is
+posed on mean-zero fields through the mean pin s 1 v^T (v = w / sum w)
+added to B: it removes the null space, acts as zero on discretely mean-zero
+fields and is self-adjoint in the weighted inner product, so the discrete
+and continuous adjoints share it.  The band carries a one-node pin
+s e_c e_c^T at the equator node c instead, and the difference
+s (1 v^T - e_c e_c^T) is a rank-2 Woodbury correction applied around each
+band solve.  s is the largest entry of gamma delta_0 + i omega, the block
+of K the pin shares a row with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConfigurationError, NearResonanceError
-from .grid import ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
+from .grid import BandRows, ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
 
-# near-resonance threshold on min|U_ii| / max|U_ii| of the LU factor.  At
-# n = 100, m = 1 the ratio is 1.5e-13 / 1.2e-13 / 9.3e-13 on the l = 2 / 3 / 5
-# resonances (gamma = 1e-15); the default truths keep it above 7e-4 (m != 0)
-# and 7e-9 (m = 0, falling like n^-3) for n up to 1600.
+# near-resonance threshold on min|U_ii| / max|U_ii| of the band LU of K.  At
+# n = 100, m = 1, gamma = 1e-15 the ratio is 7.0e-14 / 8.4e-14 / 3.0e-13 on
+# the l = 2 / 3 / 5 resonances and 1.2e-4 / 9.1e-5 / 4.4e-5 a frequency step
+# of 1e-3 away.  On the default truths it stays near 3.4e-3 (m2) and 1.5e-3
+# (m3) for every n, and falls like 1/n for m0: 1.1e-3 at n = 1600, 2.8e-4 at
+# n = 6400.
 PIVOT_RTOL = 1e-12
+
+_REACH = 3  # delta_m couples nodes at most this far apart
+_KL = _KU = 2 * _REACH + 1  # sub- and superdiagonals of K, unknowns interleaved
+_DIAG = _KL + _KU  # band-storage row of the main diagonal (rows above: fill-in)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,65 +87,126 @@ def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray)
     """Adjoint of `apply_alpha` in the weighted inner product, W^-1 alpha^T W v."""
     cot = np.cos(grid.nodes) / np.sin(grid.nodes)
     wv = grid.weights * v
-    out = stencils.d2.T @ wv + stencils.d1.T @ (3.0 * cot * wv) - 2.0 * wv
+    out = stencils.d2.rmatvec(wv) + stencils.d1.rmatvec(3.0 * cot * wv) - 2.0 * wv
     return out / grid.r**2 / grid.weights
 
 
+# ----------------------------------------------------------------------
+# mixed-form band: assembly, factorization, solves
+# ----------------------------------------------------------------------
+
+
+class _Pin(NamedTuple):
+    """One-node pin s e_node e_node^T in the band, standing for s 1 v^T."""
+
+    scale: float
+    node: int
+    v: np.ndarray  # w / sum(w)
+
+
+class BandFactors(NamedTuple):
+    """gbtrf factors of a mixed band, plus the Woodbury data of its pin:
+    B_mean = B_node + U V^T with U = s [1, e_node], V = [v, -e_node];
+    y = B_node^-1 U and cinv = (I + V^T y)^-1."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    pivot_ratio: float
+    pin: _Pin | None
+    y: np.ndarray | None
+    cinv: np.ndarray | None
+
+
+def _mixed_band(
+    lap: BandRows, gamma: float, d: np.ndarray, a: np.ndarray, pin_weights: np.ndarray | None
+) -> tuple[np.ndarray, _Pin | None]:
+    """LAPACK band storage of K = [[-I, L], [gamma L + diag(d), diag(a)]] for
+    L = lap, with unknowns and equations interleaved as (phi_j, psi_j).
+
+    With `pin_weights` the band also carries the one-node pin that stands for
+    the mean pin in the weights; its scale is the largest entry of
+    gamma L + diag(d).
+    """
+    n = len(d)
+    j, k, w = lap.entries
+    band = np.zeros((2 * _KL + _KU + 1, 2 * n), dtype=np.result_type(d, a, float))
+    band[_DIAG, 0::2] = -1.0  # row 2j: -phi_j + (L psi)_j
+    band[_DIAG + 2 * (j - k) - 1, 2 * k + 1] = w
+    lower = (_DIAG + 2 * (j - k) + 1, 2 * k)  # row 2j+1: ((gamma L + d) phi + a psi)_j
+    band[lower] = gamma * w
+    band[_DIAG + 1, 0::2] += d
+    band[_DIAG, 1::2] = a
+    if pin_weights is None:
+        return band, None
+    pin = _Pin(float(np.max(np.abs(band[lower]))), n // 2, pin_weights / np.sum(pin_weights))
+    band[_DIAG, 2 * pin.node + 1] += pin.scale
+    return band, pin
+
+
+def _band_factor(band: np.ndarray) -> BandFactors:
+    """gbtrf factors of K and the ratio of the smallest to the largest pivot
+    on their U diagonal."""
+    lu, piv, _ = get_lapack_funcs("gbtrf", (band,))(band, _KL, _KU)
+    pivots = np.abs(lu[_DIAG])
+    return BandFactors(lu, piv, float(pivots.min() / pivots.max()), None, None, None)
+
+
+def _with_mean_pin(factors: BandFactors, pin: _Pin) -> BandFactors:
+    """Add the Woodbury data that turns the band's one-node pin into the mean
+    pin (two more solves); the factors must be nonsingular."""
+    u = np.zeros((len(pin.v), 2), dtype=factors.lu.dtype)
+    u[:, 0] = pin.scale
+    u[pin.node, 1] = pin.scale
+    y = _band_solve(factors, u)
+    vt_y = np.array([pin.v @ y, -y[pin.node]])
+    return factors._replace(pin=pin, y=y, cinv=np.linalg.inv(np.eye(2) + vt_y))
+
+
+def _band_solve(factors: BandFactors, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """B^-1 rhs (B^H^-1 rhs when `adjoint`) as the psi part of K^-1 [0; rhs]
+    (K^-H [0; rhs]), with the mean pin in place of the band's one-node pin."""
+    pin = factors.pin
+    if pin is not None and adjoint:  # B_mean^-H = B_node^-H (I - V cinv^H y^H)
+        t = factors.cinv.conj().T @ (factors.y.conj().T @ rhs)
+        rhs = rhs - pin.v * t[0]
+        rhs[pin.node] += t[1]
+    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=factors.lu.dtype)
+    full[1::2] = rhs
+    gbtrs = get_lapack_funcs("gbtrs", (factors.lu,))
+    psi = gbtrs(factors.lu, _KL, _KU, full, factors.piv, trans=2 if adjoint else 0)[0][1::2]
+    if pin is not None and not adjoint:  # B_mean^-1 = (I - y cinv V^T) B_node^-1
+        psi = psi - factors.y @ (factors.cinv @ np.array([pin.v @ psi, -psi[pin.node]]))
+    return psi
+
+
 class WaveSystem:
-    """Assembled separated operator with a lazily cached LU factorization.
+    """Mixed-form band of the separated operator with a lazily cached band LU.
 
     Immutable after assembly; concurrent solves against one factorization
     are safe (the factorization itself is computed on first use).
     """
 
-    def __init__(self, matrix, m, omega_freq):
-        self.matrix = matrix
+    def __init__(self, band: np.ndarray, m: int, omega_freq: float, pin: _Pin | None = None):
+        self.band = band
         self.m = m
         self.omega_freq = omega_freq
-        self._lu = None
+        self._pin = pin
+        self._lu: BandFactors | None = None
 
-    def factorization(self):
+    def factorization(self) -> BandFactors:
         if self._lu is None:
-            lu, piv = lu_factor(self.matrix, check_finite=False)
-            pivots = np.abs(np.diag(lu))
-            ratio = float(pivots.min() / pivots.max())
-            if not ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite matrix) trips too
-                raise NearResonanceError(self.omega_freq, self.m, ratio)
-            self._lu = (lu, piv)
+            factors = _band_factor(self.band)
+            if not factors.pivot_ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite band) trips too
+                raise NearResonanceError(self.omega_freq, self.m, factors.pivot_ratio)
+            self._lu = factors if self._pin is None else _with_mean_pin(factors, self._pin)
         return self._lu
 
     def solve_values(self, rhs: np.ndarray) -> np.ndarray:
-        lu = self.factorization()
-        return lu_solve(lu, rhs, check_finite=False)
+        return _band_solve(self.factorization(), rhs)
 
     def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solve (W^-1 A^H W) z = rhs reusing this system's factorization."""
-        lu = self.factorization()
-        return lu_solve(lu, weights * rhs, trans=2, check_finite=False) / weights
-
-
-def _mean_pin(grid: Grid, scale: float) -> np.ndarray:
-    """Rank-one term pinning the constant mode of the m = 0 operator.
-
-    delta_0 annihilates constants, so the axisymmetric problem is posed on
-    mean-zero fields; scale * P with P x = mean_w(x) * 1 removes the null
-    space, acts as zero on discretely mean-zero fields, and is self-adjoint
-    in the weighted inner product (so the discrete and continuous adjoints
-    share it).
-    """
-    w = grid.weights
-    return scale * np.outer(np.ones(grid.n), w) / np.sum(w)
-
-
-def _assemble_matrix(p: Parameters, omega_freq, m, grid, stencils):
-    lap = stencils.delta_matrix(m)
-    mat = p.gamma * stencils.bilaplacian_matrix(m) + 1j * omega_freq * lap
-    if m != 0:
-        mat = mat - 1j * m * (p.omega - p.omega_ref)[:, None] * lap
-        mat = mat + 1j * m * np.diag(apply_alpha(grid, stencils, p.omega))
-    else:
-        mat = mat + _mean_pin(grid, float(np.max(np.abs(mat))))
-    return np.ascontiguousarray(mat.astype(complex))
+        """Solve (W^-1 B^H W) z = rhs reusing this system's factorization."""
+        return _band_solve(self.factorization(), weights * rhs, adjoint=True) / weights
 
 
 def assemble_forward(
@@ -126,10 +217,19 @@ def assemble_forward(
     stencils: DerivativeStencils,
     _allow_any_gamma: bool = False,
 ) -> WaveSystem:
-    """Assemble gamma delta_m^2 + i omega delta_m - i m beta delta_m + i m alpha."""
+    """Assemble gamma delta_m^2 + i omega delta_m - i m beta delta_m + i m alpha
+    in mixed form."""
     if p.gamma <= 0 and not _allow_any_gamma:
         raise ConfigurationError(f"forward operator needs gamma > 0, got {p.gamma}")
-    return WaveSystem(_assemble_matrix(p, omega_freq, m, grid, stencils), m, omega_freq)
+    d = np.full(grid.n, 1j * omega_freq)
+    a = np.zeros(grid.n, dtype=complex)
+    if m != 0:
+        d = d - 1j * m * (p.omega - p.omega_ref)
+        a = 1j * m * apply_alpha(grid, stencils, p.omega)
+    band, pin = _mixed_band(
+        stencils.delta_matrix(m), p.gamma, d, a, grid.weights if m == 0 else None
+    )
+    return WaveSystem(band, m, omega_freq, pin)
 
 
 def solve(system: WaveSystem, rhs: ComplexField) -> ComplexField:

@@ -1,31 +1,94 @@
-"""Continuous-adjoint reference for the exact discrete adjoint.
+"""Dense references for the band solver and the exact discrete adjoint.
 
-The package applies only the discrete adjoint W^-1 B^H W (through the
-forward factorization) and the weighted adjoint of the alpha map.  The
-references here discretize the analytic adjoint operator and the analytic
-form of the Omega gradient density instead; they agree with the package at
-the discretization order, which is what the operator tests and acceptance
-criterion 3 check.
+The package keeps every operator as band data and solves the fourth-order
+operator B in mixed form; it never forms an n x n array.  The references
+here densify the package's own band stencils instead:
+
+- `assemble_dense` is B with the m = 0 mean pin as an n x n matrix, the
+  reference the band solves are checked against with dense LU;
+- `dense_kkt` is the KKT matrix whose solve the band Riesz map replaces;
+- `assemble_adjoint` and `continuous_gradient` discretize the analytic
+  adjoint operator and the analytic form of the Omega gradient density;
+  they agree with the package's discrete adjoint at the discretization
+  order, which is what the operator tests and acceptance criterion 3 check.
 """
 
 import numpy as np
 
-from rotwave import GradientPair, Parameters, ScalarField, WaveSystem
+from rotwave import GradientPair, Parameters, ScalarField
 from rotwave.inversion import observe_adjoint
-from rotwave.operator import _mean_pin, apply_alpha
+from rotwave.operator import apply_alpha
+
+
+def dense(band):
+    """The n x n matrix of a `BandRows`."""
+    n = len(band.weights)
+    out = np.zeros((n, n))
+    out[np.arange(n)[:, None], band.columns] = band.weights
+    return out
+
+
+def mean_pin(grid, gamma, omega_freq, lap):
+    """s 1 v^T with v = w / sum(w) and s = max|gamma delta_0 + i omega|, the
+    pin the band solver applies for m = 0."""
+    scale = np.max(np.abs(gamma * lap + 1j * omega_freq * np.eye(grid.n)))
+    w = grid.weights
+    return scale * np.outer(np.ones(grid.n), w) / np.sum(w)
+
+
+def assemble_dense(p, omega_freq, m, grid, stencils):
+    """gamma delta^2 + i omega delta - i m beta delta + i m alpha, pinned for m = 0."""
+    lap = dense(stencils.delta_matrix(m))
+    mat = p.gamma * (lap @ lap) + 1j * omega_freq * lap
+    if m != 0:
+        mat = mat - 1j * m * (p.omega - p.omega_ref)[:, None] * lap
+        mat = mat + 1j * m * np.diag(apply_alpha(grid, stencils, p.omega))
+    else:
+        mat = mat + mean_pin(grid, p.gamma, omega_freq, lap)
+    return mat
+
+
+def dense_alpha(grid, stencils):
+    """The map Omega -> alpha_Omega as an n x n matrix."""
+    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
+    d1, d2 = dense(stencils.d1), dense(stencils.d2)
+    return (d2 + 3.0 * cot[:, None] * d1 - 2.0 * np.eye(grid.n)) / grid.r**2
+
+
+def dense_b_prime(dgamma, domega, psi, grid, stencils, m):
+    """dgamma delta^2 psi - i m dOmega (delta psi) + i m alpha_dOmega psi with
+    dense matrices of the band stencils."""
+    lap = dense(stencils.delta_matrix(m))
+    out = dgamma * (lap @ (lap @ psi))
+    if m != 0:
+        alpha = dense_alpha(grid, stencils) @ domega
+        out = out - 1j * m * domega * (lap @ psi) + 1j * m * alpha * psi
+    return out
+
+
+def dense_kkt(grid, stencils, name):
+    """The KKT matrix [[A, 1], [w^T, 0]] of the metric's Riesz map, with
+    A = -delta_0 (H1) or delta_0^2 (H2); the map is its solve against
+    [g - mean_w(g); 0]."""
+    n = grid.n
+    lap = dense(stencils.delta_matrix(0))
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = -lap if name == "H1" else lap @ lap
+    kkt[:n, n] = 1.0
+    kkt[n, :n] = grid.weights
+    return kkt
 
 
 def assemble_adjoint(p, omega_freq, m, grid, stencils):
     """The discretization of  gamma delta^2 - i omega delta + i m delta(beta .) - i m alpha."""
-    lap = stencils.delta_matrix(m)
-    bilap = stencils.bilaplacian_matrix(m)
-    mat = p.gamma * bilap - 1j * omega_freq * lap
+    lap = dense(stencils.delta_matrix(m))
+    mat = p.gamma * (lap @ lap) - 1j * omega_freq * lap
     if m != 0:
         mat = mat + 1j * m * (lap * (p.omega - p.omega_ref)[None, :])
         mat = mat - 1j * m * np.diag(apply_alpha(grid, stencils, p.omega))
     else:
-        mat = mat + _mean_pin(grid, float(np.max(np.abs(mat))))
-    return WaveSystem(np.ascontiguousarray(mat.astype(complex)), m, omega_freq)
+        mat = mat + mean_pin(grid, p.gamma, omega_freq, lap)
+    return mat
 
 
 def continuous_gradient(problem, gamma, omega_values, psi, residual, metric):
@@ -36,7 +99,7 @@ def continuous_gradient(problem, gamma, omega_values, psi, residual, metric):
     w = grid.weights
     p = Parameters(gamma, omega_values, problem.omega_ref)
     adj = assemble_adjoint(p, problem.omega_freq, m, grid, st)
-    z = adj.solve_values(observe_adjoint(residual, grid).values)
+    z = np.linalg.solve(adj, observe_adjoint(residual, grid).values)
     lap = st.delta_matrix(m)
     raw_gamma = float(np.sum((lap @ (lap @ psi.values)) * np.conj(z) * w).real)
     density = np.zeros(grid.n)

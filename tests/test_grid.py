@@ -344,8 +344,13 @@ def test_delta_matrix_folds_ghost_fill(n):
             d2 = fd_weights(theta[j], ext[c - 2 : c + 3], 2) @ padded[c - 2 : c + 3]
             d1 = fd_weights(theta[j], ext[lo : lo + 6], 1) @ padded[lo : lo + 6]
             want[j] = d2 + d1 / math.tan(theta[j]) - m * m * psi[j] / math.sin(theta[j]) ** 2
-        got = stencils.delta_matrix(m) @ psi
+        lap = stencils.delta_matrix(m)
+        got = lap @ psi
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), m
+        # the folds stay inside the band: no weight couples nodes more than
+        # three apart, which the mixed-form band layout relies on
+        rows, cols, _ = lap.entries
+        assert np.max(np.abs(rows - cols)) <= 3, m
 
 
 @settings(deadline=None, max_examples=20)

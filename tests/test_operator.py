@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 from scipy.special import lpmv
 
-from adjoint_reference import assemble_adjoint, bandwidth
+from adjoint_reference import assemble_adjoint, assemble_dense, bandwidth, dense, dense_alpha
 from conftest import observed_order, wl2
 from rotwave import (
     ComplexField,
@@ -66,23 +66,17 @@ def test_coefficients_against_nested_derivative_oracle(grids):
     assert observed_order(ns, errs, floor=1e-13) >= 3.5
 
 
-def _dense_alpha(grid, stencils):
-    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
-    eye = np.eye(grid.n)
-    return (stencils.d2 + 3.0 * cot[:, None] * stencils.d1 - 2.0 * eye) / grid.r**2
-
-
 @pytest.mark.parametrize("n", [64, 400])
 def test_apply_alpha_matches_dense_reference(n):
     g = build_grid(n, r=0.8)
     st_ = build_stencils(g)
-    dense = _dense_alpha(g, st_)
+    matrix = dense_alpha(g, st_)
     rng = np.random.default_rng(n)
     for om in (rng.standard_normal(n), np.cos(g.nodes) ** 2 + 0.3 * np.cos(g.nodes) ** 3):
         # matvecs and the dense product round differently; bound the gap by
         # the rounding of one row sum over the largest stencil entries
-        tol = 20 * np.finfo(float).eps * np.max(np.abs(dense)) * np.max(np.abs(om))
-        assert np.max(np.abs(apply_alpha(g, st_, om) - dense @ om)) < tol
+        tol = 20 * np.finfo(float).eps * np.max(np.abs(matrix)) * np.max(np.abs(om))
+        assert np.max(np.abs(apply_alpha(g, st_, om) - matrix @ om)) < tol
 
 
 @pytest.mark.parametrize("n", [64, 400])
@@ -106,10 +100,10 @@ def test_apply_alpha_adjoint_identity(n):
 def test_forward_eigen_identity(grid100, stencils100):
     gamma, om_freq, m, om0, om_ref = 0.3, 2.0, 2, 0.8, 0.1
     p = Parameters(gamma=gamma, omega=const_rotation(grid100, om0), omega_ref=om_ref)
-    system = assemble_forward(p, om_freq, m, grid100, stencils100)
+    matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
     psi = np.sin(grid100.nodes) ** 2
     factor = 36 * gamma - 6j * om_freq + 12j * (om0 - om_ref) - 4j * om0
-    out = system.matrix @ psi
+    out = matrix @ psi
     assert np.max(np.abs(out - factor * psi)) < 200 * grid100.h**3
 
 
@@ -121,24 +115,23 @@ def test_forward_m0_drops_rotation_terms(grid100, stencils100):
         omega=rotation(grid100, lambda t: np.cos(t) ** 2),
         omega_ref=0.3,
     )
-    system = assemble_forward(p, 1.5, 0, grid100, stencils100)
-    lap = stencils100.delta_matrix(0)
-    bilap = stencils100.bilaplacian_matrix(0)
+    matrix = assemble_dense(p, 1.5, 0, grid100, stencils100)
+    lap = dense(stencils100.delta_matrix(0))
     x = np.cos(grid100.nodes)  # discretely mean-zero by symmetry
-    expected = 0.7 * (bilap @ x) + 1.5j * (lap @ x)
+    expected = 0.7 * (lap @ (lap @ x)) + 1.5j * (lap @ x)
     # tolerance reflects matvec accumulation over ~1e7-sized entries
-    tol = 100 * np.finfo(float).eps * np.max(np.abs(system.matrix))
-    assert np.max(np.abs(system.matrix @ x - expected)) < tol
+    tol = 100 * np.finfo(float).eps * np.max(np.abs(matrix))
+    assert np.max(np.abs(matrix @ x - expected)) < tol
 
 
 def test_forward_reference_rotation_drops_beta(grid100, stencils100):
     om0 = 0.9
     p = Parameters(gamma=0.5, omega=const_rotation(grid100, om0), omega_ref=om0)
-    system = assemble_forward(p, 2.0, 1, grid100, stencils100)
-    lap = stencils100.delta_matrix(1)
+    matrix = assemble_dense(p, 2.0, 1, grid100, stencils100)
+    lap = dense(stencils100.delta_matrix(1))
     alpha = -2 * om0  # r = 1
     expected = 0.5 * (lap @ lap) + 2.0j * lap + 1j * alpha * np.eye(100)
-    assert np.max(np.abs(system.matrix - expected)) < 1e-10
+    assert np.max(np.abs(matrix - expected)) < 1e-10
 
 
 def test_forward_rejects_nonpositive_gamma(grid100, stencils100):
@@ -149,8 +142,7 @@ def test_forward_rejects_nonpositive_gamma(grid100, stencils100):
 
 def test_bandwidth_is_bounded(grid100, stencils100):
     p = Parameters(gamma=0.5, omega=const_rotation(grid100, 1.0))
-    system = assemble_forward(p, 2.0, 2, grid100, stencils100)
-    assert bandwidth(system.matrix) <= 8
+    assert bandwidth(assemble_dense(p, 2.0, 2, grid100, stencils100)) <= 8
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +185,8 @@ def test_solve_residual_contract(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
     system = assemble_forward(p, om_freq, m, grid100, stencils100)
     x = solve(system, f)
-    res = np.linalg.norm(system.matrix @ x.values - f.values)
+    matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
+    res = np.linalg.norm(matrix @ x.values - f.values)
     assert res / np.linalg.norm(f.values) < 1e-10
 
 
@@ -211,9 +204,10 @@ def test_factorization_reproduces_matrix(grid100, stencils100):
     system = assemble_forward(p, om_freq, m, grid100, stencils100)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    b = system.matrix @ x
+    matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
+    b = matrix @ x
     x2 = system.solve_values(b)
-    res = np.linalg.norm(system.matrix @ x2 - b) / np.linalg.norm(b)
+    res = np.linalg.norm(matrix @ x2 - b) / np.linalg.norm(b)
     assert res < 1e-12
 
 
@@ -224,7 +218,7 @@ def _resonant_frequency(stencils, m, om0, l):
     omega = -m*alpha/mu for a discrete eigenvalue mu of L makes the
     imaginary part vanish on that eigenvector, leaving gamma*mu^2.
     """
-    L = stencils.delta_matrix(m)
+    L = dense(stencils.delta_matrix(m))
     mu = np.linalg.eigvals(L)
     mu_l = mu[np.argmin(np.abs(mu - (-l * (l + 1))))]
     alpha = -2 * om0
@@ -243,12 +237,34 @@ def test_near_resonance_detection(grid100, stencils100):
     assert err.value.omega_freq == pytest.approx(omega_freq)
 
 
-@pytest.mark.parametrize("truth_name", ["m0_default", "m2_default", "m3_default"])
-def test_default_truths_solve_at_n1600(truth_name):
+TRUTHS = ("m0_default", "m2_default", "m3_default")
+
+
+@pytest.mark.parametrize(
+    "truth_name, n",
+    [(t, 1600) for t in TRUTHS] + [(t, 6400) for t in TRUTHS],
+    ids=[*TRUTHS, *(f"{t}-n6400" for t in TRUTHS)],
+)
+def test_default_truths_solve_at_n1600(truth_name, n):
     # the pivot-ratio guard must not mistake a fine grid for a resonance:
-    # the m = 0 ratio falls like n^-3 (7e-9 at n = 1600)
-    _, grid, _, _, psi, _ = build_problem(ExperimentConfig(n=1600, truth=truth_name))
+    # the m = 0 band ratio falls like n^-1 (1.1e-3 at n = 1600, 2.8e-4 at
+    # n = 6400); m = 2, 3 stay near 3.4e-3 and 1.5e-3
+    _, grid, _, _, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
     assert np.all(np.isfinite(psi.values))
+
+
+@pytest.mark.parametrize("truth_name", TRUTHS)
+def test_manufactured_state_accuracy_on_fine_grids(truth_name):
+    # the mixed-form band solve keeps converging past n = 400, where dense
+    # LU of the n^-4-conditioned B stalled and then lost accuracy (m0:
+    # 1.4e-9 / 4.2e-8 / 1.0e-6 at n = 400 / 800 / 1600)
+    errs = {}
+    for n in (400, 800, 1600):
+        truth, grid, _, _, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
+        exact = truth.psi_exact(grid).values
+        errs[n] = wl2(grid, psi.values - exact) / wl2(grid, exact)
+    assert errs[800] <= 1e-10 and errs[1600] <= 1e-10, errs
+    assert errs[800] < errs[400], errs
 
 
 def test_resonance_scan_shows_isolated_dips(grid100, stencils100):
@@ -258,8 +274,8 @@ def test_resonance_scan_shows_isolated_dips(grid100, stencils100):
     p = Parameters(gamma=1e-5, omega=const_rotation(grid100, om0), omega_ref=om0)
 
     def sigma_min(om_freq):
-        system = assemble_forward(p, om_freq, m, grid100, stencils100)
-        return np.linalg.svd(system.matrix, compute_uv=False)[-1]
+        matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
+        return np.linalg.svd(matrix, compute_uv=False)[-1]
 
     res2 = _resonant_frequency(stencils100, m, om0, l=2)
     res3 = _resonant_frequency(stencils100, m, om0, l=3)
@@ -295,8 +311,8 @@ def test_b_prime_affine_exactness(grid100, stencils100):
     dgamma, dom_vals = 0.37, 0.5 * np.cos(grid100.nodes)
     p0 = Parameters(gamma=0.6, omega=om_vals, omega_ref=0.2)
     p1 = Parameters(gamma=0.6 + dgamma, omega=om_vals + dom_vals, omega_ref=0.2)
-    b0 = assemble_forward(p0, 2.0, 2, grid100, stencils100).matrix
-    b1 = assemble_forward(p1, 2.0, 2, grid100, stencils100).matrix
+    b0 = assemble_dense(p0, 2.0, 2, grid100, stencils100)
+    b1 = assemble_dense(p1, 2.0, 2, grid100, stencils100)
     diff = (b1 - b0) @ psi.values
     bp = apply_B_prime(dgamma, dom_vals, psi, grid100, stencils100, 2)
     scale = np.max(np.abs(diff))
@@ -314,14 +330,14 @@ def test_algebraic_adjoint_identity(grid100, stencils100):
         omega=rotation(grid100, lambda t: np.cos(t) ** 2 - 1 / 3),
         omega_ref=0.1,
     )
-    fwd = assemble_forward(p, 2.0, 2, grid100, stencils100)
+    fwd = assemble_dense(p, 2.0, 2, grid100, stencils100)
     w = grid100.weights
-    adj = fwd.matrix.conj().T * (w[None, :] / w[:, None])  # W^-1 B^H W
+    adj = fwd.conj().T * (w[None, :] / w[:, None])  # W^-1 B^H W
     rng = np.random.default_rng(1)
     for _ in range(5):
         u = ComplexField(m=2, values=rng.standard_normal(100) + 1j * rng.standard_normal(100))
         v = ComplexField(m=2, values=rng.standard_normal(100) + 1j * rng.standard_normal(100))
-        lhs = inner_product(grid100, ComplexField(m=2, values=fwd.matrix @ u.values), v)
+        lhs = inner_product(grid100, ComplexField(m=2, values=fwd @ u.values), v)
         rhs = inner_product(grid100, u, ComplexField(m=2, values=adj @ v.values))
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
@@ -347,8 +363,8 @@ def _mode_agreement(grids, m, omega_fn, omega_ref):
             m=m, values=(lpmv(m, max(m, 1), x) + 0.5 * lpmv(m, max(m, 1) + 2, x)).astype(complex)
         )
         za = fwd.solve_weighted_adjoint(f.values, g.weights)
-        zc = solve(con, f)
-        errs.append(wl2(g, za - zc.values) / wl2(g, zc.values))
+        zc = np.linalg.solve(con, f.values)
+        errs.append(wl2(g, za - zc) / wl2(g, zc))
     return ns, errs
 
 
@@ -366,7 +382,7 @@ def test_adjoint_modes_agree_m0(grids):
         x = np.cos(g.nodes)
         f = ComplexField(m=0, values=(lpmv(0, 1, x) + 0.5 * lpmv(0, 3, x)).astype(complex))
         za = fwd.solve_weighted_adjoint(f.values, g.weights)[4:-4]
-        zc = solve(con, f).values[4:-4]
+        zc = np.linalg.solve(con, f.values)[4:-4]
         errs.append(np.max(np.abs(za - zc)) / np.max(np.abs(zc)))
     assert errs[1] < 5e-4
     assert observed_order(ns, errs, floor=1e-12) >= 1.8
