@@ -9,12 +9,8 @@ from .grid import (
     DerivativeStencils,
     Grid,
     ScalarField,
-    apply_bilaplacian_m,
-    apply_delta_m,
-    boundary_trace,
     build_grid,
     build_stencils,
-    inner_product,
     norm_sobolev,
 )
 from .operator import (

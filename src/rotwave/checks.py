@@ -19,7 +19,6 @@ from .inversion import (
     adjoint_gradient,
     data_inner,
     data_norm,
-    observation_mask,
     sensitivity,
 )
 
@@ -51,7 +50,7 @@ def adjoint_identity_mismatch(
     data y and random directions dp."""
     grid, stencils, scheme = problem.grid, problem.stencils, problem.scheme
     system, psi = problem.state(gamma, omega_values)
-    mask = observation_mask(grid, scheme)
+    mask = problem.mask
     worst = 0.0
     for _ in range(trials):
         yv = rng.standard_normal(len(mask))

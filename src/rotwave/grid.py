@@ -106,20 +106,12 @@ class ComplexField:
     m: int
     values: np.ndarray
 
-    @classmethod
-    def sample(cls, grid: Grid, m: int, fn) -> "ComplexField":
-        return cls(m=m, values=np.asarray(fn(grid.nodes), dtype=complex))
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real latitudinal profile (an m = 0 field)."""
 
     values: np.ndarray
-
-    @classmethod
-    def sample(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(values=np.asarray(fn(grid.nodes), dtype=float))
 
 
 def _check_field(grid: Grid, f: ComplexField, m: int | None = None) -> None:
@@ -262,32 +254,6 @@ def build_stencils(grid: Grid) -> DerivativeStencils:
 # ----------------------------------------------------------------------
 
 
-def inner_product(grid: Grid, f: ComplexField, g: ComplexField) -> complex:
-    """Weighted L^2 pairing sum f_j conj(g_j) w_j of two same-m fields."""
-    if f.m != g.m:
-        raise ValueError(f"cannot pair fields of different order: {f.m} vs {g.m}")
-    _check_field(grid, f)
-    _check_field(grid, g)
-    return complex(np.sum(f.values * np.conj(g.values) * grid.weights))
-
-
-def apply_delta_m(
-    grid: Grid, stencils: DerivativeStencils, m: int, psi: ComplexField
-) -> ComplexField:
-    """Apply the separated Laplacian with the Gamma_m ghost closure."""
-    _check_field(grid, psi, m)
-    return ComplexField(m=m, values=stencils.delta_matrix(m) @ psi.values)
-
-
-def apply_bilaplacian_m(
-    grid: Grid, stencils: DerivativeStencils, m: int, psi: ComplexField
-) -> ComplexField:
-    """Two applications of delta_m with the closure re-applied in between."""
-    _check_field(grid, psi, m)
-    lap = stencils.delta_matrix(m)
-    return ComplexField(m=m, values=lap @ (lap @ psi.values))
-
-
 def weighted_mean(grid: Grid, values: np.ndarray):
     return np.sum(values * grid.weights) / np.sum(grid.weights)
 
@@ -325,21 +291,3 @@ def norm_sobolev(
         return float(np.sqrt(np.sum(grad2 * w)))
     lap = stencils.delta_matrix(psi.m) @ v
     return float(np.sqrt(np.sum(np.abs(lap) ** 2 * w)))
-
-
-def boundary_trace(
-    grid: Grid, m: int, psi: ComplexField
-) -> tuple[complex, complex, complex, complex]:
-    """One-sided estimates of the Gamma_m quantities at both poles.
-
-    Returns (north first, north second, south first, south second) for the
-    two derivative orders constrained at order m.  Uses interior nodes only,
-    so it measures how well psi satisfies the conditions rather than
-    assuming them.
-    """
-    _check_field(grid, psi)
-    orders = POLE_CONDITIONS[min(abs(int(m)), 2)]
-    k, theta, v = _FUNCTIONAL_POINTS, grid.nodes, psi.values
-    north = [complex(fd_weights(0.0, theta[:k], d) @ v[:k]) for d in orders]
-    south = [complex(fd_weights(math.pi, theta[-k:], d) @ v[-k:]) for d in orders]
-    return north[0], north[1], south[0], south[1]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import legval
@@ -82,7 +83,10 @@ def observation_mask(grid: Grid, scheme: ObservationScheme) -> np.ndarray:
 def observe(psi: ComplexField, scheme: ObservationScheme, grid: Grid) -> DataVector:
     """Restrict the state to the observed window, optionally real part only."""
     _check_field(grid, psi)
-    mask = observation_mask(grid, scheme)
+    return _restrict(psi, scheme, observation_mask(grid, scheme))
+
+
+def _restrict(psi: ComplexField, scheme: ObservationScheme, mask: np.ndarray) -> DataVector:
     vals = psi.values[mask]
     if scheme.real_part_only:
         vals = vals.real.copy()
@@ -194,6 +198,11 @@ class InverseProblem:
     omega_ref: float = 0.0
     allow_negative_gamma: bool = False
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Observed node indices, computed once per problem."""
+        return observation_mask(self.grid, self.scheme)
+
     def state(self, gamma: float, omega_values: np.ndarray):
         sys = assemble_forward(
             Parameters(gamma, omega_values, self.omega_ref),
@@ -207,14 +216,14 @@ class InverseProblem:
         return sys, psi
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
-        return observe(self.state(gamma, omega_values)[1], self.scheme, self.grid)
+        return _restrict(self.state(gamma, omega_values)[1], self.scheme, self.mask)
 
     def residual(
         self, gamma: float, omega_values: np.ndarray, y: DataVector
     ) -> tuple[WaveSystem, ComplexField, DataVector]:
         """State at a point and its data residual F(p) - y."""
         system, psi = self.state(gamma, omega_values)
-        d = observe(psi, self.scheme, self.grid)
+        d = _restrict(psi, self.scheme, self.mask)
         return system, psi, DataVector(values=d.values - y.values, mask=d.mask)
 
 

@@ -39,15 +39,23 @@ s e_c e_c^T at the equator node c instead, and the difference
 s (1 v^T - e_c e_c^T) is a rank-2 Woodbury correction applied around each
 band solve.  s is the largest entry of gamma delta_0 + i omega, the block
 of K the pin shares a row with.
+
+gbtrf and gbtrs are scipy's own f2py wrappers, taken from its compiled
+LAPACK module `scipy.linalg._flapack`, which `_load_flapack` loads by file
+spec: importing `scipy.linalg` for them would run scipy's package imports,
+which cost more than the rest of a cold `rotwave` start.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConfigurationError, NearResonanceError
 from .grid import BandRows, ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
@@ -63,6 +71,27 @@ PIVOT_RTOL = 1e-12
 _REACH = 3  # delta_m couples nodes at most this far apart
 _KL = _KU = 2 * _REACH + 1  # sub- and superdiagonals of K, unknowns interleaved
 _DIAG = _KL + _KU  # band-storage row of the main diagonal (rows above: fill-in)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, registered under its canonical name so
+    that a later `import scipy.linalg` reuses it, without running
+    `scipy/__init__` or `scipy/linalg/__init__`."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +175,8 @@ def _mixed_band(
 def _band_factor(band: np.ndarray) -> BandFactors:
     """gbtrf factors of K and the ratio of the smallest to the largest pivot
     on their U diagonal."""
-    lu, piv, _ = get_lapack_funcs("gbtrf", (band,))(band, _KL, _KU)
+    gbtrf = _flapack.zgbtrf if np.iscomplexobj(band) else _flapack.dgbtrf
+    lu, piv, _ = gbtrf(band, _KL, _KU)
     pivots = np.abs(lu[_DIAG])
     return BandFactors(lu, piv, float(pivots.min() / pivots.max()), None, None, None)
 
@@ -172,7 +202,7 @@ def _band_solve(factors: BandFactors, rhs: np.ndarray, adjoint: bool = False) ->
         rhs[pin.node] += t[1]
     full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=factors.lu.dtype)
     full[1::2] = rhs
-    gbtrs = get_lapack_funcs("gbtrs", (factors.lu,))
+    gbtrs = _flapack.zgbtrs if np.iscomplexobj(factors.lu) else _flapack.dgbtrs
     psi = gbtrs(factors.lu, _KL, _KU, full, factors.piv, trans=2 if adjoint else 0)[0][1::2]
     if pin is not None and not adjoint:  # B_mean^-1 = (I - y cinv V^T) B_node^-1
         psi = psi - factors.y @ (factors.cinv @ np.array([pin.v @ psi, -psi[pin.node]]))

@@ -12,6 +12,7 @@ from scipy.special import eval_legendre, lpmv
 
 from adjoint_reference import continuous_gradient
 from conftest import observed_order, wl2
+from field_helpers import apply_delta_m, inner_product
 from rotwave import (
     ComplexField,
     DataVector,
@@ -25,12 +26,10 @@ from rotwave import (
     Parameters,
     ScalarField,
     adjoint_gradient,
-    apply_delta_m,
     assemble_forward,
     build_grid,
     build_stencils,
     data_norm,
-    inner_product,
     manufacture_truth,
     nesterov_landweber,
     norm_sobolev,

@@ -9,15 +9,18 @@ from scipy.special import lpmv
 from scipy.integrate import quad
 
 from conftest import observed_order, wl2
-from rotwave import (
-    ComplexField,
-    ConfigurationError,
+from field_helpers import (
     apply_bilaplacian_m,
     apply_delta_m,
     boundary_trace,
+    inner_product,
+    sample,
+)
+from rotwave import (
+    ComplexField,
+    ConfigurationError,
     build_grid,
     build_stencils,
-    inner_product,
     norm_sobolev,
 )
 from rotwave.grid import fd_weights
@@ -66,14 +69,14 @@ def test_weight_sum_converges_to_sphere_area_factor():
 
 
 def test_inner_product_constants(grid100):
-    one = ComplexField.sample(grid100, 0, np.ones_like)
+    one = sample(grid100, 0, np.ones_like)
     val = inner_product(grid100, one, one)
     assert val == pytest.approx(2.0, abs=2.0 / 100**2)
 
 
 def test_inner_product_odd_symmetry(grid100):
-    f = ComplexField.sample(grid100, 0, np.cos)
-    g = ComplexField.sample(grid100, 0, np.ones_like)
+    f = sample(grid100, 0, np.cos)
+    g = sample(grid100, 0, np.ones_like)
     assert abs(inner_product(grid100, f, g)) < 1e-14
 
 
@@ -81,20 +84,20 @@ def test_inner_product_sin2_pair(grid100):
     # analytic: int_0^pi sin^5 = 16/15; cross-checked against quadrature
     oracle, _ = quad(lambda t: np.sin(t) ** 5, 0, np.pi)
     assert oracle == pytest.approx(16 / 15, rel=1e-12)
-    f = ComplexField.sample(grid100, 0, lambda t: np.sin(t) ** 2)
+    f = sample(grid100, 0, lambda t: np.sin(t) ** 2)
     assert inner_product(grid100, f, f).real == pytest.approx(16 / 15, abs=3e-4)
 
 
 def test_inner_product_rejects_mixed_m(grid100):
-    f = ComplexField.sample(grid100, 1, np.sin)
-    g = ComplexField.sample(grid100, 2, np.sin)
+    f = sample(grid100, 1, np.sin)
+    g = sample(grid100, 2, np.sin)
     with pytest.raises(ValueError):
         inner_product(grid100, f, g)
 
 
 def test_inner_product_rejects_wrong_length(grid100):
     f = ComplexField(m=0, values=np.ones(7, dtype=complex))
-    g = ComplexField.sample(grid100, 0, np.ones_like)
+    g = sample(grid100, 0, np.ones_like)
     with pytest.raises(ValueError):
         inner_product(grid100, f, g)
 
@@ -105,8 +108,8 @@ def test_quadrature_order_at_least_two(grids):
     ns = (50, 100, 200, 400)
     for n in ns:
         g, _ = grids[n]
-        f = ComplexField.sample(g, 0, lambda t: np.cos(t) ** 2)
-        one = ComplexField.sample(g, 0, np.ones_like)
+        f = sample(g, 0, lambda t: np.cos(t) ** 2)
+        one = sample(g, 0, np.ones_like)
         errs.append(abs(inner_product(g, f, one).real - 2 / 3))
     assert observed_order(ns, errs, floor=1e-14) >= 2.0
 
@@ -133,13 +136,13 @@ def test_inner_product_sesquilinear(a, seed):
 
 
 def test_delta_m0_on_cos(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 0, np.cos)
+    psi = sample(grid100, 0, np.cos)
     out = apply_delta_m(grid100, stencils100, 0, psi)
     assert np.max(np.abs(out.values + 2 * psi.values)) < 50 * grid100.h**4
 
 
 def test_delta_m1_on_sin(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 1, np.sin)
+    psi = sample(grid100, 1, np.sin)
     out = apply_delta_m(grid100, stencils100, 1, psi)
     assert np.max(np.abs(out.values + 2 * psi.values)) < 50 * grid100.h**4
 
@@ -147,13 +150,13 @@ def test_delta_m1_on_sin(grid100, stencils100):
 def test_delta_m2_radius_scaling():
     g = build_grid(100, r=2.0)
     st_ = build_stencils(g)
-    psi = ComplexField.sample(g, 2, lambda t: np.sin(t) ** 2)
+    psi = sample(g, 2, lambda t: np.sin(t) ** 2)
     out = apply_delta_m(g, st_, 2, psi)
     assert np.max(np.abs(out.values + 6 / 4 * psi.values)) < 50 * g.h**4
 
 
 def test_delta_rejects_mismatched_m(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 1, np.sin)
+    psi = sample(grid100, 1, np.sin)
     with pytest.raises(ValueError):
         apply_delta_m(grid100, stencils100, 2, psi)
 
@@ -216,7 +219,7 @@ def test_mean_zero_preservation(grids):
     # discrete integral of delta_0 psi sits at the roundoff floor already
     for n in (50, 100, 200, 400):
         g, st_ = grids[n]
-        psi = ComplexField.sample(g, 0, lambda t: np.cos(t) ** 3 + 0.5 * np.cos(t))
+        psi = sample(g, 0, lambda t: np.cos(t) ** 3 + 0.5 * np.cos(t))
         out = apply_delta_m(g, st_, 0, psi)
         assert abs(np.sum(out.values * g.weights)) / wl2(g, out.values) < 1e-10
 
@@ -233,7 +236,7 @@ def test_norms_of_zero(grid100, stencils100):
 
 
 def test_h2_norm_eigenfunction(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 2, lambda t: np.sin(t) ** 2)
+    psi = sample(grid100, 2, lambda t: np.sin(t) ** 2)
     h2 = norm_sobolev(grid100, stencils100, psi, "H2")
     l2 = norm_sobolev(grid100, stencils100, psi, "L2")
     assert h2 == pytest.approx(6 * l2, rel=1e-6)
@@ -246,7 +249,7 @@ def test_h1_norm_eigenfunction(grids):
     errs = []
     for n in ns:
         g, st_ = grids[n]
-        psi = ComplexField.sample(g, 0, np.cos)
+        psi = sample(g, 0, np.cos)
         h1 = norm_sobolev(g, st_, psi, "H1")
         l2 = norm_sobolev(g, st_, psi, "L2")
         errs.append(abs(h1**2 - 2 * l2**2) / (2 * l2**2))
@@ -255,13 +258,13 @@ def test_h1_norm_eigenfunction(grids):
 
 
 def test_norm_unknown_order_rejected(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 0, np.cos)
+    psi = sample(grid100, 0, np.cos)
     with pytest.raises(ValueError):
         norm_sobolev(grid100, stencils100, psi, "H3")
 
 
 def test_norm_warns_on_nonzero_mean(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 0, lambda t: 1 + np.cos(t))
+    psi = sample(grid100, 0, lambda t: 1 + np.cos(t))
     with pytest.warns(UserWarning):
         norm_sobolev(grid100, stencils100, psi, "H1")
 
@@ -272,26 +275,26 @@ def test_norm_warns_on_nonzero_mean(grid100, stencils100):
 
 
 def test_trace_clamped_sin2(grid100):
-    psi = ComplexField.sample(grid100, 2, lambda t: np.sin(t) ** 2)
+    psi = sample(grid100, 2, lambda t: np.sin(t) ** 2)
     traces = boundary_trace(grid100, 2, psi)
     assert max(abs(t) for t in traces) < 100 * grid100.h**3
 
 
 def test_trace_m1_sin(grid100):
-    psi = ComplexField.sample(grid100, 1, np.sin)
+    psi = sample(grid100, 1, np.sin)
     traces = boundary_trace(grid100, 1, psi)
     assert max(abs(t) for t in traces) < 100 * grid100.h**3
 
 
 def test_trace_m0_cos(grid100):
-    psi = ComplexField.sample(grid100, 0, np.cos)
+    psi = sample(grid100, 0, np.cos)
     traces = boundary_trace(grid100, 0, psi)
     assert max(abs(t) for t in traces) < 100 * grid100.h**3
 
 
 def test_trace_detects_violations(grid100):
     # cos(theta) violates the clamped conditions at order 2: psi(0) = 1
-    psi = ComplexField.sample(grid100, 2, np.cos)
+    psi = sample(grid100, 2, np.cos)
     traces = boundary_trace(grid100, 2, psi)
     assert abs(traces[0] - 1.0) < 1e-6
 

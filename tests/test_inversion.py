@@ -5,6 +5,7 @@ import pytest
 from scipy.special import eval_legendre
 
 from conftest import observed_order, wl2
+from field_helpers import inner_product, sample
 from rotwave import (
     ComplexField,
     ConfigurationError,
@@ -21,7 +22,6 @@ from rotwave import (
     build_stencils,
     data_inner,
     data_norm,
-    inner_product,
     manufacture_truth,
     nesterov_landweber,
     observe,
@@ -62,7 +62,7 @@ def make_problem(n=100, truth_name="m3_default", scheme=None, **overrides):
 
 
 def test_observe_full_is_identity(grid100):
-    psi = ComplexField.sample(grid100, 2, lambda t: np.sin(t) ** 2 * np.exp(1j * t))
+    psi = sample(grid100, 2, lambda t: np.sin(t) ** 2 * np.exp(1j * t))
     d = observe(psi, ObservationScheme(), grid100)
     assert np.array_equal(d.values, psi.values)
     assert len(d.mask) == 100
@@ -70,12 +70,12 @@ def test_observe_full_is_identity(grid100):
 
 def test_observe_restricted_mask_size(grid100):
     scheme = ObservationScheme(kind="restricted", epsilon=np.pi / 4)
-    d = observe(ComplexField.sample(grid100, 0, np.sin), scheme, grid100)
+    d = observe(sample(grid100, 0, np.sin), scheme, grid100)
     assert len(d.mask) == 50
 
 
 def test_observe_real_part_of_imaginary_field(grid100):
-    psi = ComplexField.sample(grid100, 2, lambda t: 1j * np.sin(t) ** 2)
+    psi = sample(grid100, 2, lambda t: 1j * np.sin(t) ** 2)
     d = observe(psi, ObservationScheme(real_part_only=True), grid100)
     assert np.all(d.values == 0.0)
     assert not np.iscomplexobj(d.values)
@@ -91,7 +91,7 @@ def test_scheme_validation():
 
 
 def test_restricted_equals_masked_full(grid100):
-    psi = ComplexField.sample(grid100, 2, lambda t: np.sin(t) ** 2 * np.exp(2j * t))
+    psi = sample(grid100, 2, lambda t: np.sin(t) ** 2 * np.exp(2j * t))
     scheme = ObservationScheme(kind="restricted", epsilon=0.4)
     full = observe(psi, ObservationScheme(), grid100)
     restricted = observe(psi, scheme, grid100)

@@ -5,6 +5,7 @@ from scipy.special import lpmv
 
 from adjoint_reference import assemble_adjoint, assemble_dense, bandwidth, dense, dense_alpha
 from conftest import observed_order, wl2
+from field_helpers import inner_product, sample
 from rotwave import (
     ComplexField,
     ConfigurationError,
@@ -17,7 +18,6 @@ from rotwave import (
     build_grid,
     build_stencils,
     frequency_condition,
-    inner_product,
     smallness_condition,
     solve,
 )
@@ -153,7 +153,7 @@ def test_bandwidth_is_bounded(grid100, stencils100):
 def manufactured_case(grid, stencils, gamma=0.3, om_freq=2.0, m=2, om0=0.8):
     """Constant-rotation eigenfunction truth with analytic source."""
     p = Parameters(gamma=gamma, omega=const_rotation(grid, om0), omega_ref=0.0)
-    psi = ComplexField.sample(grid, m, lambda t: np.sin(t) ** 2)
+    psi = sample(grid, m, lambda t: np.sin(t) ** 2)
     factor = 36 * gamma - 6j * om_freq + 12j * om0 - 4j * om0
     f = ComplexField(m=m, values=factor * psi.values)
     return p, psi, f, om_freq, m
@@ -230,7 +230,7 @@ def test_near_resonance_detection(grid100, stencils100):
     omega_freq = _resonant_frequency(stencils100, m, om0, l=2)
     p = Parameters(gamma=1e-15, omega=const_rotation(grid100, om0), omega_ref=om0)
     system = assemble_forward(p, omega_freq, m, grid100, stencils100)
-    rhs = ComplexField.sample(grid100, m, np.sin)
+    rhs = sample(grid100, m, np.sin)
     with pytest.raises(NearResonanceError) as err:
         solve(system, rhs)
     assert err.value.m == m
@@ -291,13 +291,13 @@ def test_resonance_scan_shows_isolated_dips(grid100, stencils100):
 
 
 def test_b_prime_zero_direction(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 2, lambda t: np.sin(t) ** 2)
+    psi = sample(grid100, 2, lambda t: np.sin(t) ** 2)
     out = apply_B_prime(0.0, np.zeros(100), psi, grid100, stencils100, 2)
     assert np.all(out.values == 0)
 
 
 def test_b_prime_gamma_direction_eigen(grid100, stencils100):
-    psi = ComplexField.sample(grid100, 2, lambda t: np.sin(t) ** 2)
+    psi = sample(grid100, 2, lambda t: np.sin(t) ** 2)
     out = apply_B_prime(1.0, np.zeros(100), psi, grid100, stencils100, 2)
     assert np.max(np.abs(out.values - 36 * psi.values)) < 300 * grid100.h**3
 

@@ -8,17 +8,11 @@ poles, and in double precision they lose up to ~1e-7 relative at the first
 node of an n = 1600 grid (|m| = 1), where the polynomial form loses nothing.
 """
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-import rotwave
 from rotwave import build_grid, manufacture_truth
 
 TH = sp.symbols("theta", positive=True)
@@ -130,22 +124,3 @@ def test_polynomial_truth_matches_sympy_reference(preset, overrides):
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert rel <= 1e-13, (preset, overrides, n, rel)
 
-
-def test_cli_import_leaves_sympy_out():
-    src = str(pathlib.Path(rotwave.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, rotwave.cli; print(sorted({'sympy', 'scipy.special'} & set(sys.modules)))",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "[]"
