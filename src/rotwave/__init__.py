@@ -16,6 +16,7 @@ from .grid import (
 from .operator import (
     EmbeddingConstants,
     Parameters,
+    State,
     WaveSystem,
     apply_B_prime,
     assemble_forward,

@@ -139,12 +139,16 @@ class BandRows:
         )
 
     @functools.cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, columns, weights) of the nonzero weights, for writing the
-        matrix into another storage."""
+    def diagonals(self) -> np.ndarray:
+        """The matrix by diagonals, as in LAPACK band storage: entry (j, k)
+        at [reach + j - k, k], where reach is the largest |j - k| of a
+        nonzero weight.  Computed once, for writing the matrix into a band."""
+        offsets = np.arange(len(self.weights))[:, None] - self.columns  # j - k
         nonzero = self.weights != 0
-        rows = np.broadcast_to(np.arange(len(self.weights))[:, None], nonzero.shape)
-        return rows[nonzero], self.columns[nonzero], self.weights[nonzero]
+        reach = int(np.max(np.abs(offsets[nonzero])))
+        out = np.zeros((2 * reach + 1, len(self.weights)))
+        out[reach + offsets[nonzero], self.columns[nonzero]] = self.weights[nonzero]
+        return out
 
 
 def _stencil_rows(
@@ -163,10 +167,12 @@ class DerivativeStencils:
                   fields with one-sided stencils near the poles (no
                   boundary conditions assumed); used for rotation profiles
                   and Sobolev seminorms.
+      alpha    -- the rotation map Omega -> alpha_Omega as `BandRows`, built
+                  on first use.
 
     The boundary-value operator delta_m comes from `delta_matrix(m)`, which
     folds the ghost closure `ghost_fill(m)` for the pole conditions of
-    azimuthal order m into the four columns nearest each pole.  All three
+    azimuthal order m into the four columns nearest each pole.  All these
     operators share one window per row: six nodes starting two before j,
     one further back past the equator, clipped into the grid.
     """
@@ -199,6 +205,17 @@ class DerivativeStencils:
 
         self._fill_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._delta_cache: dict[int, BandRows] = {}
+
+    @functools.cached_property
+    def alpha(self) -> BandRows:
+        """The rotation map Omega -> (Omega'' + 3 cot Omega' - 2 Omega) / r^2
+        as one band operator on d1's and d2's windows."""
+        theta, r = self.grid.nodes, self.grid.r
+        cot = np.cos(theta) / np.sin(theta)
+        weights = self.d2.weights + 3.0 * cot[:, None] * self.d1.weights
+        rows = np.arange(self.grid.n)
+        weights[rows, rows - self._columns[:, 0]] -= 2.0
+        return BandRows(weights / (r * r), self._columns)
 
     def ghost_fill(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """2 x 4 maps (north, south) from the four nodes nearest a pole to

@@ -32,6 +32,7 @@ from .errors import ConfigurationError, NearResonanceError
 from .grid import ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
 from .operator import (
     Parameters,
+    State,
     WaveSystem,
     _band_factor,
     _band_solve,
@@ -142,9 +143,8 @@ class ParameterMetric:
         self.name = name
         self.gamma_scale = float(gamma_scale)
         self._lap = stencils.delta_matrix(0)
-        n = grid.n
-        gamma, d = (1.0, np.zeros(n)) if name == "H2" else (0.0, -np.ones(n))
-        band, pin = _mixed_band(self._lap, gamma, d, np.zeros(n), grid.weights)
+        gamma, d = (1.0, 0.0) if name == "H2" else (0.0, -1.0)
+        band, pin = _mixed_band(self._lap, gamma, d, 0.0, grid.weights)
         self._factors = _with_mean_pin(_band_factor(band), pin)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ class ParameterMetric:
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """Solve the metric operator against a mean-zero projected density."""
-        return self.project_mean_zero(_band_solve(self._factors, np.asarray(g, dtype=float)))
+        return self.project_mean_zero(_band_solve(self._factors, np.asarray(g, dtype=float))[1::2])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The metric operator A applied to v."""
@@ -203,7 +203,16 @@ class InverseProblem:
         """Observed node indices, computed once per problem."""
         return observation_mask(self.grid, self.scheme)
 
-    def state(self, gamma: float, omega_values: np.ndarray):
+    @cached_property
+    def observed_weights(self) -> np.ndarray:
+        """Quadrature weights of the observed nodes."""
+        return self.grid.weights[self.mask]
+
+    def norm(self, d: DataVector) -> float:
+        """`data_norm` of a data vector on this problem's observed nodes."""
+        return math.sqrt(np.vdot(d.values, self.observed_weights * d.values).real)
+
+    def state(self, gamma: float, omega_values: np.ndarray) -> tuple[WaveSystem, State]:
         sys = assemble_forward(
             Parameters(gamma, omega_values, self.omega_ref),
             self.omega_freq,
@@ -220,7 +229,7 @@ class InverseProblem:
 
     def residual(
         self, gamma: float, omega_values: np.ndarray, y: DataVector
-    ) -> tuple[WaveSystem, ComplexField, DataVector]:
+    ) -> tuple[WaveSystem, State, DataVector]:
         """State at a point and its data residual F(p) - y."""
         system, psi = self.state(gamma, omega_values)
         d = _restrict(psi, self.scheme, self.mask)
@@ -229,22 +238,22 @@ class InverseProblem:
 
 def sensitivity(
     dp: GradientPair,
-    psi: ComplexField,
+    psi: State,
     system: WaveSystem,
     grid: Grid,
     stencils: DerivativeStencils,
     scheme: ObservationScheme,
 ) -> DataVector:
     """Directional derivative F'(p) dp = -L B^-1 B'(dp) psi at the state psi."""
-    rhs = apply_B_prime(dp.dgamma, dp.domega, psi, grid, stencils, system.m)
-    dpsi = ComplexField(m=system.m, values=system.solve_values(-rhs.values))
+    rhs = apply_B_prime(dp.dgamma, dp.domega, psi, grid, stencils, system.m, phi=psi.phi)
+    dpsi = ComplexField(m=system.m, values=system.solve_values(-rhs.values)[0])
     return observe(dpsi, scheme, grid)
 
 
 def adjoint_gradient(
     problem: InverseProblem,
     residual: DataVector,
-    psi: ComplexField,
+    psi: State,
     system: WaveSystem,
     metric: ParameterMetric,
 ):
@@ -255,20 +264,19 @@ def adjoint_gradient(
     the squared gradient norm as gamma_scale*dgamma^2 + <domega, density>_w.
 
     The adjoint state is the exact discrete one, solved through the forward
-    factorization.  The raw parts pair it with +B'(.) psi; the Omega part
-    applies the weighted adjoint of the alpha coefficient map, the discretely
-    exact counterpart of the analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.))
-    form.  The functional is their negative because the sensitivity is
+    factorization, and delta_m psi is the state's own phi.  The raw parts
+    pair it with +B'(.) psi; the Omega part applies the weighted adjoint of
+    the alpha coefficient map, the discretely exact counterpart of the
+    analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.)) form.  The functional is their negative because the sensitivity is
     F'(p) dp = -L B^-1 B'(dp) psi.
     """
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
     z = system.solve_weighted_adjoint(observe_adjoint(residual, grid).values, w)
-    lap = st.delta_matrix(m)
-    raw_gamma = float(np.sum((lap @ (lap @ psi.values)) * np.conj(z) * w).real)
+    raw_gamma = float(np.sum((st.delta_matrix(m) @ psi.phi) * np.conj(z) * w).real)
     if m != 0:
         c = np.imag(np.conj(psi.values) * z)
-        shear = np.imag((lap @ np.conj(psi.values)) * z)
+        shear = np.imag(np.conj(psi.phi) * z)
         density = m * (apply_alpha_adjoint(grid, st, c) - shear)
     else:
         density = np.zeros(grid.n)
@@ -352,7 +360,7 @@ def nesterov_landweber(
     )
 
     def misfit(ga, om):
-        return data_norm(grid, problem.residual(ga, om, y_delta)[2])
+        return problem.norm(problem.residual(ga, om, y_delta)[2])
 
     iterates = [(gamma, omega.copy())]
     step_sizes: list[float] = []
@@ -391,7 +399,7 @@ def nesterov_landweber(
                 stop_reason = "near_resonance"
                 break
             grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
-            phi0 = 0.5 * data_norm(grid, res_vec) ** 2
+            phi0 = 0.5 * problem.norm(res_vec) ** 2
             decrease = metric.gamma_scale * grad.dgamma**2 + float(
                 np.sum(grad.domega.values * g_density * grid.weights)
             )

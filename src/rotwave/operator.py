@@ -18,27 +18,33 @@ Omega -> alpha, shared by assembly and `apply_B_prime`.
 B is never formed.  With phi = delta_m psi (the mixed form of Ciarlet and
 Raviart for the biharmonic) the solve is
 
-    K [phi; psi] = [0; f],
-    K = [[-I, delta_m], [gamma delta_m + diag(i omega - i m beta), diag(i m alpha)]],
+    K [phi; psi] = [f; 0],
+    K = [[gamma delta_m + diag(i omega - i m beta), diag(i m alpha)], [-I, delta_m]],
 
-and eliminating phi gives back exactly B psi = f.  With the unknowns and
-equations interleaved as (phi_j, psi_j), K is a band with kl = ku = 7
-(delta_m couples nodes at most three apart).  It is written straight into
-LAPACK band storage, factored once with gbtrf, and every solve is one gbtrs
-against those factors.  The exact adjoint of the discrete operator with
-respect to the weighted inner product, W^-1 B^H W, is one conjugate-
-transposed solve: K^H [a; b] = [0; g] gives B^H b = g.  Its condition
-number grows like n^2 where that of B grows like n^4.
+and eliminating phi gives back exactly B psi = f.  The unknowns are
+interleaved as (phi_j, psi_j) and node j's two equations follow K's block
+rows: row 2j takes the source, row 2j+1 is -phi_j + (delta_m psi)_j.  Both
+delta_m blocks then sit on the even offsets 2 (j - k), and K is a band with
+kl = ku = 6 (delta_m couples nodes at most three apart).  Each stencils
+object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
+five slice writes into LAPACK band storage.  K is factored once with gbtrf,
+and every solve is one gbtrs against those factors, which gives psi at the
+odd unknowns and phi at the even ones.  The exact adjoint of the discrete
+operator with respect to the weighted inner product, W^-1 B^H W, is one
+conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
+gives B^H a = g, so g goes to the odd positions and a is read from the
+even ones.  Its condition number grows like n^2 where that of B grows
+like n^4.
 
 For m = 0, delta_0 annihilates constants, so the axisymmetric problem is
 posed on mean-zero fields through the mean pin s 1 v^T (v = w / sum w)
 added to B: it removes the null space, acts as zero on discretely mean-zero
 fields and is self-adjoint in the weighted inner product, so the discrete
 and continuous adjoints share it.  The band carries a one-node pin
-s e_c e_c^T at the equator node c instead, and the difference
-s (1 v^T - e_c e_c^T) is a rank-2 Woodbury correction applied around each
-band solve.  s is the largest entry of gamma delta_0 + i omega, the block
-of K the pin shares a row with.
+s e_c e_c^T at the equator node c instead, on the a-entry of row 2c, and
+the difference s (1 v^T - e_c e_c^T) is a rank-2 Woodbury correction
+applied around each band solve, to phi as well as to psi.  s is the largest
+entry of gamma delta_0 + i omega, the block of K the pin shares a row with.
 
 gbtrf and gbtrs are scipy's own f2py wrappers, taken from its compiled
 LAPACK module `scipy.linalg._flapack`, which `_load_flapack` loads by file
@@ -61,16 +67,17 @@ from .errors import ConfigurationError, NearResonanceError
 from .grid import BandRows, ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
 
 # near-resonance threshold on min|U_ii| / max|U_ii| of the band LU of K.  At
-# n = 100, m = 1, gamma = 1e-15 the ratio is 7.0e-14 / 8.4e-14 / 3.0e-13 on
-# the l = 2 / 3 / 5 resonances and 1.2e-4 / 9.1e-5 / 4.4e-5 a frequency step
-# of 1e-3 away.  On the default truths it stays near 3.4e-3 (m2) and 1.5e-3
-# (m3) for every n, and falls like 1/n for m0: 1.1e-3 at n = 1600, 2.8e-4 at
-# n = 6400.
+# n = 100, m = 1, gamma = 1e-15 the ratio is 2.5e-14 / 1.2e-13 / 2.9e-13 on
+# the l = 2 / 3 / 5 resonances and 1.15e-4 / 9.05e-5 / 4.35e-5 a frequency
+# step of 1e-3 away.  On the default truths it is 4.0e-3 (m2) and 1.9e-3
+# (m3) at n = 100 and settles near 3.4e-3 and 1.5e-3 for larger n; for m0 it
+# falls like 1/n: 1.1e-3 at n = 1600, 2.8e-4 at n = 6400.
 PIVOT_RTOL = 1e-12
 
 _REACH = 3  # delta_m couples nodes at most this far apart
-_KL = _KU = 2 * _REACH + 1  # sub- and superdiagonals of K, unknowns interleaved
+_KL = _KU = 2 * _REACH  # sub- and superdiagonals of K, unknowns interleaved
 _DIAG = _KL + _KU  # band-storage row of the main diagonal (rows above: fill-in)
+_DELTA_ROWS = slice(_DIAG - _KL, _DIAG + _KL + 1, 2)  # band rows of delta_m's diagonals
 
 
 def _load_flapack():
@@ -107,17 +114,13 @@ class Parameters:
 
 def apply_alpha(grid: Grid, stencils: DerivativeStencils, om: np.ndarray) -> np.ndarray:
     """The linear map Omega -> alpha_Omega = (Omega'' + 3 Omega' cot - 2 Omega) / r^2,
-    through derivative matvecs."""
-    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
-    return (stencils.d2 @ om + 3.0 * cot * (stencils.d1 @ om) - 2.0 * om) / grid.r**2
+    one product with the band rows `stencils.alpha`."""
+    return stencils.alpha @ om
 
 
 def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray) -> np.ndarray:
     """Adjoint of `apply_alpha` in the weighted inner product, W^-1 alpha^T W v."""
-    cot = np.cos(grid.nodes) / np.sin(grid.nodes)
-    wv = grid.weights * v
-    out = stencils.d2.rmatvec(wv) + stencils.d1.rmatvec(3.0 * cot * wv) - 2.0 * wv
-    return out / grid.r**2 / grid.weights
+    return stencils.alpha.rmatvec(grid.weights * v) / grid.weights
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +139,8 @@ class _Pin(NamedTuple):
 class BandFactors(NamedTuple):
     """gbtrf factors of a mixed band, plus the Woodbury data of its pin:
     B_mean = B_node + U V^T with U = s [1, e_node], V = [v, -e_node];
-    y = B_node^-1 U and cinv = (I + V^T y)^-1."""
+    y = K_node^-1 [U; 0] (interleaved, phi and psi parts) and
+    cinv = (I + V^T y_psi)^-1."""
 
     lu: np.ndarray
     piv: np.ndarray
@@ -147,28 +151,31 @@ class BandFactors(NamedTuple):
 
 
 def _mixed_band(
-    lap: BandRows, gamma: float, d: np.ndarray, a: np.ndarray, pin_weights: np.ndarray | None
+    lap: BandRows,
+    gamma: float,
+    d: np.ndarray | complex,
+    a: np.ndarray | complex,
+    pin_weights: np.ndarray | None,
 ) -> tuple[np.ndarray, _Pin | None]:
-    """LAPACK band storage of K = [[-I, L], [gamma L + diag(d), diag(a)]] for
+    """LAPACK band storage of K = [[gamma L + diag(d), diag(a)], [-I, L]] for
     L = lap, with unknowns and equations interleaved as (phi_j, psi_j).
 
-    With `pin_weights` the band also carries the one-node pin that stands for
-    the mean pin in the weights; its scale is the largest entry of
-    gamma L + diag(d).
+    d and a are nodal arrays or scalars.  With `pin_weights` the band also
+    carries the one-node pin that stands for the mean pin in the weights;
+    its scale is the largest entry of gamma L + diag(d).
     """
-    n = len(d)
-    j, k, w = lap.entries
-    band = np.zeros((2 * _KL + _KU + 1, 2 * n), dtype=np.result_type(d, a, float))
-    band[_DIAG, 0::2] = -1.0  # row 2j: -phi_j + (L psi)_j
-    band[_DIAG + 2 * (j - k) - 1, 2 * k + 1] = w
-    lower = (_DIAG + 2 * (j - k) + 1, 2 * k)  # row 2j+1: ((gamma L + d) phi + a psi)_j
-    band[lower] = gamma * w
-    band[_DIAG + 1, 0::2] += d
-    band[_DIAG, 1::2] = a
+    dia = lap.diagonals
+    band = np.zeros((2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float))
+    band[_DELTA_ROWS, 0::2] = gamma * dia  # row 2j: ((gamma L + d) phi + a psi)_j
+    band[_DIAG, 0::2] += d
+    band[_DIAG - 1, 1::2] = a
+    band[_DIAG + 1, 0::2] = -1.0  # row 2j+1: -phi_j + (L psi)_j
+    band[_DELTA_ROWS, 1::2] = dia
     if pin_weights is None:
         return band, None
-    pin = _Pin(float(np.max(np.abs(band[lower]))), n // 2, pin_weights / np.sum(pin_weights))
-    band[_DIAG, 2 * pin.node + 1] += pin.scale
+    scale = float(np.max(np.abs(band[_DELTA_ROWS, 0::2])))
+    pin = _Pin(scale, len(pin_weights) // 2, pin_weights / np.sum(pin_weights))
+    band[_DIAG - 1, 2 * pin.node + 1] += pin.scale
     return band, pin
 
 
@@ -181,6 +188,11 @@ def _band_factor(band: np.ndarray) -> BandFactors:
     return BandFactors(lu, piv, float(pivots.min() / pivots.max()), None, None, None)
 
 
+def _gbtrs(factors: BandFactors, full: np.ndarray, trans: int) -> np.ndarray:
+    gbtrs = _flapack.zgbtrs if np.iscomplexobj(factors.lu) else _flapack.dgbtrs
+    return gbtrs(factors.lu, _KL, _KU, full, factors.piv, trans=trans)[0]
+
+
 def _with_mean_pin(factors: BandFactors, pin: _Pin) -> BandFactors:
     """Add the Woodbury data that turns the band's one-node pin into the mean
     pin (two more solves); the factors must be nonsingular."""
@@ -188,25 +200,35 @@ def _with_mean_pin(factors: BandFactors, pin: _Pin) -> BandFactors:
     u[:, 0] = pin.scale
     u[pin.node, 1] = pin.scale
     y = _band_solve(factors, u)
-    vt_y = np.array([pin.v @ y, -y[pin.node]])
+    vt_y = np.array([pin.v @ y[1::2], -y[2 * pin.node + 1]])
     return factors._replace(pin=pin, y=y, cinv=np.linalg.inv(np.eye(2) + vt_y))
 
 
-def _band_solve(factors: BandFactors, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """B^-1 rhs (B^H^-1 rhs when `adjoint`) as the psi part of K^-1 [0; rhs]
-    (K^-H [0; rhs]), with the mean pin in place of the band's one-node pin."""
+def _band_solve(factors: BandFactors, rhs: np.ndarray) -> np.ndarray:
+    """K^-1 [rhs; 0], interleaved: psi = B^-1 rhs at the odd positions and
+    phi = delta_m psi at the even ones, with the mean pin in place of the
+    band's one-node pin."""
+    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=factors.lu.dtype)
+    full[0::2] = rhs
+    x = _gbtrs(factors, full, 0)
     pin = factors.pin
-    if pin is not None and adjoint:  # B_mean^-H = B_node^-H (I - V cinv^H y^H)
-        t = factors.cinv.conj().T @ (factors.y.conj().T @ rhs)
+    if pin is not None:  # B_mean^-1 = (I - y cinv V^T) B_node^-1, on phi and psi alike
+        psi = x[1::2]
+        x -= factors.y @ (factors.cinv @ np.array([pin.v @ psi, -psi[pin.node]]))
+    return x
+
+
+def _band_solve_adjoint(factors: BandFactors, rhs: np.ndarray) -> np.ndarray:
+    """B^-H rhs, read off K^-H [0; rhs] at the even positions, with the mean
+    pin in place of the band's one-node pin."""
+    pin = factors.pin
+    if pin is not None:  # B_mean^-H = B_node^-H (I - V cinv^H y_psi^H)
+        t = factors.cinv.conj().T @ (factors.y[1::2].conj().T @ rhs)
         rhs = rhs - pin.v * t[0]
         rhs[pin.node] += t[1]
-    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=factors.lu.dtype)
+    full = np.zeros(2 * len(rhs), dtype=factors.lu.dtype)
     full[1::2] = rhs
-    gbtrs = _flapack.zgbtrs if np.iscomplexobj(factors.lu) else _flapack.dgbtrs
-    psi = gbtrs(factors.lu, _KL, _KU, full, factors.piv, trans=2 if adjoint else 0)[0][1::2]
-    if pin is not None and not adjoint:  # B_mean^-1 = (I - y cinv V^T) B_node^-1
-        psi = psi - factors.y @ (factors.cinv @ np.array([pin.v @ psi, -psi[pin.node]]))
-    return psi
+    return _gbtrs(factors, full, 2)[0::2]
 
 
 class WaveSystem:
@@ -231,12 +253,22 @@ class WaveSystem:
             self._lu = factors if self._pin is None else _with_mean_pin(factors, self._pin)
         return self._lu
 
-    def solve_values(self, rhs: np.ndarray) -> np.ndarray:
-        return _band_solve(self.factorization(), rhs)
+    def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, phi): psi = B^-1 rhs and phi = delta_m psi from the same solve."""
+        x = _band_solve(self.factorization(), rhs)
+        return x[1::2], x[0::2]
 
     def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Solve (W^-1 B^H W) z = rhs reusing this system's factorization."""
-        return _band_solve(self.factorization(), weights * rhs, adjoint=True) / weights
+        return _band_solve_adjoint(self.factorization(), weights * rhs) / weights
+
+
+@dataclass(frozen=True, eq=False)
+class State(ComplexField):
+    """A solved field psi together with phi = delta_m psi from the same mixed
+    solve; phi equals delta_m psi to solve accuracy."""
+
+    phi: np.ndarray
 
 
 def assemble_forward(
@@ -251,10 +283,9 @@ def assemble_forward(
     in mixed form."""
     if p.gamma <= 0 and not _allow_any_gamma:
         raise ConfigurationError(f"forward operator needs gamma > 0, got {p.gamma}")
-    d = np.full(grid.n, 1j * omega_freq)
-    a = np.zeros(grid.n, dtype=complex)
+    d, a = 1j * omega_freq, 0.0
     if m != 0:
-        d = d - 1j * m * (p.omega - p.omega_ref)
+        d = 1j * (omega_freq - m * (p.omega - p.omega_ref))
         a = 1j * m * apply_alpha(grid, stencils, p.omega)
     band, pin = _mixed_band(
         stencils.delta_matrix(m), p.gamma, d, a, grid.weights if m == 0 else None
@@ -262,11 +293,12 @@ def assemble_forward(
     return WaveSystem(band, m, omega_freq, pin)
 
 
-def solve(system: WaveSystem, rhs: ComplexField) -> ComplexField:
+def solve(system: WaveSystem, rhs: ComplexField) -> State:
     """Solve the assembled system for one right-hand side."""
     if rhs.m != system.m:
         raise ValueError(f"rhs has order {rhs.m}, system expects {system.m}")
-    return ComplexField(m=system.m, values=system.solve_values(rhs.values.astype(complex)))
+    psi, phi = system.solve_values(rhs.values)
+    return State(m=system.m, values=psi, phi=phi)
 
 
 def apply_B_prime(
@@ -276,21 +308,24 @@ def apply_B_prime(
     grid: Grid,
     stencils: DerivativeStencils,
     m: int,
+    phi: np.ndarray | None = None,
 ) -> ComplexField:
     """Parameter derivative of the operator applied to a state:
 
         dgamma * delta^2 psi - i m dOmega (delta psi) + i m alpha_dOmega psi.
 
-    The operator is affine in (gamma, Omega), so this is exact, not a
-    linearization.
+    `phi` is delta psi when the caller has it (`State.phi`); otherwise it is
+    computed here.  The operator is affine in (gamma, Omega), so this is
+    exact, not a linearization.
     """
     _check_field(grid, psi, m)
     dom = domega.values if isinstance(domega, ScalarField) else np.asarray(domega, float)
     lap = stencils.delta_matrix(m)
-    out = dgamma * (lap @ (lap @ psi.values))
+    if phi is None:
+        phi = lap @ psi.values
+    out = dgamma * (lap @ phi)
     if m != 0:
-        alpha_d = apply_alpha(grid, stencils, dom)
-        out = out - 1j * m * dom * (lap @ psi.values) + 1j * m * alpha_d * psi.values
+        out = out - 1j * m * dom * phi + 1j * m * apply_alpha(grid, stencils, dom) * psi.values
     return ComplexField(m=m, values=out)
 
 

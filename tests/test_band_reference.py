@@ -4,9 +4,10 @@
 Tolerances:
 - solves (forward, weighted adjoint, Riesz): the dense LU answer itself is
   only good to about eps * cond_1 of the dense matrix (B, or the KKT matrix
-  of the Riesz map), so that is the bound on the gap.  The band answers sit
-  10-1000x inside it; a dropped m = 0 correction or a transposed adjoint
-  moves them by O(1) on these random right-hand sides.
+  of the Riesz map), so that is the bound on the gap.  The same bound holds
+  the state's phi against delta_m of the dense psi.  The band answers sit
+  10-1000x inside it; a dropped m = 0 correction (of psi or of phi) or a
+  transposed adjoint moves them by O(1) on these random right-hand sides.
 - apply_B_prime: both sides are the same products in another order; on a
   random state nothing cancels, so the gap is 50 eps relative.
 """
@@ -14,7 +15,7 @@ Tolerances:
 import numpy as np
 import pytest
 
-from adjoint_reference import assemble_dense, dense_b_prime, dense_kkt
+from adjoint_reference import assemble_dense, dense, dense_b_prime, dense_kkt
 from rotwave import (
     ComplexField,
     ParameterMetric,
@@ -52,8 +53,10 @@ def test_band_solves_match_dense_lu(case, m):
     tol = EPS * np.linalg.cond(matrix, 1)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    psi = solve(system, ComplexField(m=m, values=f)).values
-    assert _rel(psi, np.linalg.solve(matrix, f)) < tol
+    state = solve(system, ComplexField(m=m, values=f))
+    want = np.linalg.solve(matrix, f)
+    assert _rel(state.values, want) < tol
+    assert _rel(state.phi, dense(stencils.delta_matrix(m)) @ want) < tol
 
     adjoint = matrix.conj().T * (w[None, :] / w[:, None])  # W^-1 B^H W
     z = system.solve_weighted_adjoint(f, w)

@@ -352,8 +352,7 @@ def test_delta_matrix_folds_ghost_fill(n):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), m
         # the folds stay inside the band: no weight couples nodes more than
         # three apart, which the mixed-form band layout relies on
-        rows, cols, _ = lap.entries
-        assert np.max(np.abs(rows - cols)) <= 3, m
+        assert lap.diagonals.shape[0] <= 2 * 3 + 1, m
 
 
 @settings(deadline=None, max_examples=20)

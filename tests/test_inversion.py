@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +250,21 @@ def test_adjoint_identity_all_schemes(scheme):
             # normalized as in the acceptance contract: by ||dp|| * ||y||
             worst = adjoint_identity_mismatch(problem, metric, g0, om0, rng, 5)
             assert worst < 1e-10, (truth_name, point)
+
+
+def test_stencil_caches_die_with_their_stencils():
+    # the band layout of delta_m and the alpha operator are cached on the
+    # stencils, not in a module-level table that would keep every sweep
+    # run's delta_m rows alive; a weakref to the stencils alone would miss
+    # such a table, since it holds the rows and not the stencils
+    truth, grid, stencils, problem = make_problem(n=64)
+    problem.state(truth.gamma_true, truth.omega_exact(grid).values)
+    lap = stencils.delta_matrix(truth.m)
+    assert "diagonals" in vars(lap) and "alpha" in vars(stencils)
+    refs = [weakref.ref(stencils), weakref.ref(lap), weakref.ref(stencils.alpha)]
+    del stencils, problem, lap
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_gradient_zero_residual():

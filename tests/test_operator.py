@@ -206,7 +206,7 @@ def test_factorization_reproduces_matrix(grid100, stencils100):
     x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
     b = matrix @ x
-    x2 = system.solve_values(b)
+    x2, _ = system.solve_values(b)
     res = np.linalg.norm(matrix @ x2 - b) / np.linalg.norm(b)
     assert res < 1e-12
 
