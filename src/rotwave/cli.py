@@ -123,6 +123,15 @@ def _check_trials(args) -> None:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
 
 
+def _within_bound(check: str, worst: float, bound: float) -> int:
+    """Exit code 0 when a check's worst mismatch is within its bound;
+    otherwise a numerical failure, which `main` reports with exit code 3 and
+    an error.json."""
+    if not worst <= bound:  # a NaN mismatch fails too
+        raise ArithmeticError(f"{check} mismatch {worst:.3e} exceeds its bound {bound:g}")
+    return 0
+
+
 def cmd_adjoint_check(args, config, outdir) -> int:
     _check_trials(args)
     truth, grid, stencils, problem, psi, y = build_problem(config)
@@ -137,7 +146,7 @@ def cmd_adjoint_check(args, config, outdir) -> int:
     (outdir / "adjoint_check.json").write_text(
         json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
     )
-    return 0 if worst <= 1e-10 else 3
+    return _within_bound("adjoint identity", worst, 1e-10)
 
 
 def cmd_gradient_check(args, config, outdir) -> int:
@@ -154,7 +163,7 @@ def cmd_gradient_check(args, config, outdir) -> int:
     (outdir / "gradient_check.json").write_text(
         json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
     )
-    return 0 if worst <= 1e-6 else 3
+    return _within_bound("finite-difference gradient", worst, 1e-6)
 
 
 def cmd_tcc(args, config, outdir) -> int:

@@ -6,9 +6,10 @@ the pole conditions *and* vanish like sin^|m| there, otherwise the
 manufactured source falls outside L^2 and the discretization error stops
 contracting.  Every shape and profile is sin^k(theta) times a polynomial in
 x = cos(theta), and the operator maps sin^|m| P(x) to sin^|m| times another
-polynomial, so sources come from exact polynomial algebra in x (numpy
-polynomials, no computer algebra), never from the solver's own stencils:
-solving on any grid measures genuine discretization error (no inverse crime).
+polynomial, so sources come from exact polynomial algebra in x (`_Poly`, a
+coefficient array in the power basis; no computer algebra), never from the
+solver's own stencils: solving on any grid measures genuine discretization
+error (no inverse crime).
 
 Experiment configs are plain JSON documents; unknown keys are rejected.  A
 run writes a JSON record plus a per-iteration CSV, and sweeps aggregate the
@@ -25,7 +26,6 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import ConfigurationError
 from .grid import ComplexField, Grid, ScalarField, build_grid, build_stencils
@@ -51,7 +51,85 @@ SWEEP_CSV_HEADER = (
 # polynomial catalogue in x = cos(theta)
 # ----------------------------------------------------------------------
 
-_X = Polynomial([0.0, 1.0])
+class _Poly:
+    """Power-basis polynomial in x = cos(theta) with only the algebra the
+    catalogue uses: +, -, *, ** k, scalar /, deriv(m) and Horner evaluation.
+
+    Each operation is the arithmetic of the numpy.polynomial routine it
+    stands in for (np.convolve products in the same argument order, trailing
+    zero coefficients trimmed), so sources and fields are bit-identical to
+    the numpy.polynomial.Polynomial catalogue, at a fraction of the cost of
+    its input validation.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
+
+    @staticmethod
+    def _coef(other) -> np.ndarray:
+        return other.c if isinstance(other, _Poly) else np.array([float(other)])
+
+    @staticmethod
+    def _trim(c: np.ndarray) -> "_Poly":
+        while len(c) > 1 and c[-1] == 0:
+            c = c[:-1]
+        return _Poly(c)
+
+    def __add__(self, other):
+        a, b = self.c, self._coef(other)
+        if len(a) < len(b):
+            a, b = b, a
+        a = a.copy()
+        a[: len(b)] += b
+        return self._trim(a)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly(-self.c)
+
+    def __sub__(self, other):
+        return self + -_Poly(self._coef(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        return self._trim(np.convolve(self.c, self._coef(other)))
+
+    def __rmul__(self, other):
+        return self._trim(np.convolve(self._coef(other), self.c))
+
+    def __pow__(self, k: int):
+        if k == 0:
+            return _Poly([1.0])
+        prd = self.c
+        for _ in range(k - 1):
+            prd = np.convolve(prd, self.c)
+        return _Poly(prd)
+
+    def __truediv__(self, scalar: float):
+        return _Poly(self.c / scalar)
+
+    def deriv(self, m: int = 1) -> "_Poly":
+        c = self.c
+        if m >= len(c):
+            return _Poly(c[:1] * 0)
+        for _ in range(m):
+            c = c[1:] * np.arange(1, len(c))
+        return _Poly(c)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        c = self.c
+        out = c[-1] + x * 0
+        for coef in c[-2::-1]:
+            out = coef + out * x
+        return out
+
+
+_X = _Poly([0.0, 1.0])
 
 
 def _coeff(coeffs: dict, key: str, default: float) -> float:
@@ -61,7 +139,7 @@ def _coeff(coeffs: dict, key: str, default: float) -> float:
         raise ConfigurationError(f"truth coefficient {key!r} must be a number") from exc
 
 
-def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, Polynomial]:
+def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, _Poly]:
     """Closed-form state shape sin^k(theta) P(cos theta), returned as (k, P).
 
     The complex amplitude is applied separately.
@@ -76,10 +154,10 @@ def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, Polynomial]:
     raise ConfigurationError(f"unknown state shape {name!r}")
 
 
-def _omega_profile(name: str, coeffs: dict) -> Polynomial:
+def _omega_profile(name: str, coeffs: dict) -> _Poly:
     """Rotation profile Omega as a polynomial in cos(theta)."""
     if name == "constant":
-        return Polynomial([_coeff(coeffs, "a", 1)])
+        return _Poly([_coeff(coeffs, "a", 1)])
     if name == "solar_like":  # a + b cos^2; default mean-zero
         b = _coeff(coeffs, "b", 1)
         a = -b / 3 if coeffs.get("a") is None else _coeff(coeffs, "a", 0)
@@ -93,7 +171,7 @@ def _omega_profile(name: str, coeffs: dict) -> Polynomial:
     raise ConfigurationError(f"unknown rotation profile {name!r}")
 
 
-def _delta_m(q: Polynomial, m: int, r: float) -> Polynomial:
+def _delta_m(q: _Poly, m: int, r: float) -> _Poly:
     """delta_m(sin^|m| q) = sin^|m| * result, all in x = cos(theta).
 
     This is the associated-Legendre form of the separated Laplacian:
@@ -129,7 +207,7 @@ def _check_admissible(k: int, m: int) -> None:
         )
 
 
-def _on_grid(grid: Grid, k: int, poly: Polynomial) -> np.ndarray:
+def _on_grid(grid: Grid, k: int, poly: _Poly) -> np.ndarray:
     """sin^k(theta) * poly(cos(theta)) at the grid nodes."""
     return np.sin(grid.nodes) ** k * poly(np.cos(grid.nodes))
 
@@ -210,6 +288,8 @@ class GroundTruth:
         self.r = float(r)
         if self.gamma_true <= 0:
             raise ConfigurationError("gamma_true must be positive")
+        if self.r <= 0:
+            raise ConfigurationError(f"sphere radius must be positive, got r={self.r}")
 
         k, shape = _psi_shape(psi_name, self.m, self.psi_coeffs)
         _check_admissible(k, self.m)
@@ -421,9 +501,10 @@ class RunRecord:
         return cls(**json.loads(text))
 
 
-def _rel_errors(grid, truth, gamma, omega_values):
+def _rel_errors(grid, truth, om_true, gamma, omega_values):
+    """Relative errors of gamma and of Omega (weighted L2) against the truth,
+    whose nodal Omega is `om_true`."""
     w = grid.weights
-    om_true = truth.omega_exact(grid).values
     eg = abs(gamma - truth.gamma_true) / abs(truth.gamma_true)
     denom = math.sqrt(float(np.sum(om_true**2 * w)))
     eo = math.sqrt(float(np.sum((omega_values - om_true) ** 2 * w))) / denom
@@ -451,14 +532,15 @@ def build_problem(config: ExperimentConfig):
 
 
 def iteration_table(
-    grid: Grid, truth: GroundTruth, trace: ReconstructionTrace
+    grid: Grid, truth: GroundTruth, om_true: np.ndarray, trace: ReconstructionTrace
 ) -> str:
-    """Per-iteration CSV text (iter,residual,gamma,rel errors,step size)."""
+    """Per-iteration CSV text (iter,residual,gamma,rel errors,step size);
+    `om_true` is the truth's nodal Omega."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ITERATION_CSV_HEADER.split(","))
     for k, ((gamma, omega), res) in enumerate(zip(trace.iterates, trace.residuals)):
-        eg, eo = _rel_errors(grid, truth, gamma, omega)
+        eg, eo = _rel_errors(grid, truth, om_true, gamma, omega)
         step = trace.step_sizes[k - 1] if k >= 1 else float("nan")
         writer.writerow([k, repr(res), repr(gamma), repr(eg), repr(eo), repr(step)])
     return buf.getvalue()
@@ -480,7 +562,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         problem, y_delta, delta, iteration, gamma_init=gamma_init
     )
     gamma_k, omega_k = trace.iterates[trace.stop_index]
-    eg, eo = _rel_errors(grid, truth, gamma_k, omega_k)
+    om_true = truth.omega_exact(grid).values
+    eg, eo = _rel_errors(grid, truth, om_true, gamma_k, omega_k)
     wall_ms = (time.perf_counter() - start) * 1e3
 
     csv_path = None
@@ -491,9 +574,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         outdir.mkdir(parents=True, exist_ok=True)
         csv_path = str(outdir / f"{config.run_id}_iterations.csv")
         with open(csv_path, "w") as fh:
-            fh.write(iteration_table(grid, truth, trace))
+            fh.write(iteration_table(grid, truth, om_true, trace))
     record = RunRecord(
-        config=json.loads(config.to_json()),
+        config=asdict(config),
         stop_index=trace.stop_index,
         stop_reason=trace.stop_reason,
         final_residual=trace.residuals[trace.stop_index],

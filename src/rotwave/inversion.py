@@ -232,8 +232,10 @@ class InverseProblem:
     ) -> tuple[WaveSystem, State, DataVector]:
         """State at a point and its data residual F(p) - y."""
         system, psi = self.state(gamma, omega_values)
-        d = _restrict(psi, self.scheme, self.mask)
-        return system, psi, DataVector(values=d.values - y.values, mask=d.mask)
+        observed = psi.values[self.mask]
+        if self.scheme.real_part_only:
+            observed = observed.real
+        return system, psi, DataVector(values=observed - y.values, mask=self.mask)
 
 
 def sensitivity(

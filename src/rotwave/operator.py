@@ -27,9 +27,12 @@ rows: row 2j takes the source, row 2j+1 is -phi_j + (delta_m psi)_j.  Both
 delta_m blocks then sit on the even offsets 2 (j - k), and K is a band with
 kl = ku = 6 (delta_m couples nodes at most three apart).  Each stencils
 object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
-five slice writes into LAPACK band storage.  K is factored once with gbtrf,
-and every solve is one gbtrs against those factors, which gives psi at the
-odd unknowns and phi at the even ones.  The exact adjoint of the discrete
+five slice writes into LAPACK band storage, allocated in Fortran order.  K
+is factored once with gbtrf, in place of the band (a C-ordered band would
+be copied and transposed by f2py first), and the system then drops the
+band and keeps only the factors.  Every solve is one gbtrs against them, in
+place of a fresh right-hand side, which gives psi at the odd unknowns and
+phi at the even ones.  The exact adjoint of the discrete
 operator with respect to the weighted inner product, W^-1 B^H W, is one
 conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
 gives B^H a = g, so g goes to the odd positions and a is read from the
@@ -99,6 +102,10 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+# gbtrf and gbtrs by the band's dtype code: the metric bands are real, the
+# wave operator's are complex
+_GBTRF = {"d": _flapack.dgbtrf, "D": _flapack.zgbtrf}
+_GBTRS = {"d": _flapack.dgbtrs, "D": _flapack.zgbtrs}
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +172,10 @@ def _mixed_band(
     its scale is the largest entry of gamma L + diag(d).
     """
     dia = lap.diagonals
-    band = np.zeros((2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float))
+    # Fortran order, as gbtrf takes it, so that it factors the band in place
+    band = np.zeros(
+        (2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float), order="F"
+    )
     band[_DELTA_ROWS, 0::2] = gamma * dia  # row 2j: ((gamma L + d) phi + a psi)_j
     band[_DIAG, 0::2] += d
     band[_DIAG - 1, 1::2] = a
@@ -180,17 +190,19 @@ def _mixed_band(
 
 
 def _band_factor(band: np.ndarray) -> BandFactors:
-    """gbtrf factors of K and the ratio of the smallest to the largest pivot
-    on their U diagonal."""
-    gbtrf = _flapack.zgbtrf if np.iscomplexobj(band) else _flapack.dgbtrf
-    lu, piv, _ = gbtrf(band, _KL, _KU)
+    """gbtrf factors of K, computed in place of `band`, and the ratio of the
+    smallest to the largest pivot on their U diagonal.  A band that is not
+    Fortran-ordered is copied by f2py and left as it was."""
+    lu, piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
     pivots = np.abs(lu[_DIAG])
     return BandFactors(lu, piv, float(pivots.min() / pivots.max()), None, None, None)
 
 
 def _gbtrs(factors: BandFactors, full: np.ndarray, trans: int) -> np.ndarray:
-    gbtrs = _flapack.zgbtrs if np.iscomplexobj(factors.lu) else _flapack.dgbtrs
-    return gbtrs(factors.lu, _KL, _KU, full, factors.piv, trans=trans)[0]
+    """Solve against the factors in place of `full`, a fresh Fortran-ordered
+    right-hand side of the factors' dtype."""
+    gbtrs = _GBTRS[factors.lu.dtype.char]
+    return gbtrs(factors.lu, _KL, _KU, full, factors.piv, trans=trans, overwrite_b=1)[0]
 
 
 def _with_mean_pin(factors: BandFactors, pin: _Pin) -> BandFactors:
@@ -208,7 +220,7 @@ def _band_solve(factors: BandFactors, rhs: np.ndarray) -> np.ndarray:
     """K^-1 [rhs; 0], interleaved: psi = B^-1 rhs at the odd positions and
     phi = delta_m psi at the even ones, with the mean pin in place of the
     band's one-node pin."""
-    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=factors.lu.dtype)
+    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=factors.lu.dtype, order="F")
     full[0::2] = rhs
     x = _gbtrs(factors, full, 0)
     pin = factors.pin
@@ -232,14 +244,17 @@ def _band_solve_adjoint(factors: BandFactors, rhs: np.ndarray) -> np.ndarray:
 
 
 class WaveSystem:
-    """Mixed-form band of the separated operator with a lazily cached band LU.
+    """Mixed-form band of the separated operator, factored on first use.
 
-    Immutable after assembly; concurrent solves against one factorization
-    are safe (the factorization itself is computed on first use).
+    The first call to `factorization` factors the band in place and drops
+    it, so the system then holds only its LU; that call must not race with
+    another.  Solves do not modify the factors, so once they exist,
+    concurrent solves against them are safe.  A near-resonant system raises
+    `NearResonanceError` from every solve.
     """
 
     def __init__(self, band: np.ndarray, m: int, omega_freq: float, pin: _Pin | None = None):
-        self.band = band
+        self.band: np.ndarray | None = band
         self.m = m
         self.omega_freq = omega_freq
         self._pin = pin
@@ -247,10 +262,12 @@ class WaveSystem:
 
     def factorization(self) -> BandFactors:
         if self._lu is None:
-            factors = _band_factor(self.band)
-            if not factors.pivot_ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite band) trips too
-                raise NearResonanceError(self.omega_freq, self.m, factors.pivot_ratio)
-            self._lu = factors if self._pin is None else _with_mean_pin(factors, self._pin)
+            self._lu = _band_factor(self.band)
+            self.band = None
+            if self._lu.pivot_ratio >= PIVOT_RTOL and self._pin is not None:
+                self._lu = _with_mean_pin(self._lu, self._pin)
+        if not self._lu.pivot_ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite band) trips too
+            raise NearResonanceError(self.omega_freq, self.m, self._lu.pivot_ratio)
         return self._lu
 
     def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

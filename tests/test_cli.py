@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from rotwave import ExperimentConfig, ObservationScheme
+from rotwave import ExperimentConfig, ObservationScheme, cli
 from rotwave.cli import main
 
 
@@ -254,6 +254,24 @@ def test_check_with_zero_trials_exits_2(tmp_path, command):
     code = main([command, "--config", cfg, "--output-dir", str(out), "--trials", "0"])
     assert code == 2
     assert json.loads((out / "error.json").read_text())["error"] == "configuration"
+
+
+@pytest.mark.parametrize(
+    "command, check, bound",
+    [
+        ("adjoint-check", "adjoint_identity_mismatch", "1e-10"),
+        ("gradient-check", "gradient_fd_mismatch", "1e-06"),
+    ],
+)
+def test_failing_check_exits_3_with_error_json(tmp_path, monkeypatch, command, check, bound):
+    monkeypatch.setattr(cli, check, lambda *args: 0.5)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "failing"
+    code = main([command, "--config", cfg, "--output-dir", str(out), "--trials", "1"])
+    assert code == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "numerical"
+    assert "5.000e-01" in error["message"] and bound in error["message"]
 
 
 @pytest.mark.parametrize("sizes", ["50,abc", "", "50", "50,50"])

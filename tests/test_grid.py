@@ -326,6 +326,32 @@ def test_ghost_closure_matches_smooth_extension(grid100, stencils100):
         assert np.max(np.abs(south @ v[-4:] - fn(ghost_south))) < 1e-7, m
 
 
+@pytest.mark.parametrize("h", [math.pi / 100, math.pi / 1600])
+def test_fd_weights_match_closed_form_on_uniform_nodes(h):
+    x0 = 1.0
+    centred = fd_weights(x0, x0 + h * np.arange(-2, 3), 2)
+    want = np.array([-1, 16, -30, 16, -1]) / (12 * h * h)
+    assert np.max(np.abs(centred - want)) < 1e-12 * np.max(np.abs(want))
+    one_sided = fd_weights(x0, x0 + h * np.arange(6), 1)
+    want = np.array([-137 / 60, 5, -5, 10 / 3, -5 / 4, 1 / 5]) / h
+    assert np.max(np.abs(one_sided - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k, order", [(5, 2), (6, 1), (6, 3)])
+def test_fd_weights_exact_on_monomials_at_random_nodes(k, order):
+    # batched rows on non-uniform nodes: each row differentiates (x - x0)^p,
+    # p < k, exactly, relative to the size of the terms it sums
+    rng = np.random.default_rng(k + order)
+    x0 = rng.uniform(0.5, 2.5, size=20)
+    nodes = x0[:, None] + 0.05 * np.sort(rng.uniform(-3, 3, size=(20, k)), axis=1)
+    w = fd_weights(x0, nodes, order)
+    for p in range(k):
+        terms = w * (nodes - x0[:, None]) ** p
+        want = math.factorial(order) if p == order else 0.0
+        err = np.abs(terms.sum(axis=1) - want)
+        assert np.all(err < 1e-12 * np.abs(terms).sum(axis=1)), p
+
+
 @pytest.mark.parametrize("n", [16, 100])
 def test_delta_matrix_folds_ghost_fill(n):
     # delta_m psi must equal the ghost-extended stencils d2 + cot d1 (5 and

@@ -22,7 +22,7 @@ from rotwave import (
     solve,
 )
 from rotwave.experiments import ExperimentConfig, build_problem
-from rotwave.operator import apply_alpha, apply_alpha_adjoint
+from rotwave.operator import _band_factor, _mixed_band, apply_alpha, apply_alpha_adjoint
 
 
 def rotation(grid, fn):
@@ -211,6 +211,26 @@ def test_factorization_reproduces_matrix(grid100, stencils100):
     assert res < 1e-12
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_system_factors_its_band_in_place_and_drops_it(grid100, stencils100, m):
+    # gbtrf writes the LU over the band only if the band is Fortran-ordered;
+    # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin.
+    p = Parameters(gamma=0.05, omega=np.cos(grid100.nodes) ** 2, omega_ref=0.1)
+    system = assemble_forward(p, 1.3, m, grid100, stencils100)
+    band = system.band
+    factors = system.factorization()
+    assert np.shares_memory(factors.lu, band)
+    assert system.band is None
+    assert factors is system.factorization()
+
+
+def test_riesz_band_is_factored_in_place(grid100, stencils100):
+    # the real H2 metric band, as ParameterMetric assembles it
+    band, _ = _mixed_band(stencils100.delta_matrix(0), 1.0, 0.0, 0.0, grid100.weights)
+    assert band.dtype == float
+    assert np.shares_memory(_band_factor(band).lu, band)
+
+
 def _resonant_frequency(stencils, m, om0, l):
     """Exact resonance of the discrete constant-rotation pencil near mode l.
 
@@ -235,6 +255,9 @@ def test_near_resonance_detection(grid100, stencils100):
         solve(system, rhs)
     assert err.value.m == m
     assert err.value.omega_freq == pytest.approx(omega_freq)
+    # the band was factored in place and dropped; later solves still refuse
+    with pytest.raises(NearResonanceError):
+        system.solve_weighted_adjoint(rhs.values, grid100.weights)
 
 
 TRUTHS = ("m0_default", "m2_default", "m3_default")

@@ -1,4 +1,5 @@
-"""Polynomial truth catalogue against the symbolic construction it replaced.
+"""Polynomial truth catalogue against the symbolic construction it replaced,
+and against numpy.polynomial, whose arithmetic its power-basis type repeats.
 
 The reference below differentiates the closed-form shapes in theta with
 sympy, exactly as the catalogue did before it moved to polynomial algebra
@@ -12,8 +13,9 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from numpy.polynomial import Polynomial
 
-from rotwave import build_grid, manufacture_truth
+from rotwave import build_grid, experiments, manufacture_truth
 
 TH = sp.symbols("theta", positive=True)
 
@@ -124,3 +126,22 @@ def test_polynomial_truth_matches_sympy_reference(preset, overrides):
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert rel <= 1e-13, (preset, overrides, n, rel)
 
+
+
+@pytest.mark.parametrize(
+    "preset,overrides", [(name, {}) for name in ("m0_default", "m2_default", "m3_default")] + CASES
+)
+def test_poly_catalogue_is_bitwise_numpy_polynomial(preset, overrides, monkeypatch):
+    # the same catalogue built on numpy.polynomial.Polynomial, whose
+    # arithmetic the lean power-basis type repeats: identical bits
+    overrides = {**overrides, "omega_ref": 0.15, "r": 0.8} if overrides else {}
+    fast = manufacture_truth(preset, overrides)
+    monkeypatch.setattr(experiments, "_Poly", Polynomial)
+    monkeypatch.setattr(experiments, "_X", Polynomial([0.0, 1.0]))
+    reference = manufacture_truth(preset, overrides)
+    for n in (100, 1600):
+        grid = build_grid(n, fast.r)
+        for field in ("source", "psi_exact", "omega_exact"):
+            got = getattr(fast, field)(grid).values
+            want = getattr(reference, field)(grid).values
+            assert np.array_equal(got, want), (preset, overrides, n, field)
