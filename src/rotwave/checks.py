@@ -8,7 +8,6 @@ The CLI's `adjoint-check`/`gradient-check` and the test suite share them.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
 from .grid import ScalarField
 from .inversion import (
@@ -20,6 +19,7 @@ from .inversion import (
     data_inner,
     data_norm,
     sensitivity,
+    smooth_omega,
 )
 
 FD_STEP = 1e-5  # central-difference step along unit-scale directions
@@ -30,11 +30,10 @@ def _random_pair(metric, grid, rng):
     return GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
 
 
-def _smooth_pair(metric, grid, rng):
+def _smooth_pair(metric, rng):
     # smooth directions keep the cubic Taylor term of the misfit small enough
     # for central differences at FD_STEP to resolve 1e-6
-    coeffs = rng.standard_normal(5) / np.arange(1, 6) ** 1.5
-    dom = metric.project_mean_zero(legval(np.cos(grid.nodes), np.concatenate([[0.0], coeffs])))
+    dom = smooth_omega(rng, metric, 5)
     return GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
 
 
@@ -86,7 +85,7 @@ def gradient_fd_mismatch(
     grad, _ = adjoint_gradient(problem, res, psi, system, metric)
     worst = 0.0
     for _ in range(trials):
-        dp = _smooth_pair(metric, grid, rng)
+        dp = _smooth_pair(metric, rng)
         step_g, step_om = FD_STEP * dp.dgamma, FD_STEP * dp.domega.values
         fd = (
             misfit(gamma + step_g, omega_values + step_om)

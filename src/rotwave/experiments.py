@@ -353,6 +353,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.relative_level < 1.0:
             raise ConfigurationError("relative noise level must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigurationError(f"noise seed must be nonnegative, got {self.seed}")
 
 
 def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, float]:

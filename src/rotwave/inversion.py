@@ -34,10 +34,6 @@ from .operator import (
     Parameters,
     State,
     WaveSystem,
-    _band_factor,
-    _band_solve,
-    _mixed_band,
-    _with_mean_pin,
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
@@ -77,8 +73,15 @@ class DataVector:
 
 
 def observation_mask(grid: Grid, scheme: ObservationScheme) -> np.ndarray:
+    """Indices of the nodes in the observed window; a window that holds no
+    node is a ConfigurationError, since it would observe nothing."""
     eps = scheme.epsilon
-    return np.where((grid.nodes > eps) & (grid.nodes < math.pi - eps))[0]
+    mask = np.where((grid.nodes > eps) & (grid.nodes < math.pi - eps))[0]
+    if len(mask) == 0:
+        raise ConfigurationError(
+            f"observation window (epsilon={eps}) holds no node of the n={grid.n} grid"
+        )
+    return mask
 
 
 def observe(psi: ComplexField, scheme: ObservationScheme, grid: Grid) -> DataVector:
@@ -126,12 +129,13 @@ class ParameterMetric:
     The Omega block is realized by the closure operator A = -delta_0 (H1) or
     delta_0^2 (H2); the Riesz map solves A q + lambda 1 = g - mean_w(g) with
     the weighted mean of q pinned to zero.  Since A 1 = 0, that q is
-    x - mean_w(x) for the mean-pinned (A + s 1 v^T) x = g, which is the m = 0
-    forward solve of `operator` in mixed form: A = (gamma delta_0 + d) delta_0
-    with gamma = 1, d = 0 (H2) or gamma = 0, d = -1 (H1).  The bilinear form
-    is evaluated as <u, A v>_w with A on the second argument, which
-    reproduces the raw density exactly and keeps the discrete adjoint
-    identity at roundoff level.
+    x - mean_w(x) for the mean-pinned (A + s 1 v^T) x = g: the m = 0 mixed
+    solve A = (gamma delta_0 + d) delta_0 with gamma = 1, d = 0 (H2) or
+    gamma = 0, d = -1 (H1), which the metric holds as a real, mean-pinned
+    `WaveSystem` (nonsingular, so its pivot ratio goes unchecked) and reads
+    psi from `solve_values`.  The bilinear form is evaluated as <u, A v>_w
+    with A on the second argument, which reproduces the raw density exactly
+    and keeps the discrete adjoint identity at roundoff level.
     """
 
     def __init__(self, grid, stencils, name: str = "H2", gamma_scale: float = 1.0):
@@ -144,8 +148,7 @@ class ParameterMetric:
         self.gamma_scale = float(gamma_scale)
         self._lap = stencils.delta_matrix(0)
         gamma, d = (1.0, 0.0) if name == "H2" else (0.0, -1.0)
-        band, pin = _mixed_band(self._lap, gamma, d, 0.0, grid.weights)
-        self._factors = _with_mean_pin(_band_factor(band), pin)
+        self._system = WaveSystem(self._lap, gamma, d, 0.0, grid.weights)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
         w = self.grid.weights
@@ -153,7 +156,7 @@ class ParameterMetric:
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """Solve the metric operator against a mean-zero projected density."""
-        return self.project_mean_zero(_band_solve(self._factors, np.asarray(g, dtype=float))[1::2])
+        return self.project_mean_zero(self._system.solve_values(np.asarray(g, dtype=float))[0])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The metric operator A applied to v."""
@@ -178,6 +181,15 @@ class GradientPair:
 
     dgamma: float
     domega: ScalarField
+
+
+def smooth_omega(rng: np.random.Generator, metric: ParameterMetric, degree: int) -> np.ndarray:
+    """Random smooth mean-zero Omega direction: a Legendre series in
+    cos(theta) up to `degree`, coefficients drawn from `rng` and damped like
+    k^-1.5, then projected to weighted mean zero."""
+    coeffs = rng.standard_normal(degree) / np.arange(1, degree + 1) ** 1.5
+    profile = legval(np.cos(metric.grid.nodes), np.concatenate([[0.0], coeffs]))
+    return metric.project_mean_zero(profile)
 
 
 # ----------------------------------------------------------------------
@@ -461,12 +473,10 @@ class TCCReport:
     samples: int
 
 
-def _smooth_direction(rng, grid, metric, degree_cap=6):
+def _smooth_direction(rng, metric):
     """Random unit-norm parameter direction with a smooth Omega part."""
     dgamma = rng.standard_normal()
-    coeffs = rng.standard_normal(degree_cap) / np.arange(1, degree_cap + 1) ** 1.5
-    domega = legval(np.cos(grid.nodes), np.concatenate([[0.0], coeffs]))
-    domega = metric.project_mean_zero(domega)
+    domega = smooth_omega(rng, metric, 6)
     pair = GradientPair(dgamma=dgamma, domega=ScalarField(values=domega))
     norm = metric.pair_norm(pair)
     return GradientPair(
@@ -510,8 +520,8 @@ def tcc_probe(
     ratios = []
     skipped = 0
     for _ in range(n_samples):
-        d1 = _smooth_direction(rng, grid, metric)
-        d2 = _smooth_direction(rng, grid, metric)
+        d1 = _smooth_direction(rng, metric)
+        d2 = _smooth_direction(rng, metric)
         g1, om1 = point(d1, radius * rng.random())
         g2, om2 = point(d2, radius * rng.random())
         if g1 <= 0 or g2 <= 0:

@@ -27,12 +27,15 @@ rows: row 2j takes the source, row 2j+1 is -phi_j + (delta_m psi)_j.  Both
 delta_m blocks then sit on the even offsets 2 (j - k), and K is a band with
 kl = ku = 6 (delta_m couples nodes at most three apart).  Each stencils
 object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
-five slice writes into LAPACK band storage, allocated in Fortran order.  K
-is factored once with gbtrf, in place of the band (a C-ordered band would
-be copied and transposed by f2py first), and the system then drops the
-band and keeps only the factors.  Every solve is one gbtrs against them, in
-place of a fresh right-hand side, which gives psi at the odd unknowns and
-phi at the even ones.  The exact adjoint of the discrete
+five slice writes into LAPACK band storage, allocated in Fortran order.
+`WaveSystem` is the one type of a factored mixed band: the forward
+operator (`assemble_forward`) and the Riesz map of
+`inversion.ParameterMetric` (an m = 0 band with its own gamma and d) each
+build one.  Its constructor factors K with gbtrf in place of the band (a
+C-ordered band would be copied and transposed by f2py first), so the
+system holds only the LU.  Every solve is one gbtrs against it, in place
+of a fresh right-hand side, which gives psi at the odd unknowns and phi at
+the even ones.  The exact adjoint of the discrete
 operator with respect to the weighted inner product, W^-1 B^H W, is one
 conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
 gives B^H a = g, so g goes to the odd positions and a is read from the
@@ -62,7 +65,6 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from typing import NamedTuple
 
 import numpy as np
 
@@ -131,153 +133,91 @@ def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray)
 
 
 # ----------------------------------------------------------------------
-# mixed-form band: assembly, factorization, solves
+# the factored mixed band
 # ----------------------------------------------------------------------
 
 
-class _Pin(NamedTuple):
-    """One-node pin s e_node e_node^T in the band, standing for s 1 v^T."""
-
-    scale: float
-    node: int
-    v: np.ndarray  # w / sum(w)
-
-
-class BandFactors(NamedTuple):
-    """gbtrf factors of a mixed band, plus the Woodbury data of its pin:
-    B_mean = B_node + U V^T with U = s [1, e_node], V = [v, -e_node];
-    y = K_node^-1 [U; 0] (interleaved, phi and psi parts) and
-    cinv = (I + V^T y_psi)^-1."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-    pivot_ratio: float
-    pin: _Pin | None
-    y: np.ndarray | None
-    cinv: np.ndarray | None
-
-
-def _mixed_band(
-    lap: BandRows,
-    gamma: float,
-    d: np.ndarray | complex,
-    a: np.ndarray | complex,
-    pin_weights: np.ndarray | None,
-) -> tuple[np.ndarray, _Pin | None]:
-    """LAPACK band storage of K = [[gamma L + diag(d), diag(a)], [-I, L]] for
-    L = lap, with unknowns and equations interleaved as (phi_j, psi_j).
-
-    d and a are nodal arrays or scalars.  With `pin_weights` the band also
-    carries the one-node pin that stands for the mean pin in the weights;
-    its scale is the largest entry of gamma L + diag(d).
-    """
-    dia = lap.diagonals
-    # Fortran order, as gbtrf takes it, so that it factors the band in place
-    band = np.zeros(
-        (2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float), order="F"
-    )
-    band[_DELTA_ROWS, 0::2] = gamma * dia  # row 2j: ((gamma L + d) phi + a psi)_j
-    band[_DIAG, 0::2] += d
-    band[_DIAG - 1, 1::2] = a
-    band[_DIAG + 1, 0::2] = -1.0  # row 2j+1: -phi_j + (L psi)_j
-    band[_DELTA_ROWS, 1::2] = dia
-    if pin_weights is None:
-        return band, None
-    scale = float(np.max(np.abs(band[_DELTA_ROWS, 0::2])))
-    pin = _Pin(scale, len(pin_weights) // 2, pin_weights / np.sum(pin_weights))
-    band[_DIAG - 1, 2 * pin.node + 1] += pin.scale
-    return band, pin
-
-
-def _band_factor(band: np.ndarray) -> BandFactors:
-    """gbtrf factors of K, computed in place of `band`, and the ratio of the
-    smallest to the largest pivot on their U diagonal.  A band that is not
-    Fortran-ordered is copied by f2py and left as it was."""
-    lu, piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
-    pivots = np.abs(lu[_DIAG])
-    return BandFactors(lu, piv, float(pivots.min() / pivots.max()), None, None, None)
-
-
-def _gbtrs(factors: BandFactors, full: np.ndarray, trans: int) -> np.ndarray:
-    """Solve against the factors in place of `full`, a fresh Fortran-ordered
-    right-hand side of the factors' dtype."""
-    gbtrs = _GBTRS[factors.lu.dtype.char]
-    return gbtrs(factors.lu, _KL, _KU, full, factors.piv, trans=trans, overwrite_b=1)[0]
-
-
-def _with_mean_pin(factors: BandFactors, pin: _Pin) -> BandFactors:
-    """Add the Woodbury data that turns the band's one-node pin into the mean
-    pin (two more solves); the factors must be nonsingular."""
-    u = np.zeros((len(pin.v), 2), dtype=factors.lu.dtype)
-    u[:, 0] = pin.scale
-    u[pin.node, 1] = pin.scale
-    y = _band_solve(factors, u)
-    vt_y = np.array([pin.v @ y[1::2], -y[2 * pin.node + 1]])
-    return factors._replace(pin=pin, y=y, cinv=np.linalg.inv(np.eye(2) + vt_y))
-
-
-def _band_solve(factors: BandFactors, rhs: np.ndarray) -> np.ndarray:
-    """K^-1 [rhs; 0], interleaved: psi = B^-1 rhs at the odd positions and
-    phi = delta_m psi at the even ones, with the mean pin in place of the
-    band's one-node pin."""
-    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=factors.lu.dtype, order="F")
-    full[0::2] = rhs
-    x = _gbtrs(factors, full, 0)
-    pin = factors.pin
-    if pin is not None:  # B_mean^-1 = (I - y cinv V^T) B_node^-1, on phi and psi alike
-        psi = x[1::2]
-        x -= factors.y @ (factors.cinv @ np.array([pin.v @ psi, -psi[pin.node]]))
-    return x
-
-
-def _band_solve_adjoint(factors: BandFactors, rhs: np.ndarray) -> np.ndarray:
-    """B^-H rhs, read off K^-H [0; rhs] at the even positions, with the mean
-    pin in place of the band's one-node pin."""
-    pin = factors.pin
-    if pin is not None:  # B_mean^-H = B_node^-H (I - V cinv^H y_psi^H)
-        t = factors.cinv.conj().T @ (factors.y[1::2].conj().T @ rhs)
-        rhs = rhs - pin.v * t[0]
-        rhs[pin.node] += t[1]
-    full = np.zeros(2 * len(rhs), dtype=factors.lu.dtype)
-    full[1::2] = rhs
-    return _gbtrs(factors, full, 2)[0::2]
-
-
 class WaveSystem:
-    """Mixed-form band of the separated operator, factored on first use.
+    """The mixed band K = [[gamma L + diag(d), diag(a)], [-I, L]] of L = lap,
+    factored in place at construction; d and a are nodal arrays or scalars.
 
-    The first call to `factorization` factors the band in place and drops
-    it, so the system then holds only its LU; that call must not race with
-    another.  Solves do not modify the factors, so once they exist,
-    concurrent solves against them are safe.  A near-resonant system raises
-    `NearResonanceError` from every solve.
+    With `pin_weights` the band carries the one-node pin at the equator node
+    c, and the system keeps the Woodbury data of the mean pin
+    B_mean = B_node + U V^T, U = s [1, e_c], V = [v, -e_c]: y = K^-1 [U; 0]
+    (interleaved, phi and psi parts) and cinv = (I + V^T y_psi)^-1.
+    `pivot_ratio` is min |U_ii| / max |U_ii| of the LU; `assemble_forward`
+    checks it, the Riesz metric does not.  Solves do not modify the
+    factors, so concurrent solves are safe.
     """
 
-    def __init__(self, band: np.ndarray, m: int, omega_freq: float, pin: _Pin | None = None):
-        self.band: np.ndarray | None = band
+    def __init__(
+        self,
+        lap: BandRows,
+        gamma: float,
+        d: np.ndarray | complex,
+        a: np.ndarray | complex,
+        pin_weights: np.ndarray | None = None,
+        m: int = 0,
+        omega_freq: float = 0.0,
+    ):
         self.m = m
         self.omega_freq = omega_freq
-        self._pin = pin
-        self._lu: BandFactors | None = None
+        dia = lap.diagonals
+        # Fortran order, as gbtrf takes it, so that it factors the band in place
+        band = np.zeros(
+            (2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float), order="F"
+        )
+        band[_DELTA_ROWS, 0::2] = gamma * dia  # row 2j: ((gamma L + d) phi + a psi)_j
+        band[_DIAG, 0::2] += d
+        band[_DIAG - 1, 1::2] = a
+        band[_DIAG + 1, 0::2] = -1.0  # row 2j+1: -phi_j + (L psi)_j
+        band[_DELTA_ROWS, 1::2] = dia
+        if pin_weights is not None:
+            scale = float(np.max(np.abs(band[_DELTA_ROWS, 0::2])))
+            self._node = len(pin_weights) // 2
+            band[_DIAG - 1, 2 * self._node + 1] += scale
+        self.lu, self.piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
+        pivots = np.abs(self.lu[_DIAG])
+        self.pivot_ratio = float(pivots.min() / pivots.max())
+        self._y = None
+        if pin_weights is not None:
+            self._v = pin_weights / np.sum(pin_weights)
+            u = np.zeros((band.shape[1], 2), dtype=self.lu.dtype, order="F")  # [U; 0]
+            u[0::2, 0] = scale
+            u[2 * self._node, 1] = scale
+            self._y = self._gbtrs(u, 0)
+            vt_y = np.array([self._v @ self._y[1::2], -self._y[2 * self._node + 1]])
+            self._cinv = np.linalg.inv(np.eye(2) + vt_y)
 
-    def factorization(self) -> BandFactors:
-        if self._lu is None:
-            self._lu = _band_factor(self.band)
-            self.band = None
-            if self._lu.pivot_ratio >= PIVOT_RTOL and self._pin is not None:
-                self._lu = _with_mean_pin(self._lu, self._pin)
-        if not self._lu.pivot_ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite band) trips too
-            raise NearResonanceError(self.omega_freq, self.m, self._lu.pivot_ratio)
-        return self._lu
+    def _gbtrs(self, full: np.ndarray, trans: int) -> np.ndarray:
+        """Solve against the LU in place of `full`, a fresh Fortran-ordered
+        right-hand side of the LU's dtype."""
+        gbtrs = _GBTRS[self.lu.dtype.char]
+        return gbtrs(self.lu, _KL, _KU, full, self.piv, trans=trans, overwrite_b=1)[0]
 
     def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, phi): psi = B^-1 rhs and phi = delta_m psi from the same solve."""
-        x = _band_solve(self.factorization(), rhs)
+        """(psi, phi): psi = B^-1 rhs and phi = delta_m psi from one solve of
+        K [phi; psi] = [rhs; 0]; a pinned system applies the mean pin in
+        place of the one-node pin."""
+        full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=self.lu.dtype, order="F")
+        full[0::2] = rhs
+        x = self._gbtrs(full, 0)
+        if self._y is not None:  # B_mean^-1 = (I - y cinv V^T) B_node^-1, on phi and psi alike
+            psi = x[1::2]
+            x -= self._y @ (self._cinv @ np.array([self._v @ psi, -psi[self._node]]))
         return x[1::2], x[0::2]
 
     def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solve (W^-1 B^H W) z = rhs reusing this system's factorization."""
-        return _band_solve_adjoint(self.factorization(), weights * rhs) / weights
+        """Solve (W^-1 B^H W) z = rhs: B^H a = W rhs is read off
+        K^H [a; b] = [0; W rhs] at the even positions."""
+        rhs = weights * rhs
+        if self._y is not None:  # B_mean^-H = B_node^-H (I - V cinv^H y_psi^H)
+            t = self._cinv.conj().T @ (self._y[1::2].conj().T @ rhs)
+            rhs = rhs - self._v * t[0]
+            rhs[self._node] += t[1]
+        full = np.zeros(2 * len(rhs), dtype=self.lu.dtype)
+        full[1::2] = rhs
+        return self._gbtrs(full, 2)[0::2] / weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,18 +236,20 @@ def assemble_forward(
     stencils: DerivativeStencils,
     _allow_any_gamma: bool = False,
 ) -> WaveSystem:
-    """Assemble gamma delta_m^2 + i omega delta_m - i m beta delta_m + i m alpha
-    in mixed form."""
+    """Assemble and factor gamma delta_m^2 + i omega delta_m - i m beta delta_m
+    + i m alpha in mixed form, mean-pinned for m = 0; a system whose pivot
+    ratio falls below `PIVOT_RTOL` raises `NearResonanceError`."""
     if p.gamma <= 0 and not _allow_any_gamma:
         raise ConfigurationError(f"forward operator needs gamma > 0, got {p.gamma}")
     d, a = 1j * omega_freq, 0.0
     if m != 0:
         d = 1j * (omega_freq - m * (p.omega - p.omega_ref))
         a = 1j * m * apply_alpha(grid, stencils, p.omega)
-    band, pin = _mixed_band(
-        stencils.delta_matrix(m), p.gamma, d, a, grid.weights if m == 0 else None
-    )
-    return WaveSystem(band, m, omega_freq, pin)
+    pin_weights = grid.weights if m == 0 else None
+    system = WaveSystem(stencils.delta_matrix(m), p.gamma, d, a, pin_weights, m, omega_freq)
+    if not system.pivot_ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite band) trips too
+        raise NearResonanceError(omega_freq, m, system.pivot_ratio)
+    return system
 
 
 def solve(system: WaveSystem, rhs: ComplexField) -> State:

@@ -327,6 +327,31 @@ def test_sweep_records_unusable_values(tmp_path, axis, values):
     assert all("error: ConfigurationError" in row for row in rows)
 
 
+def test_empty_observation_window_exits_2(tmp_path):
+    # epsilon = 1.5 leaves no node of the n = 16 grid in the window
+    cfg = write_config(tmp_path, n=16)
+    out = tmp_path / "empty_window"
+    overrides = ["--overrides", "scheme.kind=restricted,scheme.epsilon=1.5"]
+    assert main(["reconstruct", "--config", cfg, "--output-dir", str(out), *overrides]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and "holds no node" in err["message"]
+    sweep = ["--axis", "epsilon_values", "--values", "0.3,1.5"]
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out), *sweep]) == 0
+    rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert "error" not in rows[0]
+    assert "error: ConfigurationError" in rows[1] and "holds no node" in rows[1]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "adjoint-check"])
+def test_negative_noise_seed_exits_2(tmp_path, command):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "seed"
+    code = main([command, "--config", cfg, "--output-dir", str(out), "--overrides", "noise.seed=-1"])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and "noise seed" in err["message"]
+
+
 def _numeric_cells(path):
     # every column but the identifiers and the scheme label must parse
     with open(path, newline="") as fh:

@@ -192,6 +192,8 @@ def test_add_noise_real_data_stays_real():
 def test_noise_level_validation():
     with pytest.raises(ConfigurationError):
         NoiseSpec(relative_level=1.5)
+    with pytest.raises(ConfigurationError):
+        NoiseSpec(seed=-1)
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,14 @@ def test_scheme_validation():
         ObservationScheme(kind="banana")
 
 
+def test_empty_observation_window_is_rejected():
+    # at n = 16 the nodes nearest the equator lie pi/32 from it, outside
+    # the window (1.5, pi - 1.5)
+    grid = build_grid(16)
+    with pytest.raises(ConfigurationError, match="holds no node"):
+        observation_mask(grid, ObservationScheme(kind="restricted", epsilon=1.5))
+
+
 def test_restricted_equals_masked_full(grid100):
     psi = sample(grid100, 2, lambda t: np.sin(t) ** 2 * np.exp(2j * t))
     scheme = ObservationScheme(kind="restricted", epsilon=0.4)

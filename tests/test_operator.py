@@ -6,6 +6,7 @@ from scipy.special import lpmv
 from adjoint_reference import assemble_adjoint, assemble_dense, bandwidth, dense, dense_alpha
 from conftest import observed_order, wl2
 from field_helpers import inner_product, sample
+import rotwave.operator
 from rotwave import (
     ComplexField,
     ConfigurationError,
@@ -22,7 +23,8 @@ from rotwave import (
     solve,
 )
 from rotwave.experiments import ExperimentConfig, build_problem
-from rotwave.operator import _band_factor, _mixed_band, apply_alpha, apply_alpha_adjoint
+from rotwave.inversion import ParameterMetric
+from rotwave.operator import apply_alpha, apply_alpha_adjoint
 
 
 def rotation(grid, fn):
@@ -211,24 +213,27 @@ def test_factorization_reproduces_matrix(grid100, stencils100):
     assert res < 1e-12
 
 
-@pytest.mark.parametrize("m", [0, 3])
-def test_system_factors_its_band_in_place_and_drops_it(grid100, stencils100, m):
+def test_systems_factor_their_band_in_place(monkeypatch, grid100, stencils100):
     # gbtrf writes the LU over the band only if the band is Fortran-ordered;
-    # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin.
+    # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin;
+    # the H2 metric's band is real.
+    passed = []
+    for code, gbtrf in list(rotwave.operator._GBTRF.items()):
+
+        def recording(band, *args, gbtrf=gbtrf, **kwargs):
+            passed.append(band)
+            return gbtrf(band, *args, **kwargs)
+
+        monkeypatch.setitem(rotwave.operator._GBTRF, code, recording)
     p = Parameters(gamma=0.05, omega=np.cos(grid100.nodes) ** 2, omega_ref=0.1)
-    system = assemble_forward(p, 1.3, m, grid100, stencils100)
-    band = system.band
-    factors = system.factorization()
-    assert np.shares_memory(factors.lu, band)
-    assert system.band is None
-    assert factors is system.factorization()
-
-
-def test_riesz_band_is_factored_in_place(grid100, stencils100):
-    # the real H2 metric band, as ParameterMetric assembles it
-    band, _ = _mixed_band(stencils100.delta_matrix(0), 1.0, 0.0, 0.0, grid100.weights)
-    assert band.dtype == float
-    assert np.shares_memory(_band_factor(band).lu, band)
+    systems = [assemble_forward(p, 1.3, m, grid100, stencils100) for m in (3, 0)]
+    systems.append(ParameterMetric(grid100, stencils100, "H2")._system)
+    assert [band.dtype for band in passed] == [complex, complex, float]
+    for system, band in zip(systems, passed):
+        assert np.shares_memory(system.lu, band)
+        # nothing of the band's size is kept beside the LU
+        arrays = [k for k, v in vars(system).items() if np.shape(v) == band.shape]
+        assert arrays == ["lu"]
 
 
 def _resonant_frequency(stencils, m, om0, l):
@@ -249,15 +254,10 @@ def test_near_resonance_detection(grid100, stencils100):
     om0, m = 0.8, 1
     omega_freq = _resonant_frequency(stencils100, m, om0, l=2)
     p = Parameters(gamma=1e-15, omega=const_rotation(grid100, om0), omega_ref=om0)
-    system = assemble_forward(p, omega_freq, m, grid100, stencils100)
-    rhs = sample(grid100, m, np.sin)
     with pytest.raises(NearResonanceError) as err:
-        solve(system, rhs)
+        assemble_forward(p, omega_freq, m, grid100, stencils100)
     assert err.value.m == m
     assert err.value.omega_freq == pytest.approx(omega_freq)
-    # the band was factored in place and dropped; later solves still refuse
-    with pytest.raises(NearResonanceError):
-        system.solve_weighted_adjoint(rhs.values, grid100.weights)
 
 
 TRUTHS = ("m0_default", "m2_default", "m3_default")
