@@ -213,10 +213,8 @@ def test_factorization_reproduces_matrix(grid100, stencils100):
     assert res < 1e-12
 
 
-def test_systems_factor_their_band_in_place(monkeypatch, grid100, stencils100):
-    # gbtrf writes the LU over the band only if the band is Fortran-ordered;
-    # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin;
-    # the H2 metric's band is real.
+def _record_gbtrf_bands(monkeypatch):
+    """Route every gbtrf call through a recorder; return the bands it saw."""
     passed = []
     for code, gbtrf in list(rotwave.operator._GBTRF.items()):
 
@@ -225,15 +223,33 @@ def test_systems_factor_their_band_in_place(monkeypatch, grid100, stencils100):
             return gbtrf(band, *args, **kwargs)
 
         monkeypatch.setitem(rotwave.operator._GBTRF, code, recording)
+    return passed
+
+
+def _assert_factored_in_place_and_dropped(system, band):
+    assert np.shares_memory(system.lu, band)
+    # nothing of the band's size is kept beside the LU
+    arrays = [k for k, v in vars(system).items() if np.shape(v) == band.shape]
+    assert arrays == ["lu"]
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, stencils100, m):
+    # gbtrf writes the LU over the band only if the band is Fortran-ordered;
+    # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin.
+    passed = _record_gbtrf_bands(monkeypatch)
     p = Parameters(gamma=0.05, omega=np.cos(grid100.nodes) ** 2, omega_ref=0.1)
-    systems = [assemble_forward(p, 1.3, m, grid100, stencils100) for m in (3, 0)]
-    systems.append(ParameterMetric(grid100, stencils100, "H2")._system)
-    assert [band.dtype for band in passed] == [complex, complex, float]
-    for system, band in zip(systems, passed):
-        assert np.shares_memory(system.lu, band)
-        # nothing of the band's size is kept beside the LU
-        arrays = [k for k, v in vars(system).items() if np.shape(v) == band.shape]
-        assert arrays == ["lu"]
+    system = assemble_forward(p, 1.3, m, grid100, stencils100)
+    assert [band.dtype for band in passed] == [complex]
+    _assert_factored_in_place_and_dropped(system, passed[0])
+
+
+def test_riesz_band_is_factored_in_place(monkeypatch, grid100, stencils100):
+    # the real H2 metric band, as ParameterMetric assembles it
+    passed = _record_gbtrf_bands(monkeypatch)
+    system = ParameterMetric(grid100, stencils100, "H2")._system
+    assert [band.dtype for band in passed] == [float]
+    _assert_factored_in_place_and_dropped(system, passed[0])
 
 
 def _resonant_frequency(stencils, m, om0, l):
