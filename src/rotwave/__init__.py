@@ -14,7 +14,6 @@ from .grid import (
     norm_sobolev,
 )
 from .operator import (
-    EmbeddingConstants,
     Parameters,
     State,
     WaveSystem,
@@ -29,7 +28,6 @@ from .inversion import (
     GradientPair,
     InverseProblem,
     IterationConfig,
-    LineSearchConfig,
     ObservationScheme,
     ParameterMetric,
     ReconstructionTrace,

@@ -14,8 +14,6 @@ ROTWAVE_OUTPUT_DIR environment variable, then ./rotwave_out.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import pathlib
@@ -30,6 +28,7 @@ from .experiments import (
     ExperimentConfig,
     apply_overrides,
     build_problem,
+    csv_text,
     run_experiment,
     sweep,
 )
@@ -80,9 +79,7 @@ def _output_dir(args, config_dir=None) -> pathlib.Path:
 
 
 def _echo_config(config: ExperimentConfig, outdir: pathlib.Path) -> ExperimentConfig:
-    config = ExperimentConfig.from_dict(
-        {**json.loads(config.to_json()), "output_dir": str(outdir)}
-    )
+    config = replace(config, output_dir=str(outdir))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "config.json").write_text(config.to_json())
@@ -93,12 +90,8 @@ def _echo_config(config: ExperimentConfig, outdir: pathlib.Path) -> ExperimentCo
 
 def cmd_forward(args, config, outdir) -> int:
     truth, grid, stencils, problem, psi, y = build_problem(config)
-    rows = [["theta", "re_psi", "im_psi"]]
-    for th, v in zip(grid.nodes, psi.values):
-        rows.append([repr(float(th)), repr(float(v.real)), repr(float(v.imag))])
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    (outdir / "state.csv").write_text(buf.getvalue())
+    rows = [[th, v.real, v.imag] for th, v in zip(grid.nodes, psi.values)]
+    (outdir / "state.csv").write_text(csv_text("theta,re_psi,im_psi", rows))
     print(
         f"forward: n={config.n} (omega,m)=({truth.omega_freq:g},{truth.m}) "
         f"state written to {outdir/'state.csv'}"
@@ -123,10 +116,14 @@ def _check_trials(args) -> None:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
 
 
-def _within_bound(check: str, worst: float, bound: float) -> int:
-    """Exit code 0 when a check's worst mismatch is within its bound;
+def _report_check(args, outdir, check: str, worst: float, bound: float) -> int:
+    """Write the check's worst mismatch to <command>.json (adjoint_check.json,
+    gradient_check.json).  Exit code 0 when it is within its bound;
     otherwise a numerical failure, which `main` reports with exit code 3 and
     an error.json."""
+    (outdir / f"{args.command.replace('-', '_')}.json").write_text(
+        json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
+    )
     if not worst <= bound:  # a NaN mismatch fails too
         raise ArithmeticError(f"{check} mismatch {worst:.3e} exceeds its bound {bound:g}")
     return 0
@@ -143,10 +140,7 @@ def cmd_adjoint_check(args, config, outdir) -> int:
         problem, metric, truth.gamma_true, truth.omega_exact(grid).values, rng, args.trials
     )
     print(f"adjoint-check: max relative mismatch {worst:.3e} over {args.trials} trials")
-    (outdir / "adjoint_check.json").write_text(
-        json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
-    )
-    return _within_bound("adjoint identity", worst, 1e-10)
+    return _report_check(args, outdir, "adjoint identity", worst, 1e-10)
 
 
 def cmd_gradient_check(args, config, outdir) -> int:
@@ -160,10 +154,7 @@ def cmd_gradient_check(args, config, outdir) -> int:
     rng = np.random.default_rng(config.noise.seed)
     worst = gradient_fd_mismatch(problem, metric, gamma0, omega0, y, rng, args.trials)
     print(f"gradient-check: max relative FD mismatch {worst:.3e} over {args.trials} trials")
-    (outdir / "gradient_check.json").write_text(
-        json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
-    )
-    return _within_bound("finite-difference gradient", worst, 1e-6)
+    return _report_check(args, outdir, "finite-difference gradient", worst, 1e-6)
 
 
 def cmd_tcc(args, config, outdir) -> int:
@@ -180,12 +171,7 @@ def cmd_tcc(args, config, outdir) -> int:
         rng_seed=config.noise.seed,
         metric=metric,
     )
-    rows = [["sample", "ratio"]] + [
-        [str(i), repr(float(r))] for i, r in enumerate(report.ratios)
-    ]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    (outdir / "tcc_ratios.csv").write_text(buf.getvalue())
+    (outdir / "tcc_ratios.csv").write_text(csv_text("sample,ratio", enumerate(report.ratios)))
     print(
         f"tcc: radius={report.radius:g} samples={report.samples} "
         f"max={report.max_ratio:.4f} median={report.median_ratio:.4f} "
@@ -216,7 +202,6 @@ def _parse_sizes(text: str) -> list[int]:
 
 def cmd_grid_convergence(args, config, outdir) -> int:
     sizes = _parse_sizes(args.sizes)
-    rows = [["n", "rel_l2_error"]]
     errors = []
     for n in sizes:
         truth, grid, _, _, psi, _ = build_problem(replace(config, n=n))
@@ -227,10 +212,7 @@ def cmd_grid_convergence(args, config, outdir) -> int:
             / np.sqrt(np.sum(np.abs(ref.values) ** 2 * w))
         )
         errors.append(err)
-        rows.append([str(n), repr(err)])
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    (outdir / "grid_convergence.csv").write_text(buf.getvalue())
+    (outdir / "grid_convergence.csv").write_text(csv_text("n,rel_l2_error", zip(sizes, errors)))
     # one order per refinement step: a single fit through every size lets a
     # roundoff-polluted point decide the order of the whole study
     by_n = sorted(dict(zip(sizes, errors)).items())

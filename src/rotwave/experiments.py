@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
@@ -33,7 +34,6 @@ from .inversion import (
     DataVector,
     InverseProblem,
     IterationConfig,
-    LineSearchConfig,
     ObservationScheme,
     ReconstructionTrace,
     data_norm,
@@ -139,36 +139,52 @@ def _coeff(coeffs: dict, key: str, default: float) -> float:
         raise ConfigurationError(f"truth coefficient {key!r} must be a number") from exc
 
 
+# the coefficients each state shape and rotation profile reads
+_SHAPE_COEFFS = {"sin_power": ("b",), "clamped_sin2": ("b",), "cos_poly": ("a", "b")}
+_PROFILE_COEFFS = {"constant": ("a",), "solar_like": ("a", "b"), "odd_poly": ("a", "b", "c")}
+
+
+def _check_coeffs(kind: str, name: str, coeffs: dict, catalogue: dict) -> None:
+    """Reject an unknown shape or profile name, and any coefficient it does
+    not read: an ignored coefficient would silently leave the default."""
+    if name not in catalogue:
+        raise ConfigurationError(f"unknown {kind} {name!r}")
+    unknown = set(coeffs) - set(catalogue[name])
+    if unknown:
+        raise ConfigurationError(
+            f"{kind} {name!r} takes coefficients {list(catalogue[name])}, "
+            f"not {sorted(unknown)}"
+        )
+
+
 def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, _Poly]:
     """Closed-form state shape sin^k(theta) P(cos theta), returned as (k, P).
 
     The complex amplitude is applied separately.
     """
+    _check_coeffs("state shape", name, coeffs, _SHAPE_COEFFS)
     b = _coeff(coeffs, "b", 0)
     if name == "sin_power":
         return abs(m), 1 + b * _X
     if name == "clamped_sin2":
         return 2, 1 + b * _X
-    if name == "cos_poly":  # m = 0 shapes
-        return 0, _coeff(coeffs, "a", 1) * _X + b * _X**2
-    raise ConfigurationError(f"unknown state shape {name!r}")
+    return 0, _coeff(coeffs, "a", 1) * _X + b * _X**2  # cos_poly, m = 0 shapes
 
 
 def _omega_profile(name: str, coeffs: dict) -> _Poly:
     """Rotation profile Omega as a polynomial in cos(theta)."""
+    _check_coeffs("rotation profile", name, coeffs, _PROFILE_COEFFS)
     if name == "constant":
         return _Poly([_coeff(coeffs, "a", 1)])
     if name == "solar_like":  # a + b cos^2; default mean-zero
         b = _coeff(coeffs, "b", 1)
         a = -b / 3 if coeffs.get("a") is None else _coeff(coeffs, "a", 0)
         return a + b * _X**2
-    if name == "odd_poly":
-        return (
-            _coeff(coeffs, "a", 0)
-            + _coeff(coeffs, "b", 1) * _X
-            + _coeff(coeffs, "c", -0.5) * _X**3
-        )
-    raise ConfigurationError(f"unknown rotation profile {name!r}")
+    return (  # odd_poly
+        _coeff(coeffs, "a", 0)
+        + _coeff(coeffs, "b", 1) * _X
+        + _coeff(coeffs, "c", -0.5) * _X**3
+    )
 
 
 def _delta_m(q: _Poly, m: int, r: float) -> _Poly:
@@ -418,7 +434,6 @@ _NESTED = {
     "scheme": ObservationScheme,
     "noise": NoiseSpec,
     "iteration": IterationConfig,
-    "line_search": LineSearchConfig,
     "probe": ProbeConfig,
 }
 
@@ -533,19 +548,30 @@ def build_problem(config: ExperimentConfig):
     return truth, grid, stencils, problem, psi, y_clean
 
 
+def csv_text(header: str, rows) -> str:
+    """CSV text under a comma-separated header.  str and int cells are
+    written as they are and every other cell as repr(float(x)), so a numpy
+    scalar never leaks its repr (`np.float64(...)`) into a cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(
+        [c if isinstance(c, (str, int)) else repr(float(c)) for c in row] for row in rows
+    )
+    return buf.getvalue()
+
+
 def iteration_table(
     grid: Grid, truth: GroundTruth, om_true: np.ndarray, trace: ReconstructionTrace
 ) -> str:
     """Per-iteration CSV text (iter,residual,gamma,rel errors,step size);
     `om_true` is the truth's nodal Omega."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ITERATION_CSV_HEADER.split(","))
+    rows = []
     for k, ((gamma, omega), res) in enumerate(zip(trace.iterates, trace.residuals)):
         eg, eo = _rel_errors(grid, truth, om_true, gamma, omega)
         step = trace.step_sizes[k - 1] if k >= 1 else float("nan")
-        writer.writerow([k, repr(res), repr(gamma), repr(eg), repr(eo), repr(step)])
-    return buf.getvalue()
+        rows.append([k, res, gamma, eg, eo, step])
+    return csv_text(ITERATION_CSV_HEADER, rows)
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -570,8 +596,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     csv_path = None
     if config.output_dir is not None:
-        import pathlib
-
         outdir = pathlib.Path(config.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         csv_path = str(outdir / f"{config.run_id}_iterations.csv")
@@ -588,8 +612,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         iteration_csv=csv_path,
     )
     if config.output_dir is not None:
-        import pathlib
-
         path = pathlib.Path(config.output_dir) / f"{config.run_id}_record.json"
         path.write_text(record.to_json())
     return record
@@ -621,7 +643,7 @@ def sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[list[RunReco
     if not values:
         raise ConfigurationError(f"sweep along {axis} needs at least one value")
     records = []
-    rows = [SWEEP_CSV_HEADER.split(",")]
+    rows = []
     for i, value in enumerate(values):
         run_id = f"{base.run_id}_{axis}_{i}"
         try:
@@ -637,16 +659,14 @@ def sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[list[RunReco
         rows.append(
             [
                 cfg.run_id,
-                repr(cfg.noise.relative_level),
-                repr(cfg.scheme.epsilon),
+                cfg.noise.relative_level,
+                cfg.scheme.epsilon,
                 cfg.scheme.kind + ("+re" if cfg.scheme.real_part_only else ""),
-                str(rec.stop_index),
-                repr(rec.final_residual),
-                repr(rec.rel_err_gamma),
-                repr(rec.rel_err_omega),
-                repr(rec.wall_ms),
+                rec.stop_index,
+                rec.final_residual,
+                rec.rel_err_gamma,
+                rec.rel_err_omega,
+                rec.wall_ms,
             ]
         )
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return records, buf.getvalue()
+    return records, csv_text(SWEEP_CSV_HEADER, rows)

@@ -22,7 +22,7 @@ smoothing preconditioner and pins the weighted mean to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -305,20 +305,21 @@ def adjoint_gradient(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    mu0: float = 1.0
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40
+# The paper's momentum weight (k-1)/(k+alpha-1) with alpha = 3 (Neubauer
+# 2017; Hubmer & Ramlau 2017) and the line search's first step, shrink
+# factor, Armijo constant and backtrack budget.  Every experiment uses these
+# values, so they are constants; the loop reads them at call time.
+NESTEROV_ALPHA = 3.0
+MU0 = 1.0
+SHRINK = 0.5
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
 class IterationConfig:
-    nesterov_alpha: float = 3.0
     tau: float = 1.1
     max_iter: int = 500
-    line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
     parameter_metric: str = "H2"
     gamma_scale: float = 1.0
     residual_floor: float = 0.0  # absolute floor on the stopping threshold
@@ -326,8 +327,8 @@ class IterationConfig:
     def __post_init__(self):
         if self.tau <= 1.0:
             raise ConfigurationError("discrepancy factor tau must exceed 1")
-        if self.nesterov_alpha < 3.0:
-            raise ConfigurationError("nesterov_alpha must be at least 3")
+        if self.max_iter < 0:
+            raise ConfigurationError(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,16 +349,19 @@ def nesterov_landweber(
     delta: float,
     config: IterationConfig,
     gamma_init: float,
-    omega_init: np.ndarray | None = None,
 ) -> ReconstructionTrace:
-    """Accelerated Landweber with discrepancy stopping.
+    """Accelerated Landweber with discrepancy stopping, from (gamma_init, 0).
 
-    Two-line iteration with momentum weight (k-1)/(k+alpha-1), gradient step
-    from a warm-started backtracking line search (Armijo decrease on the
-    half-squared misfit).  A monotone safeguard falls back to a plain
-    gradient step from p_k whenever the accelerated step would increase the
-    misfit; this keeps the residual history nonincreasing, which the
-    discrepancy principle relies on.
+    Two-line iteration with momentum weight (k-1)/(k+alpha-1), alpha =
+    `NESTEROV_ALPHA`, gradient step from a warm-started backtracking line
+    search (Armijo decrease on the half-squared misfit): the first trial
+    step is `MU0`, each backtrack multiplies it by `SHRINK`, at most
+    `MAX_BACKTRACKS` times, and a step is accepted under the Armijo constant
+    `ARMIJO_C`; the next iteration starts at the accepted step / `SHRINK`.
+    A monotone safeguard falls back to a plain gradient step from p_k
+    whenever the accelerated step would increase the misfit; this keeps the
+    residual history nonincreasing, which the discrepancy principle relies
+    on.
     """
     grid = problem.grid
     metric = ParameterMetric(
@@ -365,13 +369,10 @@ def nesterov_landweber(
     )
     if delta < 0:
         raise ConfigurationError("noise level delta must be nonnegative")
-    ls = config.line_search
     threshold = max(config.tau * delta, config.residual_floor)
 
     gamma = float(gamma_init)
-    omega = (
-        np.zeros(grid.n) if omega_init is None else np.asarray(omega_init, float).copy()
-    )
+    omega = np.zeros(grid.n)
 
     def misfit(ga, om):
         return problem.norm(problem.residual(ga, om, y_delta)[2])
@@ -385,7 +386,7 @@ def nesterov_landweber(
         res_current, stop_reason = float("nan"), "near_resonance"
     residuals = [res_current]
     gamma_prev, omega_prev = gamma, omega.copy()
-    mu_start = ls.mu0
+    mu_start = MU0
 
     k = 0
     while stop_reason is None:
@@ -396,7 +397,7 @@ def nesterov_landweber(
             stop_reason = "max_iter"
             break
         k += 1
-        weight = (k - 1) / (k + config.nesterov_alpha - 1)
+        weight = (k - 1) / (k + NESTEROV_ALPHA - 1)
         z_gamma = gamma + weight * (gamma - gamma_prev)
         z_omega = omega + weight * (omega - omega_prev)
         if z_gamma <= 0 and not problem.allow_negative_gamma:
@@ -419,22 +420,22 @@ def nesterov_landweber(
             )
             decrease = max(decrease, 0.0)
             mu = mu_start
-            for _ in range(ls.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 trial_gamma = src_gamma - mu * grad.dgamma
                 trial_omega = src_omega - mu * grad.domega.values
                 if trial_gamma > 0 or problem.allow_negative_gamma:
                     try:
                         trial_res = misfit(trial_gamma, trial_omega)
                     except NearResonanceError:
-                        mu *= ls.shrink
+                        mu *= SHRINK
                         continue
                     phi = 0.5 * trial_res**2
-                    armijo = phi <= phi0 - ls.armijo_c * mu * decrease
+                    armijo = phi <= phi0 - ARMIJO_C * mu * decrease
                     monotone = trial_res <= res_current or is_fallback
                     if armijo and monotone:
                         accepted = (trial_gamma, trial_omega, trial_res, mu)
                         break
-                mu *= ls.shrink
+                mu *= SHRINK
             if accepted is not None:
                 break
         if accepted is None:  # stop_reason is set if a state solve failed
@@ -445,7 +446,7 @@ def nesterov_landweber(
         iterates.append((gamma, omega.copy()))
         residuals.append(res_current)
         step_sizes.append(mu)
-        mu_start = mu / ls.shrink
+        mu_start = mu / SHRINK
 
     return ReconstructionTrace(
         iterates=iterates,

@@ -294,17 +294,6 @@ def apply_B_prime(
 
 
 @dataclass(frozen=True)
-class EmbeddingConstants:
-    """Sobolev embedding constants entering the diagnostics (defaults 1)."""
-
-    h1_to_l6: float = 1.0
-    h_half_to_l3: float = 1.0
-    h2_to_l3: float = 1.0
-    h2_to_linf: float = 1.0
-    h1_to_l4: float = 1.0
-
-
-@dataclass(frozen=True)
 class DiagnosticReport:
     satisfied: bool
     lhs: float
@@ -324,14 +313,14 @@ def frequency_condition(
     omega_freq: float,
     grid: Grid,
     stencils: DerivativeStencils,
-    constants: EmbeddingConstants = EmbeddingConstants(),
 ) -> DiagnosticReport:
     """Large-frequency invertibility bound: |omega| against
-    (4/gamma^3) (C1 C2)^4 (||Omega-Omega_ref||_H1^2 + 9 ||Omega||_H1^2)^2."""
-    c = constants.h1_to_l6 * constants.h_half_to_l3
+    (4/gamma^3) (C1 C2)^4 (||Omega-Omega_ref||_H1^2 + 9 ||Omega||_H1^2)^2,
+    with the embedding constants C1 (H1 -> L6) and C2 (H^1/2 -> L3) set
+    to 1."""
     nb = _h1_full_norm(grid, stencils, p.omega - p.omega_ref)
     na = _h1_full_norm(grid, stencils, p.omega)
-    rhs = 4.0 / p.gamma**3 * c**4 * (nb**2 + 9.0 * na**2) ** 2
+    rhs = 4.0 / p.gamma**3 * (nb**2 + 9.0 * na**2) ** 2
     return DiagnosticReport(
         satisfied=abs(omega_freq) > rhs,
         lhs=abs(omega_freq),
@@ -345,12 +334,12 @@ def smallness_condition(
     m: int,
     grid: Grid,
     stencils: DerivativeStencils,
-    constants: EmbeddingConstants = EmbeddingConstants(),
 ) -> DiagnosticReport:
-    """Uniqueness bound: ||Omega'||_L2 |m| C1 C2 / r compared against gamma."""
+    """Uniqueness bound: ||Omega'||_L2 |m| C1 C2 / r compared against gamma,
+    with the embedding constants C1 (H2 -> L3) and C2 (H1 -> L6) set to 1."""
     w = grid.weights
     dnorm = float(np.sqrt(np.sum((stencils.d1 @ p.omega) ** 2 * w)))
-    lhs = dnorm * abs(m) / grid.r * constants.h2_to_l3 * constants.h1_to_l6
+    lhs = dnorm * abs(m) / grid.r
     return DiagnosticReport(
         satisfied=lhs < p.gamma,
         lhs=lhs,

@@ -306,6 +306,23 @@ def test_mistyped_truth_override_exits_2(tmp_path, key, value):
     assert f"truth_overrides.{key}" in err["message"]
 
 
+def test_unread_truth_coefficient_exits_2(tmp_path):
+    cfg = write_config(tmp_path, truth_overrides={"psi_coeffs": {"bb": 5.0}})
+    out = tmp_path / "truth_coeffs"
+    assert main(["forward", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and "'bb'" in err["message"]
+
+
+def test_negative_max_iter_exits_2(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "max_iter"
+    overrides = ["--overrides", "iteration.max_iter=-3"]
+    assert main(["reconstruct", "--config", cfg, "--output-dir", str(out), *overrides]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and "max_iter" in err["message"]
+
+
 def test_sweep_with_no_values_exits_2(tmp_path):
     # a sweep that ran nothing must not report a pass
     cfg = write_config(tmp_path)

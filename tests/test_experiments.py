@@ -89,6 +89,24 @@ def test_truth_unknown_override_rejected():
         manufacture_truth("nonexistent")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"psi_coeffs": {"bb": 5.0}},
+        {"psi_name": "sin_power", "psi_coeffs": {"a": 1.0}},
+        {"psi_name": "cos_poly", "psi_coeffs": {"c": 1.0}},
+        {"omega_coeffs": {"c": 1.0}},
+        {"omega_name": "constant", "omega_coeffs": {"b": 3.0}},
+        {"omega_name": "odd_poly", "omega_coeffs": {"d": 1.0}},
+    ],
+    ids=["sin_power-bb", "sin_power-a", "cos_poly-c", "solar_like-c", "constant-b", "odd_poly-d"],
+)
+def test_truth_rejects_coefficients_its_shape_or_profile_does_not_read(overrides):
+    # an ignored coefficient would silently leave the default truth
+    with pytest.raises(ConfigurationError, match="takes coefficients"):
+        manufacture_truth("m3_default", overrides)
+
+
 def test_zero_rotation_truth_runs():
     truth = manufacture_truth(
         "m2_default", {"omega_name": "constant", "omega_coeffs": {"a": 0}}
@@ -342,10 +360,21 @@ def test_config_checks_scalar_types():
         ({"n": 20.5}, "config.n"),
         ({"n": True}, "config.n"),
         ({"noise": {"seed": "1"}}, "config.noise.seed"),
-        ({"iteration": {"line_search": {"mu0": "big"}}}, "config.iteration.line_search.mu0"),
+        ({"iteration": {"max_iter": "big"}}, "config.iteration.max_iter"),
         ({"scheme": 3}, "config.scheme"),
     ):
         with pytest.raises(ConfigurationError, match=path):
+            ExperimentConfig.from_dict(doc)
+
+
+def test_config_rejects_removed_iteration_settings():
+    # the momentum weight and the line search are module constants of
+    # rotwave.inversion, not config fields
+    for doc in (
+        {"iteration": {"nesterov_alpha": 3.0}},
+        {"iteration": {"line_search": {"mu0": 1.0}}},
+    ):
+        with pytest.raises(ConfigurationError, match="unknown keys in config.iteration"):
             ExperimentConfig.from_dict(doc)
 
 

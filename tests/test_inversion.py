@@ -15,7 +15,6 @@ from rotwave import (
     GradientPair,
     InverseProblem,
     IterationConfig,
-    LineSearchConfig,
     ObservationScheme,
     ParameterMetric,
     ScalarField,
@@ -340,14 +339,15 @@ def test_landweber_trace_invariants_on_noisy_run():
     assert all(b <= a + 1e-14 for a, b in zip(trace.residuals, trace.residuals[1:]))
 
 
-def test_landweber_line_search_failure_reported():
+def test_landweber_line_search_failure_reported(monkeypatch):
+    import rotwave.inversion
+
     truth, grid, stencils, problem = make_problem(n=64)
     y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
-    config = IterationConfig(
-        max_iter=10,
-        gamma_scale=3000.0,
-        line_search=LineSearchConfig(mu0=1e25, shrink=0.9, max_backtracks=2),
-    )
+    monkeypatch.setattr(rotwave.inversion, "MU0", 1e25)
+    monkeypatch.setattr(rotwave.inversion, "SHRINK", 0.9)
+    monkeypatch.setattr(rotwave.inversion, "MAX_BACKTRACKS", 2)
+    config = IterationConfig(max_iter=10, gamma_scale=3000.0)
     trace = nesterov_landweber(
         problem, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true
     )
@@ -357,8 +357,9 @@ def test_landweber_line_search_failure_reported():
 def test_landweber_config_validation():
     with pytest.raises(ConfigurationError):
         IterationConfig(tau=0.9)
-    with pytest.raises(ConfigurationError):
-        IterationConfig(nesterov_alpha=2.0)
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        IterationConfig(max_iter=-1)
+    assert IterationConfig(max_iter=0).max_iter == 0
 
 
 def test_landweber_momentum_weight_first_step_is_plain():

@@ -10,7 +10,6 @@ import rotwave.operator
 from rotwave import (
     ComplexField,
     ConfigurationError,
-    EmbeddingConstants,
     NearResonanceError,
     Parameters,
     ScalarField,
@@ -475,8 +474,6 @@ def test_smallness_condition_constant_and_m0(grid100, stencils100):
 def test_smallness_condition_quadrature_value(grid100, stencils100):
     # ||Omega'||_L2 = sqrt(16/15) for Omega = cos^2 on r = 1
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep = smallness_condition(
-        Parameters(gamma=0.01, omega=rot), 3, grid100, stencils100, EmbeddingConstants()
-    )
+    rep = smallness_condition(Parameters(gamma=0.01, omega=rot), 3, grid100, stencils100)
     assert rep.lhs == pytest.approx(3 * np.sqrt(16 / 15), rel=1e-3)
     assert not rep.satisfied
