@@ -32,6 +32,7 @@ from .experiments import (
     run_experiment,
     sweep,
 )
+from .grid import weighted_norm
 from .inversion import ParameterMetric, tcc_probe
 
 
@@ -207,11 +208,7 @@ def cmd_grid_convergence(args, config, outdir) -> int:
         truth, grid, _, _, psi, _ = build_problem(replace(config, n=n))
         ref = truth.psi_exact(grid)
         w = grid.weights
-        err = float(
-            np.sqrt(np.sum(np.abs(psi.values - ref.values) ** 2 * w))
-            / np.sqrt(np.sum(np.abs(ref.values) ** 2 * w))
-        )
-        errors.append(err)
+        errors.append(weighted_norm(w, psi.values - ref.values) / weighted_norm(w, ref.values))
     (outdir / "grid_convergence.csv").write_text(csv_text("n,rel_l2_error", zip(sizes, errors)))
     # one order per refinement step: a single fit through every size lets a
     # roundoff-polluted point decide the order of the whole study

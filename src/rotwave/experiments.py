@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import pathlib
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -29,7 +28,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import ComplexField, Grid, ScalarField, build_grid, build_stencils
+from .grid import ComplexField, Grid, ScalarField, build_grid, build_stencils, weighted_norm
 from .inversion import (
     DataVector,
     InverseProblem,
@@ -388,7 +387,7 @@ def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, f
         draw = draw + 1j * rng.standard_normal(len(y.values))
     draw *= spec.relative_level * np.linalg.norm(y.values) / np.linalg.norm(draw)
     noisy = DataVector(values=y.values + draw, mask=y.mask)
-    delta = data_norm(grid, DataVector(values=draw, mask=y.mask))
+    delta = weighted_norm(grid.weights[y.mask], draw)
     return noisy, delta
 
 
@@ -479,16 +478,21 @@ def _dataclass_from_dict(cls, doc: dict, path: str):
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Apply dotted-key overrides like {'iteration.tau': 1.5}."""
+    """Apply dotted-key overrides like {'iteration.tau': 1.5}.  Under the
+    free-form `truth_overrides` dict a missing key (nested ones such as
+    `psi_coeffs.b` too) is created; `manufacture_truth` validates it."""
     doc = asdict(config)
     for dotted, value in overrides.items():
         parts = dotted.split(".")
+        free = parts[0] == "truth_overrides"
         node = doc
         for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
+            if free and part not in node:
+                node[part] = {}
+            if not isinstance(node.get(part), dict):
                 raise ConfigurationError(f"unknown override path {dotted!r}")
             node = node[part]
-        if parts[-1] not in node:
+        if parts[-1] not in node and not free:
             raise ConfigurationError(f"unknown override path {dotted!r}")
         node[parts[-1]] = value
     return ExperimentConfig.from_dict(doc)
@@ -523,9 +527,7 @@ def _rel_errors(grid, truth, om_true, gamma, omega_values):
     whose nodal Omega is `om_true`."""
     w = grid.weights
     eg = abs(gamma - truth.gamma_true) / abs(truth.gamma_true)
-    denom = math.sqrt(float(np.sum(om_true**2 * w)))
-    eo = math.sqrt(float(np.sum((omega_values - om_true) ** 2 * w))) / denom
-    return eg, eo
+    return eg, weighted_norm(w, omega_values - om_true) / weighted_norm(w, om_true)
 
 
 def build_problem(config: ExperimentConfig):

@@ -287,6 +287,12 @@ def weighted_mean(grid: Grid, values: np.ndarray):
     return np.sum(values * grid.weights) / np.sum(grid.weights)
 
 
+def weighted_norm(weights: np.ndarray, values: np.ndarray) -> float:
+    """Weighted L^2 norm sqrt(sum_j w_j |v_j|^2) of real or complex values:
+    the one spelling of every state, parameter and data norm."""
+    return math.sqrt(np.vdot(values, weights * values).real)
+
+
 def norm_sobolev(
     grid: Grid, stencils: DerivativeStencils, psi: ComplexField, s: str
 ) -> float:
@@ -301,7 +307,7 @@ def norm_sobolev(
     v = psi.values
     w = grid.weights
     if s == "L2":
-        return float(np.sqrt(np.sum(np.abs(v) ** 2 * w)))
+        return weighted_norm(w, v)
     if s not in ("H1", "H2"):
         raise ValueError(f"unknown Sobolev order {s!r}; expected L2, H1 or H2")
     if psi.m == 0:
@@ -312,11 +318,6 @@ def norm_sobolev(
                 "H1/H2 norms assume a mean-zero field for m = 0", stacklevel=2
             )
     if s == "H1":
-        grad2 = np.abs(stencils.d1 @ v) ** 2 / grid.r**2
-        if psi.m != 0:
-            grad2 = grad2 + (psi.m**2) * np.abs(v) ** 2 / (
-                grid.r**2 * np.sin(grid.nodes) ** 2
-            )
-        return float(np.sqrt(np.sum(grad2 * w)))
-    lap = stencils.delta_matrix(psi.m) @ v
-    return float(np.sqrt(np.sum(np.abs(lap) ** 2 * w)))
+        polar = weighted_norm(w, stencils.d1 @ v)
+        return math.hypot(polar, weighted_norm(w, psi.m * v / np.sin(grid.nodes))) / grid.r
+    return weighted_norm(w, stencils.delta_matrix(psi.m) @ v)

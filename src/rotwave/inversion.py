@@ -2,7 +2,7 @@
 
 The forward map of the parameter identification problem is F = L o S where
 S(gamma, Omega) solves the separated wave equation and L restricts the state
-to the observed colatitudes (optionally taking the real part).  Gradients
+to the observed colatitudes (`restrict`, optionally the real part).  Gradients
 come from one adjoint solve per evaluation:
 
     z = B*^-1 L* residual,          B* = W^-1 B^H W, the exact discrete adjoint
@@ -29,7 +29,15 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .errors import ConfigurationError, NearResonanceError
-from .grid import ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
+from .grid import (
+    ComplexField,
+    DerivativeStencils,
+    Grid,
+    ScalarField,
+    _check_field,
+    weighted_mean,
+    weighted_norm,
+)
 from .operator import (
     Parameters,
     State,
@@ -84,17 +92,18 @@ def observation_mask(grid: Grid, scheme: ObservationScheme) -> np.ndarray:
     return mask
 
 
+def restrict(psi: ComplexField, scheme: ObservationScheme, mask: np.ndarray) -> np.ndarray:
+    """The state's values at the observed nodes `mask`, real part only when the
+    scheme says so: the one spelling of the observation L."""
+    observed = psi.values[mask]
+    return observed.real if scheme.real_part_only else observed
+
+
 def observe(psi: ComplexField, scheme: ObservationScheme, grid: Grid) -> DataVector:
     """Restrict the state to the observed window, optionally real part only."""
     _check_field(grid, psi)
-    return _restrict(psi, scheme, observation_mask(grid, scheme))
-
-
-def _restrict(psi: ComplexField, scheme: ObservationScheme, mask: np.ndarray) -> DataVector:
-    vals = psi.values[mask]
-    if scheme.real_part_only:
-        vals = vals.real.copy()
-    return DataVector(values=vals, mask=mask)
+    mask = observation_mask(grid, scheme)
+    return DataVector(values=restrict(psi, scheme, mask), mask=mask)
 
 
 def observe_adjoint(d: DataVector, grid: Grid, m: int = 0) -> ComplexField:
@@ -109,8 +118,8 @@ def observe_adjoint(d: DataVector, grid: Grid, m: int = 0) -> ComplexField:
 
 
 def data_norm(grid: Grid, d: DataVector) -> float:
-    """Weighted L^2 norm over the observed window."""
-    return float(np.sqrt(np.sum(np.abs(d.values) ** 2 * grid.weights[d.mask])))
+    """`weighted_norm` over the observed window, the norm the iteration stops on."""
+    return weighted_norm(grid.weights[d.mask], d.values)
 
 
 def data_inner(grid: Grid, a: DataVector, b: DataVector) -> float:
@@ -151,8 +160,7 @@ class ParameterMetric:
         self._system = WaveSystem(self._lap, gamma, d, 0.0, grid.weights)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
-        w = self.grid.weights
-        return g - np.sum(g * w) / np.sum(w)
+        return g - weighted_mean(self.grid, g)
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """Solve the metric operator against a mean-zero projected density."""
@@ -217,12 +225,8 @@ class InverseProblem:
 
     @cached_property
     def observed_weights(self) -> np.ndarray:
-        """Quadrature weights of the observed nodes."""
+        """Quadrature weights of the observed nodes, the data norm's weights."""
         return self.grid.weights[self.mask]
-
-    def norm(self, d: DataVector) -> float:
-        """`data_norm` of a data vector on this problem's observed nodes."""
-        return math.sqrt(np.vdot(d.values, self.observed_weights * d.values).real)
 
     def state(self, gamma: float, omega_values: np.ndarray) -> tuple[WaveSystem, State]:
         sys = assemble_forward(
@@ -237,16 +241,15 @@ class InverseProblem:
         return sys, psi
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
-        return _restrict(self.state(gamma, omega_values)[1], self.scheme, self.mask)
+        observed = restrict(self.state(gamma, omega_values)[1], self.scheme, self.mask)
+        return DataVector(values=observed, mask=self.mask)
 
     def residual(
         self, gamma: float, omega_values: np.ndarray, y: DataVector
     ) -> tuple[WaveSystem, State, DataVector]:
-        """State at a point and its data residual F(p) - y."""
+        """State at a point and its data residual F(p) - y = `restrict`(psi) - y."""
         system, psi = self.state(gamma, omega_values)
-        observed = psi.values[self.mask]
-        if self.scheme.real_part_only:
-            observed = observed.real
+        observed = restrict(psi, self.scheme, self.mask)
         return system, psi, DataVector(values=observed - y.values, mask=self.mask)
 
 
@@ -374,8 +377,10 @@ def nesterov_landweber(
     gamma = float(gamma_init)
     omega = np.zeros(grid.n)
 
+    w_obs = problem.observed_weights
+
     def misfit(ga, om):
-        return problem.norm(problem.residual(ga, om, y_delta)[2])
+        return weighted_norm(w_obs, problem.residual(ga, om, y_delta)[2].values)
 
     iterates = [(gamma, omega.copy())]
     step_sizes: list[float] = []
@@ -414,7 +419,7 @@ def nesterov_landweber(
                 stop_reason = "near_resonance"
                 break
             grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
-            phi0 = 0.5 * problem.norm(res_vec) ** 2
+            phi0 = 0.5 * weighted_norm(w_obs, res_vec.values) ** 2
             decrease = metric.gamma_scale * grad.dgamma**2 + float(
                 np.sum(grad.domega.values * g_density * grid.weights)
             )
@@ -533,18 +538,14 @@ def tcc_probe(
         except NearResonanceError:
             skipped += 1
             continue
-        diff_norm = data_norm(grid, diff)
+        diff_norm = weighted_norm(problem.observed_weights, diff.values)
         if diff_norm < 1e-13:
             skipped += 1
             continue
-        step = GradientPair(
-            dgamma=g1 - g2, domega=ScalarField(values=om1 - om2)
-        )
+        step = GradientPair(dgamma=g1 - g2, domega=ScalarField(values=om1 - om2))
         lin = sensitivity(step, psi1, sys1, grid, problem.stencils, problem.scheme)
-        rem = DataVector(values=diff.values - lin.values, mask=diff.mask)
-        ratios.append(
-            data_norm(grid, rem) / (metric.pair_norm(step) * diff_norm)
-        )
+        rem_norm = weighted_norm(problem.observed_weights, diff.values - lin.values)
+        ratios.append(rem_norm / (metric.pair_norm(step) * diff_norm))
     ratios = np.asarray(ratios)
     return TCCReport(
         ratios=ratios,

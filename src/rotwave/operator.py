@@ -12,8 +12,8 @@ with rotation-derived coefficients
     beta(theta)  = Omega(theta) - Omega_ref
 
 and the Gamma_m pole closure baked into delta_m.  Omega enters as its nodal
-values (`Parameters.omega`); `apply_alpha` is the one spelling of the map
-Omega -> alpha, shared by assembly and `apply_B_prime`.
+values (`Parameters.omega`); the band rows `stencils.alpha` are the one
+spelling of the map Omega -> alpha, shared by assembly and `apply_B_prime`.
 
 B is never formed.  With phi = delta_m psi (the mixed form of Ciarlet and
 Raviart for the biharmonic) the solve is
@@ -61,6 +61,7 @@ which cost more than the rest of a cold `rotwave` start.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -69,7 +70,15 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .errors import ConfigurationError, NearResonanceError
-from .grid import BandRows, ComplexField, DerivativeStencils, Grid, ScalarField, _check_field
+from .grid import (
+    BandRows,
+    ComplexField,
+    DerivativeStencils,
+    Grid,
+    ScalarField,
+    _check_field,
+    weighted_norm,
+)
 
 # near-resonance threshold on min|U_ii| / max|U_ii| of the band LU of K.  At
 # n = 100, m = 1, gamma = 1e-15 the ratio is 2.5e-14 / 1.2e-13 / 2.9e-13 on
@@ -121,14 +130,8 @@ class Parameters:
     omega_ref: float = 0.0
 
 
-def apply_alpha(grid: Grid, stencils: DerivativeStencils, om: np.ndarray) -> np.ndarray:
-    """The linear map Omega -> alpha_Omega = (Omega'' + 3 Omega' cot - 2 Omega) / r^2,
-    one product with the band rows `stencils.alpha`."""
-    return stencils.alpha @ om
-
-
 def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray) -> np.ndarray:
-    """Adjoint of `apply_alpha` in the weighted inner product, W^-1 alpha^T W v."""
+    """Weighted adjoint W^-1 alpha^T W v of the map Omega -> `stencils.alpha @ Omega`."""
     return stencils.alpha.rmatvec(grid.weights * v) / grid.weights
 
 
@@ -244,7 +247,7 @@ def assemble_forward(
     d, a = 1j * omega_freq, 0.0
     if m != 0:
         d = 1j * (omega_freq - m * (p.omega - p.omega_ref))
-        a = 1j * m * apply_alpha(grid, stencils, p.omega)
+        a = 1j * m * (stencils.alpha @ p.omega)
     pin_weights = grid.weights if m == 0 else None
     system = WaveSystem(stencils.delta_matrix(m), p.gamma, d, a, pin_weights, m, omega_freq)
     if not system.pivot_ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite band) trips too
@@ -284,7 +287,7 @@ def apply_B_prime(
         phi = lap @ psi.values
     out = dgamma * (lap @ phi)
     if m != 0:
-        out = out - 1j * m * dom * phi + 1j * m * apply_alpha(grid, stencils, dom) * psi.values
+        out = out - 1j * m * dom * phi + 1j * m * (stencils.alpha @ dom) * psi.values
     return ComplexField(m=m, values=out)
 
 
@@ -303,9 +306,7 @@ class DiagnosticReport:
 
 def _h1_full_norm(grid: Grid, stencils: DerivativeStencils, values: np.ndarray) -> float:
     w = grid.weights
-    l2sq = float(np.sum(values**2 * w))
-    gradsq = float(np.sum((stencils.d1 @ values) ** 2 * w)) / grid.r**2
-    return float(np.sqrt(l2sq + gradsq))
+    return math.hypot(weighted_norm(w, values), weighted_norm(w, stencils.d1 @ values) / grid.r)
 
 
 def frequency_condition(
@@ -337,9 +338,7 @@ def smallness_condition(
 ) -> DiagnosticReport:
     """Uniqueness bound: ||Omega'||_L2 |m| C1 C2 / r compared against gamma,
     with the embedding constants C1 (H2 -> L3) and C2 (H1 -> L6) set to 1."""
-    w = grid.weights
-    dnorm = float(np.sqrt(np.sum((stencils.d1 @ p.omega) ** 2 * w)))
-    lhs = dnorm * abs(m) / grid.r
+    lhs = weighted_norm(grid.weights, stencils.d1 @ p.omega) * abs(m) / grid.r
     return DiagnosticReport(
         satisfied=lhs < p.gamma,
         lhs=lhs,

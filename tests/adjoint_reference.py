@@ -17,7 +17,6 @@ import numpy as np
 
 from rotwave import GradientPair, Parameters, ScalarField
 from rotwave.inversion import observe_adjoint
-from rotwave.operator import apply_alpha
 
 
 def dense(band):
@@ -42,7 +41,7 @@ def assemble_dense(p, omega_freq, m, grid, stencils):
     mat = p.gamma * (lap @ lap) + 1j * omega_freq * lap
     if m != 0:
         mat = mat - 1j * m * (p.omega - p.omega_ref)[:, None] * lap
-        mat = mat + 1j * m * np.diag(apply_alpha(grid, stencils, p.omega))
+        mat = mat + 1j * m * np.diag(stencils.alpha @ p.omega)
     else:
         mat = mat + mean_pin(grid, p.gamma, omega_freq, lap)
     return mat
@@ -85,7 +84,7 @@ def assemble_adjoint(p, omega_freq, m, grid, stencils):
     mat = p.gamma * (lap @ lap) - 1j * omega_freq * lap
     if m != 0:
         mat = mat + 1j * m * (lap * (p.omega - p.omega_ref)[None, :])
-        mat = mat - 1j * m * np.diag(apply_alpha(grid, stencils, p.omega))
+        mat = mat - 1j * m * np.diag(stencils.alpha @ p.omega)
     else:
         mat = mat + mean_pin(grid, p.gamma, omega_freq, lap)
     return mat

@@ -323,6 +323,22 @@ def test_negative_max_iter_exits_2(tmp_path):
     assert err["error"] == "configuration" and "max_iter" in err["message"]
 
 
+def test_override_sets_truth_fields(tmp_path):
+    # the default truth_overrides is {}: its keys, nested ones too, are created
+    out = tmp_path / "truth_set"
+    overrides = "n=16,truth_overrides.gamma_true=0.1,truth_overrides.psi_coeffs.b=2"
+    assert main(["forward", "--overrides", overrides, "--output-dir", str(out)]) == 0
+    echoed = json.loads((out / "config.json").read_text())["truth_overrides"]
+    assert echoed == {"gamma_true": 0.1, "psi_coeffs": {"b": 2}}
+
+
+def test_override_of_unknown_truth_field_exits_2(tmp_path):
+    out = tmp_path / "truth_nope"
+    assert main(["forward", "--overrides", "truth_overrides.nope=1", "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and "'nope'" in err["message"]
+
+
 def test_sweep_with_no_values_exits_2(tmp_path):
     # a sweep that ran nothing must not report a pass
     cfg = write_config(tmp_path)

@@ -461,6 +461,32 @@ def test_observed_matches_pipeline():
     assert np.array_equal(d.values, d2.values)
 
 
+def test_trace_reports_the_data_norm():
+    # the loop's misfit is data_norm itself: every recorded residual equals
+    # data_norm of the residual at its iterate, bit for bit
+    truth, grid, stencils, problem = make_problem(n=64)
+    y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
+    config = IterationConfig(max_iter=30, gamma_scale=3000.0)
+    trace = nesterov_landweber(
+        problem, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true
+    )
+    assert trace.stop_index == 30
+    for (gamma, omega), res in zip(trace.iterates, trace.residuals):
+        assert res == data_norm(grid, problem.residual(gamma, omega, y)[2])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=["full", "restricted", "real", "restricted_real"])
+def test_residual_is_observed_minus_data(scheme):
+    # residual and observed restrict the state through the same code
+    truth, grid, stencils, problem = make_problem(n=64, scheme=scheme)
+    gamma, om = 1.7 * truth.gamma_true, truth.omega_exact(grid).values
+    y = problem.observed(truth.gamma_true, 0.5 * om)
+    res = problem.residual(gamma, om, y)[2]
+    want = problem.observed(gamma, om).values - y.values
+    assert res.values.dtype == want.dtype and res.values.tobytes() == want.tobytes()
+    assert np.array_equal(res.mask, problem.mask)
+
+
 def test_observed_linear_in_source():
     truth, grid, stencils, problem = make_problem(n=64)
     f = truth.source(grid)

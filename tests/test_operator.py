@@ -23,7 +23,7 @@ from rotwave import (
 )
 from rotwave.experiments import ExperimentConfig, build_problem
 from rotwave.inversion import ParameterMetric
-from rotwave.operator import apply_alpha, apply_alpha_adjoint
+from rotwave.operator import apply_alpha_adjoint
 
 
 def rotation(grid, fn):
@@ -41,12 +41,12 @@ def const_rotation(grid, c):
 
 def test_coefficients_constant_rotation(grid100, stencils100):
     c = 0.7
-    alpha = apply_alpha(grid100, stencils100, const_rotation(grid100, c))
+    alpha = stencils100.alpha @ const_rotation(grid100, c)
     assert alpha == pytest.approx(np.full(100, -2 * c), abs=1e-10)
 
 
 def test_coefficients_zero_rotation(grid100, stencils100):
-    alpha = apply_alpha(grid100, stencils100, const_rotation(grid100, 0.0))
+    alpha = stencils100.alpha @ const_rotation(grid100, 0.0)
     assert np.max(np.abs(alpha)) < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_coefficients_against_nested_derivative_oracle(grids):
     errs = []
     for n in ns:
         g, st_ = grids[n]
-        alpha = apply_alpha(g, st_, rotation(g, lambda t: np.cos(t) ** 2))
+        alpha = st_.alpha @ rotation(g, lambda t: np.cos(t) ** 2)
         ref = oracle(g.nodes)
         errs.append(np.max(np.abs(alpha - ref)) / np.max(np.abs(ref)))
     assert errs[0] < 1e-6
@@ -77,7 +77,7 @@ def test_apply_alpha_matches_dense_reference(n):
         # matvecs and the dense product round differently; bound the gap by
         # the rounding of one row sum over the largest stencil entries
         tol = 20 * np.finfo(float).eps * np.max(np.abs(matrix)) * np.max(np.abs(om))
-        assert np.max(np.abs(apply_alpha(g, st_, om) - matrix @ om)) < tol
+        assert np.max(np.abs(st_.alpha @ om - matrix @ om)) < tol
 
 
 @pytest.mark.parametrize("n", [64, 400])
@@ -88,7 +88,7 @@ def test_apply_alpha_adjoint_identity(n):
     rng = np.random.default_rng(n + 1)
     for _ in range(5):
         u, v = rng.standard_normal(n), rng.standard_normal(n)
-        lhs = np.sum(apply_alpha(g, st_, u) * v * w)
+        lhs = np.sum((st_.alpha @ u) * v * w)
         rhs = np.sum(u * apply_alpha_adjoint(g, st_, v) * w)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
