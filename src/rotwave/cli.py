@@ -100,6 +100,10 @@ def cmd_forward(args, config, outdir) -> int:
     return 0
 
 
+def _counts(record) -> str:
+    return f"state_solves={record.state_solves} gradients={record.gradients}"
+
+
 def cmd_reconstruct(args, config, outdir) -> int:
     record = run_experiment(config)
     print(
@@ -108,6 +112,8 @@ def cmd_reconstruct(args, config, outdir) -> int:
         f"rel_err_gamma={record.rel_err_gamma:.3e} "
         f"rel_err_omega={record.rel_err_omega:.3e}"
     )
+    if args.verbose:
+        print(f"reconstruct: {_counts(record)}")
     return 0
 
 
@@ -185,6 +191,10 @@ def cmd_sweep(args, config, outdir) -> int:
     values = [_parse_value(v) for v in args.values.split(",")] if args.values else []
     records, summary = sweep(config, args.axis, values)
     (outdir / "sweep_summary.csv").write_text(summary)
+    if args.verbose:
+        for record in records:
+            if record is not None:
+                print(f"sweep: {record.config['run_id']} K={record.stop_index} {_counts(record)}")
     done = sum(1 for r in records if r is not None)
     print(f"sweep: {done}/{len(records)} runs complete, summary at {outdir/'sweep_summary.csv'}")
     return 0
@@ -229,10 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rotwave",
         description="Separated inertial-wave solves and rotation/viscosity recovery.",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    verbose_help = "print the reconstruction loop's state-solve and gradient counts"
+    parser.add_argument("-v", "--verbose", action="count", default=0, help=verbose_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # after the subcommand too; SUPPRESS keeps a -v given before it
+        p.add_argument(
+            "-v", "--verbose", action="count", default=argparse.SUPPRESS, help=verbose_help
+        )
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--overrides", help="comma-separated dotted-key=value pairs")
         p.add_argument("--output-dir", help="output directory")

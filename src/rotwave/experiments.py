@@ -513,6 +513,8 @@ class RunRecord:
     rel_err_omega: float
     wall_ms: float
     iteration_csv: str | None
+    state_solves: int  # the loop's forward solves (`ReconstructionTrace`)
+    gradients: int  # the loop's adjoint gradients
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -612,6 +614,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         rel_err_omega=eo,
         wall_ms=wall_ms,
         iteration_csv=csv_path,
+        state_solves=trace.state_solves,
+        gradients=trace.gradients,
     )
     if config.output_dir is not None:
         path = pathlib.Path(config.output_dir) / f"{config.run_id}_record.json"

@@ -17,6 +17,13 @@ F'(p) dp = -L B^-1 B'(dp) psi.
 The Omega gradient density is mapped into the parameter space by a Riesz
 solve in the configured Sobolev metric (H1 or H2), which acts as a
 smoothing preconditioner and pins the weighted mean to zero.
+
+`nesterov_landweber` evaluates every misfit and gradient through one
+`_MisfitKernel`, prepared per call: a misfit is one band fill, one LAPACK
+call and one norm, a gradient one adjoint and one Riesz solve, with the
+numbers of `InverseProblem.residual` and `adjoint_gradient`.  Its line
+search makes at most `MOMENTUM_BACKTRACKS` trials from the momentum point
+and at most `MAX_BACKTRACKS` from the iterate.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ from .operator import (
     Parameters,
     State,
     WaveSystem,
+    _ForwardBand,
+    _weighted_adjoint,
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
@@ -92,10 +101,10 @@ def observation_mask(grid: Grid, scheme: ObservationScheme) -> np.ndarray:
     return mask
 
 
-def restrict(psi: ComplexField, scheme: ObservationScheme, mask: np.ndarray) -> np.ndarray:
-    """The state's values at the observed nodes `mask`, real part only when the
-    scheme says so: the one spelling of the observation L."""
-    observed = psi.values[mask]
+def restrict(psi: np.ndarray, scheme: ObservationScheme, mask: np.ndarray) -> np.ndarray:
+    """The state values `psi` at the observed nodes `mask`, real part only when
+    the scheme says so: the one spelling of the observation L."""
+    observed = psi[mask]
     return observed.real if scheme.real_part_only else observed
 
 
@@ -103,7 +112,7 @@ def observe(psi: ComplexField, scheme: ObservationScheme, grid: Grid) -> DataVec
     """Restrict the state to the observed window, optionally real part only."""
     _check_field(grid, psi)
     mask = observation_mask(grid, scheme)
-    return DataVector(values=restrict(psi, scheme, mask), mask=mask)
+    return DataVector(values=restrict(psi.values, scheme, mask), mask=mask)
 
 
 def observe_adjoint(d: DataVector, grid: Grid, m: int = 0) -> ComplexField:
@@ -241,7 +250,7 @@ class InverseProblem:
         return sys, psi
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
-        observed = restrict(self.state(gamma, omega_values)[1], self.scheme, self.mask)
+        observed = restrict(self.state(gamma, omega_values)[1].values, self.scheme, self.mask)
         return DataVector(values=observed, mask=self.mask)
 
     def residual(
@@ -249,7 +258,7 @@ class InverseProblem:
     ) -> tuple[WaveSystem, State, DataVector]:
         """State at a point and its data residual F(p) - y = `restrict`(psi) - y."""
         system, psi = self.state(gamma, omega_values)
-        observed = restrict(psi, self.scheme, self.mask)
+        observed = restrict(psi.values, self.scheme, self.mask)
         return system, psi, DataVector(values=observed - y.values, mask=self.mask)
 
 
@@ -279,28 +288,89 @@ def adjoint_gradient(
     Returns (pair, density) where pair is the GradientPair in the metric and
     density the raw (pre-Riesz) Omega functional density; the latter gives
     the squared gradient norm as gamma_scale*dgamma^2 + <domega, density>_w.
-
     The adjoint state is the exact discrete one, solved through the forward
-    factorization, and delta_m psi is the state's own phi.  The raw parts
-    pair it with +B'(.) psi; the Omega part applies the weighted adjoint of
-    the alpha coefficient map, the discretely exact counterpart of the
-    analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.)) form.  The functional is their negative because the sensitivity is
-    F'(p) dp = -L B^-1 B'(dp) psi.
+    factorization; `_gradient_parts` maps it to the gradient.
+    """
+    w = problem.grid.weights
+    z = system.solve_weighted_adjoint(observe_adjoint(residual, problem.grid).values, w)
+    dgamma, domega, g = _gradient_parts(problem, metric, psi.values, psi.phi, z)
+    return GradientPair(dgamma=dgamma, domega=ScalarField(values=domega)), g
+
+
+def _gradient_parts(
+    problem: InverseProblem,
+    metric: ParameterMetric,
+    psi: np.ndarray,
+    phi: np.ndarray,
+    z: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(dgamma, domega, density) from the adjoint state z at the state psi
+    with phi = delta_m psi.
+
+    The raw parts pair z with +B'(.) psi; the Omega part applies the
+    weighted adjoint of the alpha coefficient map, the discretely exact
+    counterpart of the analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.))
+    form.  The functional is their negative because the sensitivity is
+    F'(p) dp = -L B^-1 B'(dp) psi; domega is the Riesz map of it.
     """
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
-    z = system.solve_weighted_adjoint(observe_adjoint(residual, grid).values, w)
-    raw_gamma = float(np.sum((st.delta_matrix(m) @ psi.phi) * np.conj(z) * w).real)
+    raw_gamma = float(np.sum((st.delta_matrix(m) @ phi) * np.conj(z) * w).real)
     if m != 0:
-        c = np.imag(np.conj(psi.values) * z)
-        shear = np.imag(np.conj(psi.phi) * z)
+        c = np.imag(np.conj(psi) * z)
+        shear = np.imag(np.conj(phi) * z)
         density = m * (apply_alpha_adjoint(grid, st, c) - shear)
     else:
         density = np.zeros(grid.n)
-    dgamma = -raw_gamma / metric.gamma_scale
     g = -density
-    domega = metric.riesz(g)
-    return GradientPair(dgamma=dgamma, domega=ScalarField(values=domega)), g
+    return -raw_gamma / metric.gamma_scale, metric.riesz(g), g
+
+
+class _MisfitKernel:
+    """The misfit ||F(p) - y||_Y and its Riesz gradient for one run of
+    `nesterov_landweber`, with nothing rebuilt per evaluation: the forward
+    band (`_ForwardBand`), the data and the observed weights are prepared
+    once.  `misfit` is one band fill, one zgbsv and one norm, and keeps the
+    factors, the state and the residual of its point; `gradient` then takes
+    one adjoint solve through those factors and one Riesz solve.  The kernel
+    holds band-sized arrays, so it lives for one run.  The numbers are those
+    of `InverseProblem.residual` and `adjoint_gradient`, bit for bit.
+    `state_solves` and `gradients` count the evaluations.
+    """
+
+    def __init__(self, problem: InverseProblem, y: DataVector, metric: ParameterMetric):
+        self.problem, self.metric = problem, metric
+        self.y = y.values
+        self.w_obs = problem.observed_weights
+        self._psi_slots = 2 * problem.mask + 1  # observed psi_j in [phi; psi] interleaved
+        self.forward = _ForwardBand(
+            problem.grid,
+            problem.stencils,
+            problem.m,
+            problem.omega_freq,
+            problem.omega_ref,
+            problem.source,
+            problem.allow_negative_gamma,
+        )
+        self.state_solves = 0
+        self.gradients = 0
+
+    def misfit(self, gamma: float, omega: np.ndarray) -> float:
+        """||F(p) - y||_Y at p = (gamma, omega), the norm of `data_norm`."""
+        self.state_solves += 1
+        self._solved = self.forward.solve(gamma, omega)
+        psi = self._solved[3][1::2]
+        self._residual = restrict(psi, self.problem.scheme, self.problem.mask) - self.y
+        return weighted_norm(self.w_obs, self._residual)
+
+    def gradient(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(dgamma, domega, density) at the point of the last `misfit`."""
+        self.gradients += 1
+        lu, piv, pin, x = self._solved
+        full = np.zeros(len(x), dtype=complex)
+        full[self._psi_slots] = self.w_obs * self._residual
+        z = _weighted_adjoint(lu, piv, pin, full, self.problem.grid.weights)
+        return _gradient_parts(self.problem, self.metric, x[1::2], x[0::2], z)
 
 
 # ----------------------------------------------------------------------
@@ -310,13 +380,19 @@ def adjoint_gradient(
 
 # The paper's momentum weight (k-1)/(k+alpha-1) with alpha = 3 (Neubauer
 # 2017; Hubmer & Ramlau 2017) and the line search's first step, shrink
-# factor, Armijo constant and backtrack budget.  Every experiment uses these
+# factor, Armijo constant and trial budgets.  Every experiment uses these
 # values, so they are constants; the loop reads them at call time.
 NESTEROV_ALPHA = 3.0
 MU0 = 1.0
 SHRINK = 0.5
 ARMIJO_C = 1e-4
+# The fallback search from p_k ends the run when it fails, so it keeps the
+# long budget.  A search from the momentum point only decides whether the
+# fallback runs: on criterion 6 and the noise battery every one that
+# succeeds does so within 3 trials, and 2 would change criterion 6's
+# iterates.
 MAX_BACKTRACKS = 40
+MOMENTUM_BACKTRACKS = 4
 
 
 @dataclass(frozen=True)
@@ -344,6 +420,8 @@ class ReconstructionTrace:
     #                   line_search_failure | near_resonance
     threshold: float
     delta: float
+    state_solves: int  # forward solves made, the first one included
+    gradients: int  # adjoint gradients made, one per line search
 
 
 def nesterov_landweber(
@@ -358,13 +436,16 @@ def nesterov_landweber(
     Two-line iteration with momentum weight (k-1)/(k+alpha-1), alpha =
     `NESTEROV_ALPHA`, gradient step from a warm-started backtracking line
     search (Armijo decrease on the half-squared misfit): the first trial
-    step is `MU0`, each backtrack multiplies it by `SHRINK`, at most
-    `MAX_BACKTRACKS` times, and a step is accepted under the Armijo constant
-    `ARMIJO_C`; the next iteration starts at the accepted step / `SHRINK`.
-    A monotone safeguard falls back to a plain gradient step from p_k
-    whenever the accelerated step would increase the misfit; this keeps the
-    residual history nonincreasing, which the discrepancy principle relies
-    on.
+    step is `MU0`, each backtrack multiplies it by `SHRINK`, and a step is
+    accepted under the Armijo constant `ARMIJO_C`; the next iteration
+    starts at the accepted step / `SHRINK`.  A monotone safeguard falls
+    back to a plain gradient step from p_k whenever the accelerated step
+    would increase the misfit; this keeps the residual history
+    nonincreasing, which the discrepancy principle relies on.  The search
+    from the momentum point makes at most `MOMENTUM_BACKTRACKS` trials, the
+    fallback at most `MAX_BACKTRACKS`.  Every misfit and gradient comes from
+    one `_MisfitKernel`, prepared for this call; the trace counts its state
+    solves and gradients.
     """
     grid = problem.grid
     metric = ParameterMetric(
@@ -373,20 +454,16 @@ def nesterov_landweber(
     if delta < 0:
         raise ConfigurationError("noise level delta must be nonnegative")
     threshold = max(config.tau * delta, config.residual_floor)
+    kernel = _MisfitKernel(problem, y_delta, metric)
 
     gamma = float(gamma_init)
     omega = np.zeros(grid.n)
-
-    w_obs = problem.observed_weights
-
-    def misfit(ga, om):
-        return weighted_norm(w_obs, problem.residual(ga, om, y_delta)[2].values)
 
     iterates = [(gamma, omega.copy())]
     step_sizes: list[float] = []
     stop_reason = None
     try:
-        res_current = misfit(gamma, omega)
+        res_current = kernel.misfit(gamma, omega)
     except NearResonanceError:
         res_current, stop_reason = float("nan"), "near_resonance"
     residuals = [res_current]
@@ -414,23 +491,23 @@ def nesterov_landweber(
             (gamma, omega, True),
         ):
             try:
-                system, psi, res_vec = problem.residual(src_gamma, src_omega, y_delta)
+                res_src = kernel.misfit(src_gamma, src_omega)
             except NearResonanceError:
                 stop_reason = "near_resonance"
                 break
-            grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
-            phi0 = 0.5 * weighted_norm(w_obs, res_vec.values) ** 2
-            decrease = metric.gamma_scale * grad.dgamma**2 + float(
-                np.sum(grad.domega.values * g_density * grid.weights)
+            dgamma, domega, g_density = kernel.gradient()
+            phi0 = 0.5 * res_src**2
+            decrease = metric.gamma_scale * dgamma**2 + float(
+                np.sum(domega * g_density * grid.weights)
             )
             decrease = max(decrease, 0.0)
             mu = mu_start
-            for _ in range(MAX_BACKTRACKS):
-                trial_gamma = src_gamma - mu * grad.dgamma
-                trial_omega = src_omega - mu * grad.domega.values
+            for _ in range(MAX_BACKTRACKS if is_fallback else MOMENTUM_BACKTRACKS):
+                trial_gamma = src_gamma - mu * dgamma
+                trial_omega = src_omega - mu * domega
                 if trial_gamma > 0 or problem.allow_negative_gamma:
                     try:
-                        trial_res = misfit(trial_gamma, trial_omega)
+                        trial_res = kernel.misfit(trial_gamma, trial_omega)
                     except NearResonanceError:
                         mu *= SHRINK
                         continue
@@ -461,6 +538,8 @@ def nesterov_landweber(
         stop_reason=stop_reason,
         threshold=threshold,
         delta=delta,
+        state_solves=kernel.state_solves,
+        gradients=kernel.gradients,
     )
 
 

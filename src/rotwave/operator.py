@@ -27,7 +27,9 @@ rows: row 2j takes the source, row 2j+1 is -phi_j + (delta_m psi)_j.  Both
 delta_m blocks then sit on the even offsets 2 (j - k), and K is a band with
 kl = ku = 6 (delta_m couples nodes at most three apart).  Each stencils
 object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
-five slice writes into LAPACK band storage, allocated in Fortran order.
+five slice writes into LAPACK band storage, allocated in Fortran order:
+two for K's constant rows (`_band_template`) and three for the rows that
+hold gamma, d and a (`_fill_band`).
 `WaveSystem` is the one type of a factored mixed band: the forward
 operator (`assemble_forward`) and the Riesz map of
 `inversion.ParameterMetric` (an m = 0 band with its own gamma and d) each
@@ -39,8 +41,11 @@ the even ones.  The exact adjoint of the discrete
 operator with respect to the weighted inner product, W^-1 B^H W, is one
 conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
 gives B^H a = g, so g goes to the odd positions and a is read from the
-even ones.  Its condition number grows like n^2 where that of B grows
-like n^4.
+even ones (`_weighted_adjoint`).  Its condition number grows like n^2
+where that of B grows like n^4.  The Nesterov-Landweber loop solves the
+forward operator once at each new point and keeps no system:
+`_ForwardBand` fills a copy of one band template per solve through the
+same helpers, and factors and solves it with one zgbsv.
 
 For m = 0, delta_0 annihilates constants, so the axisymmetric problem is
 posed on mean-zero fields through the mean pin s 1 v^T (v = w / sum w)
@@ -49,10 +54,11 @@ fields and is self-adjoint in the weighted inner product, so the discrete
 and continuous adjoints share it.  The band carries a one-node pin
 s e_c e_c^T at the equator node c instead, on the a-entry of row 2c, and
 the difference s (1 v^T - e_c e_c^T) is a rank-2 Woodbury correction
-applied around each band solve, to phi as well as to psi.  s is the largest
-entry of gamma delta_0 + i omega, the block of K the pin shares a row with.
+applied around each band solve, to phi as well as to psi (`_MeanPin`).  s
+is the largest entry of gamma delta_0 + i omega, the block of K the pin
+shares a row with.
 
-gbtrf and gbtrs are scipy's own f2py wrappers, taken from its compiled
+gbtrf, gbtrs and zgbsv are scipy's own f2py wrappers, taken from its compiled
 LAPACK module `scipy.linalg._flapack`, which `_load_flapack` loads by file
 spec: importing `scipy.linalg` for them would run scipy's package imports,
 which cost more than the rest of a cold `rotwave` start.
@@ -140,14 +146,97 @@ def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray)
 # ----------------------------------------------------------------------
 
 
+def _band_template(dia: np.ndarray, dtype) -> np.ndarray:
+    """A zero band of K in LAPACK storage with K's constant rows written: row
+    2j+1 is -phi_j + (L psi)_j for L by diagonals `dia`.  Fortran order, as
+    gbtrf takes it, so that it factors the band in place."""
+    band = np.zeros((2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=dtype, order="F")
+    band[_DIAG + 1, 0::2] = -1.0
+    band[_DELTA_ROWS, 1::2] = dia
+    return band
+
+
+def _fill_band(band: np.ndarray, dia: np.ndarray, gamma: float, d, a) -> None:
+    """Write K's other rows into a band from `_band_template`: row 2j is
+    ((gamma L + d) phi + a psi)_j."""
+    np.multiply(dia, gamma, out=band[_DELTA_ROWS, 0::2])
+    band[_DIAG, 0::2] += d
+    band[_DIAG - 1, 1::2] = a
+
+
+def _pivot_ratio(lu: np.ndarray) -> float:
+    """min |U_ii| / max |U_ii| of a band LU."""
+    pivots = np.abs(lu[_DIAG])
+    return float(pivots.min() / pivots.max())
+
+
+def _check_resonance(pivot_ratio: float, omega_freq: float, m: int) -> None:
+    """Raise `NearResonanceError` for a forward operator whose pivot ratio is
+    below `PIVOT_RTOL`; a NaN ratio (zero or non-finite band) trips too."""
+    if not pivot_ratio >= PIVOT_RTOL:
+        raise NearResonanceError(omega_freq, m, pivot_ratio)
+
+
+def _gbtrs(lu: np.ndarray, piv: np.ndarray, full: np.ndarray, trans: int) -> np.ndarray:
+    """Solve against a band LU in place of `full`, a fresh Fortran-ordered
+    right-hand side of the LU's dtype."""
+    gbtrs = _GBTRS[lu.dtype.char]
+    return gbtrs(lu, _KL, _KU, full, piv, trans=trans, overwrite_b=1)[0]
+
+
+class _MeanPin:
+    """The m = 0 mean pin of one band.  Constructed on the unfactored band, it
+    writes the one-node pin s e_c e_c^T at the equator node c; `factor` then
+    keeps the Woodbury data of the mean pin B_mean = B_node + U V^T,
+    U = s [1, e_c], V = [v, -e_c]: y = K^-1 [U; 0] (interleaved, phi and psi
+    parts) and cinv = (I + V^T y_psi)^-1."""
+
+    def __init__(self, band: np.ndarray, weights: np.ndarray):
+        self.scale = float(np.max(np.abs(band[_DELTA_ROWS, 0::2])))
+        self.node = len(weights) // 2
+        band[_DIAG - 1, 2 * self.node + 1] += self.scale
+        self.v = weights / np.sum(weights)
+
+    def factor(self, lu: np.ndarray, piv: np.ndarray) -> None:
+        """Form y and cinv from the LU of the pinned band."""
+        u = np.zeros((lu.shape[1], 2), dtype=lu.dtype, order="F")  # [U; 0]
+        u[0::2, 0] = self.scale
+        u[2 * self.node, 1] = self.scale
+        self.y = _gbtrs(lu, piv, u, 0)
+        vt_y = np.array([self.v @ self.y[1::2], -self.y[2 * self.node + 1]])
+        self.cinv = np.linalg.inv(np.eye(2) + vt_y)
+
+    def correct(self, x: np.ndarray) -> None:
+        """Turn a node-pinned solution [phi; psi] into the mean-pinned one, in
+        place: B_mean^-1 = (I - y cinv V^T) B_node^-1, on phi and psi alike."""
+        psi = x[1::2]
+        x -= self.y @ (self.cinv @ np.array([self.v @ psi, -psi[self.node]]))
+
+    def correct_adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        """The right-hand side that makes a node-pinned adjoint solve the
+        mean-pinned one: B_mean^-H = B_node^-H (I - V cinv^H y_psi^H)."""
+        t = self.cinv.conj().T @ (self.y[1::2].conj().T @ rhs)
+        rhs = rhs - self.v * t[0]
+        rhs[self.node] += t[1]
+        return rhs
+
+
+def _weighted_adjoint(
+    lu: np.ndarray, piv: np.ndarray, pin: _MeanPin | None, full: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """z with (W^-1 B^H W) z = rhs, given full = [0; W rhs] interleaved, a
+    fresh array of the LU's dtype: B^H a = W rhs is read off
+    K^H [a; b] = [0; W rhs] at the even positions."""
+    if pin is not None:
+        full[1::2] = pin.correct_adjoint(full[1::2].copy())
+    return _gbtrs(lu, piv, full, 2)[0::2] / weights
+
+
 class WaveSystem:
     """The mixed band K = [[gamma L + diag(d), diag(a)], [-I, L]] of L = lap,
     factored in place at construction; d and a are nodal arrays or scalars.
 
-    With `pin_weights` the band carries the one-node pin at the equator node
-    c, and the system keeps the Woodbury data of the mean pin
-    B_mean = B_node + U V^T, U = s [1, e_c], V = [v, -e_c]: y = K^-1 [U; 0]
-    (interleaved, phi and psi parts) and cinv = (I + V^T y_psi)^-1.
+    With `pin_weights` the band carries the mean pin (`_MeanPin`).
     `pivot_ratio` is min |U_ii| / max |U_ii| of the LU; `assemble_forward`
     checks it, the Riesz metric does not.  Solves do not modify the
     factors, so concurrent solves are safe.
@@ -166,37 +255,13 @@ class WaveSystem:
         self.m = m
         self.omega_freq = omega_freq
         dia = lap.diagonals
-        # Fortran order, as gbtrf takes it, so that it factors the band in place
-        band = np.zeros(
-            (2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float), order="F"
-        )
-        band[_DELTA_ROWS, 0::2] = gamma * dia  # row 2j: ((gamma L + d) phi + a psi)_j
-        band[_DIAG, 0::2] += d
-        band[_DIAG - 1, 1::2] = a
-        band[_DIAG + 1, 0::2] = -1.0  # row 2j+1: -phi_j + (L psi)_j
-        band[_DELTA_ROWS, 1::2] = dia
-        if pin_weights is not None:
-            scale = float(np.max(np.abs(band[_DELTA_ROWS, 0::2])))
-            self._node = len(pin_weights) // 2
-            band[_DIAG - 1, 2 * self._node + 1] += scale
+        band = _band_template(dia, np.result_type(d, a, float))
+        _fill_band(band, dia, gamma, d, a)
+        self._pin = None if pin_weights is None else _MeanPin(band, pin_weights)
         self.lu, self.piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
-        pivots = np.abs(self.lu[_DIAG])
-        self.pivot_ratio = float(pivots.min() / pivots.max())
-        self._y = None
-        if pin_weights is not None:
-            self._v = pin_weights / np.sum(pin_weights)
-            u = np.zeros((band.shape[1], 2), dtype=self.lu.dtype, order="F")  # [U; 0]
-            u[0::2, 0] = scale
-            u[2 * self._node, 1] = scale
-            self._y = self._gbtrs(u, 0)
-            vt_y = np.array([self._v @ self._y[1::2], -self._y[2 * self._node + 1]])
-            self._cinv = np.linalg.inv(np.eye(2) + vt_y)
-
-    def _gbtrs(self, full: np.ndarray, trans: int) -> np.ndarray:
-        """Solve against the LU in place of `full`, a fresh Fortran-ordered
-        right-hand side of the LU's dtype."""
-        gbtrs = _GBTRS[self.lu.dtype.char]
-        return gbtrs(self.lu, _KL, _KU, full, self.piv, trans=trans, overwrite_b=1)[0]
+        self.pivot_ratio = _pivot_ratio(self.lu)
+        if self._pin is not None:
+            self._pin.factor(self.lu, self.piv)
 
     def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(psi, phi): psi = B^-1 rhs and phi = delta_m psi from one solve of
@@ -204,23 +269,16 @@ class WaveSystem:
         place of the one-node pin."""
         full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=self.lu.dtype, order="F")
         full[0::2] = rhs
-        x = self._gbtrs(full, 0)
-        if self._y is not None:  # B_mean^-1 = (I - y cinv V^T) B_node^-1, on phi and psi alike
-            psi = x[1::2]
-            x -= self._y @ (self._cinv @ np.array([self._v @ psi, -psi[self._node]]))
+        x = _gbtrs(self.lu, self.piv, full, 0)
+        if self._pin is not None:
+            self._pin.correct(x)
         return x[1::2], x[0::2]
 
     def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solve (W^-1 B^H W) z = rhs: B^H a = W rhs is read off
-        K^H [a; b] = [0; W rhs] at the even positions."""
-        rhs = weights * rhs
-        if self._y is not None:  # B_mean^-H = B_node^-H (I - V cinv^H y_psi^H)
-            t = self._cinv.conj().T @ (self._y[1::2].conj().T @ rhs)
-            rhs = rhs - self._v * t[0]
-            rhs[self._node] += t[1]
+        """Solve (W^-1 B^H W) z = rhs."""
         full = np.zeros(2 * len(rhs), dtype=self.lu.dtype)
-        full[1::2] = rhs
-        return self._gbtrs(full, 2)[0::2] / weights
+        full[1::2] = weights * rhs
+        return _weighted_adjoint(self.lu, self.piv, self._pin, full, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +287,25 @@ class State(ComplexField):
     solve; phi equals delta_m psi to solve accuracy."""
 
     phi: np.ndarray
+
+
+def _forward_coefficients(
+    stencils: DerivativeStencils,
+    m: int,
+    omega_freq: float,
+    omega_ref: float,
+    gamma: float,
+    omega: np.ndarray,
+    allow_any_gamma: bool,
+):
+    """(d, a) of the forward operator's band at (gamma, omega):
+    d = i (omega_freq - m beta) and a = i m alpha, or i omega_freq and 0 for
+    m = 0.  gamma <= 0 is a ConfigurationError unless `allow_any_gamma`."""
+    if gamma <= 0 and not allow_any_gamma:
+        raise ConfigurationError(f"forward operator needs gamma > 0, got {gamma}")
+    if m == 0:
+        return 1j * omega_freq, 0.0
+    return 1j * (omega_freq - m * (omega - omega_ref)), 1j * m * (stencils.alpha @ omega)
 
 
 def assemble_forward(
@@ -242,17 +319,63 @@ def assemble_forward(
     """Assemble and factor gamma delta_m^2 + i omega delta_m - i m beta delta_m
     + i m alpha in mixed form, mean-pinned for m = 0; a system whose pivot
     ratio falls below `PIVOT_RTOL` raises `NearResonanceError`."""
-    if p.gamma <= 0 and not _allow_any_gamma:
-        raise ConfigurationError(f"forward operator needs gamma > 0, got {p.gamma}")
-    d, a = 1j * omega_freq, 0.0
-    if m != 0:
-        d = 1j * (omega_freq - m * (p.omega - p.omega_ref))
-        a = 1j * m * (stencils.alpha @ p.omega)
+    d, a = _forward_coefficients(
+        stencils, m, omega_freq, p.omega_ref, p.gamma, p.omega, _allow_any_gamma
+    )
     pin_weights = grid.weights if m == 0 else None
     system = WaveSystem(stencils.delta_matrix(m), p.gamma, d, a, pin_weights, m, omega_freq)
-    if not system.pivot_ratio >= PIVOT_RTOL:  # a NaN ratio (zero or non-finite band) trips too
-        raise NearResonanceError(omega_freq, m, system.pivot_ratio)
+    _check_resonance(system.pivot_ratio, omega_freq, m)
     return system
+
+
+class _ForwardBand:
+    """The forward operator of one problem and source, prepared for many
+    solves at new (gamma, Omega): L's diagonals, a band template with K's
+    constant rows and the interleaved source [f; 0].  Each `solve` fills a
+    copy of the template (`_fill_band`), pins it for m = 0 and factors and
+    solves it with one zgbsv, the arithmetic of gbtrf followed by gbtrs, so
+    its psi and phi equal those of `solve(assemble_forward(...), f)` bit for
+    bit.  The template is band-sized: keep an instance for one run only.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        stencils: DerivativeStencils,
+        m: int,
+        omega_freq: float,
+        omega_ref: float,
+        source: ComplexField,
+        allow_any_gamma: bool,
+    ):
+        self.stencils, self.m = stencils, m
+        self.omega_freq, self.omega_ref = omega_freq, omega_ref
+        self.pin_weights = grid.weights if m == 0 else None
+        self.allow_any_gamma = allow_any_gamma
+        self._dia = stencils.delta_matrix(m).diagonals
+        self._template = _band_template(self._dia, complex)
+        self._rhs = np.zeros(2 * len(source.values), dtype=complex)
+        self._rhs[0::2] = source.values
+
+    def solve(self, gamma: float, omega: np.ndarray):
+        """(lu, piv, pin, x): the factored band of B at (gamma, omega), its mean
+        pin (None unless m = 0) and x = [phi; psi] interleaved.  A pivot ratio
+        below `PIVOT_RTOL` raises `NearResonanceError`."""
+        d, a = _forward_coefficients(
+            self.stencils, self.m, self.omega_freq, self.omega_ref, gamma, omega,
+            self.allow_any_gamma,
+        )
+        band = np.copy(self._template)
+        _fill_band(band, self._dia, gamma, d, a)
+        pin = None if self.pin_weights is None else _MeanPin(band, self.pin_weights)
+        lu, piv, x, _ = _flapack.zgbsv(
+            _KL, _KU, band, np.copy(self._rhs), overwrite_ab=1, overwrite_b=1
+        )
+        _check_resonance(_pivot_ratio(lu), self.omega_freq, self.m)
+        if pin is not None:
+            pin.factor(lu, piv)
+            pin.correct(x)
+        return lu, piv, pin, x
 
 
 def solve(system: WaveSystem, rhs: ComplexField) -> State:

@@ -112,6 +112,27 @@ def test_sweep_cli(tmp_path):
     assert (out / "sweep_summary.csv").exists()
 
 
+def test_verbose_prints_the_loop_counts(tmp_path, capsys):
+    # -v after the subcommand or before it; without it no counts are printed
+    cfg = write_config(tmp_path)
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "-v", "--config", cfg, "--output-dir", str(rec)]) == 0
+    record = json.loads((rec / "clitest_record.json").read_text())
+    assert record["state_solves"] > record["gradients"] > 0
+    counts = f"state_solves={record['state_solves']} gradients={record['gradients']}"
+    assert counts in capsys.readouterr().out
+
+    sweep = ["sweep", "--config", cfg, "--values", "0.05,0.2", "--output-dir"]
+    assert main(["-v", *sweep, str(tmp_path / "s1")]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "state_solves=" in line]
+    assert [line.split()[1] for line in lines] == [
+        "clitest_noise_levels_0",
+        "clitest_noise_levels_1",
+    ]
+    assert main([*sweep, str(tmp_path / "s2")]) == 0
+    assert "state_solves=" not in capsys.readouterr().out
+
+
 def test_grid_convergence_cli(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "conv"
