@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import pathlib
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -131,11 +132,19 @@ class _Poly:
 _X = _Poly([0.0, 1.0])
 
 
-def _coeff(coeffs: dict, key: str, default: float) -> float:
+def _coeff(coeffs: dict, group: str, key: str, default: float) -> float:
+    """Coefficient `key` of the truth's `group` (psi_coeffs or omega_coeffs),
+    which must be a finite number."""
+    value = coeffs.get(key, default)
     try:
-        return float(coeffs.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"truth coefficient {key!r} must be a number") from exc
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigurationError(
+            f"truth_overrides.{group}.{key} must be a finite number, got {value!r}"
+        )
+    return x
 
 
 # the coefficients each state shape and rotation profile reads
@@ -162,28 +171,25 @@ def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, _Poly]:
     The complex amplitude is applied separately.
     """
     _check_coeffs("state shape", name, coeffs, _SHAPE_COEFFS)
-    b = _coeff(coeffs, "b", 0)
+    b = _coeff(coeffs, "psi_coeffs", "b", 0)
     if name == "sin_power":
         return abs(m), 1 + b * _X
     if name == "clamped_sin2":
         return 2, 1 + b * _X
-    return 0, _coeff(coeffs, "a", 1) * _X + b * _X**2  # cos_poly, m = 0 shapes
+    return 0, _coeff(coeffs, "psi_coeffs", "a", 1) * _X + b * _X**2  # cos_poly, m = 0 shapes
 
 
 def _omega_profile(name: str, coeffs: dict) -> _Poly:
     """Rotation profile Omega as a polynomial in cos(theta)."""
     _check_coeffs("rotation profile", name, coeffs, _PROFILE_COEFFS)
+    coeff = lambda key, default: _coeff(coeffs, "omega_coeffs", key, default)
     if name == "constant":
-        return _Poly([_coeff(coeffs, "a", 1)])
+        return _Poly([coeff("a", 1)])
     if name == "solar_like":  # a + b cos^2; default mean-zero
-        b = _coeff(coeffs, "b", 1)
-        a = -b / 3 if coeffs.get("a") is None else _coeff(coeffs, "a", 0)
+        b = coeff("b", 1)
+        a = -b / 3 if coeffs.get("a") is None else coeff("a", 0)
         return a + b * _X**2
-    return (  # odd_poly
-        _coeff(coeffs, "a", 0)
-        + _coeff(coeffs, "b", 1) * _X
-        + _coeff(coeffs, "c", -0.5) * _X**3
-    )
+    return coeff("a", 0) + coeff("b", 1) * _X + coeff("c", -0.5) * _X**3  # odd_poly
 
 
 def _delta_m(q: _Poly, m: int, r: float) -> _Poly:
@@ -305,6 +311,8 @@ class GroundTruth:
             raise ConfigurationError("gamma_true must be positive")
         if self.r <= 0:
             raise ConfigurationError(f"sphere radius must be positive, got r={self.r}")
+        if self.amplitude == 0:
+            raise ConfigurationError("truth amplitude must be nonzero: psi* = 0 gives data y = 0")
 
         k, shape = _psi_shape(psi_name, self.m, self.psi_coeffs)
         _check_admissible(k, self.m)
@@ -349,7 +357,7 @@ def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
             raise ConfigurationError(f"unknown truth override {key!r}")
         if not _fits(value, preset[key]):
             raise ConfigurationError(
-                f"truth_overrides.{key} must be {type(preset[key]).__name__}, got {value!r}"
+                f"truth_overrides.{key} must be {_type_name(preset[key])}, got {value!r}"
             )
         preset[key] = value
     return GroundTruth(**preset)
@@ -441,15 +449,21 @@ def _fits(value, default) -> bool:
     """Whether a config value has the type of its field's default.
 
     An int field takes an int but not a bool or a float; a float field takes
-    an int or a float; a field defaulting to None takes anything.
+    an int or a finite float, not NaN or an infinity; a field defaulting to
+    None takes anything.
     """
     if default is None:
         return True
     if isinstance(value, bool) and not isinstance(default, bool):
         return False
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
     return isinstance(value, type(default))
+
+
+def _type_name(default) -> str:
+    """What `_fits` asks of a value for a field with this default."""
+    return "a finite float" if isinstance(default, float) else type(default).__name__
 
 
 def _dataclass_from_dict(cls, doc: dict, path: str):
@@ -468,7 +482,7 @@ def _dataclass_from_dict(cls, doc: dict, path: str):
             value = _dataclass_from_dict(_NESTED[key], value, f"{path}.{key}")
         if not _fits(value, defaults[key]):
             raise ConfigurationError(
-                f"{path}.{key} must be {type(defaults[key]).__name__}, got {value!r}"
+                f"{path}.{key} must be {_type_name(defaults[key])}, got {value!r}"
             )
         kwargs[key] = value
     try:
@@ -526,10 +540,12 @@ class RunRecord:
 
 def _rel_errors(grid, truth, om_true, gamma, omega_values):
     """Relative errors of gamma and of Omega (weighted L2) against the truth,
-    whose nodal Omega is `om_true`."""
+    whose nodal Omega is `om_true`; the Omega error is NaN when Omega* = 0,
+    which leaves it undefined."""
     w = grid.weights
     eg = abs(gamma - truth.gamma_true) / abs(truth.gamma_true)
-    return eg, weighted_norm(w, omega_values - om_true) / weighted_norm(w, om_true)
+    norm = weighted_norm(w, om_true)
+    return eg, weighted_norm(w, omega_values - om_true) / norm if norm > 0 else math.nan
 
 
 def build_problem(config: ExperimentConfig):

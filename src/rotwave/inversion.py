@@ -18,12 +18,13 @@ The Omega gradient density is mapped into the parameter space by a Riesz
 solve in the configured Sobolev metric (H1 or H2), which acts as a
 smoothing preconditioner and pins the weighted mean to zero.
 
-`nesterov_landweber` evaluates every misfit and gradient through one
-`_MisfitKernel`, prepared per call: a misfit is one band fill, one LAPACK
-call and one norm, a gradient one adjoint and one Riesz solve, with the
-numbers of `InverseProblem.residual` and `adjoint_gradient`.  Its line
-search makes at most `MOMENTUM_BACKTRACKS` trials from the momentum point
-and at most `MAX_BACKTRACKS` from the iterate.
+`nesterov_landweber` takes every misfit and gradient from the code the
+checks verify: a line-search trial's misfit is one `forward_system`, one
+solve and one norm (`InverseProblem.residual_values`, which `residual`
+wraps), and each search's gradient is one `adjoint_gradient`, one adjoint
+and one Riesz solve.  Its line search makes at most `MOMENTUM_BACKTRACKS`
+trials from the momentum point and at most `MAX_BACKTRACKS` from the
+iterate.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ from .operator import (
     Parameters,
     State,
     WaveSystem,
-    _ForwardBand,
-    _weighted_adjoint,
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
+    forward_system,
     solve,
 )
 
@@ -257,9 +257,21 @@ class InverseProblem:
         self, gamma: float, omega_values: np.ndarray, y: DataVector
     ) -> tuple[WaveSystem, State, DataVector]:
         """State at a point and its data residual F(p) - y = `restrict`(psi) - y."""
-        system, psi = self.state(gamma, omega_values)
-        observed = restrict(psi.values, self.scheme, self.mask)
-        return system, psi, DataVector(values=observed - y.values, mask=self.mask)
+        system, psi, phi, r = self.residual_values(gamma, omega_values, y.values)
+        return system, State(m=self.m, values=psi, phi=phi), DataVector(values=r, mask=self.mask)
+
+    def residual_values(
+        self, gamma: float, omega_values: np.ndarray, y: np.ndarray
+    ) -> tuple[WaveSystem, np.ndarray, np.ndarray, np.ndarray]:
+        """`residual` as bare arrays, (system, psi, phi, r) with r = F(p) - y
+        for data values y: one `forward_system` and one solve, all a
+        line-search trial of `nesterov_landweber` needs for its misfit."""
+        system = forward_system(
+            gamma, omega_values, self.omega_ref, self.omega_freq, self.m,
+            self.grid, self.stencils, self.allow_negative_gamma,
+        )
+        psi, phi = system.solve_values(self.source.values)
+        return system, psi, phi, restrict(psi, self.scheme, self.mask) - y
 
 
 def sensitivity(
@@ -288,89 +300,28 @@ def adjoint_gradient(
     Returns (pair, density) where pair is the GradientPair in the metric and
     density the raw (pre-Riesz) Omega functional density; the latter gives
     the squared gradient norm as gamma_scale*dgamma^2 + <domega, density>_w.
-    The adjoint state is the exact discrete one, solved through the forward
-    factorization; `_gradient_parts` maps it to the gradient.
-    """
-    w = problem.grid.weights
-    z = system.solve_weighted_adjoint(observe_adjoint(residual, problem.grid).values, w)
-    dgamma, domega, g = _gradient_parts(problem, metric, psi.values, psi.phi, z)
-    return GradientPair(dgamma=dgamma, domega=ScalarField(values=domega)), g
 
-
-def _gradient_parts(
-    problem: InverseProblem,
-    metric: ParameterMetric,
-    psi: np.ndarray,
-    phi: np.ndarray,
-    z: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(dgamma, domega, density) from the adjoint state z at the state psi
-    with phi = delta_m psi.
-
-    The raw parts pair z with +B'(.) psi; the Omega part applies the
-    weighted adjoint of the alpha coefficient map, the discretely exact
-    counterpart of the analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.))
-    form.  The functional is their negative because the sensitivity is
+    The adjoint state z is the exact discrete one, solved through the
+    forward factorization, and delta_m psi is the state's own phi.  The raw
+    parts pair z with +B'(.) psi; the Omega part applies the weighted
+    adjoint of the alpha coefficient map, the discretely exact counterpart
+    of the analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.)) form.  The
+    functional is their negative because the sensitivity is
     F'(p) dp = -L B^-1 B'(dp) psi; domega is the Riesz map of it.
     """
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
-    raw_gamma = float(np.sum((st.delta_matrix(m) @ phi) * np.conj(z) * w).real)
+    z = system.solve_weighted_adjoint(observe_adjoint(residual, grid).values, w)
+    raw_gamma = float(np.sum((st.delta_matrix(m) @ psi.phi) * np.conj(z) * w).real)
     if m != 0:
-        c = np.imag(np.conj(psi) * z)
-        shear = np.imag(np.conj(phi) * z)
+        c = np.imag(np.conj(psi.values) * z)
+        shear = np.imag(np.conj(psi.phi) * z)
         density = m * (apply_alpha_adjoint(grid, st, c) - shear)
     else:
         density = np.zeros(grid.n)
     g = -density
-    return -raw_gamma / metric.gamma_scale, metric.riesz(g), g
-
-
-class _MisfitKernel:
-    """The misfit ||F(p) - y||_Y and its Riesz gradient for one run of
-    `nesterov_landweber`, with nothing rebuilt per evaluation: the forward
-    band (`_ForwardBand`), the data and the observed weights are prepared
-    once.  `misfit` is one band fill, one zgbsv and one norm, and keeps the
-    factors, the state and the residual of its point; `gradient` then takes
-    one adjoint solve through those factors and one Riesz solve.  The kernel
-    holds band-sized arrays, so it lives for one run.  The numbers are those
-    of `InverseProblem.residual` and `adjoint_gradient`, bit for bit.
-    `state_solves` and `gradients` count the evaluations.
-    """
-
-    def __init__(self, problem: InverseProblem, y: DataVector, metric: ParameterMetric):
-        self.problem, self.metric = problem, metric
-        self.y = y.values
-        self.w_obs = problem.observed_weights
-        self._psi_slots = 2 * problem.mask + 1  # observed psi_j in [phi; psi] interleaved
-        self.forward = _ForwardBand(
-            problem.grid,
-            problem.stencils,
-            problem.m,
-            problem.omega_freq,
-            problem.omega_ref,
-            problem.source,
-            problem.allow_negative_gamma,
-        )
-        self.state_solves = 0
-        self.gradients = 0
-
-    def misfit(self, gamma: float, omega: np.ndarray) -> float:
-        """||F(p) - y||_Y at p = (gamma, omega), the norm of `data_norm`."""
-        self.state_solves += 1
-        self._solved = self.forward.solve(gamma, omega)
-        psi = self._solved[3][1::2]
-        self._residual = restrict(psi, self.problem.scheme, self.problem.mask) - self.y
-        return weighted_norm(self.w_obs, self._residual)
-
-    def gradient(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(dgamma, domega, density) at the point of the last `misfit`."""
-        self.gradients += 1
-        lu, piv, pin, x = self._solved
-        full = np.zeros(len(x), dtype=complex)
-        full[self._psi_slots] = self.w_obs * self._residual
-        z = _weighted_adjoint(lu, piv, pin, full, self.problem.grid.weights)
-        return _gradient_parts(self.problem, self.metric, x[1::2], x[0::2], z)
+    dgamma = -raw_gamma / metric.gamma_scale
+    return GradientPair(dgamma=dgamma, domega=ScalarField(values=metric.riesz(g))), g
 
 
 # ----------------------------------------------------------------------
@@ -443,9 +394,10 @@ def nesterov_landweber(
     would increase the misfit; this keeps the residual history
     nonincreasing, which the discrepancy principle relies on.  The search
     from the momentum point makes at most `MOMENTUM_BACKTRACKS` trials, the
-    fallback at most `MAX_BACKTRACKS`.  Every misfit and gradient comes from
-    one `_MisfitKernel`, prepared for this call; the trace counts its state
-    solves and gradients.
+    fallback at most `MAX_BACKTRACKS`.  A trial's misfit is the norm of
+    `InverseProblem.residual_values`; at each search's start point the
+    gradient is `adjoint_gradient` of `InverseProblem.residual`.  The trace
+    counts the state solves and gradients.
     """
     grid = problem.grid
     metric = ParameterMetric(
@@ -454,7 +406,14 @@ def nesterov_landweber(
     if delta < 0:
         raise ConfigurationError("noise level delta must be nonnegative")
     threshold = max(config.tau * delta, config.residual_floor)
-    kernel = _MisfitKernel(problem, y_delta, metric)
+    w_obs = problem.observed_weights
+    state_solves = gradients = 0
+
+    def misfit(ga, om):
+        """||F(p) - y||_Y at p = (ga, om), the norm of `data_norm`."""
+        nonlocal state_solves
+        state_solves += 1
+        return weighted_norm(w_obs, problem.residual_values(ga, om, y_delta.values)[3])
 
     gamma = float(gamma_init)
     omega = np.zeros(grid.n)
@@ -463,7 +422,7 @@ def nesterov_landweber(
     step_sizes: list[float] = []
     stop_reason = None
     try:
-        res_current = kernel.misfit(gamma, omega)
+        res_current = misfit(gamma, omega)
     except NearResonanceError:
         res_current, stop_reason = float("nan"), "near_resonance"
     residuals = [res_current]
@@ -490,13 +449,16 @@ def nesterov_landweber(
             (z_gamma, z_omega, False),
             (gamma, omega, True),
         ):
+            state_solves += 1
             try:
-                res_src = kernel.misfit(src_gamma, src_omega)
+                system, psi, res_vec = problem.residual(src_gamma, src_omega, y_delta)
             except NearResonanceError:
                 stop_reason = "near_resonance"
                 break
-            dgamma, domega, g_density = kernel.gradient()
-            phi0 = 0.5 * res_src**2
+            gradients += 1
+            grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
+            dgamma, domega = grad.dgamma, grad.domega.values
+            phi0 = 0.5 * weighted_norm(w_obs, res_vec.values) ** 2
             decrease = metric.gamma_scale * dgamma**2 + float(
                 np.sum(domega * g_density * grid.weights)
             )
@@ -507,7 +469,7 @@ def nesterov_landweber(
                 trial_omega = src_omega - mu * domega
                 if trial_gamma > 0 or problem.allow_negative_gamma:
                     try:
-                        trial_res = kernel.misfit(trial_gamma, trial_omega)
+                        trial_res = misfit(trial_gamma, trial_omega)
                     except NearResonanceError:
                         mu *= SHRINK
                         continue
@@ -538,8 +500,8 @@ def nesterov_landweber(
         stop_reason=stop_reason,
         threshold=threshold,
         delta=delta,
-        state_solves=kernel.state_solves,
-        gradients=kernel.gradients,
+        state_solves=state_solves,
+        gradients=gradients,
     )
 
 

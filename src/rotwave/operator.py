@@ -27,11 +27,10 @@ rows: row 2j takes the source, row 2j+1 is -phi_j + (delta_m psi)_j.  Both
 delta_m blocks then sit on the even offsets 2 (j - k), and K is a band with
 kl = ku = 6 (delta_m couples nodes at most three apart).  Each stencils
 object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
-five slice writes into LAPACK band storage, allocated in Fortran order:
-two for K's constant rows (`_band_template`) and three for the rows that
-hold gamma, d and a (`_fill_band`).
-`WaveSystem` is the one type of a factored mixed band: the forward
-operator (`assemble_forward`) and the Riesz map of
+five slice writes into LAPACK band storage, allocated in Fortran order.
+`WaveSystem` is the one type that builds, factors and solves a mixed
+band: the forward operator (`forward_system`, which `assemble_forward`
+and every misfit of the inversion call) and the Riesz map of
 `inversion.ParameterMetric` (an m = 0 band with its own gamma and d) each
 build one.  Its constructor factors K with gbtrf in place of the band (a
 C-ordered band would be copied and transposed by f2py first), so the
@@ -41,11 +40,10 @@ the even ones.  The exact adjoint of the discrete
 operator with respect to the weighted inner product, W^-1 B^H W, is one
 conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
 gives B^H a = g, so g goes to the odd positions and a is read from the
-even ones (`_weighted_adjoint`).  Its condition number grows like n^2
-where that of B grows like n^4.  The Nesterov-Landweber loop solves the
-forward operator once at each new point and keeps no system:
-`_ForwardBand` fills a copy of one band template per solve through the
-same helpers, and factors and solves it with one zgbsv.
+even ones (`WaveSystem.solve_weighted_adjoint`).  Its condition number
+grows like n^2 where that of B grows like n^4.  A system lives as long as
+its caller holds it: the Nesterov-Landweber loop builds one per trial
+point and keeps none beyond the gradient taken at it.
 
 For m = 0, delta_0 annihilates constants, so the axisymmetric problem is
 posed on mean-zero fields through the mean pin s 1 v^T (v = w / sum w)
@@ -58,7 +56,7 @@ applied around each band solve, to phi as well as to psi (`_MeanPin`).  s
 is the largest entry of gamma delta_0 + i omega, the block of K the pin
 shares a row with.
 
-gbtrf, gbtrs and zgbsv are scipy's own f2py wrappers, taken from its compiled
+gbtrf and gbtrs are scipy's own f2py wrappers, taken from its compiled
 LAPACK module `scipy.linalg._flapack`, which `_load_flapack` loads by file
 spec: importing `scipy.linalg` for them would run scipy's package imports,
 which cost more than the rest of a cold `rotwave` start.
@@ -146,37 +144,6 @@ def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray)
 # ----------------------------------------------------------------------
 
 
-def _band_template(dia: np.ndarray, dtype) -> np.ndarray:
-    """A zero band of K in LAPACK storage with K's constant rows written: row
-    2j+1 is -phi_j + (L psi)_j for L by diagonals `dia`.  Fortran order, as
-    gbtrf takes it, so that it factors the band in place."""
-    band = np.zeros((2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=dtype, order="F")
-    band[_DIAG + 1, 0::2] = -1.0
-    band[_DELTA_ROWS, 1::2] = dia
-    return band
-
-
-def _fill_band(band: np.ndarray, dia: np.ndarray, gamma: float, d, a) -> None:
-    """Write K's other rows into a band from `_band_template`: row 2j is
-    ((gamma L + d) phi + a psi)_j."""
-    np.multiply(dia, gamma, out=band[_DELTA_ROWS, 0::2])
-    band[_DIAG, 0::2] += d
-    band[_DIAG - 1, 1::2] = a
-
-
-def _pivot_ratio(lu: np.ndarray) -> float:
-    """min |U_ii| / max |U_ii| of a band LU."""
-    pivots = np.abs(lu[_DIAG])
-    return float(pivots.min() / pivots.max())
-
-
-def _check_resonance(pivot_ratio: float, omega_freq: float, m: int) -> None:
-    """Raise `NearResonanceError` for a forward operator whose pivot ratio is
-    below `PIVOT_RTOL`; a NaN ratio (zero or non-finite band) trips too."""
-    if not pivot_ratio >= PIVOT_RTOL:
-        raise NearResonanceError(omega_freq, m, pivot_ratio)
-
-
 def _gbtrs(lu: np.ndarray, piv: np.ndarray, full: np.ndarray, trans: int) -> np.ndarray:
     """Solve against a band LU in place of `full`, a fresh Fortran-ordered
     right-hand side of the LU's dtype."""
@@ -221,17 +188,6 @@ class _MeanPin:
         return rhs
 
 
-def _weighted_adjoint(
-    lu: np.ndarray, piv: np.ndarray, pin: _MeanPin | None, full: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """z with (W^-1 B^H W) z = rhs, given full = [0; W rhs] interleaved, a
-    fresh array of the LU's dtype: B^H a = W rhs is read off
-    K^H [a; b] = [0; W rhs] at the even positions."""
-    if pin is not None:
-        full[1::2] = pin.correct_adjoint(full[1::2].copy())
-    return _gbtrs(lu, piv, full, 2)[0::2] / weights
-
-
 class WaveSystem:
     """The mixed band K = [[gamma L + diag(d), diag(a)], [-I, L]] of L = lap,
     factored in place at construction; d and a are nodal arrays or scalars.
@@ -255,11 +211,20 @@ class WaveSystem:
         self.m = m
         self.omega_freq = omega_freq
         dia = lap.diagonals
-        band = _band_template(dia, np.result_type(d, a, float))
-        _fill_band(band, dia, gamma, d, a)
+        # Fortran order, as gbtrf takes it, so that it factors the band in place
+        band = np.zeros(
+            (2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float), order="F"
+        )
+        # row 2j: ((gamma L + d) phi + a psi)_j
+        np.multiply(dia, gamma, out=band[_DELTA_ROWS, 0::2])
+        band[_DIAG, 0::2] += d
+        band[_DIAG - 1, 1::2] = a
+        band[_DIAG + 1, 0::2] = -1.0  # row 2j+1: -phi_j + (L psi)_j
+        band[_DELTA_ROWS, 1::2] = dia
         self._pin = None if pin_weights is None else _MeanPin(band, pin_weights)
         self.lu, self.piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
-        self.pivot_ratio = _pivot_ratio(self.lu)
+        pivots = np.abs(self.lu[_DIAG])
+        self.pivot_ratio = float(pivots.min() / pivots.max())
         if self._pin is not None:
             self._pin.factor(self.lu, self.piv)
 
@@ -275,10 +240,13 @@ class WaveSystem:
         return x[1::2], x[0::2]
 
     def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solve (W^-1 B^H W) z = rhs."""
+        """Solve (W^-1 B^H W) z = rhs: B^H a = W rhs is read off
+        K^H [a; b] = [0; W rhs] at the even positions."""
         full = np.zeros(2 * len(rhs), dtype=self.lu.dtype)
         full[1::2] = weights * rhs
-        return _weighted_adjoint(self.lu, self.piv, self._pin, full, weights)
+        if self._pin is not None:
+            full[1::2] = self._pin.correct_adjoint(full[1::2])
+        return _gbtrs(self.lu, self.piv, full, 2)[0::2] / weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,23 +257,33 @@ class State(ComplexField):
     phi: np.ndarray
 
 
-def _forward_coefficients(
-    stencils: DerivativeStencils,
-    m: int,
-    omega_freq: float,
-    omega_ref: float,
+def forward_system(
     gamma: float,
     omega: np.ndarray,
-    allow_any_gamma: bool,
-):
-    """(d, a) of the forward operator's band at (gamma, omega):
-    d = i (omega_freq - m beta) and a = i m alpha, or i omega_freq and 0 for
-    m = 0.  gamma <= 0 is a ConfigurationError unless `allow_any_gamma`."""
+    omega_ref: float,
+    omega_freq: float,
+    m: int,
+    grid: Grid,
+    stencils: DerivativeStencils,
+    allow_any_gamma: bool = False,
+) -> WaveSystem:
+    """The factored forward operator at (gamma, Omega) with Omega by its nodal
+    values `omega`: the band of d = i (omega_freq - m beta) and a = i m alpha,
+    or of d = i omega_freq and a = 0 and mean-pinned for m = 0.  gamma <= 0
+    is a ConfigurationError unless `allow_any_gamma`; a pivot ratio below
+    `PIVOT_RTOL` raises `NearResonanceError`, a NaN one (zero or non-finite
+    band) too."""
     if gamma <= 0 and not allow_any_gamma:
         raise ConfigurationError(f"forward operator needs gamma > 0, got {gamma}")
-    if m == 0:
-        return 1j * omega_freq, 0.0
-    return 1j * (omega_freq - m * (omega - omega_ref)), 1j * m * (stencils.alpha @ omega)
+    d, a = 1j * omega_freq, 0.0
+    if m != 0:
+        d = 1j * (omega_freq - m * (omega - omega_ref))
+        a = 1j * m * (stencils.alpha @ omega)
+    pin_weights = grid.weights if m == 0 else None
+    system = WaveSystem(stencils.delta_matrix(m), gamma, d, a, pin_weights, m, omega_freq)
+    if not system.pivot_ratio >= PIVOT_RTOL:
+        raise NearResonanceError(omega_freq, m, system.pivot_ratio)
+    return system
 
 
 def assemble_forward(
@@ -317,65 +295,10 @@ def assemble_forward(
     _allow_any_gamma: bool = False,
 ) -> WaveSystem:
     """Assemble and factor gamma delta_m^2 + i omega delta_m - i m beta delta_m
-    + i m alpha in mixed form, mean-pinned for m = 0; a system whose pivot
-    ratio falls below `PIVOT_RTOL` raises `NearResonanceError`."""
-    d, a = _forward_coefficients(
-        stencils, m, omega_freq, p.omega_ref, p.gamma, p.omega, _allow_any_gamma
+    + i m alpha in mixed form (`forward_system` at p's gamma and Omega)."""
+    return forward_system(
+        p.gamma, p.omega, p.omega_ref, omega_freq, m, grid, stencils, _allow_any_gamma
     )
-    pin_weights = grid.weights if m == 0 else None
-    system = WaveSystem(stencils.delta_matrix(m), p.gamma, d, a, pin_weights, m, omega_freq)
-    _check_resonance(system.pivot_ratio, omega_freq, m)
-    return system
-
-
-class _ForwardBand:
-    """The forward operator of one problem and source, prepared for many
-    solves at new (gamma, Omega): L's diagonals, a band template with K's
-    constant rows and the interleaved source [f; 0].  Each `solve` fills a
-    copy of the template (`_fill_band`), pins it for m = 0 and factors and
-    solves it with one zgbsv, the arithmetic of gbtrf followed by gbtrs, so
-    its psi and phi equal those of `solve(assemble_forward(...), f)` bit for
-    bit.  The template is band-sized: keep an instance for one run only.
-    """
-
-    def __init__(
-        self,
-        grid: Grid,
-        stencils: DerivativeStencils,
-        m: int,
-        omega_freq: float,
-        omega_ref: float,
-        source: ComplexField,
-        allow_any_gamma: bool,
-    ):
-        self.stencils, self.m = stencils, m
-        self.omega_freq, self.omega_ref = omega_freq, omega_ref
-        self.pin_weights = grid.weights if m == 0 else None
-        self.allow_any_gamma = allow_any_gamma
-        self._dia = stencils.delta_matrix(m).diagonals
-        self._template = _band_template(self._dia, complex)
-        self._rhs = np.zeros(2 * len(source.values), dtype=complex)
-        self._rhs[0::2] = source.values
-
-    def solve(self, gamma: float, omega: np.ndarray):
-        """(lu, piv, pin, x): the factored band of B at (gamma, omega), its mean
-        pin (None unless m = 0) and x = [phi; psi] interleaved.  A pivot ratio
-        below `PIVOT_RTOL` raises `NearResonanceError`."""
-        d, a = _forward_coefficients(
-            self.stencils, self.m, self.omega_freq, self.omega_ref, gamma, omega,
-            self.allow_any_gamma,
-        )
-        band = np.copy(self._template)
-        _fill_band(band, self._dia, gamma, d, a)
-        pin = None if self.pin_weights is None else _MeanPin(band, self.pin_weights)
-        lu, piv, x, _ = _flapack.zgbsv(
-            _KL, _KU, band, np.copy(self._rhs), overwrite_ab=1, overwrite_b=1
-        )
-        _check_resonance(_pivot_ratio(lu), self.omega_freq, self.m)
-        if pin is not None:
-            pin.factor(lu, piv)
-            pin.correct(x)
-        return lu, piv, pin, x
 
 
 def solve(system: WaveSystem, rhs: ComplexField) -> State:

@@ -10,22 +10,32 @@ Tolerances:
   transposed adjoint moves them by O(1) on these random right-hand sides.
 - apply_B_prime: both sides are the same products in another order; on a
   random state nothing cancels, so the gap is 50 eps relative.
+- the Nesterov-Landweber loop's misfit and gradient: the misfit inherits
+  the forward solve's bound; the gradient chains the forward, the weighted
+  adjoint and the Riesz solve, so its bound adds the KKT matrix's
+  eps * cond_1 to B's.
 """
 
 import numpy as np
 import pytest
 
-from adjoint_reference import assemble_dense, dense, dense_b_prime, dense_kkt
+from adjoint_reference import assemble_dense, dense, dense_alpha, dense_b_prime, dense_kkt
 from rotwave import (
     ComplexField,
+    DataVector,
+    InverseProblem,
+    ObservationScheme,
     ParameterMetric,
     Parameters,
+    adjoint_gradient,
     apply_B_prime,
     assemble_forward,
     build_grid,
     build_stencils,
     solve,
 )
+from rotwave.grid import weighted_norm
+from rotwave.inversion import restrict
 
 EPS = np.finfo(float).eps
 
@@ -82,3 +92,66 @@ def test_riesz_matches_dense_kkt(case, name):
     want = np.linalg.solve(kkt, np.concatenate([g - np.sum(g * w) / np.sum(w), [0.0]]))[:n]
     got = ParameterMetric(grid, stencils, name).riesz(g)
     assert _rel(got, want) < EPS * np.linalg.cond(kkt, 1)
+
+
+# the four observation schemes of test_inversion
+SCHEMES = {
+    "full": ObservationScheme(),
+    "restricted": ObservationScheme(kind="restricted", epsilon=0.45),
+    "real": ObservationScheme(real_part_only=True),
+    "restricted_real": ObservationScheme(kind="restricted", epsilon=0.45, real_part_only=True),
+}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [16, 100])
+def test_loop_misfit_and_gradient_match_dense_lu(n, m, scheme):
+    # what nesterov_landweber evaluates: a trial's misfit, the norm of
+    # `residual_values`, and a search's gradient, `adjoint_gradient` of
+    # `residual`; against the same quantities from dense LU of B and of its
+    # weighted adjoint and from the Riesz map's KKT matrix
+    grid = build_grid(n, r=0.9)
+    stencils = build_stencils(grid)
+    rng = np.random.default_rng([n, m])
+    w = grid.weights
+    x = np.cos(grid.nodes)
+    omega = 0.6 + 0.3 * x**2 - 0.2 * x**3
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    problem = InverseProblem(
+        grid=grid, stencils=stencils, m=m, omega_freq=1.3, source=ComplexField(m=m, values=f),
+        scheme=SCHEMES[scheme], omega_ref=0.1,
+    )
+    mask = problem.mask
+    yv = rng.standard_normal(len(mask))
+    if not problem.scheme.real_part_only:
+        yv = yv + 1j * rng.standard_normal(len(mask))
+    metric = ParameterMetric(grid, stencils, "H2", gamma_scale=3000.0)
+
+    misfit = weighted_norm(problem.observed_weights, problem.residual_values(0.05, omega, yv)[3])
+    system, psi, res = problem.residual(0.05, omega, DataVector(values=yv, mask=mask))
+    grad, density = adjoint_gradient(problem, res, psi, system, metric)
+
+    matrix = assemble_dense(Parameters(0.05, omega, 0.1), 1.3, m, grid, stencils)
+    kkt = dense_kkt(grid, stencils, "H2")
+    psi_d = np.linalg.solve(matrix, f)
+    r_d = restrict(psi_d, problem.scheme, mask) - yv
+    assert abs(misfit - weighted_norm(w[mask], r_d)) <= (
+        EPS * np.linalg.cond(matrix, 1) * weighted_norm(w, psi_d)
+    )
+
+    rhs = np.zeros(n, dtype=complex)
+    rhs[mask] = r_d
+    z = np.linalg.solve(matrix.conj().T * (w[None, :] / w[:, None]), rhs)  # W^-1 B^H W
+    lap = dense(stencils.delta_matrix(m))
+    dgamma = -float(np.sum((lap @ lap @ psi_d) * np.conj(z) * w).real) / 3000.0
+    alpha_adjoint = dense_alpha(grid, stencils).T * (w[None, :] / w[:, None])
+    density_d = -m * (
+        alpha_adjoint @ np.imag(np.conj(psi_d) * z) - np.imag(np.conj(lap @ psi_d) * z)
+    )
+    g = density_d - np.sum(density_d * w) / np.sum(w)
+    domega = np.linalg.solve(kkt, np.concatenate([g, [0.0]]))[:n]
+    tol = EPS * (np.linalg.cond(matrix, 1) + np.linalg.cond(kkt, 1))
+    assert abs(grad.dgamma - dgamma) <= tol * abs(dgamma)
+    assert np.linalg.norm(density - density_d) <= tol * np.linalg.norm(density_d)
+    assert np.linalg.norm(grad.domega.values - domega) <= tol * np.linalg.norm(domega)

@@ -327,6 +327,62 @@ def test_mistyped_truth_override_exits_2(tmp_path, key, value):
     assert f"truth_overrides.{key}" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "command,override",
+    [
+        ("reconstruct", "iteration.tau=NaN"),
+        ("reconstruct", "gamma_init_scale=NaN"),
+        ("reconstruct", "truth_overrides.gamma_true=NaN"),
+        ("forward", "truth_overrides.amplitude=NaN"),
+        ("forward", "truth_overrides.omega_coeffs.b=Infinity"),
+        ("forward", "truth_overrides.psi_coeffs.b=-Infinity"),
+    ],
+)
+def test_non_finite_value_exits_2(tmp_path, command, override):
+    # json.loads parses NaN and Infinity; a NaN tau or start scale used to
+    # run to max_iter and exit 0, a NaN amplitude to write a state of NaN
+    cfg = write_config(tmp_path, iteration={"max_iter": 3, "gamma_scale": 3000.0})
+    out = tmp_path / "nonfinite"
+    code = main([command, "--config", cfg, "--overrides", override, "--output-dir", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert override.partition("=")[0].removeprefix("truth_overrides.") in err["message"]
+    assert "finite" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["reconstruct"], ["grid-convergence", "--sizes", "16,32"]], ids=lambda a: a[0]
+)
+def test_zero_amplitude_truth_exits_2(tmp_path, argv):
+    # psi* = 0 gives y = 0: reconstruct used to stop at K = 0 with residual 0,
+    # grid-convergence to divide by ||psi*|| = 0
+    cfg = write_config(tmp_path)
+    out = tmp_path / "zero_amp"
+    overrides = ["--overrides", "truth_overrides.amplitude=0"]
+    assert main([*argv, "--config", cfg, *overrides, "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and "amplitude" in err["message"]
+
+
+def test_zero_rotation_reconstruction_reports_nan_omega_error(tmp_path, capsys):
+    # Omega* = 0 (solar_like with b = 0) is a valid experiment; its relative
+    # Omega error is undefined, so it reads NaN instead of dividing by zero
+    cfg = write_config(tmp_path, truth="m3_default")
+    out = tmp_path / "zero_rot"
+    argv = ["--config", cfg, "--overrides", "truth_overrides.omega_coeffs.b=0"]
+    assert main(["reconstruct", *argv, "--output-dir", str(out)]) == 0
+    record = json.loads((out / "clitest_record.json").read_text())
+    assert math.isnan(record["rel_err_omega"]) and math.isfinite(record["rel_err_gamma"])
+    with open(out / "clitest_iterations.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == record["stop_index"] + 1
+    assert all(math.isnan(float(row["rel_err_omega"])) for row in rows)
+    assert main(["sweep", *argv, "--output-dir", str(out / "sweep"), "--values", "0.05"]) == 0
+    rows = (out / "sweep" / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and "error" not in rows[0] and rows[0].split(",")[7] == "nan"
+
+
 def test_unread_truth_coefficient_exits_2(tmp_path):
     cfg = write_config(tmp_path, truth_overrides={"psi_coeffs": {"bb": 5.0}})
     out = tmp_path / "truth_coeffs"

@@ -107,6 +107,12 @@ def test_truth_rejects_coefficients_its_shape_or_profile_does_not_read(overrides
         manufacture_truth("m3_default", overrides)
 
 
+def test_truth_rejects_zero_amplitude():
+    # psi* = 0 would give data y = 0, which no parameter can be read from
+    with pytest.raises(ConfigurationError, match="amplitude"):
+        manufacture_truth("m3_default", {"amplitude": 0})
+
+
 def test_zero_rotation_truth_runs():
     truth = manufacture_truth(
         "m2_default", {"omega_name": "constant", "omega_coeffs": {"a": 0}}

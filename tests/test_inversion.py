@@ -31,7 +31,7 @@ from rotwave import (
     tcc_probe,
 )
 from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
-from rotwave.inversion import _MisfitKernel, observation_mask, smooth_omega
+from rotwave.inversion import observation_mask
 
 SCHEMES = [
     ObservationScheme(),
@@ -433,34 +433,6 @@ def test_momentum_budget_changes_no_iterate(monkeypatch):
     assert len(capped.iterates) == len(uncapped.iterates) == 501
     for (g1, om1), (g2, om2) in zip(capped.iterates, uncapped.iterates):
         assert g1 == g2 and om1.tobytes() == om2.tobytes()
-
-
-@pytest.mark.parametrize("truth_name", ["m3_default", "m0_default"])
-@pytest.mark.parametrize("scheme", SCHEMES, ids=["full", "restricted", "real", "restricted_real"])
-def test_misfit_kernel_matches_residual_and_adjoint_gradient(truth_name, scheme):
-    # the loop's kernel against the code it replaces, bit for bit, at random
-    # points: its misfit against data_norm of `residual`, its gradient pair
-    # and density against `adjoint_gradient`
-    truth, grid, stencils, problem = make_problem(n=64, truth_name=truth_name, scheme=scheme)
-    metric = ParameterMetric(grid, stencils, "H2", gamma_scale=3000.0)
-    om_true = truth.omega_exact(grid).values
-    y = problem.observed(truth.gamma_true, om_true)
-    kernel = _MisfitKernel(problem, y, metric)
-    rng = np.random.default_rng(20)
-    for _ in range(20):
-        gamma = truth.gamma_true * rng.uniform(0.5, 2.0)
-        omega = rng.uniform(0.0, 1.5) * om_true + smooth_omega(rng, metric, 4)
-        misfit = kernel.misfit(gamma, omega)
-        system, psi, res = problem.residual(gamma, omega, y)
-        assert misfit == data_norm(grid, res)
-        dgamma, domega, density = kernel.gradient()
-        pair, want_density = adjoint_gradient(problem, res, psi, system, metric)
-        assert dgamma == pair.dgamma
-        assert domega.tobytes() == pair.domega.values.tobytes()
-        assert density.tobytes() == want_density.tobytes()
-    assert kernel.state_solves == kernel.gradients == 20
-    with pytest.raises(ConfigurationError, match="gamma > 0"):
-        kernel.misfit(-truth.gamma_true, om_true)
 
 
 # ----------------------------------------------------------------------
