@@ -14,14 +14,12 @@ from .grid import (
     norm_sobolev,
 )
 from .operator import (
-    Parameters,
     State,
     WaveSystem,
     apply_B_prime,
     assemble_forward,
     frequency_condition,
     smallness_condition,
-    solve,
 )
 from .inversion import (
     DataVector,

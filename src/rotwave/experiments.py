@@ -307,6 +307,11 @@ class GroundTruth:
         self.omega_freq = float(omega_freq)
         self.omega_ref = float(omega_ref)
         self.r = float(r)
+        for name in ("amplitude", "phase", "gamma_true", "omega_freq", "omega_ref", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"truth {name} must be a finite number, got {getattr(self, name)!r}"
+                )
         if self.gamma_true <= 0:
             raise ConfigurationError("gamma_true must be positive")
         if self.r <= 0:

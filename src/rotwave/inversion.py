@@ -18,13 +18,15 @@ The Omega gradient density is mapped into the parameter space by a Riesz
 solve in the configured Sobolev metric (H1 or H2), which acts as a
 smoothing preconditioner and pins the weighted mean to zero.
 
-`nesterov_landweber` takes every misfit and gradient from the code the
-checks verify: a line-search trial's misfit is one `forward_system`, one
-solve and one norm (`InverseProblem.residual_values`, which `residual`
-wraps), and each search's gradient is one `adjoint_gradient`, one adjoint
-and one Riesz solve.  Its line search makes at most `MOMENTUM_BACKTRACKS`
-trials from the momentum point and at most `MAX_BACKTRACKS` from the
-iterate.
+`InverseProblem.state` is the one place a forward state is built and
+solved: one `assemble_forward` and one `WaveSystem.solve_values`.
+`observed` and `residual` restrict its psi (`restrict`, and `- y` for the
+residual).  `nesterov_landweber` takes every misfit and gradient from that
+path, which the checks verify: a line-search trial's misfit is the norm
+of `residual`, and each search's gradient is one `adjoint_gradient`, one
+adjoint and one Riesz solve.  Its line search makes at most
+`MOMENTUM_BACKTRACKS` trials from the momentum point and at most
+`MAX_BACKTRACKS` from the iterate.
 """
 
 from __future__ import annotations
@@ -47,14 +49,11 @@ from .grid import (
     weighted_norm,
 )
 from .operator import (
-    Parameters,
     State,
     WaveSystem,
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
-    forward_system,
-    solve,
 )
 
 # ----------------------------------------------------------------------
@@ -227,6 +226,14 @@ class InverseProblem:
     omega_ref: float = 0.0
     allow_negative_gamma: bool = False
 
+    def __post_init__(self):
+        n, m = len(self.source.values), self.source.m
+        if n != self.grid.n or m != self.m:
+            raise ConfigurationError(
+                f"source has {n} values of order m={m}; the problem needs "
+                f"{self.grid.n} values of order m={self.m}"
+            )
+
     @cached_property
     def mask(self) -> np.ndarray:
         """Observed node indices, computed once per problem."""
@@ -238,40 +245,27 @@ class InverseProblem:
         return self.grid.weights[self.mask]
 
     def state(self, gamma: float, omega_values: np.ndarray) -> tuple[WaveSystem, State]:
-        sys = assemble_forward(
-            Parameters(gamma, omega_values, self.omega_ref),
-            self.omega_freq,
-            self.m,
-            self.grid,
-            self.stencils,
-            _allow_any_gamma=self.allow_negative_gamma,
+        """The factored forward operator at (gamma, Omega) and the state
+        psi = S(gamma, Omega) from one `assemble_forward` and one solve."""
+        system = assemble_forward(
+            gamma, omega_values, self.omega_ref, self.omega_freq, self.m,
+            self.grid, self.stencils, self.allow_negative_gamma,
         )
-        psi = solve(sys, self.source)
-        return sys, psi
+        psi, phi = system.solve_values(self.source.values)
+        return system, State(m=self.m, values=psi, phi=phi)
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
-        observed = restrict(self.state(gamma, omega_values)[1].values, self.scheme, self.mask)
-        return DataVector(values=observed, mask=self.mask)
+        """F(p) = `restrict`(psi) of the state at p."""
+        psi = self.state(gamma, omega_values)[1]
+        return DataVector(values=restrict(psi.values, self.scheme, self.mask), mask=self.mask)
 
     def residual(
         self, gamma: float, omega_values: np.ndarray, y: DataVector
     ) -> tuple[WaveSystem, State, DataVector]:
         """State at a point and its data residual F(p) - y = `restrict`(psi) - y."""
-        system, psi, phi, r = self.residual_values(gamma, omega_values, y.values)
-        return system, State(m=self.m, values=psi, phi=phi), DataVector(values=r, mask=self.mask)
-
-    def residual_values(
-        self, gamma: float, omega_values: np.ndarray, y: np.ndarray
-    ) -> tuple[WaveSystem, np.ndarray, np.ndarray, np.ndarray]:
-        """`residual` as bare arrays, (system, psi, phi, r) with r = F(p) - y
-        for data values y: one `forward_system` and one solve, all a
-        line-search trial of `nesterov_landweber` needs for its misfit."""
-        system = forward_system(
-            gamma, omega_values, self.omega_ref, self.omega_freq, self.m,
-            self.grid, self.stencils, self.allow_negative_gamma,
-        )
-        psi, phi = system.solve_values(self.source.values)
-        return system, psi, phi, restrict(psi, self.scheme, self.mask) - y
+        system, psi = self.state(gamma, omega_values)
+        r = restrict(psi.values, self.scheme, self.mask) - y.values
+        return system, psi, DataVector(values=r, mask=self.mask)
 
 
 def sensitivity(
@@ -283,8 +277,8 @@ def sensitivity(
     scheme: ObservationScheme,
 ) -> DataVector:
     """Directional derivative F'(p) dp = -L B^-1 B'(dp) psi at the state psi."""
-    rhs = apply_B_prime(dp.dgamma, dp.domega, psi, grid, stencils, system.m, phi=psi.phi)
-    dpsi = ComplexField(m=system.m, values=system.solve_values(-rhs.values)[0])
+    rhs = apply_B_prime(dp.dgamma, dp.domega, psi, grid, stencils, psi.m, phi=psi.phi)
+    dpsi = ComplexField(m=psi.m, values=system.solve_values(-rhs.values)[0])
     return observe(dpsi, scheme, grid)
 
 
@@ -395,8 +389,8 @@ def nesterov_landweber(
     nonincreasing, which the discrepancy principle relies on.  The search
     from the momentum point makes at most `MOMENTUM_BACKTRACKS` trials, the
     fallback at most `MAX_BACKTRACKS`.  A trial's misfit is the norm of
-    `InverseProblem.residual_values`; at each search's start point the
-    gradient is `adjoint_gradient` of `InverseProblem.residual`.  The trace
+    `InverseProblem.residual`; at each search's start point the gradient is
+    `adjoint_gradient` of the same residual.  The trace
     counts the state solves and gradients.
     """
     grid = problem.grid
@@ -413,7 +407,7 @@ def nesterov_landweber(
         """||F(p) - y||_Y at p = (ga, om), the norm of `data_norm`."""
         nonlocal state_solves
         state_solves += 1
-        return weighted_norm(w_obs, problem.residual_values(ga, om, y_delta.values)[3])
+        return weighted_norm(w_obs, problem.residual(ga, om, y_delta)[2].values)
 
     gamma = float(gamma_init)
     omega = np.zeros(grid.n)

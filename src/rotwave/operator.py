@@ -12,8 +12,9 @@ with rotation-derived coefficients
     beta(theta)  = Omega(theta) - Omega_ref
 
 and the Gamma_m pole closure baked into delta_m.  Omega enters as its nodal
-values (`Parameters.omega`); the band rows `stencils.alpha` are the one
-spelling of the map Omega -> alpha, shared by assembly and `apply_B_prime`.
+values, an array beside gamma in every entry point; the band rows
+`stencils.alpha` are the one spelling of the map Omega -> alpha, shared by
+assembly and `apply_B_prime`.
 
 B is never formed.  With phi = delta_m psi (the mixed form of Ciarlet and
 Raviart for the biharmonic) the solve is
@@ -29,8 +30,8 @@ kl = ku = 6 (delta_m couples nodes at most three apart).  Each stencils
 object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
 five slice writes into LAPACK band storage, allocated in Fortran order.
 `WaveSystem` is the one type that builds, factors and solves a mixed
-band: the forward operator (`forward_system`, which `assemble_forward`
-and every misfit of the inversion call) and the Riesz map of
+band: the forward operator (`assemble_forward`, which in the package
+only `inversion.InverseProblem.state` calls) and the Riesz map of
 `inversion.ParameterMetric` (an m = 0 band with its own gamma and d) each
 build one.  Its constructor factors K with gbtrf in place of the band (a
 C-ordered band would be copied and transposed by f2py first), so the
@@ -123,17 +124,6 @@ _GBTRF = {"d": _flapack.dgbtrf, "D": _flapack.zgbtrf}
 _GBTRS = {"d": _flapack.dgbtrs, "D": _flapack.zgbtrs}
 
 
-@dataclass(frozen=True, eq=False)
-class Parameters:
-    """Unknowns of the inverse problem plus the rotating-frame reference.
-
-    `omega` holds the nodal values of Omega(theta)."""
-
-    gamma: float
-    omega: np.ndarray
-    omega_ref: float = 0.0
-
-
 def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray) -> np.ndarray:
     """Weighted adjoint W^-1 alpha^T W v of the map Omega -> `stencils.alpha @ Omega`."""
     return stencils.alpha.rmatvec(grid.weights * v) / grid.weights
@@ -205,11 +195,7 @@ class WaveSystem:
         d: np.ndarray | complex,
         a: np.ndarray | complex,
         pin_weights: np.ndarray | None = None,
-        m: int = 0,
-        omega_freq: float = 0.0,
     ):
-        self.m = m
-        self.omega_freq = omega_freq
         dia = lap.diagonals
         # Fortran order, as gbtrf takes it, so that it factors the band in place
         band = np.zeros(
@@ -257,7 +243,7 @@ class State(ComplexField):
     phi: np.ndarray
 
 
-def forward_system(
+def assemble_forward(
     gamma: float,
     omega: np.ndarray,
     omega_ref: float,
@@ -280,33 +266,10 @@ def forward_system(
         d = 1j * (omega_freq - m * (omega - omega_ref))
         a = 1j * m * (stencils.alpha @ omega)
     pin_weights = grid.weights if m == 0 else None
-    system = WaveSystem(stencils.delta_matrix(m), gamma, d, a, pin_weights, m, omega_freq)
+    system = WaveSystem(stencils.delta_matrix(m), gamma, d, a, pin_weights)
     if not system.pivot_ratio >= PIVOT_RTOL:
         raise NearResonanceError(omega_freq, m, system.pivot_ratio)
     return system
-
-
-def assemble_forward(
-    p: Parameters,
-    omega_freq: float,
-    m: int,
-    grid: Grid,
-    stencils: DerivativeStencils,
-    _allow_any_gamma: bool = False,
-) -> WaveSystem:
-    """Assemble and factor gamma delta_m^2 + i omega delta_m - i m beta delta_m
-    + i m alpha in mixed form (`forward_system` at p's gamma and Omega)."""
-    return forward_system(
-        p.gamma, p.omega, p.omega_ref, omega_freq, m, grid, stencils, _allow_any_gamma
-    )
-
-
-def solve(system: WaveSystem, rhs: ComplexField) -> State:
-    """Solve the assembled system for one right-hand side."""
-    if rhs.m != system.m:
-        raise ValueError(f"rhs has order {rhs.m}, system expects {system.m}")
-    psi, phi = system.solve_values(rhs.values)
-    return State(m=system.m, values=psi, phi=phi)
 
 
 def apply_B_prime(
@@ -356,7 +319,9 @@ def _h1_full_norm(grid: Grid, stencils: DerivativeStencils, values: np.ndarray) 
 
 
 def frequency_condition(
-    p: Parameters,
+    gamma: float,
+    omega: np.ndarray,
+    omega_ref: float,
     omega_freq: float,
     grid: Grid,
     stencils: DerivativeStencils,
@@ -365,9 +330,9 @@ def frequency_condition(
     (4/gamma^3) (C1 C2)^4 (||Omega-Omega_ref||_H1^2 + 9 ||Omega||_H1^2)^2,
     with the embedding constants C1 (H1 -> L6) and C2 (H^1/2 -> L3) set
     to 1."""
-    nb = _h1_full_norm(grid, stencils, p.omega - p.omega_ref)
-    na = _h1_full_norm(grid, stencils, p.omega)
-    rhs = 4.0 / p.gamma**3 * (nb**2 + 9.0 * na**2) ** 2
+    nb = _h1_full_norm(grid, stencils, omega - omega_ref)
+    na = _h1_full_norm(grid, stencils, omega)
+    rhs = 4.0 / gamma**3 * (nb**2 + 9.0 * na**2) ** 2
     return DiagnosticReport(
         satisfied=abs(omega_freq) > rhs,
         lhs=abs(omega_freq),
@@ -377,17 +342,18 @@ def frequency_condition(
 
 
 def smallness_condition(
-    p: Parameters,
+    gamma: float,
+    omega: np.ndarray,
     m: int,
     grid: Grid,
     stencils: DerivativeStencils,
 ) -> DiagnosticReport:
     """Uniqueness bound: ||Omega'||_L2 |m| C1 C2 / r compared against gamma,
     with the embedding constants C1 (H2 -> L3) and C2 (H1 -> L6) set to 1."""
-    lhs = weighted_norm(grid.weights, stencils.d1 @ p.omega) * abs(m) / grid.r
+    lhs = weighted_norm(grid.weights, stencils.d1 @ omega) * abs(m) / grid.r
     return DiagnosticReport(
-        satisfied=lhs < p.gamma,
+        satisfied=lhs < gamma,
         lhs=lhs,
-        rhs=p.gamma,
+        rhs=gamma,
         description="rotation-shear norm is small compared to the viscosity",
     )

@@ -15,7 +15,7 @@ here densify the package's own band stencils instead:
 
 import numpy as np
 
-from rotwave import GradientPair, Parameters, ScalarField
+from rotwave import GradientPair, ScalarField
 from rotwave.inversion import observe_adjoint
 
 
@@ -35,15 +35,16 @@ def mean_pin(grid, gamma, omega_freq, lap):
     return scale * np.outer(np.ones(grid.n), w) / np.sum(w)
 
 
-def assemble_dense(p, omega_freq, m, grid, stencils):
-    """gamma delta^2 + i omega delta - i m beta delta + i m alpha, pinned for m = 0."""
+def assemble_dense(gamma, omega, omega_ref, omega_freq, m, grid, stencils):
+    """gamma delta^2 + i omega delta - i m beta delta + i m alpha, pinned for
+    m = 0; the arguments are those of `assemble_forward`."""
     lap = dense(stencils.delta_matrix(m))
-    mat = p.gamma * (lap @ lap) + 1j * omega_freq * lap
+    mat = gamma * (lap @ lap) + 1j * omega_freq * lap
     if m != 0:
-        mat = mat - 1j * m * (p.omega - p.omega_ref)[:, None] * lap
-        mat = mat + 1j * m * np.diag(stencils.alpha @ p.omega)
+        mat = mat - 1j * m * (omega - omega_ref)[:, None] * lap
+        mat = mat + 1j * m * np.diag(stencils.alpha @ omega)
     else:
-        mat = mat + mean_pin(grid, p.gamma, omega_freq, lap)
+        mat = mat + mean_pin(grid, gamma, omega_freq, lap)
     return mat
 
 
@@ -78,15 +79,15 @@ def dense_kkt(grid, stencils, name):
     return kkt
 
 
-def assemble_adjoint(p, omega_freq, m, grid, stencils):
+def assemble_adjoint(gamma, omega, omega_ref, omega_freq, m, grid, stencils):
     """The discretization of  gamma delta^2 - i omega delta + i m delta(beta .) - i m alpha."""
     lap = dense(stencils.delta_matrix(m))
-    mat = p.gamma * (lap @ lap) - 1j * omega_freq * lap
+    mat = gamma * (lap @ lap) - 1j * omega_freq * lap
     if m != 0:
-        mat = mat + 1j * m * (lap * (p.omega - p.omega_ref)[None, :])
-        mat = mat - 1j * m * np.diag(stencils.alpha @ p.omega)
+        mat = mat + 1j * m * (lap * (omega - omega_ref)[None, :])
+        mat = mat - 1j * m * np.diag(stencils.alpha @ omega)
     else:
-        mat = mat + mean_pin(grid, p.gamma, omega_freq, lap)
+        mat = mat + mean_pin(grid, gamma, omega_freq, lap)
     return mat
 
 
@@ -96,8 +97,7 @@ def continuous_gradient(problem, gamma, omega_values, psi, residual, metric):
     Omega density."""
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
-    p = Parameters(gamma, omega_values, problem.omega_ref)
-    adj = assemble_adjoint(p, problem.omega_freq, m, grid, st)
+    adj = assemble_adjoint(gamma, omega_values, problem.omega_ref, problem.omega_freq, m, grid, st)
     z = np.linalg.solve(adj, observe_adjoint(residual, grid).values)
     lap = st.delta_matrix(m)
     raw_gamma = float(np.sum((lap @ (lap @ psi.values)) * np.conj(z) * w).real)

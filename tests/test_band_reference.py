@@ -26,13 +26,11 @@ from rotwave import (
     InverseProblem,
     ObservationScheme,
     ParameterMetric,
-    Parameters,
     adjoint_gradient,
     apply_B_prime,
     assemble_forward,
     build_grid,
     build_stencils,
-    solve,
 )
 from rotwave.grid import weighted_norm
 from rotwave.inversion import restrict
@@ -57,16 +55,16 @@ def _rel(a, b):
 def test_band_solves_match_dense_lu(case, m):
     grid, stencils, omega, rng = case
     n, w = grid.n, grid.weights
-    p = Parameters(gamma=0.05, omega=omega, omega_ref=0.1)
-    system = assemble_forward(p, 1.3, m, grid, stencils)
-    matrix = assemble_dense(p, 1.3, m, grid, stencils)
+    p = (0.05, omega, 0.1)
+    system = assemble_forward(*p, 1.3, m, grid, stencils)
+    matrix = assemble_dense(*p, 1.3, m, grid, stencils)
     tol = EPS * np.linalg.cond(matrix, 1)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    state = solve(system, ComplexField(m=m, values=f))
+    psi, phi = system.solve_values(f)
     want = np.linalg.solve(matrix, f)
-    assert _rel(state.values, want) < tol
-    assert _rel(state.phi, dense(stencils.delta_matrix(m)) @ want) < tol
+    assert _rel(psi, want) < tol
+    assert _rel(phi, dense(stencils.delta_matrix(m)) @ want) < tol
 
     adjoint = matrix.conj().T * (w[None, :] / w[:, None])  # W^-1 B^H W
     z = system.solve_weighted_adjoint(f, w)
@@ -108,8 +106,8 @@ SCHEMES = {
 @pytest.mark.parametrize("n", [16, 100])
 def test_loop_misfit_and_gradient_match_dense_lu(n, m, scheme):
     # what nesterov_landweber evaluates: a trial's misfit, the norm of
-    # `residual_values`, and a search's gradient, `adjoint_gradient` of
-    # `residual`; against the same quantities from dense LU of B and of its
+    # `residual`, and a search's gradient, `adjoint_gradient` of the same
+    # residual; against the same quantities from dense LU of B and of its
     # weighted adjoint and from the Riesz map's KKT matrix
     grid = build_grid(n, r=0.9)
     stencils = build_stencils(grid)
@@ -128,11 +126,11 @@ def test_loop_misfit_and_gradient_match_dense_lu(n, m, scheme):
         yv = yv + 1j * rng.standard_normal(len(mask))
     metric = ParameterMetric(grid, stencils, "H2", gamma_scale=3000.0)
 
-    misfit = weighted_norm(problem.observed_weights, problem.residual_values(0.05, omega, yv)[3])
     system, psi, res = problem.residual(0.05, omega, DataVector(values=yv, mask=mask))
+    misfit = weighted_norm(problem.observed_weights, res.values)
     grad, density = adjoint_gradient(problem, res, psi, system, metric)
 
-    matrix = assemble_dense(Parameters(0.05, omega, 0.1), 1.3, m, grid, stencils)
+    matrix = assemble_dense(0.05, omega, 0.1, 1.3, m, grid, stencils)
     kkt = dense_kkt(grid, stencils, "H2")
     psi_d = np.linalg.solve(matrix, f)
     r_d = restrict(psi_d, problem.scheme, mask) - yv

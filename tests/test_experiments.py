@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from rotwave import (
     NearResonanceError,
     NoiseSpec,
     ObservationScheme,
-    Parameters,
     RunRecord,
     add_noise,
     assemble_forward,
@@ -22,10 +22,15 @@ from rotwave import (
     build_stencils,
     manufacture_truth,
     run_experiment,
-    solve,
     sweep,
 )
-from rotwave.experiments import ITERATION_CSV_HEADER, SWEEP_CSV_HEADER, apply_overrides
+from rotwave.experiments import (
+    ITERATION_CSV_HEADER,
+    SWEEP_CSV_HEADER,
+    TRUTH_PRESETS,
+    GroundTruth,
+    apply_overrides,
+)
 from rotwave.inversion import observation_mask
 
 
@@ -113,6 +118,16 @@ def test_truth_rejects_zero_amplitude():
         manufacture_truth("m3_default", {"amplitude": 0})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field", ["amplitude", "phase", "gamma_true", "omega_freq", "omega_ref", "r"]
+)
+def test_truth_built_directly_rejects_non_finite_values(field, value):
+    # the public constructor validates like manufacture_truth's overrides
+    with pytest.raises(ConfigurationError, match=f"truth {field} must be a finite number"):
+        GroundTruth(**{**TRUTH_PRESETS["m3_default"], field: value})
+
+
 def test_zero_rotation_truth_runs():
     truth = manufacture_truth(
         "m2_default", {"omega_name": "constant", "omega_coeffs": {"a": 0}}
@@ -120,15 +135,12 @@ def test_zero_rotation_truth_runs():
     grid = build_grid(64)
     stencils = build_stencils(grid)
     system = assemble_forward(
-        Parameters(truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref),
-        truth.omega_freq,
-        truth.m,
-        grid,
-        stencils,
+        truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref,
+        truth.omega_freq, truth.m, grid, stencils,
     )
-    psi = solve(system, truth.source(grid))
+    psi, _ = system.solve_values(truth.source(grid).values)
     ref = truth.psi_exact(grid)
-    assert wl2(grid, psi.values - ref.values) / wl2(grid, ref.values) < 1e-4
+    assert wl2(grid, psi - ref.values) / wl2(grid, ref.values) < 1e-4
 
 
 def test_default_solar_profile_is_mean_zero():
@@ -148,15 +160,12 @@ def test_inverse_crime_guard():
         grid = build_grid(n)
         stencils = build_stencils(grid)
         system = assemble_forward(
-            Parameters(truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref),
-            truth.omega_freq,
-            truth.m,
-            grid,
-            stencils,
+            truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref,
+            truth.omega_freq, truth.m, grid, stencils,
         )
-        psi = solve(system, truth.source(grid))
+        psi, _ = system.solve_values(truth.source(grid).values)
         ref = truth.psi_exact(grid)
-        errs.append(wl2(grid, psi.values - ref.values) / wl2(grid, ref.values))
+        errs.append(wl2(grid, psi - ref.values) / wl2(grid, ref.values))
     assert errs[1] < errs[0] / 8  # order >= 3 between the two grids
 
 
@@ -170,15 +179,12 @@ def _clean_data(n=64):
     grid = build_grid(n)
     stencils = build_stencils(grid)
     system = assemble_forward(
-        Parameters(truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref),
-        truth.omega_freq,
-        truth.m,
-        grid,
-        stencils,
+        truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref,
+        truth.omega_freq, truth.m, grid, stencils,
     )
-    psi = solve(system, truth.source(grid))
+    psi, _ = system.solve_values(truth.source(grid).values)
     mask = np.arange(n)
-    return grid, DataVector(values=psi.values.copy(), mask=mask)
+    return grid, DataVector(values=psi.copy(), mask=mask)
 
 
 def test_add_noise_zero_level():

@@ -10,8 +10,9 @@ import rotwave.operator
 from rotwave import (
     ComplexField,
     ConfigurationError,
+    InverseProblem,
     NearResonanceError,
-    Parameters,
+    ObservationScheme,
     ScalarField,
     apply_B_prime,
     assemble_forward,
@@ -19,7 +20,6 @@ from rotwave import (
     build_stencils,
     frequency_condition,
     smallness_condition,
-    solve,
 )
 from rotwave.experiments import ExperimentConfig, build_problem
 from rotwave.inversion import ParameterMetric
@@ -100,8 +100,8 @@ def test_apply_alpha_adjoint_identity(n):
 
 def test_forward_eigen_identity(grid100, stencils100):
     gamma, om_freq, m, om0, om_ref = 0.3, 2.0, 2, 0.8, 0.1
-    p = Parameters(gamma=gamma, omega=const_rotation(grid100, om0), omega_ref=om_ref)
-    matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
+    p = (gamma, const_rotation(grid100, om0), om_ref)
+    matrix = assemble_dense(*p, om_freq, m, grid100, stencils100)
     psi = np.sin(grid100.nodes) ** 2
     factor = 36 * gamma - 6j * om_freq + 12j * (om0 - om_ref) - 4j * om0
     out = matrix @ psi
@@ -111,12 +111,8 @@ def test_forward_eigen_identity(grid100, stencils100):
 def test_forward_m0_drops_rotation_terms(grid100, stencils100):
     # rotation coefficients are multiplied by m; compare actions on a
     # mean-zero field (the assembled m = 0 matrix carries a mean pin)
-    p = Parameters(
-        gamma=0.7,
-        omega=rotation(grid100, lambda t: np.cos(t) ** 2),
-        omega_ref=0.3,
-    )
-    matrix = assemble_dense(p, 1.5, 0, grid100, stencils100)
+    p = (0.7, rotation(grid100, lambda t: np.cos(t) ** 2), 0.3)
+    matrix = assemble_dense(*p, 1.5, 0, grid100, stencils100)
     lap = dense(stencils100.delta_matrix(0))
     x = np.cos(grid100.nodes)  # discretely mean-zero by symmetry
     expected = 0.7 * (lap @ (lap @ x)) + 1.5j * (lap @ x)
@@ -127,8 +123,8 @@ def test_forward_m0_drops_rotation_terms(grid100, stencils100):
 
 def test_forward_reference_rotation_drops_beta(grid100, stencils100):
     om0 = 0.9
-    p = Parameters(gamma=0.5, omega=const_rotation(grid100, om0), omega_ref=om0)
-    matrix = assemble_dense(p, 2.0, 1, grid100, stencils100)
+    p = (0.5, const_rotation(grid100, om0), om0)
+    matrix = assemble_dense(*p, 2.0, 1, grid100, stencils100)
     lap = dense(stencils100.delta_matrix(1))
     alpha = -2 * om0  # r = 1
     expected = 0.5 * (lap @ lap) + 2.0j * lap + 1j * alpha * np.eye(100)
@@ -136,14 +132,13 @@ def test_forward_reference_rotation_drops_beta(grid100, stencils100):
 
 
 def test_forward_rejects_nonpositive_gamma(grid100, stencils100):
-    p = Parameters(gamma=0.0, omega=const_rotation(grid100, 1.0))
     with pytest.raises(ConfigurationError):
-        assemble_forward(p, 1.0, 2, grid100, stencils100)
+        assemble_forward(0.0, const_rotation(grid100, 1.0), 0.0, 1.0, 2, grid100, stencils100)
 
 
 def test_bandwidth_is_bounded(grid100, stencils100):
-    p = Parameters(gamma=0.5, omega=const_rotation(grid100, 1.0))
-    assert bandwidth(assemble_dense(p, 2.0, 2, grid100, stencils100)) <= 8
+    p = (0.5, const_rotation(grid100, 1.0), 0.0)
+    assert bandwidth(assemble_dense(*p, 2.0, 2, grid100, stencils100)) <= 8
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +148,7 @@ def test_bandwidth_is_bounded(grid100, stencils100):
 
 def manufactured_case(grid, stencils, gamma=0.3, om_freq=2.0, m=2, om0=0.8):
     """Constant-rotation eigenfunction truth with analytic source."""
-    p = Parameters(gamma=gamma, omega=const_rotation(grid, om0), omega_ref=0.0)
+    p = (gamma, const_rotation(grid, om0), 0.0)
     psi = sample(grid, m, lambda t: np.sin(t) ** 2)
     factor = 36 * gamma - 6j * om_freq + 12j * om0 - 4j * om0
     f = ComplexField(m=m, values=factor * psi.values)
@@ -162,50 +157,57 @@ def manufactured_case(grid, stencils, gamma=0.3, om_freq=2.0, m=2, om0=0.8):
 
 def test_solve_manufactured(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(p, om_freq, m, grid100, stencils100)
-    out = solve(system, f)
-    assert wl2(grid100, out.values - psi.values) / wl2(grid100, psi.values) < 1e-5
+    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    out, _ = system.solve_values(f.values)
+    assert wl2(grid100, out - psi.values) / wl2(grid100, psi.values) < 1e-5
 
 
 def test_solve_zero_rhs(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(p, om_freq, m, grid100, stencils100)
-    zero = ComplexField(m=m, values=np.zeros(100, dtype=complex))
-    assert np.all(solve(system, zero).values == 0)
+    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    assert np.all(system.solve_values(np.zeros(100, dtype=complex))[0] == 0)
 
 
 def test_solve_linearity(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(p, om_freq, m, grid100, stencils100)
-    x1 = solve(system, f)
-    x2 = solve(system, ComplexField(m=m, values=2 * f.values))
-    assert np.max(np.abs(x2.values - 2 * x1.values)) < 1e-12 * np.max(np.abs(x1.values))
+    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    x1, _ = system.solve_values(f.values)
+    x2, _ = system.solve_values(2 * f.values)
+    assert np.max(np.abs(x2 - 2 * x1)) < 1e-12 * np.max(np.abs(x1))
 
 
 def test_solve_residual_contract(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(p, om_freq, m, grid100, stencils100)
-    x = solve(system, f)
-    matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
-    res = np.linalg.norm(matrix @ x.values - f.values)
+    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    x, _ = system.solve_values(f.values)
+    matrix = assemble_dense(*p, om_freq, m, grid100, stencils100)
+    res = np.linalg.norm(matrix @ x - f.values)
     assert res / np.linalg.norm(f.values) < 1e-10
 
 
 def test_solve_rejects_mismatched_order(grid100, stencils100):
+    # the problem checks its source once, when it is built: a source of
+    # another order or length would otherwise be solved silently
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(p, om_freq, m, grid100, stencils100)
-    with pytest.raises(ValueError):
-        solve(system, ComplexField(m=1, values=f.values))
+    for source, message in (
+        (ComplexField(m=1, values=f.values), "order m=1"),
+        (ComplexField(m=m, values=f.values[:-1]), "99 values"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            InverseProblem(
+                grid=grid100, stencils=stencils100, m=m, omega_freq=om_freq, source=source,
+                scheme=ObservationScheme(),
+            )
 
 
 def test_factorization_reproduces_matrix(grid100, stencils100):
     # factorization quality measured by the backward residual (the forward
     # error is bounded by kappa * eps, not 1e-12, for a fourth-order band)
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(p, om_freq, m, grid100, stencils100)
+    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
+    matrix = assemble_dense(*p, om_freq, m, grid100, stencils100)
     b = matrix @ x
     x2, _ = system.solve_values(b)
     res = np.linalg.norm(matrix @ x2 - b) / np.linalg.norm(b)
@@ -237,8 +239,7 @@ def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, ste
     # gbtrf writes the LU over the band only if the band is Fortran-ordered;
     # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin.
     passed = _record_gbtrf_bands(monkeypatch)
-    p = Parameters(gamma=0.05, omega=np.cos(grid100.nodes) ** 2, omega_ref=0.1)
-    system = assemble_forward(p, 1.3, m, grid100, stencils100)
+    system = assemble_forward(0.05, np.cos(grid100.nodes) ** 2, 0.1, 1.3, m, grid100, stencils100)
     assert [band.dtype for band in passed] == [complex]
     _assert_factored_in_place_and_dropped(system, passed[0])
 
@@ -268,9 +269,8 @@ def _resonant_frequency(stencils, m, om0, l):
 def test_near_resonance_detection(grid100, stencils100):
     om0, m = 0.8, 1
     omega_freq = _resonant_frequency(stencils100, m, om0, l=2)
-    p = Parameters(gamma=1e-15, omega=const_rotation(grid100, om0), omega_ref=om0)
     with pytest.raises(NearResonanceError) as err:
-        assemble_forward(p, omega_freq, m, grid100, stencils100)
+        assemble_forward(1e-15, const_rotation(grid100, om0), om0, omega_freq, m, grid100, stencils100)
     assert err.value.m == m
     assert err.value.omega_freq == pytest.approx(omega_freq)
 
@@ -309,10 +309,10 @@ def test_resonance_scan_shows_isolated_dips(grid100, stencils100):
     # smallest singular value dips sharply at the discrete resonances and
     # recovers in between: isolated near-singular frequencies
     om0, m = 0.8, 1
-    p = Parameters(gamma=1e-5, omega=const_rotation(grid100, om0), omega_ref=om0)
+    p = (1e-5, const_rotation(grid100, om0), om0)
 
     def sigma_min(om_freq):
-        matrix = assemble_dense(p, om_freq, m, grid100, stencils100)
+        matrix = assemble_dense(*p, om_freq, m, grid100, stencils100)
         return np.linalg.svd(matrix, compute_uv=False)[-1]
 
     res2 = _resonant_frequency(stencils100, m, om0, l=2)
@@ -347,10 +347,8 @@ def test_b_prime_affine_exactness(grid100, stencils100):
     )
     om_vals = np.cos(grid100.nodes) ** 2
     dgamma, dom_vals = 0.37, 0.5 * np.cos(grid100.nodes)
-    p0 = Parameters(gamma=0.6, omega=om_vals, omega_ref=0.2)
-    p1 = Parameters(gamma=0.6 + dgamma, omega=om_vals + dom_vals, omega_ref=0.2)
-    b0 = assemble_dense(p0, 2.0, 2, grid100, stencils100)
-    b1 = assemble_dense(p1, 2.0, 2, grid100, stencils100)
+    b0 = assemble_dense(0.6, om_vals, 0.2, 2.0, 2, grid100, stencils100)
+    b1 = assemble_dense(0.6 + dgamma, om_vals + dom_vals, 0.2, 2.0, 2, grid100, stencils100)
     diff = (b1 - b0) @ psi.values
     bp = apply_B_prime(dgamma, dom_vals, psi, grid100, stencils100, 2)
     scale = np.max(np.abs(diff))
@@ -363,12 +361,8 @@ def test_b_prime_affine_exactness(grid100, stencils100):
 
 
 def test_algebraic_adjoint_identity(grid100, stencils100):
-    p = Parameters(
-        gamma=0.4,
-        omega=rotation(grid100, lambda t: np.cos(t) ** 2 - 1 / 3),
-        omega_ref=0.1,
-    )
-    fwd = assemble_dense(p, 2.0, 2, grid100, stencils100)
+    p = (0.4, rotation(grid100, lambda t: np.cos(t) ** 2 - 1 / 3), 0.1)
+    fwd = assemble_dense(*p, 2.0, 2, grid100, stencils100)
     w = grid100.weights
     adj = fwd.conj().T * (w[None, :] / w[:, None])  # W^-1 B^H W
     rng = np.random.default_rng(1)
@@ -393,9 +387,9 @@ def _mode_agreement(grids, m, omega_fn, omega_ref):
     errs = []
     for n in ns:
         g, st_ = grids[n]
-        p = Parameters(gamma=0.4, omega=omega_fn(g.nodes), omega_ref=omega_ref)
-        fwd = assemble_forward(p, 2.0, m, g, st_)
-        con = assemble_adjoint(p, 2.0, m, g, st_)
+        p = (0.4, omega_fn(g.nodes), omega_ref)
+        fwd = assemble_forward(*p, 2.0, m, g, st_)
+        con = assemble_adjoint(*p, 2.0, m, g, st_)
         x = np.cos(g.nodes)
         f = ComplexField(
             m=m, values=(lpmv(m, max(m, 1), x) + 0.5 * lpmv(m, max(m, 1) + 2, x)).astype(complex)
@@ -414,9 +408,9 @@ def test_adjoint_modes_agree_m0(grids):
     errs = []
     for n in ns:
         g, st_ = grids[n]
-        p = Parameters(gamma=0.4, omega=np.cos(g.nodes) ** 2, omega_ref=0.1)
-        fwd = assemble_forward(p, 2.0, 0, g, st_)
-        con = assemble_adjoint(p, 2.0, 0, g, st_)
+        p = (0.4, np.cos(g.nodes) ** 2, 0.1)
+        fwd = assemble_forward(*p, 2.0, 0, g, st_)
+        con = assemble_adjoint(*p, 2.0, 0, g, st_)
         x = np.cos(g.nodes)
         f = ComplexField(m=0, values=(lpmv(0, 1, x) + 0.5 * lpmv(0, 3, x)).astype(complex))
         za = fwd.solve_weighted_adjoint(f.values, g.weights)[4:-4]
@@ -438,16 +432,15 @@ def test_adjoint_modes_agree_constant_rotation(grids):
 
 
 def test_frequency_condition_zero_rotation(grid100, stencils100):
-    p = Parameters(gamma=1.0, omega=const_rotation(grid100, 0.0))
-    rep = frequency_condition(p, 0.5, grid100, stencils100)
+    rep = frequency_condition(1.0, const_rotation(grid100, 0.0), 0.0, 0.5, grid100, stencils100)
     assert rep.rhs == pytest.approx(0.0, abs=1e-20)
     assert rep.satisfied
 
 
 def test_frequency_condition_monotone_in_gamma(grid100, stencils100):
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    r1 = frequency_condition(Parameters(gamma=1.0, omega=rot), 1.0, grid100, stencils100)
-    r10 = frequency_condition(Parameters(gamma=10.0, omega=rot), 1.0, grid100, stencils100)
+    r1 = frequency_condition(1.0, rot, 0.0, 1.0, grid100, stencils100)
+    r10 = frequency_condition(10.0, rot, 0.0, 1.0, grid100, stencils100)
     assert r10.rhs < r1.rhs
 
 
@@ -455,25 +448,23 @@ def test_frequency_condition_quadrature_value(grid100, stencils100):
     # Omega = cos^2, gamma = 1, r = 1, unit constants, Omega_ref = 0:
     # ||Omega||_H1^2 = 2/5 + 16/15 = 22/15, threshold = 4*(10*22/15)^2 = 7744/9
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep = frequency_condition(
-        Parameters(gamma=1.0, omega=rot, omega_ref=0.0), 1.0, grid100, stencils100
-    )
+    rep = frequency_condition(1.0, rot, 0.0, 1.0, grid100, stencils100)
     assert rep.rhs == pytest.approx(7744 / 9, rel=1e-3)
     assert not rep.satisfied
 
 
 def test_smallness_condition_constant_and_m0(grid100, stencils100):
     rot_const = const_rotation(grid100, 5.0)
-    rep = smallness_condition(Parameters(gamma=0.01, omega=rot_const), 4, grid100, stencils100)
+    rep = smallness_condition(0.01, rot_const, 4, grid100, stencils100)
     assert rep.lhs < 1e-10 and rep.satisfied
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep0 = smallness_condition(Parameters(gamma=0.01, omega=rot), 0, grid100, stencils100)
+    rep0 = smallness_condition(0.01, rot, 0, grid100, stencils100)
     assert rep0.lhs == 0.0 and rep0.satisfied
 
 
 def test_smallness_condition_quadrature_value(grid100, stencils100):
     # ||Omega'||_L2 = sqrt(16/15) for Omega = cos^2 on r = 1
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep = smallness_condition(Parameters(gamma=0.01, omega=rot), 3, grid100, stencils100)
+    rep = smallness_condition(0.01, rot, 3, grid100, stencils100)
     assert rep.lhs == pytest.approx(3 * np.sqrt(16 / 15), rel=1e-3)
     assert not rep.satisfied
