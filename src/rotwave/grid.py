@@ -40,6 +40,17 @@ is stored as band rows (`BandRows`): an (n, 6) weight array over one window
 of six consecutive nodes per row, so each product costs O(n).  The
 fourth-order operator is never formed here; `operator` solves it in mixed
 form, with delta_m as its only stencil.
+
+Each discretization is built once per process.  `build_grid` returns one
+shared `Grid` per (int(n), float(r)) and `build_stencils` one shared
+`DerivativeStencils` per grid, each from a least-recently-used cache of
+`SHARED_DISCRETIZATIONS` entries; so repeated runs at one (n, r) also share
+the per-m delta_m, ghost fills, `alpha` and `BandRows.diagonals` that the
+stencils cache.  The shared arrays (`Grid.nodes`, `Grid.weights`, the ghost
+fills and every `BandRows`' weights, columns and diagonals) are read-only,
+so an in-place write raises instead of reaching later runs.
+`build_grid.cache_clear()` and `build_stencils.cache_clear()` drop the
+shared objects.
 """
 
 from __future__ import annotations
@@ -58,6 +69,15 @@ POLE_CONDITIONS = {0: (1, 3), 1: (0, 2), 2: (0, 1)}
 
 _GHOST_LAYERS = 2
 _FUNCTIONAL_POINTS = 6  # nodes per pole-condition functional (2 ghosts + 4 interior)
+
+# grids and stencils kept alive per process (least recently used dropped
+# first); covers the grid-convergence study's default sizes with room left
+SHARED_DISCRETIZATIONS = 8
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def fd_weights(x0, nodes, order: int) -> np.ndarray:
@@ -97,18 +117,36 @@ class Grid:
 
 
 def build_grid(n: int, r: float = 1.0) -> Grid:
-    """Build the uniform pole-free grid with n cells on (0, pi).
+    """The uniform pole-free grid with n cells on (0, pi), shared per process.
 
-    n must be at least 16 so the one-sided boundary stencils have support.
+    n must be an integer of at least 16, so the one-sided boundary stencils
+    have support, and r a finite positive radius.  Equal (int(n), float(r))
+    return the same `Grid` (see the module docstring).
     """
-    if n < 16:
+    try:
+        size, radius = int(n), float(r)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"grid needs an integer n and a real r, got n={n!r}, r={r!r}"
+        ) from exc
+    if size != n:
+        raise ConfigurationError(f"grid needs an integer n, got n={n!r}")
+    if size < 16:
         raise ConfigurationError(f"grid needs n >= 16, got n={n}")
-    if r <= 0:
-        raise ConfigurationError(f"sphere radius must be positive, got r={r}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ConfigurationError(f"sphere radius must be finite and positive, got r={r}")
+    return _shared_grid(size, radius)
+
+
+@functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)
+def _shared_grid(n: int, r: float) -> Grid:
     h = math.pi / n
     nodes = (np.arange(n) + 0.5) * h
     weights = r * r * np.sin(nodes) * h
-    return Grid(n=n, r=r, h=h, nodes=nodes, weights=weights)
+    return Grid(n=n, r=r, h=h, nodes=_read_only(nodes), weights=_read_only(weights))
+
+
+build_grid.cache_clear = _shared_grid.cache_clear
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +179,11 @@ class BandRows:
     weights: np.ndarray  # (n, width)
     columns: np.ndarray  # (n, width) column index of each weight
 
+    def __post_init__(self):
+        # shared by every run at this (n, r): an in-place write must raise
+        _read_only(self.weights)
+        _read_only(self.columns)
+
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return np.einsum("jk,jk->j", self.weights, np.asarray(v)[self.columns])
 
@@ -160,7 +203,7 @@ class BandRows:
         reach = int(np.max(np.abs(offsets[nonzero])))
         out = np.zeros((2 * reach + 1, len(self.weights)))
         out[reach + offsets[nonzero], self.columns[nonzero]] = self.weights[nonzero]
-        return out
+        return _read_only(out)
 
 
 def _stencil_rows(
@@ -245,7 +288,7 @@ class DerivativeStencils:
         ghosts = np.stack([w[0, :, :g], w[1, :, -g:]])
         interior = np.stack([w[0, :, g:], w[1, :, :-g]])
         north, south = -np.linalg.solve(ghosts, interior)
-        self._fill_cache[key] = (north, south)
+        self._fill_cache[key] = (_read_only(north), _read_only(south))
         return self._fill_cache[key]
 
     def delta_matrix(self, m: int) -> BandRows:
@@ -274,7 +317,10 @@ class DerivativeStencils:
         return self._delta_cache[key]
 
 
+@functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)
 def build_stencils(grid: Grid) -> DerivativeStencils:
+    """The stencils of `grid`, shared per process: cached on the grid's
+    identity, like `build_grid` on (n, r)."""
     return DerivativeStencils(grid)
 
 

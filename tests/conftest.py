@@ -1,3 +1,4 @@
+import json
 import os
 
 # keep BLAS single-threaded: the dense kernels here are tiny and thread
@@ -17,6 +18,19 @@ except ImportError:
     pass
 
 from rotwave import build_grid, build_stencils
+
+# acceptance criterion -> verdict, measured values and bounds, filled by
+# test_acceptance.report and written out when the session ends
+ACCEPTANCE: dict[str, dict] = {}
+
+
+def pytest_sessionfinish(session):
+    """Write `acceptance.json` at the root of the run: one entry per
+    acceptance criterion that ran, so that how close each came to its bound
+    can be compared between changes.  No file when none ran."""
+    if ACCEPTANCE:
+        text = json.dumps(ACCEPTANCE, indent=2, default=lambda value: value.item())
+        (session.config.rootpath / "acceptance.json").write_text(text + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import eval_legendre, lpmv
 
 from adjoint_reference import continuous_gradient
-from conftest import observed_order, wl2
+from conftest import ACCEPTANCE, observed_order, wl2
 from field_helpers import apply_delta_m, inner_product
 from rotwave import (
     ComplexField,
@@ -42,9 +42,20 @@ NS = (50, 100, 200, 400)
 ROUNDOFF_FLOOR = 1e-9  # relative errors below this count as converged
 
 
-def report(criterion: str, passed: bool, detail: str) -> None:
+def report(criterion: str, passed: bool, detail: str, measured: dict, bound: dict) -> None:
+    """Print the verdict line, record the measured values and their bounds
+    for `acceptance.json` (written by conftest) and assert the verdict.
+
+    `bound` maps a measured key to an [operator, value] pair, or to
+    ["finite"]; measured keys without a bound are context, not gates."""
+    ACCEPTANCE[criterion] = {"passed": bool(passed), "measured": measured, "bound": bound}
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
     assert passed, f"{criterion}: {detail}"
+
+
+def gaps(ordered) -> list:
+    """Differences between consecutive values that should be nondecreasing."""
+    return [float(b - a) for a, b in zip(ordered, ordered[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +107,14 @@ def test_criterion_1_operator_spectral_accuracy():
         "criterion 1 (spectral accuracy)",
         ok,
         f"min observed order {worst[1]:.2f} at {worst[0]}, runtime {elapsed:.2f}s",
+        {"min_observed_order": worst[1], "at": worst[0], "runtime_s": elapsed},
+        {"min_observed_order": [">=", 3.5], "runtime_s": ["<", 5.0]},
     )
 
 
 def test_criterion_2_discrete_symmetry(suite_grids):
     details = []
+    measured = {}
     ok = True
     for m in range(4):
         vals = []
@@ -120,8 +134,19 @@ def test_criterion_2_discrete_symmetry(suite_grids):
         at_floor = max(vals) < 1e-9
         order = observed_order(NS, vals, floor=1e-11)
         ok = ok and (at_floor or order >= 3.0)
+        # no order to report when every size sits at the roundoff floor
+        measured[f"m={m}"] = {
+            "max_mismatch": max(vals), "observed_order": None if at_floor else order
+        }
         details.append(f"m={m}: max {max(vals):.1e}" + ("(floor)" if at_floor else f" order {order:.1f}"))
-    report("criterion 2 (discrete symmetry)", ok, "; ".join(details))
+    report(
+        "criterion 2 (discrete symmetry)",
+        ok,
+        "; ".join(details),
+        measured,
+        # per m: at the roundoff floor, or else converging at this order
+        {"max_mismatch": ["<", 1e-9], "observed_order": [">=", 3.0]},
+    )
 
 
 def test_criterion_3_adjoint_identity(clean33_problem):
@@ -178,12 +203,17 @@ def test_criterion_3_adjoint_identity(clean33_problem):
         )
         den = np.sqrt(ga.dgamma**2 + wl2(gn, ga.domega.values) ** 2)
         errs.append(num / den)
-    cont_ok = errs[1] <= 1e-3 and observed_order((50, 100, 200), errs, floor=1e-12) >= 2.0
+    cont_order = observed_order((50, 100, 200), errs, floor=1e-12)
+    cont_ok = errs[1] <= 1e-3 and cont_order >= 2.0
     report(
         "criterion 3 (adjoint identity)",
         identity_ok and cont_ok,
         f"max normalized mismatch {worst:.2e}; continuous-vs-algebraic "
-        f"rel {errs[1]:.2e} at n=100, order {observed_order((50, 100, 200), errs, floor=1e-12):.2f}",
+        f"rel {errs[1]:.2e} at n=100, order {cont_order:.2f}",
+        {"max_normalized_mismatch": worst, "continuous_rel_n100": errs[1],
+         "continuous_order": cont_order},
+        {"max_normalized_mismatch": ["<=", 1e-10], "continuous_rel_n100": ["<=", 1e-3],
+         "continuous_order": [">=", 2.0]},
     )
 
 
@@ -200,6 +230,8 @@ def test_criterion_4_gradient_check(clean33_problem):
         "criterion 4 (gradient vs finite differences)",
         worst <= 1e-6,
         f"max relative mismatch {worst:.2e} over 5 directions x 3 points",
+        {"max_relative_mismatch": worst},
+        {"max_relative_mismatch": ["<=", 1e-6]},
     )
 
 
@@ -220,6 +252,8 @@ def test_criterion_5_manufactured_forward_convergence(suite_grids):
         "criterion 5 (manufactured forward convergence)",
         order >= 3.0,
         f"errors {['%.2e' % e for e in errs]}, observed order {order:.2f}",
+        {"observed_order": order, "errors": errs},
+        {"observed_order": [">=", 3.0]},
     )
 
 
@@ -251,6 +285,10 @@ def test_criterion_6_clean_reconstruction(clean33_problem):
         f"residual {res_rel:.2e}||y|| within K={trace.stop_index} "
         f"(stop: {trace.stop_reason}; 1e-6||y|| first at k={first_k} of "
         f"{config.max_iter}), wall {elapsed:.1f}s (<10s)",
+        {"rel_err_gamma": eg, "rel_err_omega": eo, "residual_rel": res_rel, "wall_s": elapsed,
+         "first_k_at_residual_bound": first_k},
+        {"rel_err_gamma": ["<=", 0.02], "rel_err_omega": ["<=", 0.05],
+         "residual_rel": ["<=", 1e-6], "wall_s": ["<", 10.0]},
     )
 
 
@@ -275,6 +313,7 @@ def _leakage_run(seed, eps_fraction):
 
 def test_criterion_7_leakage_degradation():
     details = []
+    measured = {}
     ok = True
     for seed in (0, 1, 2):
         recs = [_leakage_run(seed, frac) for frac in (0.0, 0.2, 0.5)]
@@ -282,10 +321,20 @@ def test_criterion_7_leakage_degradation():
         ordered = errs[0] <= errs[1] <= errs[2]
         stopped = all(r.stop_reason in ("discrepancy", "residual_floor") for r in recs)
         ok = ok and ordered and stopped
+        measured[f"seed {seed}"] = {
+            "rel_err_omega": errs, "gaps": gaps(errs), "stop_reasons": [r.stop_reason for r in recs]
+        }
         details.append(
             f"seed {seed}: {errs[0]:.3f} <= {errs[1]:.3f} <= {errs[2]:.3f} ({recs[0].stop_reason})"
         )
-    report("criterion 7 (leakage degradation)", ok, "; ".join(details))
+    report(
+        "criterion 7 (leakage degradation)",
+        ok,
+        "; ".join(details),
+        measured,
+        # per seed: rel_err(Omega) ordered full <= 0.2 pi/2 <= 0.5 pi/2
+        {"gaps": [">=", 0.0], "stop_reasons": ["in", ["discrepancy", "residual_floor"]]},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +365,9 @@ def test_criterion_8_noise_monotonicity(noise_battery):
         ok,
         f"mean rel_err(Omega) {['%.3f' % e for e in mean_eo]}, "
         f"mean rel_err(gamma) {['%.3f' % e for e in mean_eg]} over levels (1%, 5%, 20%)",
+        {"mean_rel_err_omega": mean_eo, "mean_rel_err_gamma": mean_eg,
+         "gaps_omega": gaps(mean_eo), "gaps_gamma": gaps(mean_eg)},
+        {"gaps_omega": [">=", 0.0], "gaps_gamma": [">=", 0.0]},
     )
 
 
@@ -330,6 +382,8 @@ def test_criterion_9_discrepancy_index(noise_battery):
         ok,
         f"mean K {['%.1f' % k for k in mean_k]} nondecreasing as noise decreases, "
         f"all runs discrepancy-stopped: {stopped}",
+        {"mean_stop_index": mean_k, "gaps": [-g for g in gaps(mean_k)], "all_discrepancy": stopped},
+        {"gaps": [">=", 0.0], "all_discrepancy": ["==", True]},
     )
 
 
@@ -384,4 +438,8 @@ def test_criterion_10_tcc_probe(clean33_problem):
         finite and shrink_ok and quad_ok,
         f"max ratio {reports[0.1].max_ratio:.3f} at R=0.1 vs {reports[0.01].max_ratio:.3f} "
         f"at R=0.01 (<=2x); remainder/||h||^2 in [{min(ratios):.3f}, {max(ratios):.3f}]",
+        {"max_ratio_R0.1": reports[0.1].max_ratio, "max_ratio_R0.01": reports[0.01].max_ratio,
+         "shrink": reports[0.01].max_ratio / reports[0.1].max_ratio,
+         "remainder_spread": max(ratios) / min(ratios)},
+        {"max_ratio_R0.1": ["finite"], "shrink": ["<=", 2.0], "remainder_spread": ["<=", 5.0]},
     )

@@ -49,6 +49,30 @@ def test_grid_rejects_small_n():
         build_grid(8)
 
 
+@pytest.mark.parametrize("n", [100.5, float("nan"), float("inf"), "100", None])
+def test_grid_rejects_non_integral_n(n):
+    # 100.5 used to give a grid of 101 nodes whose stencils failed to index
+    with pytest.raises(ConfigurationError, match="integer n"):
+        build_grid(n)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_grid_rejects_non_finite_or_non_positive_r(r):
+    # NaN slipped past `r <= 0` and gave NaN weights
+    with pytest.raises(ConfigurationError, match="radius"):
+        build_grid(100, r)
+
+
+def test_grid_key_is_canonical():
+    # equal (int(n), float(r)) share one grid, whose n is a plain int
+    g = build_grid(100)
+    assert build_grid(np.int64(100)) is g
+    assert build_grid(100.0, 1) is g
+    assert build_grid(100, r=np.float64(1.0)) is g
+    assert type(g.n) is int and type(g.r) is float
+    assert type(build_grid(np.int64(117)).n) is int
+
+
 def test_grid_nodes_avoid_poles_and_weights_positive():
     for n in (16, 101, 256):
         g = build_grid(n, r=2.0)

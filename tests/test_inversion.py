@@ -12,6 +12,7 @@ from rotwave import (
     ComplexField,
     ConfigurationError,
     DataVector,
+    ExperimentConfig,
     GradientPair,
     InverseProblem,
     IterationConfig,
@@ -31,6 +32,8 @@ from rotwave import (
     tcc_probe,
 )
 from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
+from rotwave.experiments import build_problem
+from rotwave.grid import SHARED_DISCRETIZATIONS
 from rotwave.inversion import observation_mask
 
 SCHEMES = [
@@ -262,16 +265,31 @@ def test_adjoint_identity_all_schemes(scheme):
 def test_stencil_caches_die_with_their_stencils():
     # the band layout of delta_m and the alpha operator are cached on the
     # stencils, not in a module-level table that would keep every sweep
-    # run's delta_m rows alive; a weakref to the stencils alone would miss
-    # such a table, since it holds the rows and not the stencils
-    truth, grid, stencils, problem = make_problem(n=64)
-    problem.state(truth.gamma_true, truth.omega_exact(grid).values)
-    lap = stencils.delta_matrix(truth.m)
+    # run's delta_m rows alive.  The stencils themselves are shared per
+    # (n, r) from a bounded cache, so what stays alive is at most the bound,
+    # and clearing the caches frees it all.  Weakrefs to the rows as well as
+    # to the stencils would catch a table that holds the rows alone.
+    config = ExperimentConfig(run_id="shared", n=64, truth="m3_default")
+    _, grid, stencils, problem, _, _ = build_problem(config)
+    assert build_problem(config)[2] is stencils
+    lap = stencils.delta_matrix(problem.m)
     assert "diagonals" in vars(lap) and "alpha" in vars(stencils)
     refs = [weakref.ref(stencils), weakref.ref(lap), weakref.ref(stencils.alpha)]
-    del stencils, problem, lap
+    swept = []
+    for n in range(17, 17 + SHARED_DISCRETIZATIONS + 3):
+        st = build_stencils(build_grid(n))
+        rows = st.delta_matrix(2)
+        assert rows.diagonals.shape == (7, n)  # fills the cached band layout
+        swept.append([weakref.ref(st), weakref.ref(rows), weakref.ref(st.alpha)])
+    del grid, stencils, problem, lap, st, rows
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    for column in zip(*swept):  # stencils, delta_2 rows, alpha rows
+        assert sum(ref() is not None for ref in column) <= SHARED_DISCRETIZATIONS
+    build_grid.cache_clear()
+    build_stencils.cache_clear()
+    gc.collect()
+    refs += [ref for row in swept for ref in row]
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_gradient_zero_residual():
