@@ -138,6 +138,9 @@ def build_grid(n: int, r: float = 1.0) -> Grid:
     return _shared_grid(size, radius)
 
 
+# cached behind the canonical key, not on build_grid itself: lru_cache keys
+# on the call's form, so build_grid(100), build_grid(np.int64(100)) and
+# build_grid(100, r=1.0) would each build their own grid and stencils
 @functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)
 def _shared_grid(n: int, r: float) -> Grid:
     h = math.pi / n

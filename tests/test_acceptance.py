@@ -85,7 +85,10 @@ def clean33_problem():
 
 
 def test_criterion_1_operator_spectral_accuracy():
-    # timed end to end, including grid/stencil/operator construction
+    # timed end to end, including grid/stencil/operator construction: the
+    # shared discretizations are dropped first, so no earlier test warms them
+    build_grid.cache_clear()
+    build_stencils.cache_clear()
     t0 = time.perf_counter()
     local = {n: (lambda g: (g, build_stencils(g)))(build_grid(n)) for n in NS}
     worst = ("", np.inf)
