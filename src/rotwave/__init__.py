@@ -3,6 +3,8 @@ recovery of viscosity and latitudinal differential rotation from surface
 observations via accelerated Landweber iteration with adjoint-state
 gradients."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import ConfigurationError, NearResonanceError
 from .grid import (
     ComplexField,
@@ -30,14 +32,12 @@ from .inversion import (
     ParameterMetric,
     ReconstructionTrace,
     adjoint_gradient,
-    data_inner,
     data_norm,
     nesterov_landweber,
     observe,
-    observe_adjoint,
     sensitivity,
-    tcc_probe,
 )
+from .checks import tcc_probe
 from .experiments import (
     ExperimentConfig,
     GroundTruth,
@@ -50,5 +50,7 @@ from .experiments import (
     sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names bound above but not the submodules: a star import must not
+# rebind the caller's `operator`
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)]
 __version__ = "0.1.0"

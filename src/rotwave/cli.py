@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .checks import adjoint_identity_mismatch, gradient_fd_mismatch
+from .checks import adjoint_identity_mismatch, gradient_fd_mismatch, tcc_probe
 from .errors import ConfigurationError, NearResonanceError
 from .experiments import (
     ExperimentConfig,
@@ -33,7 +33,7 @@ from .experiments import (
     sweep,
 )
 from .grid import weighted_norm
-from .inversion import ParameterMetric, tcc_probe
+from .inversion import ParameterMetric
 
 
 def _parse_value(text: str):
@@ -90,8 +90,8 @@ def _echo_config(config: ExperimentConfig, outdir: pathlib.Path) -> ExperimentCo
 
 
 def cmd_forward(args, config, outdir) -> int:
-    truth, grid, stencils, problem, psi, y = build_problem(config)
-    rows = [[th, v.real, v.imag] for th, v in zip(grid.nodes, psi.values)]
+    truth, problem, psi, _ = build_problem(config)
+    rows = [[th, v.real, v.imag] for th, v in zip(problem.grid.nodes, psi.values)]
     (outdir / "state.csv").write_text(csv_text("theta,re_psi,im_psi", rows))
     print(
         f"forward: n={config.n} (omega,m)=({truth.omega_freq:g},{truth.m}) "
@@ -136,28 +136,30 @@ def _report_check(args, outdir, check: str, worst: float, bound: float) -> int:
     return 0
 
 
+def _probe_setup(config):
+    """Truth, problem and clean data of `config`, and the parameter metric
+    its iteration names: what each probe command runs on."""
+    truth, problem, _, y = build_problem(config)
+    it = config.iteration
+    metric = ParameterMetric(problem.grid, problem.stencils, it.parameter_metric, it.gamma_scale)
+    return truth, problem, y, metric
+
+
 def cmd_adjoint_check(args, config, outdir) -> int:
     _check_trials(args)
-    truth, grid, stencils, problem, psi, y = build_problem(config)
-    metric = ParameterMetric(
-        grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
-    )
+    truth, problem, _, metric = _probe_setup(config)
     rng = np.random.default_rng(config.noise.seed)
-    worst = adjoint_identity_mismatch(
-        problem, metric, truth.gamma_true, truth.omega_exact(grid).values, rng, args.trials
-    )
+    omega = truth.omega_exact(problem.grid).values
+    worst = adjoint_identity_mismatch(problem, metric, truth.gamma_true, omega, rng, args.trials)
     print(f"adjoint-check: max relative mismatch {worst:.3e} over {args.trials} trials")
     return _report_check(args, outdir, "adjoint identity", worst, 1e-10)
 
 
 def cmd_gradient_check(args, config, outdir) -> int:
     _check_trials(args)
-    truth, grid, stencils, problem, psi, y = build_problem(config)
-    metric = ParameterMetric(
-        grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
-    )
+    truth, problem, y, metric = _probe_setup(config)
     gamma0 = truth.gamma_true * 1.7
-    omega0 = 0.5 * truth.omega_exact(grid).values
+    omega0 = 0.5 * truth.omega_exact(problem.grid).values
     rng = np.random.default_rng(config.noise.seed)
     worst = gradient_fd_mismatch(problem, metric, gamma0, omega0, y, rng, args.trials)
     print(f"gradient-check: max relative FD mismatch {worst:.3e} over {args.trials} trials")
@@ -165,18 +167,15 @@ def cmd_gradient_check(args, config, outdir) -> int:
 
 
 def cmd_tcc(args, config, outdir) -> int:
-    truth, grid, stencils, problem, psi, y = build_problem(config)
-    metric = ParameterMetric(
-        grid, stencils, config.iteration.parameter_metric, config.iteration.gamma_scale
-    )
+    truth, problem, _, metric = _probe_setup(config)
     report = tcc_probe(
         problem,
+        metric,
         truth.gamma_true,
-        truth.omega_exact(grid).values,
+        truth.omega_exact(problem.grid).values,
         radius=config.probe.radius,
         n_samples=config.probe.samples,
         rng_seed=config.noise.seed,
-        metric=metric,
     )
     (outdir / "tcc_ratios.csv").write_text(csv_text("sample,ratio", enumerate(report.ratios)))
     print(
@@ -215,9 +214,9 @@ def cmd_grid_convergence(args, config, outdir) -> int:
     sizes = _parse_sizes(args.sizes)
     errors = []
     for n in sizes:
-        truth, grid, _, _, psi, _ = build_problem(replace(config, n=n))
-        ref = truth.psi_exact(grid)
-        w = grid.weights
+        truth, problem, psi, _ = build_problem(replace(config, n=n))
+        ref = truth.psi_exact(problem.grid)
+        w = problem.grid.weights
         errors.append(weighted_norm(w, psi.values - ref.values) / weighted_norm(w, ref.values))
     (outdir / "grid_convergence.csv").write_text(csv_text("n,rel_l2_error", zip(sizes, errors)))
     # one order per refinement step: a single fit through every size lets a

@@ -554,13 +554,13 @@ def _rel_errors(grid, truth, om_true, gamma, omega_values):
 
 
 def build_problem(config: ExperimentConfig):
-    """Grid, truth and problem bundle plus clean synthetic data."""
+    """Truth, problem bundle (with its grid and stencils), the truth's state
+    and its clean synthetic data."""
     truth = manufacture_truth(config.truth, config.truth_overrides)
     grid = build_grid(config.n, truth.r)
-    stencils = build_stencils(grid)
     problem = InverseProblem(
         grid=grid,
-        stencils=stencils,
+        stencils=build_stencils(grid),
         m=truth.m,
         omega_freq=truth.omega_freq,
         source=truth.source(grid),
@@ -570,7 +570,7 @@ def build_problem(config: ExperimentConfig):
     )
     _, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
     y_clean = observe(psi, problem.scheme, grid)
-    return truth, grid, stencils, problem, psi, y_clean
+    return truth, problem, psi, y_clean
 
 
 def csv_text(header: str, rows) -> str:
@@ -602,7 +602,8 @@ def iteration_table(
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Manufacture, observe, corrupt, reconstruct and record one experiment."""
     start = time.perf_counter()
-    truth, grid, stencils, problem, psi, y_clean = build_problem(config)
+    truth, problem, _, y_clean = build_problem(config)
+    grid = problem.grid
     y_delta, delta = add_noise(y_clean, config.noise, grid)
     floor = max(
         config.iteration.residual_floor, config.residual_floor_rel * data_norm(grid, y_delta)

@@ -9,7 +9,8 @@ come from one adjoint solve per evaluation:
     d/dgamma  ->  -Re <delta^2 psi, z>
     d/dOmega  ->  -m * Im{ alpha* (conj(psi) z) - (delta_m conj(psi)) z }
 
-where alpha* (`apply_alpha_adjoint`) is the weighted adjoint of the map
+where L* extends the data by zero off the observed nodes and alpha*
+(`apply_alpha_adjoint`) is the weighted adjoint of the map
 Omega -> alpha_Omega.
 
 The minus sign is fixed by the analysis: it is the sign of the sensitivity
@@ -22,11 +23,13 @@ smoothing preconditioner and pins the weighted mean to zero.
 solved: one `assemble_forward` and one `WaveSystem.solve_values`.
 `observed` and `residual` restrict its psi (`restrict`, and `- y` for the
 residual).  `nesterov_landweber` takes every misfit and gradient from that
-path, which the checks verify: a line-search trial's misfit is the norm
-of `residual`, and each search's gradient is one `adjoint_gradient`, one
-adjoint and one Riesz solve.  Its line search makes at most
-`MOMENTUM_BACKTRACKS` trials from the momentum point and at most
-`MAX_BACKTRACKS` from the iterate.
+path: a line-search trial's misfit is the norm of `residual`, and each
+search's gradient is one `adjoint_gradient`, one adjoint and one Riesz
+solve.  Its line search makes at most `MOMENTUM_BACKTRACKS` trials from
+the momentum point and at most `MAX_BACKTRACKS` from the iterate.
+
+This module holds the inverse problem and its solver only; the probes that
+verify them (adjoint identity, gradient, tangential cone) are in `checks`.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
 from .errors import ConfigurationError, NearResonanceError
 from .grid import (
@@ -114,25 +116,9 @@ def observe(psi: ComplexField, scheme: ObservationScheme, grid: Grid) -> DataVec
     return DataVector(values=restrict(psi.values, scheme, mask), mask=mask)
 
 
-def observe_adjoint(d: DataVector, grid: Grid, m: int = 0) -> ComplexField:
-    """Zero-extension back to the full grid (real data embed as complex).
-
-    The azimuthal tag m is metadata for downstream pairing; the data vector
-    itself does not carry one.
-    """
-    out = np.zeros(grid.n, dtype=complex)
-    out[d.mask] = d.values
-    return ComplexField(m=m, values=out)
-
-
 def data_norm(grid: Grid, d: DataVector) -> float:
     """`weighted_norm` over the observed window, the norm the iteration stops on."""
     return weighted_norm(grid.weights[d.mask], d.values)
-
-
-def data_inner(grid: Grid, a: DataVector, b: DataVector) -> float:
-    """Real inner product on the data space."""
-    return float(np.sum((a.values * np.conj(b.values)).real * grid.weights[a.mask]))
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +144,8 @@ class ParameterMetric:
     def __init__(self, grid, stencils, name: str = "H2", gamma_scale: float = 1.0):
         if name not in ("H1", "H2"):
             raise ConfigurationError(f"unknown parameter metric {name!r}")
-        if gamma_scale <= 0:
-            raise ConfigurationError("gamma_scale must be positive")
+        if not 0 < gamma_scale < math.inf:  # NaN fails too
+            raise ConfigurationError(f"gamma_scale must be finite and positive, got {gamma_scale}")
         self.grid = grid
         self.name = name
         self.gamma_scale = float(gamma_scale)
@@ -197,15 +183,6 @@ class GradientPair:
 
     dgamma: float
     domega: ScalarField
-
-
-def smooth_omega(rng: np.random.Generator, metric: ParameterMetric, degree: int) -> np.ndarray:
-    """Random smooth mean-zero Omega direction: a Legendre series in
-    cos(theta) up to `degree`, coefficients drawn from `rng` and damped like
-    k^-1.5, then projected to weighted mean zero."""
-    coeffs = rng.standard_normal(degree) / np.arange(1, degree + 1) ** 1.5
-    profile = legval(np.cos(metric.grid.nodes), np.concatenate([[0.0], coeffs]))
-    return metric.project_mean_zero(profile)
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +282,9 @@ def adjoint_gradient(
     """
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
-    z = system.solve_weighted_adjoint(observe_adjoint(residual, grid).values, w)
+    l_adj = np.zeros(grid.n, dtype=complex)  # L* residual, zero off the observed nodes
+    l_adj[problem.mask] = residual.values
+    z = system.solve_weighted_adjoint(l_adj, w)
     raw_gamma = float(np.sum((st.delta_matrix(m) @ psi.phi) * np.conj(z) * w).real)
     if m != 0:
         c = np.imag(np.conj(psi.values) * z)
@@ -349,10 +328,20 @@ class IterationConfig:
     residual_floor: float = 0.0  # absolute floor on the stopping threshold
 
     def __post_init__(self):
-        if self.tau <= 1.0:
-            raise ConfigurationError("discrepancy factor tau must exceed 1")
-        if self.max_iter < 0:
-            raise ConfigurationError(f"max_iter must be nonnegative, got {self.max_iter}")
+        # the chained comparisons are False for NaN too
+        if not 1.0 < self.tau < math.inf:
+            raise ConfigurationError(
+                f"discrepancy factor tau must be finite and exceed 1, got {self.tau}"
+            )
+        k = self.max_iter
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise ConfigurationError(f"max_iter must be a nonnegative integer, got {k!r}")
+        if not 0 < self.gamma_scale < math.inf:
+            raise ConfigurationError(
+                f"gamma_scale must be finite and positive, got {self.gamma_scale}"
+            )
+        if not math.isfinite(self.residual_floor):
+            raise ConfigurationError(f"residual_floor must be finite, got {self.residual_floor}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,97 +485,4 @@ def nesterov_landweber(
         delta=delta,
         state_solves=state_solves,
         gradients=gradients,
-    )
-
-
-# ----------------------------------------------------------------------
-# tangential-cone-condition probe
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TCCReport:
-    ratios: np.ndarray
-    max_ratio: float
-    median_ratio: float
-    skipped: int
-    radius: float
-    samples: int
-
-
-def _smooth_direction(rng, metric):
-    """Random unit-norm parameter direction with a smooth Omega part."""
-    dgamma = rng.standard_normal()
-    domega = smooth_omega(rng, metric, 6)
-    pair = GradientPair(dgamma=dgamma, domega=ScalarField(values=domega))
-    norm = metric.pair_norm(pair)
-    return GradientPair(
-        dgamma=dgamma / norm, domega=ScalarField(values=domega / norm)
-    )
-
-
-def tcc_probe(
-    problem: InverseProblem,
-    gamma_truth: float,
-    omega_truth: np.ndarray,
-    radius: float,
-    n_samples: int,
-    rng_seed: int,
-    metric: ParameterMetric | None = None,
-) -> TCCReport:
-    """Empirical tangential-cone ratio over random parameter pairs.
-
-    For pairs p, p~ in the metric ball of the given radius around the truth
-    the probe evaluates
-
-        ||F(p) - F(p~) - F'(p)(p - p~)||_Y
-        ---------------------------------------------
-        ||p - p~||_{R x X} * ||F(p) - F(p~)||_Y
-
-    Pairs with ||F(p) - F(p~)|| below 1e-13 are skipped and counted.
-    """
-    if radius <= 0:
-        raise ConfigurationError("probe radius must be positive")
-    if n_samples < 1:
-        raise ConfigurationError("probe needs at least one sample")
-    grid = problem.grid
-    metric = metric or ParameterMetric(grid, problem.stencils)
-    rng = np.random.default_rng(rng_seed)
-
-    def point(direction, rad):
-        g = gamma_truth + rad * direction.dgamma
-        om = omega_truth + rad * direction.domega.values
-        return g, om
-
-    ratios = []
-    skipped = 0
-    for _ in range(n_samples):
-        d1 = _smooth_direction(rng, metric)
-        d2 = _smooth_direction(rng, metric)
-        g1, om1 = point(d1, radius * rng.random())
-        g2, om2 = point(d2, radius * rng.random())
-        if g1 <= 0 or g2 <= 0:
-            skipped += 1
-            continue
-        try:
-            sys1, psi1, diff = problem.residual(g1, om1, problem.observed(g2, om2))
-        except NearResonanceError:
-            skipped += 1
-            continue
-        diff_norm = weighted_norm(problem.observed_weights, diff.values)
-        if diff_norm < 1e-13:
-            skipped += 1
-            continue
-        step = GradientPair(dgamma=g1 - g2, domega=ScalarField(values=om1 - om2))
-        lin = sensitivity(step, psi1, sys1, grid, problem.stencils, problem.scheme)
-        rem_norm = weighted_norm(problem.observed_weights, diff.values - lin.values)
-        ratios.append(rem_norm / (metric.pair_norm(step) * diff_norm))
-    ratios = np.asarray(ratios)
-    return TCCReport(
-        ratios=ratios,
-        max_ratio=float(ratios.max()) if len(ratios) else float("nan"),
-        median_ratio=float(np.median(ratios)) if len(ratios) else float("nan"),
-        skipped=skipped,
-        radius=radius,
-        samples=n_samples,
     )

@@ -16,7 +16,6 @@ here densify the package's own band stencils instead:
 import numpy as np
 
 from rotwave import GradientPair, ScalarField
-from rotwave.inversion import observe_adjoint
 
 
 def dense(band):
@@ -98,7 +97,9 @@ def continuous_gradient(problem, gamma, omega_values, psi, residual, metric):
     grid, st, m = problem.grid, problem.stencils, problem.m
     w = grid.weights
     adj = assemble_adjoint(gamma, omega_values, problem.omega_ref, problem.omega_freq, m, grid, st)
-    z = np.linalg.solve(adj, observe_adjoint(residual, grid).values)
+    l_adj = np.zeros(grid.n, dtype=complex)  # L* residual, zero off the observed nodes
+    l_adj[residual.mask] = residual.values
+    z = np.linalg.solve(adj, l_adj)
     lap = st.delta_matrix(m)
     raw_gamma = float(np.sum((lap @ (lap @ psi.values)) * np.conj(z) * w).real)
     density = np.zeros(grid.n)

@@ -1,6 +1,7 @@
 """Field helpers that only the tests use: sampling a function on the grid,
-the weighted pairing of two fields, delta_m and its square applied to a
-field, and one-sided pole traces."""
+the weighted pairing of two fields, the data-space pairing and
+zero-extension of observed data, delta_m and its square applied to a field,
+and one-sided pole traces."""
 
 import math
 
@@ -22,6 +23,19 @@ def inner_product(grid, f, g):
     _check_field(grid, f)
     _check_field(grid, g)
     return complex(np.sum(f.values * np.conj(g.values) * grid.weights))
+
+
+def data_pairing(grid, a, b):
+    """The real data inner product sum Re(a conj(b)) w over a's observed nodes."""
+    return float(np.sum((a.values * np.conj(b.values)).real * grid.weights[a.mask]))
+
+
+def zero_extension(grid, m, data):
+    """L* of a data vector: the order-m field that holds the data at the
+    observed nodes and zero elsewhere (real data embed as complex)."""
+    values = np.zeros(grid.n, dtype=complex)
+    values[data.mask] = data.values
+    return ComplexField(m=m, values=values)
 
 
 def apply_delta_m(grid, stencils, m, psi):

@@ -397,12 +397,12 @@ def test_criterion_10_tcc_probe(clean33_problem):
     reports = {
         radius: tcc_probe(
             problem,
+            metric,
             truth.gamma_true,
             om_true,
             radius=radius,
             n_samples=100,
             rng_seed=42,
-            metric=metric,
         )
         for radius in (0.1, 0.01)
     }

@@ -13,8 +13,10 @@ from field_helpers import (
     apply_bilaplacian_m,
     apply_delta_m,
     boundary_trace,
+    data_pairing,
     inner_product,
     sample,
+    zero_extension,
 )
 from rotwave import (
     ComplexField,
@@ -425,8 +427,8 @@ def test_noise_calibration_property(level, seed):
 @settings(deadline=None, max_examples=20)
 @given(eps=st.floats(min_value=0.05, max_value=1.5), seed=st.integers(0, 2**31))
 def test_observation_projection_property(eps, seed):
-    from rotwave import DataVector, ObservationScheme, observe, observe_adjoint
-    from rotwave.inversion import data_inner, observation_mask
+    from rotwave import DataVector, ObservationScheme, observe
+    from rotwave.inversion import observation_mask
 
     g = build_grid(32)
     scheme = ObservationScheme(kind="restricted", epsilon=float(eps))
@@ -437,6 +439,6 @@ def test_observation_projection_property(eps, seed):
         values=rng.standard_normal(len(mask)) + 1j * rng.standard_normal(len(mask)),
         mask=mask,
     )
-    lhs = data_inner(g, observe(psi, scheme, g), d)
-    rhs = inner_product(g, psi, observe_adjoint(d, g, m=1)).real
+    lhs = data_pairing(g, observe(psi, scheme, g), d)
+    rhs = inner_product(g, psi, zero_extension(g, 1, d)).real
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import rotwave
 
@@ -76,3 +77,12 @@ def test_rotwave_imported_after_scipy_linalg_reuses_its_flapack():
         "print(operator._flapack is flapack, sys.modules['scipy.linalg._flapack'] is flapack)"
     )
     assert out == "True True"
+
+
+def test_star_import_binds_no_modules():
+    # `rotwave.operator` must not rebind the caller's stdlib `operator`
+    names = {}
+    exec("import operator\nfrom rotwave import *", names)
+    assert names["operator"] is sys.modules["operator"]
+    modules = [k for k, v in names.items() if k[0] != "_" and isinstance(v, types.ModuleType)]
+    assert modules == ["operator"]

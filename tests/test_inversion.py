@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from scipy.special import eval_legendre
 
 from conftest import observed_order, wl2
-from field_helpers import inner_product, sample
+from field_helpers import data_pairing, inner_product, sample, zero_extension
 from rotwave import (
     ComplexField,
     ConfigurationError,
@@ -22,12 +23,10 @@ from rotwave import (
     adjoint_gradient,
     build_grid,
     build_stencils,
-    data_inner,
     data_norm,
     manufacture_truth,
     nesterov_landweber,
     observe,
-    observe_adjoint,
     sensitivity,
     tcc_probe,
 )
@@ -110,18 +109,34 @@ def test_restricted_equals_masked_full(grid100):
     assert np.array_equal(restricted.values, full.values[restricted.mask])
 
 
-def test_observe_adjoint_zero_extension(grid100):
-    scheme = ObservationScheme(kind="restricted", epsilon=0.5)
-    mask = observation_mask(grid100, scheme)
-    d = DataVector(values=np.ones(len(mask), dtype=complex), mask=mask)
-    ext = observe_adjoint(d, grid100)
-    outside = np.setdiff1d(np.arange(100), mask)
-    assert np.all(ext.values[outside] == 0)
-    assert np.all(ext.values[mask] == 1)
+def test_observe_adjoint_zero_extension():
+    # adjoint_gradient applies L* as the zero-extension (real data embed as
+    # complex): a restricted real residual drives the same gradient as the
+    # full-grid residual that holds it on the window and zero elsewhere
+    truth, grid, stencils, full = make_problem(n=100)
+    scheme = ObservationScheme(kind="restricted", epsilon=0.5, real_part_only=True)
+    restricted = replace(full, scheme=scheme)
+    metric = ParameterMetric(grid, stencils)
+    system, psi = full.state(truth.gamma_true, truth.omega_exact(grid).values)
+    mask = restricted.mask
+    r = np.random.default_rng(3).standard_normal(len(mask))
+    extended = np.zeros(grid.n, dtype=complex)
+    extended[mask] = r
+    pair, density = adjoint_gradient(
+        restricted, DataVector(values=r, mask=mask), psi, system, metric
+    )
+    pair_full, density_full = adjoint_gradient(
+        full, DataVector(values=extended, mask=full.mask), psi, system, metric
+    )
+    assert len(mask) < grid.n
+    assert pair.dgamma == pair_full.dgamma
+    assert np.array_equal(density, density_full)
+    assert np.array_equal(pair.domega.values, pair_full.domega.values)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=["full", "restricted", "real", "restricted_real"])
 def test_observe_adjoint_identity(grid100, scheme):
+    # <L psi, d>_Y = Re <psi, L* d>_w with L* the zero-extension
     rng = np.random.default_rng(11)
     mask = observation_mask(grid100, scheme)
     psi = ComplexField(
@@ -131,20 +146,19 @@ def test_observe_adjoint_identity(grid100, scheme):
     if not scheme.real_part_only:
         dv = dv + 1j * rng.standard_normal(len(mask))
     d = DataVector(values=dv, mask=mask)
-    lhs = data_inner(grid100, observe(psi, scheme, grid100), d)
-    ext = observe_adjoint(d, grid100, m=2)
-    rhs = float(inner_product(grid100, psi, ext).real)
+    lhs = data_pairing(grid100, observe(psi, scheme, grid100), d)
+    rhs = float(inner_product(grid100, psi, zero_extension(grid100, 2, d)).real)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=["full", "restricted", "real", "restricted_real"])
 def test_observe_projection_property(grid100, scheme):
-    # observe_adjoint o observe is an orthogonal projection: idempotent and
-    # self-adjoint in the full-grid real pairing
+    # L* o L (zero-extension after observe) is an orthogonal projection:
+    # idempotent and self-adjoint in the full-grid real pairing
     rng = np.random.default_rng(5)
 
     def project(field):
-        return observe_adjoint(observe(field, scheme, grid100), grid100, m=field.m)
+        return zero_extension(grid100, field.m, observe(field, scheme, grid100))
 
     u = ComplexField(m=2, values=rng.standard_normal(100) + 1j * rng.standard_normal(100))
     v = ComplexField(m=2, values=rng.standard_normal(100) + 1j * rng.standard_normal(100))
@@ -191,6 +205,12 @@ def test_riesz_output_mean_zero(grid100, stencils100):
 def test_metric_rejects_unknown(grid100, stencils100):
     with pytest.raises(ConfigurationError):
         ParameterMetric(grid100, stencils100, "L2")
+
+
+@pytest.mark.parametrize("gamma_scale", [math.nan, math.inf])
+def test_metric_rejects_non_finite_gamma_scale(grid100, stencils100, gamma_scale):
+    with pytest.raises(ConfigurationError, match="gamma_scale"):
+        ParameterMetric(grid100, stencils100, "H2", gamma_scale)
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +290,9 @@ def test_stencil_caches_die_with_their_stencils():
     # and clearing the caches frees it all.  Weakrefs to the rows as well as
     # to the stencils would catch a table that holds the rows alone.
     config = ExperimentConfig(run_id="shared", n=64, truth="m3_default")
-    _, grid, stencils, problem, _, _ = build_problem(config)
-    assert build_problem(config)[2] is stencils
+    _, problem, _, _ = build_problem(config)
+    stencils = problem.stencils
+    assert build_problem(config)[1].stencils is stencils
     lap = stencils.delta_matrix(problem.m)
     assert "diagonals" in vars(lap) and "alpha" in vars(stencils)
     refs = [weakref.ref(stencils), weakref.ref(lap), weakref.ref(stencils.alpha)]
@@ -281,7 +302,7 @@ def test_stencil_caches_die_with_their_stencils():
         rows = st.delta_matrix(2)
         assert rows.diagonals.shape == (7, n)  # fills the cached band layout
         swept.append([weakref.ref(st), weakref.ref(rows), weakref.ref(st.alpha)])
-    del grid, stencils, problem, lap, st, rows
+    del stencils, problem, lap, st, rows
     gc.collect()
     for column in zip(*swept):  # stencils, delta_2 rows, alpha rows
         assert sum(ref() is not None for ref in column) <= SHARED_DISCRETIZATIONS
@@ -378,6 +399,25 @@ def test_landweber_config_validation():
     with pytest.raises(ConfigurationError, match="max_iter"):
         IterationConfig(max_iter=-1)
     assert IterationConfig(max_iter=0).max_iter == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", math.nan),
+        ("tau", math.inf),
+        ("residual_floor", math.nan),
+        ("residual_floor", math.inf),
+        ("gamma_scale", math.nan),
+        ("gamma_scale", math.inf),
+        ("max_iter", 2.5),
+        ("max_iter", True),
+    ],
+)
+def test_iteration_config_rejects_non_finite_settings(field, value):
+    # built directly, as the JSON path's type screen does not run
+    with pytest.raises(ConfigurationError, match=field):
+        IterationConfig(**{field: value})
 
 
 def test_landweber_momentum_weight_first_step_is_plain():
@@ -484,6 +524,7 @@ def test_tcc_probe_skips_degenerate_pairs():
     truth, grid, stencils, problem = make_problem(n=64)
     report = tcc_probe(
         problem,
+        ParameterMetric(grid, stencils),
         truth.gamma_true,
         truth.omega_exact(grid).values,
         radius=1e-300,
@@ -498,6 +539,7 @@ def test_tcc_probe_bounded_ratios():
     truth, grid, stencils, problem = make_problem(n=64)
     report = tcc_probe(
         problem,
+        ParameterMetric(grid, stencils),
         truth.gamma_true,
         truth.omega_exact(grid).values,
         radius=0.05,
@@ -511,10 +553,19 @@ def test_tcc_probe_bounded_ratios():
 
 def test_tcc_probe_validation():
     truth, grid, stencils, problem = make_problem(n=64)
+    metric = ParameterMetric(grid, stencils)
     with pytest.raises(ConfigurationError):
-        tcc_probe(problem, truth.gamma_true, np.zeros(64), radius=-1.0, n_samples=2, rng_seed=0)
+        tcc_probe(problem, metric, truth.gamma_true, np.zeros(64), -1.0, n_samples=2, rng_seed=0)
     with pytest.raises(ConfigurationError):
-        tcc_probe(problem, truth.gamma_true, np.zeros(64), radius=0.1, n_samples=0, rng_seed=0)
+        tcc_probe(problem, metric, truth.gamma_true, np.zeros(64), 0.1, n_samples=0, rng_seed=0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_tcc_probe_rejects_non_finite_radius(radius):
+    truth, grid, stencils, problem = make_problem(n=64)
+    metric = ParameterMetric(grid, stencils)
+    with pytest.raises(ConfigurationError, match="radius"):
+        tcc_probe(problem, metric, truth.gamma_true, np.zeros(64), radius, 2, rng_seed=0)
 
 
 # ----------------------------------------------------------------------

@@ -287,7 +287,7 @@ def test_default_truths_solve_at_n1600(truth_name, n):
     # the pivot-ratio guard must not mistake a fine grid for a resonance:
     # the m = 0 band ratio falls like n^-1 (1.1e-3 at n = 1600, 2.8e-4 at
     # n = 6400); m = 2, 3 stay near 3.4e-3 and 1.5e-3
-    _, grid, _, _, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
+    _, _, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
     assert np.all(np.isfinite(psi.values))
 
 
@@ -298,7 +298,8 @@ def test_manufactured_state_accuracy_on_fine_grids(truth_name):
     # 1.4e-9 / 4.2e-8 / 1.0e-6 at n = 400 / 800 / 1600)
     errs = {}
     for n in (400, 800, 1600):
-        truth, grid, _, _, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
+        truth, problem, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
+        grid = problem.grid
         exact = truth.psi_exact(grid).values
         errs[n] = wl2(grid, psi.values - exact) / wl2(grid, exact)
     assert errs[800] <= 1e-10 and errs[1600] <= 1e-10, errs
