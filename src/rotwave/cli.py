@@ -187,7 +187,10 @@ def cmd_tcc(args, config, outdir) -> int:
 
 
 def cmd_sweep(args, config, outdir) -> int:
-    values = [_parse_value(v) for v in args.values.split(",")] if args.values else []
+    # a JSON array, or comma-separated values (which cannot hold a multi-key scheme)
+    values = _parse_value(args.values)
+    if not isinstance(values, list):
+        values = [_parse_value(v) for v in args.values.split(",")] if args.values else []
     records, summary = sweep(config, args.axis, values)
     (outdir / "sweep_summary.csv").write_text(summary)
     if args.verbose:
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run experiments along one axis")
     common(p)
     p.add_argument("--axis", default="noise_levels")
-    p.add_argument("--values", default="0.01,0.05,0.2")
+    p.add_argument("--values", default="0.01,0.05,0.2", help="comma-separated, or a JSON array")
     p = sub.add_parser("grid-convergence", help="manufactured-solution convergence study")
     common(p)
     p.add_argument("--sizes", default="50,100,200,400")

@@ -381,8 +381,9 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.relative_level < 1.0:
             raise ConfigurationError("relative noise level must lie in [0, 1)")
-        if self.seed < 0:
-            raise ConfigurationError(f"noise seed must be nonnegative, got {self.seed}")
+        s = self.seed
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise ConfigurationError(f"noise seed must be a nonnegative integer, got {s!r}")
 
 
 def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, float]:
@@ -408,6 +409,8 @@ def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, f
 # experiment configuration
 # ----------------------------------------------------------------------
 
+GAMMA_INIT_SCALE = 3.0  # a run starts at (3 gamma*, 0), as every study does
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -425,10 +428,13 @@ class ExperimentConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     iteration: IterationConfig = field(default_factory=IterationConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    gamma_init_scale: float = 3.0
-    allow_negative_gamma: bool = False
     residual_floor_rel: float = 1e-8
     output_dir: str | None = None
+
+    def __post_init__(self):
+        x = self.residual_floor_rel
+        if not 0.0 <= x < math.inf:  # NaN fails too
+            raise ConfigurationError(f"residual_floor_rel must be finite and nonnegative, got {x}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -566,7 +572,6 @@ def build_problem(config: ExperimentConfig):
         source=truth.source(grid),
         scheme=config.scheme,
         omega_ref=truth.omega_ref,
-        allow_negative_gamma=config.allow_negative_gamma,
     )
     _, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
     y_clean = observe(psi, problem.scheme, grid)
@@ -600,7 +605,8 @@ def iteration_table(
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
-    """Manufacture, observe, corrupt, reconstruct and record one experiment."""
+    """Manufacture, observe, corrupt, reconstruct from (`GAMMA_INIT_SCALE` *
+    gamma_true, 0) and record one experiment."""
     start = time.perf_counter()
     truth, problem, _, y_clean = build_problem(config)
     grid = problem.grid
@@ -609,11 +615,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         config.iteration.residual_floor, config.residual_floor_rel * data_norm(grid, y_delta)
     )
     iteration = replace(config.iteration, residual_floor=floor)
-    gamma_init = config.gamma_init_scale * truth.gamma_true
-    if not config.allow_negative_gamma:
-        gamma_init = abs(gamma_init)
     trace = nesterov_landweber(
-        problem, y_delta, delta, iteration, gamma_init=gamma_init
+        problem, y_delta, delta, iteration, gamma_init=GAMMA_INIT_SCALE * truth.gamma_true
     )
     gamma_k, omega_k = trace.iterates[trace.stop_index]
     om_true = truth.omega_exact(grid).values

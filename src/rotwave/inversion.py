@@ -125,6 +125,8 @@ def data_norm(grid: Grid, d: DataVector) -> float:
 # parameter metric and Riesz map
 # ----------------------------------------------------------------------
 
+PARAMETER_METRICS = ("H1", "H2")  # the Sobolev metrics of the Omega block
+
 
 class ParameterMetric:
     """Product metric gamma_scale * dgamma^2 + ||dOmega||_{H1 or H2}^2.
@@ -142,7 +144,7 @@ class ParameterMetric:
     """
 
     def __init__(self, grid, stencils, name: str = "H2", gamma_scale: float = 1.0):
-        if name not in ("H1", "H2"):
+        if name not in PARAMETER_METRICS:
             raise ConfigurationError(f"unknown parameter metric {name!r}")
         if not 0 < gamma_scale < math.inf:  # NaN fails too
             raise ConfigurationError(f"gamma_scale must be finite and positive, got {gamma_scale}")
@@ -192,7 +194,7 @@ class GradientPair:
 
 @dataclass(frozen=True, eq=False)
 class InverseProblem:
-    """Everything fixed during a reconstruction run."""
+    """Everything fixed during a reconstruction run; the forward map needs gamma > 0."""
 
     grid: Grid
     stencils: DerivativeStencils
@@ -201,7 +203,6 @@ class InverseProblem:
     source: ComplexField
     scheme: ObservationScheme
     omega_ref: float = 0.0
-    allow_negative_gamma: bool = False
 
     def __post_init__(self):
         n, m = len(self.source.values), self.source.m
@@ -225,8 +226,7 @@ class InverseProblem:
         """The factored forward operator at (gamma, Omega) and the state
         psi = S(gamma, Omega) from one `assemble_forward` and one solve."""
         system = assemble_forward(
-            gamma, omega_values, self.omega_ref, self.omega_freq, self.m,
-            self.grid, self.stencils, self.allow_negative_gamma,
+            gamma, omega_values, self.omega_ref, self.omega_freq, self.m, self.grid, self.stencils
         )
         psi, phi = system.solve_values(self.source.values)
         return system, State(m=self.m, values=psi, phi=phi)
@@ -340,6 +340,8 @@ class IterationConfig:
             raise ConfigurationError(
                 f"gamma_scale must be finite and positive, got {self.gamma_scale}"
             )
+        if self.parameter_metric not in PARAMETER_METRICS:
+            raise ConfigurationError(f"unknown parameter metric {self.parameter_metric!r}")
         if not math.isfinite(self.residual_floor):
             raise ConfigurationError(f"residual_floor must be finite, got {self.residual_floor}")
 
@@ -379,8 +381,9 @@ def nesterov_landweber(
     from the momentum point makes at most `MOMENTUM_BACKTRACKS` trials, the
     fallback at most `MAX_BACKTRACKS`.  A trial's misfit is the norm of
     `InverseProblem.residual`; at each search's start point the gradient is
-    `adjoint_gradient` of the same residual.  The trace
-    counts the state solves and gradients.
+    `adjoint_gradient` of the same residual; the first search's is that of
+    the initial misfit (z_1 = p_0).  No momentum point or trial with
+    gamma <= 0 is solved.  The trace counts the state solves and gradients.
     """
     grid = problem.grid
     metric = ParameterMetric(
@@ -392,11 +395,11 @@ def nesterov_landweber(
     w_obs = problem.observed_weights
     state_solves = gradients = 0
 
-    def misfit(ga, om):
-        """||F(p) - y||_Y at p = (ga, om), the norm of `data_norm`."""
+    def solve(ga, om):
+        """(system, state, residual) of `InverseProblem.residual` at p = (ga, om)."""
         nonlocal state_solves
         state_solves += 1
-        return weighted_norm(w_obs, problem.residual(ga, om, y_delta)[2].values)
+        return problem.residual(ga, om, y_delta)
 
     gamma = float(gamma_init)
     omega = np.zeros(grid.n)
@@ -405,7 +408,8 @@ def nesterov_landweber(
     step_sizes: list[float] = []
     stop_reason = None
     try:
-        res_current = misfit(gamma, omega)
+        at_src = solve(gamma, omega)
+        res_current = weighted_norm(w_obs, at_src[2].values)
     except NearResonanceError:
         res_current, stop_reason = float("nan"), "near_resonance"
     residuals = [res_current]
@@ -424,7 +428,7 @@ def nesterov_landweber(
         weight = (k - 1) / (k + NESTEROV_ALPHA - 1)
         z_gamma = gamma + weight * (gamma - gamma_prev)
         z_omega = omega + weight * (omega - omega_prev)
-        if z_gamma <= 0 and not problem.allow_negative_gamma:
+        if z_gamma <= 0:
             z_gamma, z_omega = gamma, omega  # momentum point infeasible
 
         accepted = None
@@ -432,12 +436,13 @@ def nesterov_landweber(
             (z_gamma, z_omega, False),
             (gamma, omega, True),
         ):
-            state_solves += 1
-            try:
-                system, psi, res_vec = problem.residual(src_gamma, src_omega, y_delta)
-            except NearResonanceError:
-                stop_reason = "near_resonance"
-                break
+            if k > 1 or is_fallback:  # z_1 = p_0, whose solve gave the first misfit
+                try:
+                    at_src = solve(src_gamma, src_omega)
+                except NearResonanceError:
+                    stop_reason = "near_resonance"
+                    break
+            system, psi, res_vec = at_src
             gradients += 1
             grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
             dgamma, domega = grad.dgamma, grad.domega.values
@@ -450,9 +455,9 @@ def nesterov_landweber(
             for _ in range(MAX_BACKTRACKS if is_fallback else MOMENTUM_BACKTRACKS):
                 trial_gamma = src_gamma - mu * dgamma
                 trial_omega = src_omega - mu * domega
-                if trial_gamma > 0 or problem.allow_negative_gamma:
+                if trial_gamma > 0:
                     try:
-                        trial_res = misfit(trial_gamma, trial_omega)
+                        trial_res = weighted_norm(w_obs, solve(trial_gamma, trial_omega)[2].values)
                     except NearResonanceError:
                         mu *= SHRINK
                         continue

@@ -251,15 +251,14 @@ def assemble_forward(
     m: int,
     grid: Grid,
     stencils: DerivativeStencils,
-    allow_any_gamma: bool = False,
 ) -> WaveSystem:
     """The factored forward operator at (gamma, Omega) with Omega by its nodal
     values `omega`: the band of d = i (omega_freq - m beta) and a = i m alpha,
-    or of d = i omega_freq and a = 0 and mean-pinned for m = 0.  gamma <= 0
-    is a ConfigurationError unless `allow_any_gamma`; a pivot ratio below
-    `PIVOT_RTOL` raises `NearResonanceError`, a NaN one (zero or non-finite
-    band) too."""
-    if gamma <= 0 and not allow_any_gamma:
+    or of d = i omega_freq and a = 0 and mean-pinned for m = 0.  The model
+    and both well-posedness bounds assume a positive viscosity: gamma <= 0 is
+    a ConfigurationError.  A pivot ratio below `PIVOT_RTOL` raises
+    `NearResonanceError`, a NaN one (zero or non-finite band) too."""
+    if gamma <= 0:
         raise ConfigurationError(f"forward operator needs gamma > 0, got {gamma}")
     d, a = 1j * omega_freq, 0.0
     if m != 0:

@@ -305,7 +305,7 @@ def test_grid_convergence_needs_two_distinct_sizes(tmp_path, sizes):
 
 
 @pytest.mark.parametrize(
-    "override", ["n=abc", "n=20.5", "iteration.max_iter=abc", "allow_negative_gamma=1"]
+    "override", ["n=abc", "n=20.5", "iteration.max_iter=abc", "scheme.real_part_only=1"]
 )
 def test_mistyped_override_exits_2(tmp_path, override):
     cfg = write_config(tmp_path)
@@ -331,7 +331,7 @@ def test_mistyped_truth_override_exits_2(tmp_path, key, value):
     "command,override",
     [
         ("reconstruct", "iteration.tau=NaN"),
-        ("reconstruct", "gamma_init_scale=NaN"),
+        ("reconstruct", "residual_floor_rel=NaN"),
         ("reconstruct", "truth_overrides.gamma_true=NaN"),
         ("forward", "truth_overrides.amplitude=NaN"),
         ("forward", "truth_overrides.omega_coeffs.b=Infinity"),
@@ -339,8 +339,8 @@ def test_mistyped_truth_override_exits_2(tmp_path, key, value):
     ],
 )
 def test_non_finite_value_exits_2(tmp_path, command, override):
-    # json.loads parses NaN and Infinity; a NaN tau or start scale used to
-    # run to max_iter and exit 0, a NaN amplitude to write a state of NaN
+    # json.loads parses NaN and Infinity; a NaN tau used to run to max_iter
+    # and exit 0, a NaN amplitude to write a state of NaN
     cfg = write_config(tmp_path, iteration={"max_iter": 3, "gamma_scale": 3000.0})
     out = tmp_path / "nonfinite"
     code = main([command, "--config", cfg, "--overrides", override, "--output-dir", str(out)])
@@ -414,6 +414,28 @@ def test_override_of_unknown_truth_field_exits_2(tmp_path):
     assert main(["forward", "--overrides", "truth_overrides.nope=1", "--output-dir", str(out)]) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "configuration" and "'nope'" in err["message"]
+
+
+@pytest.mark.parametrize("key,value", [("allow_negative_gamma", True), ("gamma_init_scale", 3.0)])
+def test_removed_start_settings_are_unknown_keys(tmp_path, key, value):
+    # the start is (3 gamma*, 0) and gamma > 0 always: neither is a setting
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "removed"
+    assert main(["reconstruct", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert f"unknown keys in config: ['{key}']" in err["message"]
+
+
+def test_sweep_takes_a_json_array_of_schemes(tmp_path):
+    # comma splitting would cut a scheme with more than one key apart
+    cfg = write_config(tmp_path, n=32, iteration={"max_iter": 3, "gamma_scale": 3000.0})
+    out = tmp_path / "sweep_schemes"
+    schemes = '[{"kind": "restricted", "epsilon": 0.3}, {"kind": "full", "real_part_only": true}]'
+    argv = ["--axis", "schemes", "--values", schemes]
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out), *argv]) == 0
+    rows = [r.split(",") for r in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+    assert [(r[2], r[3]) for r in rows] == [("0.3", "restricted"), ("0.0", "full+re")]
 
 
 def test_sweep_with_no_values_exits_2(tmp_path):

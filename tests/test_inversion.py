@@ -420,6 +420,14 @@ def test_iteration_config_rejects_non_finite_settings(field, value):
         IterationConfig(**{field: value})
 
 
+def test_iteration_config_rejects_unknown_metric():
+    # built directly; a config that names no metric used to load and fail
+    # only when the run built its ParameterMetric
+    with pytest.raises(ConfigurationError, match="unknown parameter metric 'L2'"):
+        IterationConfig(parameter_metric="L2")
+    assert IterationConfig(parameter_metric="H1").parameter_metric == "H1"
+
+
 def test_landweber_momentum_weight_first_step_is_plain():
     # the momentum weight (k-1)/(k+alpha-1) vanishes at k = 1, so the first
     # update is a plain gradient step from p0; with the fixed sign it descends
@@ -484,7 +492,7 @@ def test_momentum_budget_changes_no_iterate(monkeypatch):
         rotwave.inversion, "MOMENTUM_BACKTRACKS", rotwave.inversion.MAX_BACKTRACKS
     )
     uncapped = run()
-    assert (capped.state_solves, uncapped.state_solves) == (1521, 1737)
+    assert (capped.state_solves, uncapped.state_solves) == (1520, 1736)
     assert capped.gradients == uncapped.gradients == 506
     assert capped.residuals == uncapped.residuals
     assert capped.step_sizes == uncapped.step_sizes
