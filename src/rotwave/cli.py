@@ -6,7 +6,7 @@ the output directory; nonzero exits leave a machine-readable error.json
 there.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Configs are JSON documents mirroring ExperimentConfig; flags are sugar via
-dotted-key overrides (`--overrides iteration.tau=1.5,noise.seed=3`).  The
+dotted-key overrides (`--overrides iteration.max_iter=50,noise.seed=3`).  The
 output directory resolves from --output-dir, then the config, then the
 ROTWAVE_OUTPUT_DIR environment variable, then ./rotwave_out.
 """
@@ -138,10 +138,10 @@ def _report_check(args, outdir, check: str, worst: float, bound: float) -> int:
 
 def _probe_setup(config):
     """Truth, problem and clean data of `config`, and the parameter metric
-    its iteration names: what each probe command runs on."""
+    of its iteration's gamma_scale: what each probe command runs on."""
     truth, problem, _, y = build_problem(config)
-    it = config.iteration
-    metric = ParameterMetric(problem.grid, problem.stencils, it.parameter_metric, it.gamma_scale)
+    gamma_scale = config.iteration.gamma_scale
+    metric = ParameterMetric(problem.grid, problem.stencils, gamma_scale=gamma_scale)
     return truth, problem, y, metric
 
 
@@ -187,8 +187,9 @@ def cmd_tcc(args, config, outdir) -> int:
 
 
 def cmd_sweep(args, config, outdir) -> int:
-    # a JSON array, or comma-separated values (which cannot hold a multi-key scheme)
+    # a JSON array or object (one scheme), or comma-separated values
     values = _parse_value(args.values)
+    values = [values] if isinstance(values, dict) else values
     if not isinstance(values, list):
         values = [_parse_value(v) for v in args.values.split(",")] if args.values else []
     records, summary = sweep(config, args.axis, values)
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run experiments along one axis")
     common(p)
     p.add_argument("--axis", default="noise_levels")
-    p.add_argument("--values", default="0.01,0.05,0.2", help="comma-separated, or a JSON array")
+    p.add_argument("--values", default="0.01,0.05,0.2", help="comma-separated, or JSON")
     p = sub.add_parser("grid-convergence", help="manufactured-solution convergence study")
     common(p)
     p.add_argument("--sizes", default="50,100,200,400")

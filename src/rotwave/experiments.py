@@ -410,6 +410,7 @@ def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, f
 # ----------------------------------------------------------------------
 
 GAMMA_INIT_SCALE = 3.0  # a run starts at (3 gamma*, 0), as every study does
+RESIDUAL_FLOOR_REL = 1e-8  # a run's stopping threshold is >= this * ||y_delta||
 
 
 @dataclass(frozen=True)
@@ -428,13 +429,7 @@ class ExperimentConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     iteration: IterationConfig = field(default_factory=IterationConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    residual_floor_rel: float = 1e-8
     output_dir: str | None = None
-
-    def __post_init__(self):
-        x = self.residual_floor_rel
-        if not 0.0 <= x < math.inf:  # NaN fails too
-            raise ConfigurationError(f"residual_floor_rel must be finite and nonnegative, got {x}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -503,7 +498,7 @@ def _dataclass_from_dict(cls, doc: dict, path: str):
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Apply dotted-key overrides like {'iteration.tau': 1.5}.  Under the
+    """Apply dotted-key overrides like {'iteration.max_iter': 50}.  Under the
     free-form `truth_overrides` dict a missing key (nested ones such as
     `psi_coeffs.b` too) is created; `manufacture_truth` validates it."""
     doc = asdict(config)
@@ -611,9 +606,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     truth, problem, _, y_clean = build_problem(config)
     grid = problem.grid
     y_delta, delta = add_noise(y_clean, config.noise, grid)
-    floor = max(
-        config.iteration.residual_floor, config.residual_floor_rel * data_norm(grid, y_delta)
-    )
+    floor = max(config.iteration.residual_floor, RESIDUAL_FLOOR_REL * data_norm(grid, y_delta))
     iteration = replace(config.iteration, residual_floor=floor)
     trace = nesterov_landweber(
         problem, y_delta, delta, iteration, gamma_init=GAMMA_INIT_SCALE * truth.gamma_true

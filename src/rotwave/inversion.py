@@ -16,8 +16,8 @@ Omega -> alpha_Omega.
 The minus sign is fixed by the analysis: it is the sign of the sensitivity
 F'(p) dp = -L B^-1 B'(dp) psi.
 The Omega gradient density is mapped into the parameter space by a Riesz
-solve in the configured Sobolev metric (H1 or H2), which acts as a
-smoothing preconditioner and pins the weighted mean to zero.
+solve in the H2 metric, which acts as a smoothing preconditioner and pins
+the weighted mean to zero.
 
 `InverseProblem.state` is the one place a forward state is built and
 solved: one `assemble_forward` and one `WaveSystem.solve_values`.
@@ -125,35 +125,23 @@ def data_norm(grid: Grid, d: DataVector) -> float:
 # parameter metric and Riesz map
 # ----------------------------------------------------------------------
 
-PARAMETER_METRICS = ("H1", "H2")  # the Sobolev metrics of the Omega block
-
-
 class ParameterMetric:
-    """Product metric gamma_scale * dgamma^2 + ||dOmega||_{H1 or H2}^2.
+    """Product metric gamma_scale * dgamma^2 + ||dOmega||_H2^2.
 
-    The Omega block is realized by the closure operator A = -delta_0 (H1) or
-    delta_0^2 (H2); the Riesz map solves A q + lambda 1 = g - mean_w(g) with
-    the weighted mean of q pinned to zero.  Since A 1 = 0, that q is
-    x - mean_w(x) for the mean-pinned (A + s 1 v^T) x = g: the m = 0 mixed
-    solve A = (gamma delta_0 + d) delta_0 with gamma = 1, d = 0 (H2) or
-    gamma = 0, d = -1 (H1), which the metric holds as a real, mean-pinned
-    `WaveSystem` (nonsingular, so its pivot ratio goes unchecked) and reads
-    psi from `solve_values`.  The bilinear form is evaluated as <u, A v>_w
-    with A on the second argument, which reproduces the raw density exactly
-    and keeps the discrete adjoint identity at roundoff level.
+    The Omega block is A = delta_0^2.  Its Riesz map solves A q + lambda 1 =
+    g - mean_w(g) with mean_w(q) = 0, which (A 1 = 0) is the mean-zero part
+    of the real, mean-pinned m = 0 `WaveSystem` solve with gamma = 1, d = 0.
+    The form <u, A v>_w keeps A on the second argument, which reproduces the
+    raw density exactly and the discrete adjoint identity to roundoff.
     """
 
-    def __init__(self, grid, stencils, name: str = "H2", gamma_scale: float = 1.0):
-        if name not in PARAMETER_METRICS:
-            raise ConfigurationError(f"unknown parameter metric {name!r}")
+    def __init__(self, grid, stencils, gamma_scale: float = 1.0):
         if not 0 < gamma_scale < math.inf:  # NaN fails too
             raise ConfigurationError(f"gamma_scale must be finite and positive, got {gamma_scale}")
         self.grid = grid
-        self.name = name
         self.gamma_scale = float(gamma_scale)
         self._lap = stencils.delta_matrix(0)
-        gamma, d = (1.0, 0.0) if name == "H2" else (0.0, -1.0)
-        self._system = WaveSystem(self._lap, gamma, d, 0.0, grid.weights)
+        self._system = WaveSystem(self._lap, 1.0, 0.0, 0.0, grid.weights)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
         return g - weighted_mean(self.grid, g)
@@ -163,17 +151,12 @@ class ParameterMetric:
         return self.project_mean_zero(self._system.solve_values(np.asarray(g, dtype=float))[0])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """The metric operator A applied to v."""
-        lap_v = self._lap @ v
-        return -lap_v if self.name == "H1" else self._lap @ lap_v
-
-    def omega_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(u * self.apply(v) * self.grid.weights))
+        """The metric operator A = delta_0^2 applied to v."""
+        return self._lap @ (self._lap @ v)
 
     def pair_inner(self, a: "GradientPair", b: "GradientPair") -> float:
-        return self.gamma_scale * a.dgamma * b.dgamma + self.omega_inner(
-            a.domega.values, b.domega.values
-        )
+        omega = np.sum(a.domega.values * self.apply(b.domega.values) * self.grid.weights)
+        return self.gamma_scale * a.dgamma * b.dgamma + float(omega)
 
     def pair_norm(self, a: "GradientPair") -> float:
         return math.sqrt(max(self.pair_inner(a, a), 0.0))
@@ -302,10 +285,10 @@ def adjoint_gradient(
 # ----------------------------------------------------------------------
 
 
-# The paper's momentum weight (k-1)/(k+alpha-1) with alpha = 3 (Neubauer
-# 2017; Hubmer & Ramlau 2017) and the line search's first step, shrink
-# factor, Armijo constant and trial budgets.  Every experiment uses these
-# values, so they are constants; the loop reads them at call time.
+# The paper's discrepancy factor tau, momentum weight (k-1)/(k+alpha-1) with
+# alpha = 3 (Neubauer 2017; Hubmer & Ramlau 2017) and line-search settings:
+# every study uses these values, so they are constants read at call time.
+DISCREPANCY_TAU = 1.1
 NESTEROV_ALPHA = 3.0
 MU0 = 1.0
 SHRINK = 0.5
@@ -321,27 +304,17 @@ MOMENTUM_BACKTRACKS = 4
 
 @dataclass(frozen=True)
 class IterationConfig:
-    tau: float = 1.1
     max_iter: int = 500
-    parameter_metric: str = "H2"
     gamma_scale: float = 1.0
     residual_floor: float = 0.0  # absolute floor on the stopping threshold
 
     def __post_init__(self):
-        # the chained comparisons are False for NaN too
-        if not 1.0 < self.tau < math.inf:
-            raise ConfigurationError(
-                f"discrepancy factor tau must be finite and exceed 1, got {self.tau}"
-            )
         k = self.max_iter
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
             raise ConfigurationError(f"max_iter must be a nonnegative integer, got {k!r}")
-        if not 0 < self.gamma_scale < math.inf:
-            raise ConfigurationError(
-                f"gamma_scale must be finite and positive, got {self.gamma_scale}"
-            )
-        if self.parameter_metric not in PARAMETER_METRICS:
-            raise ConfigurationError(f"unknown parameter metric {self.parameter_metric!r}")
+        g = self.gamma_scale
+        if not 0 < g < math.inf:  # NaN fails too
+            raise ConfigurationError(f"gamma_scale must be finite and positive, got {g}")
         if not math.isfinite(self.residual_floor):
             raise ConfigurationError(f"residual_floor must be finite, got {self.residual_floor}")
 
@@ -369,7 +342,9 @@ def nesterov_landweber(
 ) -> ReconstructionTrace:
     """Accelerated Landweber with discrepancy stopping, from (gamma_init, 0).
 
-    Two-line iteration with momentum weight (k-1)/(k+alpha-1), alpha =
+    It stops at residual <= max(`DISCREPANCY_TAU` * delta, residual_floor);
+    gamma_init must lie in (0, inf) and delta in [0, inf).  Two-line
+    iteration with momentum weight (k-1)/(k+alpha-1), alpha =
     `NESTEROV_ALPHA`, gradient step from a warm-started backtracking line
     search (Armijo decrease on the half-squared misfit): the first trial
     step is `MU0`, each backtrack multiplies it by `SHRINK`, and a step is
@@ -382,16 +357,16 @@ def nesterov_landweber(
     fallback at most `MAX_BACKTRACKS`.  A trial's misfit is the norm of
     `InverseProblem.residual`; at each search's start point the gradient is
     `adjoint_gradient` of the same residual; the first search's is that of
-    the initial misfit (z_1 = p_0).  No momentum point or trial with
-    gamma <= 0 is solved.  The trace counts the state solves and gradients.
+    the initial misfit (z_1 = p_0).  No momentum point or trial with gamma
+    outside (0, inf) is solved.  The trace counts state solves and gradients.
     """
+    if not 0 < gamma_init < math.inf:  # NaN fails too
+        raise ConfigurationError(f"gamma_init must be finite and positive, got {gamma_init}")
+    if not 0 <= delta < math.inf:
+        raise ConfigurationError(f"noise level delta must be finite and nonnegative, got {delta}")
     grid = problem.grid
-    metric = ParameterMetric(
-        grid, problem.stencils, config.parameter_metric, config.gamma_scale
-    )
-    if delta < 0:
-        raise ConfigurationError("noise level delta must be nonnegative")
-    threshold = max(config.tau * delta, config.residual_floor)
+    metric = ParameterMetric(grid, problem.stencils, gamma_scale=config.gamma_scale)
+    threshold = max(DISCREPANCY_TAU * delta, config.residual_floor)
     w_obs = problem.observed_weights
     state_solves = gradients = 0
 
@@ -419,7 +394,8 @@ def nesterov_landweber(
     k = 0
     while stop_reason is None:
         if res_current <= threshold:
-            stop_reason = "discrepancy" if config.tau * delta >= res_current else "residual_floor"
+            by_noise = DISCREPANCY_TAU * delta >= res_current
+            stop_reason = "discrepancy" if by_noise else "residual_floor"
             break
         if k >= config.max_iter:
             stop_reason = "max_iter"
@@ -428,7 +404,7 @@ def nesterov_landweber(
         weight = (k - 1) / (k + NESTEROV_ALPHA - 1)
         z_gamma = gamma + weight * (gamma - gamma_prev)
         z_omega = omega + weight * (omega - omega_prev)
-        if z_gamma <= 0:
+        if not 0 < z_gamma < math.inf:
             z_gamma, z_omega = gamma, omega  # momentum point infeasible
 
         accepted = None
@@ -455,7 +431,7 @@ def nesterov_landweber(
             for _ in range(MAX_BACKTRACKS if is_fallback else MOMENTUM_BACKTRACKS):
                 trial_gamma = src_gamma - mu * dgamma
                 trial_omega = src_omega - mu * domega
-                if trial_gamma > 0:
+                if 0 < trial_gamma < math.inf:
                     try:
                         trial_res = weighted_norm(w_obs, solve(trial_gamma, trial_omega)[2].values)
                     except NearResonanceError:

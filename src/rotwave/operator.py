@@ -31,8 +31,8 @@ object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
 five slice writes into LAPACK band storage, allocated in Fortran order.
 `WaveSystem` is the one type that builds, factors and solves a mixed
 band: the forward operator (`assemble_forward`, which in the package
-only `inversion.InverseProblem.state` calls) and the Riesz map of
-`inversion.ParameterMetric` (an m = 0 band with its own gamma and d) each
+only `inversion.InverseProblem.state` calls) and the H2 Riesz map of
+`inversion.ParameterMetric` (the m = 0 band with gamma = 1, d = 0) each
 build one.  Its constructor factors K with gbtrf in place of the band (a
 C-ordered band would be copied and transposed by f2py first), so the
 system holds only the LU.  Every solve is one gbtrs against it, in place
@@ -255,11 +255,11 @@ def assemble_forward(
     """The factored forward operator at (gamma, Omega) with Omega by its nodal
     values `omega`: the band of d = i (omega_freq - m beta) and a = i m alpha,
     or of d = i omega_freq and a = 0 and mean-pinned for m = 0.  The model
-    and both well-posedness bounds assume a positive viscosity: gamma <= 0 is
-    a ConfigurationError.  A pivot ratio below `PIVOT_RTOL` raises
-    `NearResonanceError`, a NaN one (zero or non-finite band) too."""
-    if gamma <= 0:
-        raise ConfigurationError(f"forward operator needs gamma > 0, got {gamma}")
+    and both well-posedness bounds assume 0 < gamma < inf; any other gamma
+    (NaN too) is a ConfigurationError.  A pivot ratio below `PIVOT_RTOL`
+    raises `NearResonanceError`, a NaN one (zero or non-finite band) too."""
+    if not 0 < gamma < math.inf:  # NaN fails too
+        raise ConfigurationError(f"forward operator needs 0 < gamma < inf, got {gamma}")
     d, a = 1j * omega_freq, 0.0
     if m != 0:
         d = 1j * (omega_freq - m * (omega - omega_ref))

@@ -65,14 +65,13 @@ def dense_b_prime(dgamma, domega, psi, grid, stencils, m):
     return out
 
 
-def dense_kkt(grid, stencils, name):
+def dense_kkt(grid, stencils):
     """The KKT matrix [[A, 1], [w^T, 0]] of the metric's Riesz map, with
-    A = -delta_0 (H1) or delta_0^2 (H2); the map is its solve against
-    [g - mean_w(g); 0]."""
+    A = delta_0^2 (H2); the map is its solve against [g - mean_w(g); 0]."""
     n = grid.n
     lap = dense(stencils.delta_matrix(0))
     kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = -lap if name == "H1" else lap @ lap
+    kkt[:n, :n] = lap @ lap
     kkt[:n, n] = 1.0
     kkt[n, :n] = grid.weights
     return kkt

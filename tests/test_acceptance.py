@@ -174,7 +174,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
             scheme=scheme,
             omega_ref=truth.omega_ref,
         )
-        metric = ParameterMetric(grid, stencils, "H2", gamma_scale=1.0)
+        metric = ParameterMetric(grid, stencils, gamma_scale=1.0)
         worst = max(worst, adjoint_identity_mismatch(problem, metric, g0, om0, rng, 20))
     identity_ok = worst <= 1e-10
 
@@ -193,7 +193,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
             scheme=ObservationScheme(),
             omega_ref=truth_n.omega_ref,
         )
-        metric_n = ParameterMetric(gn, stn, "H2", gamma_scale=1.0)
+        metric_n = ParameterMetric(gn, stn, gamma_scale=1.0)
         om_n = truth_n.omega_exact(gn).values
         y_n = problem_n.observed(truth_n.gamma_true, om_n)
         y_off = DataVector(values=0.9 * y_n.values, mask=y_n.mask)
@@ -222,7 +222,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
 
 def test_criterion_4_gradient_check(clean33_problem):
     truth, grid, stencils, problem = clean33_problem
-    metric = ParameterMetric(grid, stencils, "H2", gamma_scale=3.0)
+    metric = ParameterMetric(grid, stencils, gamma_scale=3.0)
     y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
     rng = np.random.default_rng(77)
     worst = 0.0
@@ -309,7 +309,6 @@ def _leakage_run(seed, eps_fraction):
         scheme=scheme,
         noise=NoiseSpec(relative_level=0.01, seed=seed),
         iteration=IterationConfig(max_iter=800, gamma_scale=3000.0),
-        residual_floor_rel=1e-6,
     )
     return run_experiment(config)
 
@@ -392,7 +391,7 @@ def test_criterion_9_discrepancy_index(noise_battery):
 
 def test_criterion_10_tcc_probe(clean33_problem):
     truth, grid, stencils, problem = clean33_problem
-    metric = ParameterMetric(grid, stencils, "H2", gamma_scale=1.0)
+    metric = ParameterMetric(grid, stencils, gamma_scale=1.0)
     om_true = truth.omega_exact(grid).values
     reports = {
         radius: tcc_probe(

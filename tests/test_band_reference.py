@@ -81,14 +81,13 @@ def test_b_prime_matches_dense(case, m):
     assert _rel(got, dense_b_prime(0.3, domega, psi, grid, stencils, m)) < 50 * EPS
 
 
-@pytest.mark.parametrize("name", ["H1", "H2"])
-def test_riesz_matches_dense_kkt(case, name):
+def test_riesz_matches_dense_kkt(case):
     grid, stencils, _, rng = case
     n, w = grid.n, grid.weights
-    kkt = dense_kkt(grid, stencils, name)
+    kkt = dense_kkt(grid, stencils)
     g = rng.standard_normal(n)
     want = np.linalg.solve(kkt, np.concatenate([g - np.sum(g * w) / np.sum(w), [0.0]]))[:n]
-    got = ParameterMetric(grid, stencils, name).riesz(g)
+    got = ParameterMetric(grid, stencils).riesz(g)
     assert _rel(got, want) < EPS * np.linalg.cond(kkt, 1)
 
 
@@ -124,14 +123,14 @@ def test_loop_misfit_and_gradient_match_dense_lu(n, m, scheme):
     yv = rng.standard_normal(len(mask))
     if not problem.scheme.real_part_only:
         yv = yv + 1j * rng.standard_normal(len(mask))
-    metric = ParameterMetric(grid, stencils, "H2", gamma_scale=3000.0)
+    metric = ParameterMetric(grid, stencils, gamma_scale=3000.0)
 
     system, psi, res = problem.residual(0.05, omega, DataVector(values=yv, mask=mask))
     misfit = weighted_norm(problem.observed_weights, res.values)
     grad, density = adjoint_gradient(problem, res, psi, system, metric)
 
     matrix = assemble_dense(0.05, omega, 0.1, 1.3, m, grid, stencils)
-    kkt = dense_kkt(grid, stencils, "H2")
+    kkt = dense_kkt(grid, stencils)
     psi_d = np.linalg.solve(matrix, f)
     r_d = restrict(psi_d, problem.scheme, mask) - yv
     assert abs(misfit - weighted_norm(w[mask], r_d)) <= (

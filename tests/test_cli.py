@@ -330,8 +330,8 @@ def test_mistyped_truth_override_exits_2(tmp_path, key, value):
 @pytest.mark.parametrize(
     "command,override",
     [
-        ("reconstruct", "iteration.tau=NaN"),
-        ("reconstruct", "residual_floor_rel=NaN"),
+        ("reconstruct", "iteration.gamma_scale=NaN"),
+        ("reconstruct", "iteration.residual_floor=Infinity"),
         ("reconstruct", "truth_overrides.gamma_true=NaN"),
         ("forward", "truth_overrides.amplitude=NaN"),
         ("forward", "truth_overrides.omega_coeffs.b=Infinity"),
@@ -339,8 +339,8 @@ def test_mistyped_truth_override_exits_2(tmp_path, key, value):
     ],
 )
 def test_non_finite_value_exits_2(tmp_path, command, override):
-    # json.loads parses NaN and Infinity; a NaN tau used to run to max_iter
-    # and exit 0, a NaN amplitude to write a state of NaN
+    # json.loads parses NaN and Infinity; a NaN amplitude used to write a
+    # state of NaN
     cfg = write_config(tmp_path, iteration={"max_iter": 3, "gamma_scale": 3000.0})
     out = tmp_path / "nonfinite"
     code = main([command, "--config", cfg, "--overrides", override, "--output-dir", str(out)])
@@ -416,15 +416,31 @@ def test_override_of_unknown_truth_field_exits_2(tmp_path):
     assert err["error"] == "configuration" and "'nope'" in err["message"]
 
 
-@pytest.mark.parametrize("key,value", [("allow_negative_gamma", True), ("gamma_init_scale", 3.0)])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("allow_negative_gamma", True),
+        ("gamma_init_scale", 3.0),
+        ("residual_floor_rel", 1e-6),
+        ("iteration.tau", 1.5),
+        ("iteration.parameter_metric", "H1"),
+    ],
+)
 def test_removed_start_settings_are_unknown_keys(tmp_path, key, value):
-    # the start is (3 gamma*, 0) and gamma > 0 always: neither is a setting
-    cfg = write_config(tmp_path, **{key: value})
+    # the start is (3 gamma*, 0), gamma > 0 always, and tau, the H2 metric
+    # and the relative floor are constants: none of them is a setting
+    section, _, name = key.rpartition(".")
+    iteration = {"max_iter": 20, "gamma_scale": 3000.0, name: value}
+    cfg = write_config(tmp_path, **({section: iteration} if section else {key: value}))
     out = tmp_path / "removed"
     assert main(["reconstruct", "--config", cfg, "--output-dir", str(out)]) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "configuration"
-    assert f"unknown keys in config: ['{key}']" in err["message"]
+    path = f"config.{section}" if section else "config"
+    assert f"unknown keys in {path}: ['{name}']" in err["message"]
+    code = main(["reconstruct", "--overrides", f"{key}=1.5", "--output-dir", str(out)])
+    assert code == 2
+    assert f"unknown override path {key!r}" in (out / "error.json").read_text()
 
 
 def test_sweep_takes_a_json_array_of_schemes(tmp_path):
@@ -436,6 +452,17 @@ def test_sweep_takes_a_json_array_of_schemes(tmp_path):
     assert main(["sweep", "--config", cfg, "--output-dir", str(out), *argv]) == 0
     rows = [r.split(",") for r in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
     assert [(r[2], r[3]) for r in rows] == [("0.3", "restricted"), ("0.0", "full+re")]
+
+
+def test_sweep_takes_one_json_object_as_one_scheme(tmp_path, capsys):
+    # comma splitting used to cut it into two "must be an object" rows
+    cfg = write_config(tmp_path, n=32, iteration={"max_iter": 3, "gamma_scale": 3000.0})
+    out = tmp_path / "sweep_scheme"
+    argv = ["--axis", "schemes", "--values", '{"kind":"restricted","epsilon":0.3}']
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out), *argv]) == 0
+    assert "1/1 runs complete" in capsys.readouterr().out
+    rows = [r.split(",") for r in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+    assert [(r[2], r[3]) for r in rows] == [("0.3", "restricted")]
 
 
 def test_sweep_with_no_values_exits_2(tmp_path):

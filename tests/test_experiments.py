@@ -235,14 +235,6 @@ def test_noise_seed_must_be_an_integer(seed):
     assert NoiseSpec(seed=np.int64(3)).seed == 3
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-8])
-def test_config_rejects_bad_residual_floor_rel(value):
-    # NaN and negative values used to be dropped silently by max()
-    with pytest.raises(ConfigurationError, match="residual_floor_rel"):
-        ExperimentConfig(residual_floor_rel=value)
-    assert ExperimentConfig(residual_floor_rel=0).residual_floor_rel == 0
-
-
 # ----------------------------------------------------------------------
 # experiment runner
 # ----------------------------------------------------------------------
@@ -397,11 +389,13 @@ def test_config_checks_scalar_types():
 
 
 def test_config_rejects_removed_iteration_settings():
-    # the momentum weight and the line search are module constants of
-    # rotwave.inversion, not config fields
+    # the discrepancy factor, the momentum weight, the line search and the
+    # H2 metric are module constants of rotwave.inversion, not config fields
     for doc in (
         {"iteration": {"nesterov_alpha": 3.0}},
         {"iteration": {"line_search": {"mu0": 1.0}}},
+        {"iteration": {"tau": 1.1}},
+        {"iteration": {"parameter_metric": "H2"}},
     ):
         with pytest.raises(ConfigurationError, match="unknown keys in config.iteration"):
             ExperimentConfig.from_dict(doc)
@@ -409,8 +403,8 @@ def test_config_rejects_removed_iteration_settings():
 
 def test_config_dotted_overrides():
     config = ExperimentConfig()
-    out = apply_overrides(config, {"iteration.tau": 1.5, "noise.seed": 9, "n": 128})
-    assert out.iteration.tau == 1.5
+    out = apply_overrides(config, {"iteration.max_iter": 50, "noise.seed": 9, "n": 128})
+    assert out.iteration.max_iter == 50
     assert out.noise.seed == 9
     assert out.n == 128
     with pytest.raises(ConfigurationError):

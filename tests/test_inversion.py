@@ -33,7 +33,7 @@ from rotwave import (
 from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
 from rotwave.experiments import build_problem
 from rotwave.grid import SHARED_DISCRETIZATIONS
-from rotwave.inversion import observation_mask
+from rotwave.inversion import DISCREPANCY_TAU, observation_mask
 
 SCHEMES = [
     ObservationScheme(),
@@ -176,41 +176,35 @@ def test_observe_projection_property(grid100, scheme):
 
 def test_riesz_eigenfunction_laws(grids):
     ns = (50, 100, 200)
-    for metric, power in (("H1", 1), ("H2", 2)):
-        errs = []
-        for n in ns:
-            g, st_ = grids[n]
-            l = 3
-            dens = eval_legendre(l, np.cos(g.nodes))
-            out = ParameterMetric(g, st_, metric).riesz(dens)
-            ref = dens / (l * (l + 1)) ** power
-            # compare up to the mean-zero projection of the input
-            ref = ref - np.sum(ref * g.weights) / np.sum(g.weights)
-            errs.append(np.linalg.norm(out - ref) / np.linalg.norm(ref))
-        assert errs[1] < 1e-4, (metric, errs)
-        assert observed_order(ns, errs, floor=1e-11) >= 2.5, (metric, errs)
+    errs = []
+    for n in ns:
+        g, st_ = grids[n]
+        l = 3
+        dens = eval_legendre(l, np.cos(g.nodes))
+        out = ParameterMetric(g, st_).riesz(dens)
+        ref = dens / (l * (l + 1)) ** 2
+        # compare up to the mean-zero projection of the input
+        ref = ref - np.sum(ref * g.weights) / np.sum(g.weights)
+        errs.append(np.linalg.norm(out - ref) / np.linalg.norm(ref))
+    assert errs[1] < 1e-4, errs
+    assert observed_order(ns, errs, floor=1e-11) >= 2.5, errs
 
 
 def test_riesz_zero(grid100, stencils100):
-    out = ParameterMetric(grid100, stencils100, "H2").riesz(np.zeros(100))
+    out = ParameterMetric(grid100, stencils100).riesz(np.zeros(100))
     assert np.max(np.abs(out)) < 1e-14
 
 
 def test_riesz_output_mean_zero(grid100, stencils100):
     rng = np.random.default_rng(0)
-    out = ParameterMetric(grid100, stencils100, "H1").riesz(rng.standard_normal(100))
+    out = ParameterMetric(grid100, stencils100).riesz(rng.standard_normal(100))
     assert abs(np.sum(out * grid100.weights)) < 1e-10
-
-
-def test_metric_rejects_unknown(grid100, stencils100):
-    with pytest.raises(ConfigurationError):
-        ParameterMetric(grid100, stencils100, "L2")
 
 
 @pytest.mark.parametrize("gamma_scale", [math.nan, math.inf])
 def test_metric_rejects_non_finite_gamma_scale(grid100, stencils100, gamma_scale):
     with pytest.raises(ConfigurationError, match="gamma_scale"):
-        ParameterMetric(grid100, stencils100, "H2", gamma_scale)
+        ParameterMetric(grid100, stencils100, gamma_scale=gamma_scale)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +237,7 @@ def test_sensitivity_taylor_remainder():
     g0 = truth.gamma_true
     om0 = truth.omega_exact(grid).values
     system, psi = problem.state(g0, om0)
-    metric = ParameterMetric(grid, stencils, "H2")
+    metric = ParameterMetric(grid, stencils)
     rng = np.random.default_rng(7)
     dom = metric.project_mean_zero(rng.standard_normal(64))
     dom /= np.linalg.norm(dom)
@@ -270,7 +264,7 @@ def test_adjoint_identity_all_schemes(scheme):
         truth, grid, stencils, problem = make_problem(
             n=100, truth_name=truth_name, scheme=scheme
         )
-        metric = ParameterMetric(grid, stencils, "H2", gamma_scale=2.0)
+        metric = ParameterMetric(grid, stencils, gamma_scale=2.0)
         points = {
             "truth": (truth.gamma_true, truth.omega_exact(grid).values),
             "start": (3 * truth.gamma_true, np.zeros(100)),
@@ -315,7 +309,7 @@ def test_stencil_caches_die_with_their_stencils():
 
 def test_gradient_zero_residual():
     truth, grid, stencils, problem = make_problem(n=64)
-    metric = ParameterMetric(grid, stencils, "H2")
+    metric = ParameterMetric(grid, stencils)
     system, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
     mask = observation_mask(grid, problem.scheme)
     zero = DataVector(values=np.zeros(len(mask), dtype=complex), mask=mask)
@@ -328,7 +322,7 @@ def test_gradient_matches_finite_differences():
     truth, grid, stencils, problem = make_problem(
         n=100, scheme=ObservationScheme(kind="restricted", epsilon=0.3)
     )
-    metric = ParameterMetric(grid, stencils, "H2", gamma_scale=3.0)
+    metric = ParameterMetric(grid, stencils, gamma_scale=3.0)
     y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
     rng = np.random.default_rng(9)
     # three parameter points x five directions (points away from the truth
@@ -373,7 +367,7 @@ def test_landweber_trace_invariants_on_noisy_run():
     assert len(trace.residuals) == K + 1
     assert len(trace.iterates) == K + 1
     assert len(trace.step_sizes) == K
-    assert trace.residuals[K] <= config.tau * delta < trace.residuals[K - 1]
+    assert trace.residuals[K] <= DISCREPANCY_TAU * delta < trace.residuals[K - 1]
     # monotone residual history (Armijo acceptance + monotone safeguard)
     assert all(b <= a + 1e-14 for a, b in zip(trace.residuals, trace.residuals[1:]))
 
@@ -394,18 +388,36 @@ def test_landweber_line_search_failure_reported(monkeypatch):
 
 
 def test_landweber_config_validation():
-    with pytest.raises(ConfigurationError):
-        IterationConfig(tau=0.9)
     with pytest.raises(ConfigurationError, match="max_iter"):
         IterationConfig(max_iter=-1)
     assert IterationConfig(max_iter=0).max_iter == 0
 
 
 @pytest.mark.parametrize(
+    "gamma_init, delta, match",
+    [
+        (math.nan, 0.0, "gamma_init"),
+        (math.inf, 0.0, "gamma_init"),
+        (-1.0, 0.0, "gamma_init"),
+        (1.0, math.nan, "delta"),
+        (1.0, math.inf, "delta"),
+        (1.0, -1.0, "delta"),
+    ],
+)
+def test_landweber_rejects_bad_start_and_noise_level(gamma_init, delta, match):
+    # a NaN or infinite start used to stop at K = 0 as `near_resonance`; a
+    # NaN delta made the threshold NaN, so the discrepancy rule never fired
+    # and the run went to max_iter, and an infinite one stopped at k = 0
+    truth, grid, stencils, problem = make_problem(n=32, truth_name="m2_default")
+    y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
+    config = IterationConfig(max_iter=20, gamma_scale=3000.0)
+    with pytest.raises(ConfigurationError, match=match):
+        nesterov_landweber(problem, y, delta=delta, config=config, gamma_init=gamma_init)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
-        ("tau", math.nan),
-        ("tau", math.inf),
         ("residual_floor", math.nan),
         ("residual_floor", math.inf),
         ("gamma_scale", math.nan),
@@ -420,14 +432,6 @@ def test_iteration_config_rejects_non_finite_settings(field, value):
         IterationConfig(**{field: value})
 
 
-def test_iteration_config_rejects_unknown_metric():
-    # built directly; a config that names no metric used to load and fail
-    # only when the run built its ParameterMetric
-    with pytest.raises(ConfigurationError, match="unknown parameter metric 'L2'"):
-        IterationConfig(parameter_metric="L2")
-    assert IterationConfig(parameter_metric="H1").parameter_metric == "H1"
-
-
 def test_landweber_momentum_weight_first_step_is_plain():
     # the momentum weight (k-1)/(k+alpha-1) vanishes at k = 1, so the first
     # update is a plain gradient step from p0; with the fixed sign it descends
@@ -438,7 +442,7 @@ def test_landweber_momentum_weight_first_step_is_plain():
     trace = nesterov_landweber(problem, y, delta=0.0, config=config, gamma_init=gamma0)
     assert trace.stop_index == 1
 
-    metric = ParameterMetric(grid, stencils, config.parameter_metric, config.gamma_scale)
+    metric = ParameterMetric(grid, stencils, gamma_scale=config.gamma_scale)
     system, psi = problem.state(gamma0, omega0)
     obs = observe(psi, problem.scheme, grid)
     res = DataVector(values=obs.values - y.values, mask=obs.mask)
@@ -635,7 +639,7 @@ def test_observed_linear_in_source():
 def test_tcc_ratio_gamma_only_perturbations():
     # pairs differing only in the viscosity: ratios finite and bounded
     truth, grid, stencils, problem = make_problem(n=64)
-    metric = ParameterMetric(grid, stencils, "H2")
+    metric = ParameterMetric(grid, stencils)
     om_true = truth.omega_exact(grid).values
     rng = np.random.default_rng(12)
     base_sys, base_psi = problem.state(truth.gamma_true, om_true)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -136,6 +138,14 @@ def test_forward_rejects_nonpositive_gamma(grid100, stencils100):
         assemble_forward(0.0, const_rotation(grid100, 1.0), 0.0, 1.0, 2, grid100, stencils100)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_forward_rejects_non_finite_gamma(grid100, stencils100, gamma):
+    # `gamma <= 0` let both through: NaN factored a NaN band that read as a
+    # near-resonance
+    with pytest.raises(ConfigurationError, match="0 < gamma < inf"):
+        assemble_forward(gamma, const_rotation(grid100, 1.0), 0.0, 1.0, 2, grid100, stencils100)
+
+
 def test_bandwidth_is_bounded(grid100, stencils100):
     p = (0.5, const_rotation(grid100, 1.0), 0.0)
     assert bandwidth(assemble_dense(*p, 2.0, 2, grid100, stencils100)) <= 8
@@ -247,7 +257,7 @@ def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, ste
 def test_riesz_band_is_factored_in_place(monkeypatch, grid100, stencils100):
     # the real H2 metric band, as ParameterMetric assembles it
     passed = _record_gbtrf_bands(monkeypatch)
-    system = ParameterMetric(grid100, stencils100, "H2")._system
+    system = ParameterMetric(grid100, stencils100)._system
     assert [band.dtype for band in passed] == [float]
     _assert_factored_in_place_and_dropped(system, passed[0])
 
