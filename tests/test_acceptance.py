@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; tolerances are fixed here and nowhere else.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 from scipy.special import eval_legendre, lpmv
 
+import golden_contract
 from adjoint_reference import continuous_gradient
 from conftest import ACCEPTANCE, observed_order, wl2
 from field_helpers import apply_delta_m, inner_product
@@ -30,7 +32,6 @@ from rotwave import (
     build_stencils,
     data_norm,
     manufacture_truth,
-    nesterov_landweber,
     norm_sobolev,
     run_experiment,
     sensitivity,
@@ -69,19 +70,16 @@ def suite_grids():
 
 @pytest.fixture(scope="module")
 def clean33_problem():
-    truth = manufacture_truth("m3_default")
-    grid = build_grid(100, truth.r)
-    stencils = build_stencils(grid)
-    problem = InverseProblem(
-        grid=grid,
-        stencils=stencils,
-        m=truth.m,
-        omega_freq=truth.omega_freq,
-        source=truth.source(grid),
-        scheme=ObservationScheme(),
-        omega_ref=truth.omega_ref,
-    )
-    return truth, grid, stencils, problem
+    return golden_contract.clean33_problem()
+
+
+@pytest.fixture(scope="module")
+def clean33_run(clean33_problem):
+    """Criterion 6's reconstruction, run once: (y, config, trace, wall s)."""
+    truth, grid, _, problem = clean33_problem
+    t0 = time.perf_counter()
+    y, config, trace = golden_contract.clean_reconstruction(truth, grid, problem)
+    return y, config, trace, time.perf_counter() - t0
 
 
 def test_criterion_1_operator_spectral_accuracy():
@@ -260,17 +258,9 @@ def test_criterion_5_manufactured_forward_convergence(suite_grids):
     )
 
 
-def test_criterion_6_clean_reconstruction(clean33_problem):
-    truth, grid, stencils, problem = clean33_problem
-    y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
-    config = IterationConfig(
-        max_iter=500, gamma_scale=3000.0, residual_floor=1e-8 * data_norm(grid, y)
-    )
-    t0 = time.perf_counter()
-    trace = nesterov_landweber(
-        problem, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_6_clean_reconstruction(clean33_problem, clean33_run):
+    truth, grid, _, _ = clean33_problem
+    y, config, trace, elapsed = clean33_run
     gamma_k, omega_k = trace.iterates[trace.stop_index]
     om_true = truth.omega_exact(grid).values
     eg = abs(gamma_k - truth.gamma_true) / truth.gamma_true
@@ -342,20 +332,7 @@ def test_criterion_7_leakage_degradation():
 @pytest.fixture(scope="module")
 def noise_battery():
     """(omega, m) = (1, 2) runs over 5 seeds x 3 noise levels."""
-    out = {}
-    for level in (0.01, 0.05, 0.20):
-        rows = []
-        for seed in range(5):
-            config = ExperimentConfig(
-                run_id=f"nb_{level}_{seed}",
-                n=100,
-                truth="m2_default",
-                noise=NoiseSpec(relative_level=level, seed=seed),
-                iteration=IterationConfig(max_iter=800, gamma_scale=3000.0),
-            )
-            rows.append(run_experiment(config))
-        out[level] = rows
-    return out
+    return golden_contract.noise_battery()
 
 
 def test_criterion_8_noise_monotonicity(noise_battery):
@@ -444,4 +421,20 @@ def test_criterion_10_tcc_probe(clean33_problem):
          "shrink": reports[0.01].max_ratio / reports[0.1].max_ratio,
          "remainder_spread": max(ratios) / min(ratios)},
         {"max_ratio_R0.1": ["finite"], "shrink": ["<=", 2.0], "remainder_spread": ["<=", 5.0]},
+    )
+
+
+def test_golden_contract(clean33_run, noise_battery):
+    """Criterion 6's trace and the noise battery's records against
+    `tests/golden/contract.json` (see `golden_contract`)."""
+    golden = json.loads(golden_contract.CONTRACT_PATH.read_text())
+    actual = golden_contract.contract(clean33_run[2], noise_battery)
+    mismatches, deviation = golden_contract.compare(golden, actual)
+    report(
+        "golden contract",
+        not mismatches,
+        f"{len(mismatches)} mismatches {mismatches[:3]}; largest relative float "
+        f"deviation {deviation:.1e} (<= {golden_contract.FLOAT_RTOL:.0e})",
+        {"mismatches": len(mismatches), "max_float_deviation": deviation},
+        {"mismatches": ["==", 0], "max_float_deviation": ["<=", golden_contract.FLOAT_RTOL]},
     )
