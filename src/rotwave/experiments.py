@@ -535,6 +535,8 @@ class RunRecord:
     iteration_csv: str | None
     state_solves: int  # the loop's forward solves (`ReconstructionTrace`)
     gradients: int  # the loop's adjoint gradients
+    threshold: float  # the residual the run stopped against: max(tau delta, floor)
+    delta: float  # weighted data norm of the injected noise (0 for clean data)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -634,6 +636,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         iteration_csv=csv_path,
         state_solves=trace.state_solves,
         gradients=trace.gradients,
+        threshold=trace.threshold,
+        delta=trace.delta,
     )
     if config.output_dir is not None:
         path = pathlib.Path(config.output_dir) / f"{config.run_id}_record.json"

@@ -115,6 +115,11 @@ class Grid:
     nodes: np.ndarray
     weights: np.ndarray
 
+    @functools.cached_property
+    def weight_sum(self):
+        """Sum of the weights, the divisor of every `weighted_mean`."""
+        return np.sum(self.weights)
+
 
 def build_grid(n: int, r: float = 1.0) -> Grid:
     """The uniform pole-free grid with n cells on (0, pi), shared per process.
@@ -333,7 +338,7 @@ def build_stencils(grid: Grid) -> DerivativeStencils:
 
 
 def weighted_mean(grid: Grid, values: np.ndarray):
-    return np.sum(values * grid.weights) / np.sum(grid.weights)
+    return (values * grid.weights).sum() / grid.weight_sum
 
 
 def weighted_norm(weights: np.ndarray, values: np.ndarray) -> float:

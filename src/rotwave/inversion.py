@@ -20,13 +20,28 @@ solve in the H2 metric, which acts as a smoothing preconditioner and pins
 the weighted mean to zero.
 
 `InverseProblem.state` is the one place a forward state is built and
-solved: one `assemble_forward` and one `WaveSystem.solve_values`.
+solved: one `assemble_forward` and one `WaveSystem.solve_mixed`.
 `observed` and `residual` restrict its psi (`restrict`, and `- y` for the
 residual).  `nesterov_landweber` takes every misfit and gradient from that
 path: a line-search trial's misfit is the norm of `residual`, and each
 search's gradient is one `adjoint_gradient`, one adjoint and one Riesz
 solve.  Its line search makes at most `MOMENTUM_BACKTRACKS` trials from
 the momentum point and at most `MAX_BACKTRACKS` from the iterate.
+
+What does not change during a run is computed once and kept where it
+belongs, so that a solve redoes none of it:
+- per problem (`InverseProblem`'s cached properties): the source as the
+  mixed right-hand side [f; 0] (`source_rhs`), the observed nodes as
+  indices (`mask`) and as a slice (`window`, which `residual` and
+  `adjoint_gradient` use instead of copying through `mask`), their
+  weights (`observed_weights`) and delta_m (`lap`);
+- per (grid, scheme): `observation_mask`, which `observe` and so every
+  `sensitivity` reads;
+- per grid: the weight sum that `weighted_mean` divides by
+  (`Grid.weight_sum`), and so every Riesz projection;
+- per metric: the factored Riesz band.
+All of these are vectors; no band-sized array is kept beyond the call
+that factors it, apart from the metric's own factorization.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -36,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +71,7 @@ from .operator import (
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
+    mixed_rhs,
 )
 
 # ----------------------------------------------------------------------
@@ -90,21 +106,25 @@ class DataVector:
     mask: np.ndarray  # observed node indices
 
 
+@lru_cache(maxsize=32)  # (grid, scheme) pairs: a few per study
 def observation_mask(grid: Grid, scheme: ObservationScheme) -> np.ndarray:
-    """Indices of the nodes in the observed window; a window that holds no
-    node is a ConfigurationError, since it would observe nothing."""
+    """Indices of the nodes in the observed window, one contiguous run; a
+    window that holds no node is a ConfigurationError, since it would
+    observe nothing.  Computed once per (grid, scheme) and read-only."""
     eps = scheme.epsilon
     mask = np.where((grid.nodes > eps) & (grid.nodes < math.pi - eps))[0]
     if len(mask) == 0:
         raise ConfigurationError(
             f"observation window (epsilon={eps}) holds no node of the n={grid.n} grid"
         )
+    mask.flags.writeable = False
     return mask
 
 
-def restrict(psi: np.ndarray, scheme: ObservationScheme, mask: np.ndarray) -> np.ndarray:
-    """The state values `psi` at the observed nodes `mask`, real part only when
-    the scheme says so: the one spelling of the observation L."""
+def restrict(psi: np.ndarray, scheme: ObservationScheme, mask: np.ndarray | slice) -> np.ndarray:
+    """The state values `psi` at the observed nodes `mask` (indices, or the
+    window as a slice), real part only when the scheme says so: the one
+    spelling of the observation L."""
     observed = psi[mask]
     return observed.real if scheme.real_part_only else observed
 
@@ -130,7 +150,8 @@ class ParameterMetric:
 
     The Omega block is A = delta_0^2.  Its Riesz map solves A q + lambda 1 =
     g - mean_w(g) with mean_w(q) = 0, which (A 1 = 0) is the mean-zero part
-    of the real, mean-pinned m = 0 `WaveSystem` solve with gamma = 1, d = 0.
+    of the real, mean-pinned m = 0 `WaveSystem` solve with gamma = 1 and no
+    d or a block.
     The form <u, A v>_w keeps A on the second argument, which reproduces the
     raw density exactly and the discrete adjoint identity to roundoff.
     """
@@ -141,7 +162,7 @@ class ParameterMetric:
         self.grid = grid
         self.gamma_scale = float(gamma_scale)
         self._lap = stencils.delta_matrix(0)
-        self._system = WaveSystem(self._lap, 1.0, 0.0, 0.0, grid.weights)
+        self._system = WaveSystem(self._lap, 1.0, pin_weights=grid.weights)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
         return g - weighted_mean(self.grid, g)
@@ -201,9 +222,28 @@ class InverseProblem:
         return observation_mask(self.grid, self.scheme)
 
     @cached_property
+    def window(self) -> slice:
+        """The observed nodes as a slice: a view where `mask` would copy."""
+        return slice(int(self.mask[0]), int(self.mask[-1]) + 1)
+
+    @cached_property
     def observed_weights(self) -> np.ndarray:
         """Quadrature weights of the observed nodes, the data norm's weights."""
         return self.grid.weights[self.mask]
+
+    @cached_property
+    def source_rhs(self) -> np.ndarray:
+        """The source as the mixed system's right-hand side [f; 0]
+        (`mixed_rhs`), built from `source` on the first solve; every state
+        solve reads it and none writes it."""
+        full = mixed_rhs(self.source.values, complex)
+        full.flags.writeable = False
+        return full
+
+    @cached_property
+    def lap(self):
+        """delta_m, the `BandRows` of the problem's order m."""
+        return self.stencils.delta_matrix(self.m)
 
     def state(self, gamma: float, omega_values: np.ndarray) -> tuple[WaveSystem, State]:
         """The factored forward operator at (gamma, Omega) and the state
@@ -211,7 +251,7 @@ class InverseProblem:
         system = assemble_forward(
             gamma, omega_values, self.omega_ref, self.omega_freq, self.m, self.grid, self.stencils
         )
-        psi, phi = system.solve_values(self.source.values)
+        psi, phi = system.solve_mixed(self.source_rhs)
         return system, State(m=self.m, values=psi, phi=phi)
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
@@ -224,7 +264,7 @@ class InverseProblem:
     ) -> tuple[WaveSystem, State, DataVector]:
         """State at a point and its data residual F(p) - y = `restrict`(psi) - y."""
         system, psi = self.state(gamma, omega_values)
-        r = restrict(psi.values, self.scheme, self.mask) - y.values
+        r = restrict(psi.values, self.scheme, self.window) - y.values
         return system, psi, DataVector(values=r, mask=self.mask)
 
 
@@ -263,16 +303,18 @@ def adjoint_gradient(
     functional is their negative because the sensitivity is
     F'(p) dp = -L B^-1 B'(dp) psi; domega is the Riesz map of it.
     """
-    grid, st, m = problem.grid, problem.stencils, problem.m
+    grid, m = problem.grid, problem.m
     w = grid.weights
-    l_adj = np.zeros(grid.n, dtype=complex)  # L* residual, zero off the observed nodes
-    l_adj[problem.mask] = residual.values
-    z = system.solve_weighted_adjoint(l_adj, w)
-    raw_gamma = float(np.sum((st.delta_matrix(m) @ psi.phi) * np.conj(z) * w).real)
+    # W L* residual at the odd (psi) positions of the window, zero elsewhere
+    window = problem.window
+    full = np.zeros(2 * grid.n, dtype=complex)
+    full[2 * window.start + 1 : 2 * window.stop : 2] = problem.observed_weights * residual.values
+    z = system.solve_adjoint_mixed(full) / w
+    raw_gamma = float(((problem.lap @ psi.phi) * z.conj() * w).sum().real)
     if m != 0:
-        c = np.imag(np.conj(psi.values) * z)
-        shear = np.imag(np.conj(psi.phi) * z)
-        density = m * (apply_alpha_adjoint(grid, st, c) - shear)
+        c = (psi.values.conj() * z).imag
+        shear = (psi.phi.conj() * z).imag
+        density = m * (apply_alpha_adjoint(grid, problem.stencils, c) - shear)
     else:
         density = np.zeros(grid.n)
     g = -density
@@ -424,7 +466,7 @@ def nesterov_landweber(
             dgamma, domega = grad.dgamma, grad.domega.values
             phi0 = 0.5 * weighted_norm(w_obs, res_vec.values) ** 2
             decrease = metric.gamma_scale * dgamma**2 + float(
-                np.sum(domega * g_density * grid.weights)
+                (domega * g_density * grid.weights).sum()
             )
             decrease = max(decrease, 0.0)
             mu = mu_start

@@ -28,23 +28,33 @@ rows: row 2j takes the source, row 2j+1 is -phi_j + (delta_m psi)_j.  Both
 delta_m blocks then sit on the even offsets 2 (j - k), and K is a band with
 kl = ku = 6 (delta_m couples nodes at most three apart).  Each stencils
 object keeps delta_m by diagonals (`BandRows.diagonals`), so assembly is
-five slice writes into LAPACK band storage, allocated in Fortran order.
+five slice writes into LAPACK band storage, allocated in Fortran order:
+the real ones through the band's real view, the imaginary coefficients
+i d and i a through its imaginary view, so that no write casts.
 `WaveSystem` is the one type that builds, factors and solves a mixed
 band: the forward operator (`assemble_forward`, which in the package
 only `inversion.InverseProblem.state` calls) and the H2 Riesz map of
-`inversion.ParameterMetric` (the m = 0 band with gamma = 1, d = 0) each
+`inversion.ParameterMetric` (the real m = 0 band with gamma = 1) each
 build one.  Its constructor factors K with gbtrf in place of the band (a
 C-ordered band would be copied and transposed by f2py first), so the
-system holds only the LU.  Every solve is one gbtrs against it, in place
-of a fresh right-hand side, which gives psi at the odd unknowns and phi at
-the even ones.  The exact adjoint of the discrete
+system holds only the LU.  Every solve is one gbtrs against it, which
+gives psi at the odd unknowns and phi at the even ones.
+`WaveSystem.solve_mixed` takes a right-hand side already in K's layout
+(`mixed_rhs`) and leaves it as it is, so a caller can build one once and
+solve against it again and again: `inversion.InverseProblem` keeps its
+source's [f; 0].  The exact adjoint of the discrete
 operator with respect to the weighted inner product, W^-1 B^H W, is one
 conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
 gives B^H a = g, so g goes to the odd positions and a is read from the
-even ones (`WaveSystem.solve_weighted_adjoint`).  Its condition number
-grows like n^2 where that of B grows like n^4.  A system lives as long as
-its caller holds it: the Nesterov-Landweber loop builds one per trial
-point and keeps none beyond the gradient taken at it.
+even ones (`WaveSystem.solve_adjoint_mixed`, which
+`inversion.adjoint_gradient` hands W L* r written straight into those
+positions, and `solve_weighted_adjoint` for a nodal right-hand side).  Its
+condition number grows like n^2 where that of B grows like n^4.  A system
+lives as long as its caller holds it: the Nesterov-Landweber loop builds
+one per trial point and keeps none beyond the gradient taken at it.  So K's
+constant blocks (the -1 row and the delta_m diagonals of the psi columns)
+are written again on every build: a kept template would be a band-sized
+array per problem, about 1 MB at n = 1600.
 
 For m = 0, delta_0 annihilates constants, so the axisymmetric problem is
 posed on mean-zero fields through the mean pin s 1 v^T (v = w / sum w)
@@ -134,11 +144,20 @@ def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray)
 # ----------------------------------------------------------------------
 
 
-def _gbtrs(lu: np.ndarray, piv: np.ndarray, full: np.ndarray, trans: int) -> np.ndarray:
-    """Solve against a band LU in place of `full`, a fresh Fortran-ordered
-    right-hand side of the LU's dtype."""
+def _gbtrs(lu: np.ndarray, piv: np.ndarray, full: np.ndarray, trans: int, overwrite: int) -> np.ndarray:
+    """Solve against a band LU for `full`, a Fortran-ordered right-hand side
+    of the LU's dtype, in place of it when `overwrite` is 1 and else in a
+    copy that f2py makes."""
     gbtrs = _GBTRS[lu.dtype.char]
-    return gbtrs(lu, _KL, _KU, full, piv, trans=trans, overwrite_b=1)[0]
+    return gbtrs(lu, _KL, _KU, full, piv, trans=trans, overwrite_b=overwrite)[0]
+
+
+def mixed_rhs(rhs: np.ndarray, dtype) -> np.ndarray:
+    """[rhs; 0] in the interleaved layout of K's unknowns (rhs at the even
+    positions), Fortran-ordered, as `WaveSystem.solve_mixed` takes it."""
+    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=dtype, order="F")
+    full[0::2] = rhs
+    return full
 
 
 class _MeanPin:
@@ -159,7 +178,7 @@ class _MeanPin:
         u = np.zeros((lu.shape[1], 2), dtype=lu.dtype, order="F")  # [U; 0]
         u[0::2, 0] = self.scale
         u[2 * self.node, 1] = self.scale
-        self.y = _gbtrs(lu, piv, u, 0)
+        self.y = _gbtrs(lu, piv, u, 0, 1)
         vt_y = np.array([self.v @ self.y[1::2], -self.y[2 * self.node + 1]])
         self.cinv = np.linalg.inv(np.eye(2) + vt_y)
 
@@ -179,8 +198,10 @@ class _MeanPin:
 
 
 class WaveSystem:
-    """The mixed band K = [[gamma L + diag(d), diag(a)], [-I, L]] of L = lap,
-    factored in place at construction; d and a are nodal arrays or scalars.
+    """The mixed band K = [[gamma L + i diag(d), i diag(a)], [-I, L]] of
+    L = lap, factored in place at construction.  d and a are real nodal
+    arrays or scalars, the imaginary parts of K's coefficient blocks; None
+    leaves a block out, and with both None the band is real.
 
     With `pin_weights` the band carries the mean pin (`_MeanPin`).
     `pivot_ratio` is min |U_ii| / max |U_ii| of the LU; `assemble_forward`
@@ -192,47 +213,60 @@ class WaveSystem:
         self,
         lap: BandRows,
         gamma: float,
-        d: np.ndarray | complex,
-        a: np.ndarray | complex,
+        d: np.ndarray | float | None = None,
+        a: np.ndarray | float | None = None,
         pin_weights: np.ndarray | None = None,
     ):
         dia = lap.diagonals
-        # Fortran order, as gbtrf takes it, so that it factors the band in place
-        band = np.zeros(
-            (2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=np.result_type(d, a, float), order="F"
-        )
-        # row 2j: ((gamma L + d) phi + a psi)_j
-        np.multiply(dia, gamma, out=band[_DELTA_ROWS, 0::2])
-        band[_DIAG, 0::2] += d
-        band[_DIAG - 1, 1::2] = a
-        band[_DIAG + 1, 0::2] = -1.0  # row 2j+1: -phi_j + (L psi)_j
-        band[_DELTA_ROWS, 1::2] = dia
+        dtype = float if d is None and a is None else complex
+        # Fortran order, as gbtrf takes it, so that it factors the band in
+        # place.  Each block is written through the real or imaginary view:
+        # a real-to-complex cast would run numpy's buffered loop instead.
+        band = np.zeros((2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=dtype, order="F")
+        real = band.real
+        # row 2j: ((gamma L + i d) phi + i a psi)_j
+        np.multiply(dia, gamma, out=real[_DELTA_ROWS, 0::2])
+        if d is not None:
+            band.imag[_DIAG, 0::2] = d
+        if a is not None:
+            band.imag[_DIAG - 1, 1::2] = a
+        real[_DIAG + 1, 0::2] = -1.0  # row 2j+1: -phi_j + (L psi)_j
+        real[_DELTA_ROWS, 1::2] = dia
         self._pin = None if pin_weights is None else _MeanPin(band, pin_weights)
         self.lu, self.piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
         pivots = np.abs(self.lu[_DIAG])
-        self.pivot_ratio = float(pivots.min() / pivots.max())
+        self.pivot_ratio = float(np.minimum.reduce(pivots) / np.maximum.reduce(pivots))
         if self._pin is not None:
             self._pin.factor(self.lu, self.piv)
 
-    def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, phi): psi = B^-1 rhs and phi = delta_m psi from one solve of
-        K [phi; psi] = [rhs; 0]; a pinned system applies the mean pin in
-        place of the one-node pin."""
-        full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=self.lu.dtype, order="F")
-        full[0::2] = rhs
-        x = _gbtrs(self.lu, self.piv, full, 0)
+    def solve_mixed(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, phi) from one solve of K [phi; psi] = full, a right-hand side
+        in K's layout (`mixed_rhs`) that the solve leaves as it is, so that a
+        caller can keep one; a pinned system applies the mean pin in place of
+        the one-node pin."""
+        x = _gbtrs(self.lu, self.piv, full, 0, 0)
         if self._pin is not None:
             self._pin.correct(x)
         return x[1::2], x[0::2]
 
-    def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solve (W^-1 B^H W) z = rhs: B^H a = W rhs is read off
-        K^H [a; b] = [0; W rhs] at the even positions."""
-        full = np.zeros(2 * len(rhs), dtype=self.lu.dtype)
-        full[1::2] = weights * rhs
+    def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, phi): psi = B^-1 rhs and phi = delta_m psi from one solve of
+        K [phi; psi] = [rhs; 0]."""
+        return self.solve_mixed(mixed_rhs(rhs, self.lu.dtype))
+
+    def solve_adjoint_mixed(self, full: np.ndarray) -> np.ndarray:
+        """a with B^H a = g from one solve of K^H [a; b] = full, where `full`
+        holds g at the odd positions and zeros at the even ones; `full` is
+        overwritten."""
         if self._pin is not None:
             full[1::2] = self._pin.correct_adjoint(full[1::2])
-        return _gbtrs(self.lu, self.piv, full, 2)[0::2] / weights
+        return _gbtrs(self.lu, self.piv, full, 2, 1)[0::2]
+
+    def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Solve (W^-1 B^H W) z = rhs: B^H a = W rhs, then z = a / w."""
+        full = np.zeros(2 * len(rhs), dtype=self.lu.dtype)
+        full[1::2] = weights * rhs
+        return self.solve_adjoint_mixed(full) / weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,17 +287,17 @@ def assemble_forward(
     stencils: DerivativeStencils,
 ) -> WaveSystem:
     """The factored forward operator at (gamma, Omega) with Omega by its nodal
-    values `omega`: the band of d = i (omega_freq - m beta) and a = i m alpha,
-    or of d = i omega_freq and a = 0 and mean-pinned for m = 0.  The model
+    values `omega`: the band of d = omega_freq - m beta and a = m alpha, or
+    of d = omega_freq and no a block and mean-pinned for m = 0.  The model
     and both well-posedness bounds assume 0 < gamma < inf; any other gamma
     (NaN too) is a ConfigurationError.  A pivot ratio below `PIVOT_RTOL`
     raises `NearResonanceError`, a NaN one (zero or non-finite band) too."""
     if not 0 < gamma < math.inf:  # NaN fails too
         raise ConfigurationError(f"forward operator needs 0 < gamma < inf, got {gamma}")
-    d, a = 1j * omega_freq, 0.0
+    d, a = omega_freq, None
     if m != 0:
-        d = 1j * (omega_freq - m * (omega - omega_ref))
-        a = 1j * m * (stencils.alpha @ omega)
+        d = omega_freq - m * (omega - omega_ref)
+        a = m * (stencils.alpha @ omega)
     pin_weights = grid.weights if m == 0 else None
     system = WaveSystem(stencils.delta_matrix(m), gamma, d, a, pin_weights)
     if not system.pivot_ratio >= PIVOT_RTOL:

@@ -20,6 +20,7 @@ from rotwave import (
     assemble_forward,
     build_grid,
     build_stencils,
+    data_norm,
     manufacture_truth,
     run_experiment,
     sweep,
@@ -311,6 +312,30 @@ def test_run_experiment_keeps_absolute_residual_floor():
     record = run_experiment(config)
     assert record.stop_index == 0
     assert record.stop_reason == "residual_floor"
+
+
+def test_record_carries_the_discrepancy_threshold():
+    # a noisy run stops against tau * delta, and its record says so
+    config = ExperimentConfig(
+        run_id="tau",
+        n=64,
+        truth="m2_default",
+        noise=NoiseSpec(relative_level=0.05, seed=1),
+        iteration=IterationConfig(max_iter=200, gamma_scale=3000.0),
+    )
+    record = run_experiment(config)
+    assert record.delta > 0
+    assert record.threshold == 1.1 * record.delta
+    assert record.stop_reason == "discrepancy"
+    assert record.final_residual <= record.threshold
+
+
+def test_clean_record_threshold_is_the_relative_floor():
+    config = ExperimentConfig(run_id="clean", n=64, iteration=small_iteration())
+    record = run_experiment(config)
+    _, problem, _, y = experiments.build_problem(config)
+    assert record.delta == 0.0
+    assert record.threshold == experiments.RESIDUAL_FLOOR_REL * data_norm(problem.grid, y)
 
 
 # ----------------------------------------------------------------------

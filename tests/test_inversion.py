@@ -307,6 +307,52 @@ def test_stencil_caches_die_with_their_stencils():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
+def _reachable_arrays(root, skip):
+    """Every numpy array reachable from `root` through instance attributes
+    (cached properties included), containers and array bases, except the
+    objects in `skip`."""
+    seen, found, stack = {id(s) for s in skip}, [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def test_no_band_sized_array_outlives_a_call():
+    # the per-problem caches (source right-hand side, mask, window, weights)
+    # are vectors; a cached band or band template would grow every problem
+    # by a band (19 x 2n entries, about 1 MB at n = 1600).  The metric keeps
+    # its own Riesz factorization by design, so that one band is skipped.
+    truth, grid, stencils, problem = make_problem(n=400)
+    metric = ParameterMetric(grid, stencils, gamma_scale=3000.0)
+    om = truth.omega_exact(grid).values
+    y = problem.observed(truth.gamma_true, om)
+    problem.state(2 * truth.gamma_true, 0.5 * om)
+    system, psi, res = problem.residual(2 * truth.gamma_true, 0.5 * om, y)
+    adjoint_gradient(problem, res, psi, system, metric)
+    config = IterationConfig(max_iter=3, gamma_scale=3000.0)
+    nesterov_landweber(problem, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true)
+    band_entries = 19 * 2 * grid.n
+    assert system.lu.size == metric._system.lu.size == band_entries
+    arrays = _reachable_arrays(problem, skip=()) + _reachable_arrays(
+        metric, skip=(metric._system.lu,)
+    )
+    assert len(arrays) > 20  # the walk reached the caches and the stencils
+    assert "source_rhs" in vars(problem)
+    assert max(a.size for a in arrays) < band_entries
+
+
 def test_gradient_zero_residual():
     truth, grid, stencils, problem = make_problem(n=64)
     metric = ParameterMetric(grid, stencils)
