@@ -64,6 +64,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# np.einsum without its dispatch layer, about a third of a band product's
+# time at n = 100: with optimize=False (its default) np.einsum passes its
+# arguments to this function unchanged, so the products are the same
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
+
 # derivative orders constrained at each pole, keyed by min(|m|, 2)
 POLE_CONDITIONS = {0: (1, 3), 1: (0, 2), 2: (0, 1)}
 
@@ -193,7 +201,7 @@ class BandRows:
         _read_only(self.columns)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("jk,jk->j", self.weights, np.asarray(v)[self.columns])
+        return _einsum("jk,jk->j", self.weights, np.asarray(v)[self.columns])
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """A^T u for a real vector u."""

@@ -28,20 +28,14 @@ search's gradient is one `adjoint_gradient`, one adjoint and one Riesz
 solve.  Its line search makes at most `MOMENTUM_BACKTRACKS` trials from
 the momentum point and at most `MAX_BACKTRACKS` from the iterate.
 
-What does not change during a run is computed once and kept where it
-belongs, so that a solve redoes none of it:
-- per problem (`InverseProblem`'s cached properties): the source as the
-  mixed right-hand side [f; 0] (`source_rhs`), the observed nodes as
-  indices (`mask`) and as a slice (`window`, which `residual` and
-  `adjoint_gradient` use instead of copying through `mask`), their
-  weights (`observed_weights`) and delta_m (`lap`);
-- per (grid, scheme): `observation_mask`, which `observe` and so every
-  `sensitivity` reads;
-- per grid: the weight sum that `weighted_mean` divides by
-  (`Grid.weight_sum`), and so every Riesz projection;
-- per metric: the factored Riesz band.
-All of these are vectors; no band-sized array is kept beyond the call
-that factors it, apart from the metric's own factorization.
+Work that a run does not change is done once: per problem, the cached
+properties `source_rhs` (the mixed right-hand side [f; 0]), `mask` and
+`window` (the observed nodes as indices and as a slice, which `residual`
+and `adjoint_gradient` use to avoid a copy), `observed_weights` and `lap`;
+per (grid, scheme), `observation_mask`, which every `observe` and so every
+`sensitivity` reads; per grid, the weight sum of `weighted_mean`.  All are
+vectors: no band-sized array outlives the call that factors it, apart from
+the metric's Riesz factorization.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -218,7 +212,8 @@ class InverseProblem:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """Observed node indices, computed once per problem."""
+        """Observed node indices (`observation_mask`, shared per grid and
+        scheme)."""
         return observation_mask(self.grid, self.scheme)
 
     @cached_property
@@ -255,7 +250,8 @@ class InverseProblem:
         return system, State(m=self.m, values=psi, phi=phi)
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
-        """F(p) = `restrict`(psi) of the state at p."""
+        """F(p) = `restrict`(psi) of the state at p, a contiguous copy (through
+        `mask`, not a view through `window`) that holds no solve's vector."""
         psi = self.state(gamma, omega_values)[1]
         return DataVector(values=restrict(psi.values, self.scheme, self.mask), mask=self.mask)
 

@@ -40,15 +40,13 @@ C-ordered band would be copied and transposed by f2py first), so the
 system holds only the LU.  Every solve is one gbtrs against it, which
 gives psi at the odd unknowns and phi at the even ones.
 `WaveSystem.solve_mixed` takes a right-hand side already in K's layout
-(`mixed_rhs`) and leaves it as it is, so a caller can build one once and
-solve against it again and again: `inversion.InverseProblem` keeps its
-source's [f; 0].  The exact adjoint of the discrete
+(`mixed_rhs`) and leaves it intact, so `inversion.InverseProblem` builds
+its source's [f; 0] once.  The exact adjoint of the discrete
 operator with respect to the weighted inner product, W^-1 B^H W, is one
 conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
 gives B^H a = g, so g goes to the odd positions and a is read from the
-even ones (`WaveSystem.solve_adjoint_mixed`, which
-`inversion.adjoint_gradient` hands W L* r written straight into those
-positions, and `solve_weighted_adjoint` for a nodal right-hand side).  Its
+even ones (`WaveSystem.solve_adjoint_mixed`; `inversion.adjoint_gradient`
+writes W L* r straight into those positions).  Its
 condition number grows like n^2 where that of B grows like n^4.  A system
 lives as long as its caller holds it: the Nesterov-Landweber loop builds
 one per trial point and keeps none beyond the gradient taken at it.  So K's
@@ -225,7 +223,7 @@ class WaveSystem:
         band = np.zeros((2 * _KL + _KU + 1, 2 * dia.shape[1]), dtype=dtype, order="F")
         real = band.real
         # row 2j: ((gamma L + i d) phi + i a psi)_j
-        np.multiply(dia, gamma, out=real[_DELTA_ROWS, 0::2])
+        real[_DELTA_ROWS, 0::2] = gamma * dia
         if d is not None:
             band.imag[_DIAG, 0::2] = d
         if a is not None:
@@ -235,7 +233,8 @@ class WaveSystem:
         self._pin = None if pin_weights is None else _MeanPin(band, pin_weights)
         self.lu, self.piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
         pivots = np.abs(self.lu[_DIAG])
-        self.pivot_ratio = float(np.minimum.reduce(pivots) / np.maximum.reduce(pivots))
+        pivots.sort()  # both ends at once, cheaper than two reductions; NaN sorts last
+        self.pivot_ratio = float(pivots[0] / pivots[-1])
         if self._pin is not None:
             self._pin.factor(self.lu, self.piv)
 
