@@ -233,8 +233,7 @@ class WaveSystem:
         self._pin = None if pin_weights is None else _MeanPin(band, pin_weights)
         self.lu, self.piv, _ = _GBTRF[band.dtype.char](band, _KL, _KU, overwrite_ab=1)
         pivots = np.abs(self.lu[_DIAG])
-        pivots.sort()  # both ends at once, cheaper than two reductions; NaN sorts last
-        self.pivot_ratio = float(pivots[0] / pivots[-1])
+        self.pivot_ratio = float(pivots.min() / pivots.max())
         if self._pin is not None:
             self._pin.factor(self.lu, self.piv)
 
