@@ -28,8 +28,6 @@ from dataclasses import asdict
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np
-
 from rotwave import (
     ExperimentConfig,
     InverseProblem,
