@@ -1,11 +1,12 @@
 """Golden record of the acceptance suite's reconstruction outputs.
 
-`tests/golden/contract.json` holds what criterion 6 and the noise battery
-of criteria 8-9 compute: criterion 6's full-scheme trace (stop index and
-reason, state solves, gradients, accepted steps, residual history, final
-iterate) and the battery's 15 run records without `wall_ms`.  The
-acceptance suite builds both from the set-ups below and compares them with
-`compare`: integers, strings, steps and config echoes must match exactly,
+`tests/golden/contract.json` holds what criteria 6-9 compute: criterion
+6's full-scheme and restricted-window traces (stop index and reason, state
+solves, gradients, accepted steps, residual history, final iterate), and
+criterion 7's 9 and the noise battery's 15 run records without `wall_ms`.
+The restricted trace and criterion 7's records pin the observed window, so
+a shifted window shows here.  The acceptance suite builds all of them from
+the set-ups below and compares them with `compare`: integers, strings, steps and config echoes must match exactly,
 other floats within `FLOAT_RTOL` (relative, element by element).
 
 Regenerate the file, from the repository root, with
@@ -46,10 +47,15 @@ CONTRACT_PATH = pathlib.Path(__file__).parent / "golden" / "contract.json"
 FLOAT_RTOL = 1e-12
 BATTERY_LEVELS = (0.01, 0.05, 0.20)
 BATTERY_SEEDS = range(5)
+# criterion 6's restricted case, the second case of the recon-clean-n100 benchmark
+RESTRICTED_SCHEME = ObservationScheme(kind="restricted", epsilon=0.2 * math.pi / 2)
+LEAKAGE_SEEDS = (0, 1, 2)
+LEAKAGE_FRACTIONS = (0.0, 0.2, 0.5)  # epsilon as a fraction of pi/2
 
 
-def clean33_problem():
-    """Criterion 6's instance: m3_default at n = 100, full observation."""
+def clean33_problem(scheme: ObservationScheme = ObservationScheme()):
+    """Criterion 6's instance: m3_default at n = 100, full observation
+    unless `scheme` says otherwise."""
     truth = manufacture_truth("m3_default")
     grid = build_grid(100, truth.r)
     stencils = build_stencils(grid)
@@ -59,7 +65,7 @@ def clean33_problem():
         m=truth.m,
         omega_freq=truth.omega_freq,
         source=truth.source(grid),
-        scheme=ObservationScheme(),
+        scheme=scheme,
         omega_ref=truth.omega_ref,
     )
     return truth, grid, stencils, problem
@@ -96,6 +102,31 @@ def noise_battery() -> dict:
     return out
 
 
+def leakage_run(seed: int, eps_fraction: float):
+    """Criterion 7's run: m3_default at 1 % noise, observed for epsilon =
+    eps_fraction * pi/2 (the full scheme at 0)."""
+    eps = eps_fraction * math.pi / 2
+    scheme = (
+        ObservationScheme()
+        if eps == 0.0
+        else ObservationScheme(kind="restricted", epsilon=float(eps))
+    )
+    config = ExperimentConfig(
+        run_id=f"leak_{seed}_{eps_fraction}",
+        n=100,
+        truth="m3_default",
+        scheme=scheme,
+        noise=NoiseSpec(relative_level=0.01, seed=seed),
+        iteration=IterationConfig(max_iter=800, gamma_scale=3000.0),
+    )
+    return run_experiment(config)
+
+
+def leakage_records() -> dict:
+    """Criterion 7's records by seed, one per `LEAKAGE_FRACTIONS` entry."""
+    return {seed: [leakage_run(seed, f) for f in LEAKAGE_FRACTIONS] for seed in LEAKAGE_SEEDS}
+
+
 def trace_entry(trace) -> dict:
     gamma, omega = trace.iterates[trace.stop_index]
     return {
@@ -116,9 +147,11 @@ def record_entry(record) -> dict:
     return entry
 
 
-def contract(trace, battery: dict) -> dict:
+def contract(full_trace, restricted_trace, leakage: dict, battery: dict) -> dict:
     return {
-        "criterion_6_full": trace_entry(trace),
+        "criterion_6_full": trace_entry(full_trace),
+        "criterion_6_restricted": trace_entry(restricted_trace),
+        "criterion_7_leakage": [record_entry(r) for seed in LEAKAGE_SEEDS for r in leakage[seed]],
         "noise_battery": [record_entry(r) for level in BATTERY_LEVELS for r in battery[level]],
     }
 
@@ -173,9 +206,11 @@ def compare(golden, actual, path: str = "") -> tuple[list[str], float]:
 
 
 def main() -> None:
-    truth, grid, _, problem = clean33_problem()
-    _, _, trace = clean_reconstruction(truth, grid, problem)
-    doc = contract(trace, noise_battery())
+    traces = []
+    for scheme in (ObservationScheme(), RESTRICTED_SCHEME):
+        truth, grid, _, problem = clean33_problem(scheme)
+        traces.append(clean_reconstruction(truth, grid, problem)[2])
+    doc = contract(*traces, leakage_records(), noise_battery())
     CONTRACT_PATH.parent.mkdir(exist_ok=True)
     CONTRACT_PATH.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {CONTRACT_PATH}")

@@ -18,11 +18,8 @@ from field_helpers import apply_delta_m, inner_product
 from rotwave import (
     ComplexField,
     DataVector,
-    ExperimentConfig,
     GradientPair,
     InverseProblem,
-    IterationConfig,
-    NoiseSpec,
     ObservationScheme,
     ParameterMetric,
     ScalarField,
@@ -33,7 +30,6 @@ from rotwave import (
     data_norm,
     manufacture_truth,
     norm_sobolev,
-    run_experiment,
     sensitivity,
     tcc_probe,
 )
@@ -285,30 +281,18 @@ def test_criterion_6_clean_reconstruction(clean33_problem, clean33_run):
     )
 
 
-def _leakage_run(seed, eps_fraction):
-    eps = eps_fraction * np.pi / 2
-    scheme = (
-        ObservationScheme()
-        if eps == 0.0
-        else ObservationScheme(kind="restricted", epsilon=float(eps))
-    )
-    config = ExperimentConfig(
-        run_id=f"leak_{seed}_{eps_fraction}",
-        n=100,
-        truth="m3_default",
-        scheme=scheme,
-        noise=NoiseSpec(relative_level=0.01, seed=seed),
-        iteration=IterationConfig(max_iter=800, gamma_scale=3000.0),
-    )
-    return run_experiment(config)
+@pytest.fixture(scope="module")
+def leakage_records():
+    """Criterion 7's nine runs, made once for the criterion and the golden
+    contract: by seed, full, 0.2 pi/2 and 0.5 pi/2."""
+    return golden_contract.leakage_records()
 
 
-def test_criterion_7_leakage_degradation():
+def test_criterion_7_leakage_degradation(leakage_records):
     details = []
     measured = {}
     ok = True
-    for seed in (0, 1, 2):
-        recs = [_leakage_run(seed, frac) for frac in (0.0, 0.2, 0.5)]
+    for seed, recs in leakage_records.items():
         errs = [r.rel_err_omega for r in recs]
         ordered = errs[0] <= errs[1] <= errs[2]
         stopped = all(r.stop_reason in ("discrepancy", "residual_floor") for r in recs)
@@ -424,11 +408,20 @@ def test_criterion_10_tcc_probe(clean33_problem):
     )
 
 
-def test_golden_contract(clean33_run, noise_battery):
-    """Criterion 6's trace and the noise battery's records against
+@pytest.fixture(scope="module")
+def restricted33_trace():
+    """Criterion 6's run on the restricted window `golden_contract.RESTRICTED_SCHEME`."""
+    truth, grid, _, problem = golden_contract.clean33_problem(golden_contract.RESTRICTED_SCHEME)
+    return golden_contract.clean_reconstruction(truth, grid, problem)[2]
+
+
+def test_golden_contract(clean33_run, restricted33_trace, leakage_records, noise_battery):
+    """Criterion 6's traces and criteria 7-9's records against
     `tests/golden/contract.json` (see `golden_contract`)."""
     golden = json.loads(golden_contract.CONTRACT_PATH.read_text())
-    actual = golden_contract.contract(clean33_run[2], noise_battery)
+    actual = golden_contract.contract(
+        clean33_run[2], restricted33_trace, leakage_records, noise_battery
+    )
     mismatches, deviation = golden_contract.compare(golden, actual)
     report(
         "golden contract",
