@@ -13,7 +13,6 @@ from .grid import (
     ScalarField,
     build_grid,
     build_stencils,
-    norm_sobolev,
 )
 from .operator import (
     State,

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .errors import ConfigurationError, NearResonanceError
-from .grid import ScalarField, weighted_norm
+from .grid import ScalarField
 from .inversion import (
     DataVector,
     GradientPair,
@@ -61,16 +61,16 @@ def adjoint_identity_mismatch(
     inner product over the observed nodes."""
     grid, stencils, scheme = problem.grid, problem.stencils, problem.scheme
     system, psi = problem.state(gamma, omega_values)
-    mask, w_obs = problem.mask, problem.observed_weights
+    window = problem.window
     worst = 0.0
     for _ in range(trials):
-        yv = rng.standard_normal(len(mask))
+        yv = rng.standard_normal(window.stop - window.start)
         if not scheme.real_part_only:
-            yv = yv + 1j * rng.standard_normal(len(mask))
-        data = DataVector(values=yv, mask=mask)
+            yv = yv + 1j * rng.standard_normal(len(yv))
+        data = DataVector(values=yv, window=window)
         dp = _random_pair(metric, grid, rng)
         sens = sensitivity(dp, psi, system, grid, stencils, scheme)
-        lhs = float(np.sum((sens.values * np.conj(yv)).real * w_obs))
+        lhs = float(np.sum((sens.values * np.conj(yv)).real * grid.weights[window]))
         grad, _ = adjoint_gradient(problem, data, psi, system, metric)
         rhs = metric.pair_inner(dp, grad)
         scale = max(metric.pair_norm(dp) * data_norm(grid, data), 1e-300)
@@ -169,13 +169,13 @@ def tcc_probe(
         except NearResonanceError:
             skipped += 1
             continue
-        diff_norm = weighted_norm(problem.observed_weights, diff.values)
+        diff_norm = data_norm(grid, diff)
         if diff_norm < 1e-13:
             skipped += 1
             continue
         step = GradientPair(dgamma=g1 - g2, domega=ScalarField(values=om1 - om2))
         lin = sensitivity(step, psi1, sys1, grid, problem.stencils, problem.scheme)
-        rem_norm = weighted_norm(problem.observed_weights, diff.values - lin.values)
+        rem_norm = data_norm(grid, DataVector(values=diff.values - lin.values, window=diff.window))
         ratios.append(rem_norm / (metric.pair_norm(step) * diff_norm))
     ratios = np.asarray(ratios)
     return TCCReport(

@@ -400,8 +400,8 @@ def add_noise(y: DataVector, spec: NoiseSpec, grid: Grid) -> tuple[DataVector, f
     if np.iscomplexobj(y.values):
         draw = draw + 1j * rng.standard_normal(len(y.values))
     draw *= spec.relative_level * np.linalg.norm(y.values) / np.linalg.norm(draw)
-    noisy = DataVector(values=y.values + draw, mask=y.mask)
-    delta = weighted_norm(grid.weights[y.mask], draw)
+    noisy = DataVector(values=y.values + draw, window=y.window)
+    delta = data_norm(grid, DataVector(values=draw, window=y.window))
     return noisy, delta
 
 

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,32 +353,3 @@ def weighted_norm(weights: np.ndarray, values: np.ndarray) -> float:
     the one spelling of every state, parameter and data norm."""
     return math.sqrt(np.vdot(values, weights * values).real)
 
-
-def norm_sobolev(
-    grid: Grid, stencils: DerivativeStencils, psi: ComplexField, s: str
-) -> float:
-    """Discrete L2 / H1 / H2 norm of a separated field.
-
-    H1 is the surface-gradient seminorm sqrt(|psi'/r|^2 + |m psi/(r sin)|^2)
-    in weighted L2; H2 is the weighted L2 norm of delta_m psi.  These are the
-    mean-zero Sobolev norms, so for m = 0 a non-mean-zero field triggers a
-    warning for s in {H1, H2}.
-    """
-    _check_field(grid, psi)
-    v = psi.values
-    w = grid.weights
-    if s == "L2":
-        return weighted_norm(w, v)
-    if s not in ("H1", "H2"):
-        raise ValueError(f"unknown Sobolev order {s!r}; expected L2, H1 or H2")
-    if psi.m == 0:
-        scale = float(np.max(np.abs(v))) or 1.0
-        # tolerance tracks the midpoint-quadrature error of the mean itself
-        if abs(weighted_mean(grid, v)) > max(1e-8, grid.h**2) * scale:
-            warnings.warn(
-                "H1/H2 norms assume a mean-zero field for m = 0", stacklevel=2
-            )
-    if s == "H1":
-        polar = weighted_norm(w, stencils.d1 @ v)
-        return math.hypot(polar, weighted_norm(w, psi.m * v / np.sin(grid.nodes))) / grid.r
-    return weighted_norm(w, stencils.delta_matrix(psi.m) @ v)

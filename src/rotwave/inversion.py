@@ -2,8 +2,12 @@
 
 The forward map of the parameter identification problem is F = L o S where
 S(gamma, Omega) solves the separated wave equation and L restricts the state
-to the observed colatitudes (`restrict`, optionally the real part).  Gradients
-come from one adjoint solve per evaluation:
+to the observed colatitudes epsilon < theta < pi - epsilon, optionally the
+real part.  Those nodes are always one contiguous run, so the package holds
+them as one slice, `observation_window`, from the problem down to the data:
+a `DataVector` carries its window, `restrict` is L on a state's values and
+`data_norm` the weighted norm over the window.  Gradients come from one
+adjoint solve per evaluation:
 
     z = B*^-1 L* residual,          B* = W^-1 B^H W, the exact discrete adjoint
     d/dgamma  ->  -Re <delta^2 psi, z>
@@ -21,21 +25,23 @@ the weighted mean to zero.
 
 `InverseProblem.state` is the one place a forward state is built and
 solved: one `assemble_forward` and one `WaveSystem.solve_mixed`.
-`observed` and `residual` restrict its psi (`restrict`, and `- y` for the
-residual).  `nesterov_landweber` takes every misfit and gradient from that
-path: a line-search trial's misfit is the norm of `residual`, and each
-search's gradient is one `adjoint_gradient`, one adjoint and one Riesz
-solve.  Its line search makes at most `MOMENTUM_BACKTRACKS` trials from
-the momentum point and at most `MAX_BACKTRACKS` from the iterate.
+`observe` is the one way to make data from a state (`observed` calls it),
+and `residual` restricts psi through the window and subtracts y.
+`nesterov_landweber` refuses data from another window, and complex data
+for a real-part-only scheme, before its first solve.  It takes every
+misfit and gradient from that path: a line-search trial's misfit is the
+`data_norm` of `residual`, and each search's gradient is one
+`adjoint_gradient`, one adjoint and one Riesz solve.  Its line search
+makes at most `MOMENTUM_BACKTRACKS` trials from the momentum point and at
+most `MAX_BACKTRACKS` from the iterate.
 
 Work that a run does not change is done once: per problem, the cached
-properties `source_rhs` (the mixed right-hand side [f; 0]), `mask` and
-`window` (the observed nodes as indices and as a slice, which `residual`
-and `adjoint_gradient` use to avoid a copy), `observed_weights` and `lap`;
-per (grid, scheme), `observation_mask`, which every `observe` and so every
-`sensitivity` reads; per grid, the weight sum of `weighted_mean`.  All are
-vectors: no band-sized array outlives the call that factors it, apart from
-the metric's Riesz factorization.
+`source_rhs` (the mixed right-hand side [f; 0]) and `window`; per (grid,
+scheme), `observation_window`, which every `observe` and so every
+`sensitivity` reads; per grid, the weight sum of `weighted_mean`.  The
+observed weights are the view `grid.weights[window]`.  No band-sized array
+outlives the call that factors it, apart from the metric's Riesz
+factorization.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -97,42 +103,40 @@ class ObservationScheme:
 @dataclass(frozen=True, eq=False)
 class DataVector:
     values: np.ndarray  # complex, or real when real_part_only
-    mask: np.ndarray  # observed node indices
+    window: slice  # the observed nodes (`observation_window`)
 
 
 @lru_cache(maxsize=32)  # (grid, scheme) pairs: a few per study
-def observation_mask(grid: Grid, scheme: ObservationScheme) -> np.ndarray:
-    """Indices of the nodes in the observed window, one contiguous run; a
-    window that holds no node is a ConfigurationError, since it would
-    observe nothing.  Computed once per (grid, scheme) and read-only."""
+def observation_window(grid: Grid, scheme: ObservationScheme) -> slice:
+    """The nodes with epsilon < theta < pi - epsilon, one contiguous run, as
+    a slice; a window that holds no node is a ConfigurationError, since it
+    would observe nothing.  Computed once per (grid, scheme)."""
     eps = scheme.epsilon
-    mask = np.where((grid.nodes > eps) & (grid.nodes < math.pi - eps))[0]
-    if len(mask) == 0:
+    inside = np.flatnonzero((grid.nodes > eps) & (grid.nodes < math.pi - eps))
+    if len(inside) == 0:
         raise ConfigurationError(
             f"observation window (epsilon={eps}) holds no node of the n={grid.n} grid"
         )
-    mask.flags.writeable = False
-    return mask
+    return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
-def restrict(psi: np.ndarray, scheme: ObservationScheme, mask: np.ndarray | slice) -> np.ndarray:
-    """The state values `psi` at the observed nodes `mask` (indices, or the
-    window as a slice), real part only when the scheme says so: the one
-    spelling of the observation L."""
-    observed = psi[mask]
-    return observed.real if scheme.real_part_only else observed
+def restrict(psi: np.ndarray, scheme: ObservationScheme, window: slice) -> np.ndarray:
+    """The observation L: the state values `psi` in `window`, real part only
+    when the scheme says so.  A view of `psi`."""
+    return psi[window].real if scheme.real_part_only else psi[window]
 
 
 def observe(psi: ComplexField, scheme: ObservationScheme, grid: Grid) -> DataVector:
-    """Restrict the state to the observed window, optionally real part only."""
+    """The data L psi of a state, as a contiguous copy: it holds no solve's
+    vector, and `np.vdot` sums it in memory order whatever the scheme."""
     _check_field(grid, psi)
-    mask = observation_mask(grid, scheme)
-    return DataVector(values=restrict(psi.values, scheme, mask), mask=mask)
+    window = observation_window(grid, scheme)
+    return DataVector(values=np.array(restrict(psi.values, scheme, window)), window=window)
 
 
 def data_norm(grid: Grid, d: DataVector) -> float:
-    """`weighted_norm` over the observed window, the norm the iteration stops on."""
-    return weighted_norm(grid.weights[d.mask], d.values)
+    """`weighted_norm` over the data's window: the one data norm."""
+    return weighted_norm(grid.weights[d.window], d.values)
 
 
 # ----------------------------------------------------------------------
@@ -211,20 +215,9 @@ class InverseProblem:
             )
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """Observed node indices (`observation_mask`, shared per grid and
-        scheme)."""
-        return observation_mask(self.grid, self.scheme)
-
-    @cached_property
     def window(self) -> slice:
-        """The observed nodes as a slice: a view where `mask` would copy."""
-        return slice(int(self.mask[0]), int(self.mask[-1]) + 1)
-
-    @cached_property
-    def observed_weights(self) -> np.ndarray:
-        """Quadrature weights of the observed nodes, the data norm's weights."""
-        return self.grid.weights[self.mask]
+        """The observed nodes (`observation_window`)."""
+        return observation_window(self.grid, self.scheme)
 
     @cached_property
     def source_rhs(self) -> np.ndarray:
@@ -234,11 +227,6 @@ class InverseProblem:
         full = mixed_rhs(self.source.values, complex)
         full.flags.writeable = False
         return full
-
-    @cached_property
-    def lap(self):
-        """delta_m, the `BandRows` of the problem's order m."""
-        return self.stencils.delta_matrix(self.m)
 
     def state(self, gamma: float, omega_values: np.ndarray) -> tuple[WaveSystem, State]:
         """The factored forward operator at (gamma, Omega) and the state
@@ -250,10 +238,8 @@ class InverseProblem:
         return system, State(m=self.m, values=psi, phi=phi)
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
-        """F(p) = `restrict`(psi) of the state at p, a contiguous copy (through
-        `mask`, not a view through `window`) that holds no solve's vector."""
-        psi = self.state(gamma, omega_values)[1]
-        return DataVector(values=restrict(psi.values, self.scheme, self.mask), mask=self.mask)
+        """F(p): the data `observe` makes from the state at p."""
+        return observe(self.state(gamma, omega_values)[1], self.scheme, self.grid)
 
     def residual(
         self, gamma: float, omega_values: np.ndarray, y: DataVector
@@ -261,7 +247,7 @@ class InverseProblem:
         """State at a point and its data residual F(p) - y = `restrict`(psi) - y."""
         system, psi = self.state(gamma, omega_values)
         r = restrict(psi.values, self.scheme, self.window) - y.values
-        return system, psi, DataVector(values=r, mask=self.mask)
+        return system, psi, DataVector(values=r, window=self.window)
 
 
 def sensitivity(
@@ -302,11 +288,10 @@ def adjoint_gradient(
     grid, m = problem.grid, problem.m
     w = grid.weights
     # W L* residual at the odd (psi) positions of the window, zero elsewhere
-    window = problem.window
     full = np.zeros(2 * grid.n, dtype=complex)
-    full[2 * window.start + 1 : 2 * window.stop : 2] = problem.observed_weights * residual.values
+    full[1::2][residual.window] = w[residual.window] * residual.values
     z = system.solve_adjoint_mixed(full) / w
-    raw_gamma = float(((problem.lap @ psi.phi) * z.conj() * w).sum().real)
+    raw_gamma = float(((problem.stencils.delta_matrix(m) @ psi.phi) * z.conj() * w).sum().real)
     if m != 0:
         c = (psi.values.conj() * z).imag
         shear = (psi.phi.conj() * z).imag
@@ -397,15 +382,20 @@ def nesterov_landweber(
     `adjoint_gradient` of the same residual; the first search's is that of
     the initial misfit (z_1 = p_0).  No momentum point or trial with gamma
     outside (0, inf) is solved.  The trace counts state solves and gradients.
+    Data from another window than the problem's, or complex data for a
+    real-part-only scheme, are a ConfigurationError.
     """
     if not 0 < gamma_init < math.inf:  # NaN fails too
         raise ConfigurationError(f"gamma_init must be finite and positive, got {gamma_init}")
     if not 0 <= delta < math.inf:
         raise ConfigurationError(f"noise level delta must be finite and nonnegative, got {delta}")
+    if y_delta.window != problem.window:
+        raise ConfigurationError(f"data window {y_delta.window} != problem window {problem.window}")
+    if problem.scheme.real_part_only and np.iscomplexobj(y_delta.values):
+        raise ConfigurationError("complex data for a real-part-only observation scheme")
     grid = problem.grid
     metric = ParameterMetric(grid, problem.stencils, gamma_scale=config.gamma_scale)
     threshold = max(DISCREPANCY_TAU * delta, config.residual_floor)
-    w_obs = problem.observed_weights
     state_solves = gradients = 0
 
     def solve(ga, om):
@@ -422,7 +412,7 @@ def nesterov_landweber(
     stop_reason = None
     try:
         at_src = solve(gamma, omega)
-        res_current = weighted_norm(w_obs, at_src[2].values)
+        res_current = data_norm(grid, at_src[2])
     except NearResonanceError:
         res_current, stop_reason = float("nan"), "near_resonance"
     residuals = [res_current]
@@ -460,7 +450,7 @@ def nesterov_landweber(
             gradients += 1
             grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
             dgamma, domega = grad.dgamma, grad.domega.values
-            phi0 = 0.5 * weighted_norm(w_obs, res_vec.values) ** 2
+            phi0 = 0.5 * data_norm(grid, res_vec) ** 2
             decrease = metric.gamma_scale * dgamma**2 + float(
                 (domega * g_density * grid.weights).sum()
             )
@@ -471,7 +461,7 @@ def nesterov_landweber(
                 trial_omega = src_omega - mu * domega
                 if 0 < trial_gamma < math.inf:
                     try:
-                        trial_res = weighted_norm(w_obs, solve(trial_gamma, trial_omega)[2].values)
+                        trial_res = data_norm(grid, solve(trial_gamma, trial_omega)[2])
                     except NearResonanceError:
                         mu *= SHRINK
                         continue

@@ -97,7 +97,7 @@ def continuous_gradient(problem, gamma, omega_values, psi, residual, metric):
     w = grid.weights
     adj = assemble_adjoint(gamma, omega_values, problem.omega_ref, problem.omega_freq, m, grid, st)
     l_adj = np.zeros(grid.n, dtype=complex)  # L* residual, zero off the observed nodes
-    l_adj[residual.mask] = residual.values
+    l_adj[residual.window] = residual.values
     z = np.linalg.solve(adj, l_adj)
     lap = st.delta_matrix(m)
     raw_gamma = float(np.sum((lap @ (lap @ psi.values)) * np.conj(z) * w).real)

@@ -27,14 +27,14 @@ def inner_product(grid, f, g):
 
 def data_pairing(grid, a, b):
     """The real data inner product sum Re(a conj(b)) w over a's observed nodes."""
-    return float(np.sum((a.values * np.conj(b.values)).real * grid.weights[a.mask]))
+    return float(np.sum((a.values * np.conj(b.values)).real * grid.weights[a.window]))
 
 
 def zero_extension(grid, m, data):
     """L* of a data vector: the order-m field that holds the data at the
     observed nodes and zero elsewhere (real data embed as complex)."""
     values = np.zeros(grid.n, dtype=complex)
-    values[data.mask] = data.values
+    values[data.window] = data.values
     return ComplexField(m=m, values=values)
 
 

@@ -6,8 +6,9 @@ solves, gradients, accepted steps, residual history, final iterate), and
 criterion 7's 9 and the noise battery's 15 run records without `wall_ms`.
 The restricted trace and criterion 7's records pin the observed window, so
 a shifted window shows here.  The acceptance suite builds all of them from
-the set-ups below and compares them with `compare`: integers, strings, steps and config echoes must match exactly,
-other floats within `FLOAT_RTOL` (relative, element by element).
+the set-ups below and compares them with `compare`: integers, strings,
+steps and config echoes must match exactly, other floats within
+`FLOAT_RTOL` (relative, element by element).
 
 Regenerate the file, from the repository root, with
 

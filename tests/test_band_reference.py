@@ -31,6 +31,7 @@ from rotwave import (
     assemble_forward,
     build_grid,
     build_stencils,
+    data_norm,
 )
 from rotwave.grid import weighted_norm
 from rotwave.inversion import restrict
@@ -119,26 +120,26 @@ def test_loop_misfit_and_gradient_match_dense_lu(n, m, scheme):
         grid=grid, stencils=stencils, m=m, omega_freq=1.3, source=ComplexField(m=m, values=f),
         scheme=SCHEMES[scheme], omega_ref=0.1,
     )
-    mask = problem.mask
-    yv = rng.standard_normal(len(mask))
+    window = problem.window
+    yv = rng.standard_normal(window.stop - window.start)
     if not problem.scheme.real_part_only:
-        yv = yv + 1j * rng.standard_normal(len(mask))
+        yv = yv + 1j * rng.standard_normal(len(yv))
     metric = ParameterMetric(grid, stencils, gamma_scale=3000.0)
 
-    system, psi, res = problem.residual(0.05, omega, DataVector(values=yv, mask=mask))
-    misfit = weighted_norm(problem.observed_weights, res.values)
+    system, psi, res = problem.residual(0.05, omega, DataVector(values=yv, window=window))
+    misfit = data_norm(grid, res)
     grad, density = adjoint_gradient(problem, res, psi, system, metric)
 
     matrix = assemble_dense(0.05, omega, 0.1, 1.3, m, grid, stencils)
     kkt = dense_kkt(grid, stencils)
     psi_d = np.linalg.solve(matrix, f)
-    r_d = restrict(psi_d, problem.scheme, mask) - yv
-    assert abs(misfit - weighted_norm(w[mask], r_d)) <= (
+    r_d = restrict(psi_d, problem.scheme, window) - yv
+    assert abs(misfit - weighted_norm(w[window], r_d)) <= (
         EPS * np.linalg.cond(matrix, 1) * weighted_norm(w, psi_d)
     )
 
     rhs = np.zeros(n, dtype=complex)
-    rhs[mask] = r_d
+    rhs[window] = r_d
     z = np.linalg.solve(matrix.conj().T * (w[None, :] / w[:, None]), rhs)  # W^-1 B^H W
     lap = dense(stencils.delta_matrix(m))
     dgamma = -float(np.sum((lap @ lap @ psi_d) * np.conj(z) * w).real) / 3000.0

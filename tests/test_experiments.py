@@ -32,7 +32,6 @@ from rotwave.experiments import (
     GroundTruth,
     apply_overrides,
 )
-from rotwave.inversion import observation_mask
 
 
 def small_iteration(**kw):
@@ -184,8 +183,7 @@ def _clean_data(n=64):
         truth.omega_freq, truth.m, grid, stencils,
     )
     psi, _ = system.solve_values(truth.source(grid).values)
-    mask = np.arange(n)
-    return grid, DataVector(values=psi.copy(), mask=mask)
+    return grid, DataVector(values=psi.copy(), window=slice(0, n))
 
 
 def test_add_noise_zero_level():
@@ -215,7 +213,7 @@ def test_add_noise_deterministic():
 
 def test_add_noise_real_data_stays_real():
     grid, y = _clean_data()
-    real = DataVector(values=y.values.real.copy(), mask=y.mask)
+    real = DataVector(values=y.values.real.copy(), window=y.window)
     noisy, _ = add_noise(real, NoiseSpec(relative_level=0.1, seed=0), grid)
     assert not np.iscomplexobj(noisy.values)
 

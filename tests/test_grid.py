@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +22,8 @@ from rotwave import (
     ConfigurationError,
     build_grid,
     build_stencils,
-    norm_sobolev,
 )
-from rotwave.grid import fd_weights
+from rotwave.grid import fd_weights, weighted_norm
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +234,8 @@ def test_discrete_symmetry_of_bilaplacian(grids):
             vv = apply_bilaplacian_m(g, st_, m, v)
             a = inner_product(g, uu, v)
             b = inner_product(g, u, vv)
-            denom = norm_sobolev(g, st_, u, "H2") * norm_sobolev(g, st_, v, "H2")
+            lap, w = st_.delta_matrix(m), g.weights
+            denom = weighted_norm(w, lap @ u.values) * weighted_norm(w, lap @ v.values)
             vals.append(abs(a - b) / denom)
         assert max(vals) < 1e-9 or observed_order(ns, vals, floor=1e-11) >= 3.0, (m, vals)
 
@@ -248,51 +247,6 @@ def test_mean_zero_preservation(grids):
         psi = sample(g, 0, lambda t: np.cos(t) ** 3 + 0.5 * np.cos(t))
         out = apply_delta_m(g, st_, 0, psi)
         assert abs(np.sum(out.values * g.weights)) / wl2(g, out.values) < 1e-10
-
-
-# ----------------------------------------------------------------------
-# Sobolev norms
-# ----------------------------------------------------------------------
-
-
-def test_norms_of_zero(grid100, stencils100):
-    z = ComplexField(m=2, values=np.zeros(100, dtype=complex))
-    for s in ("L2", "H1", "H2"):
-        assert norm_sobolev(grid100, stencils100, z, s) == 0.0
-
-
-def test_h2_norm_eigenfunction(grid100, stencils100):
-    psi = sample(grid100, 2, lambda t: np.sin(t) ** 2)
-    h2 = norm_sobolev(grid100, stencils100, psi, "H2")
-    l2 = norm_sobolev(grid100, stencils100, psi, "L2")
-    assert h2 == pytest.approx(6 * l2, rel=1e-6)
-
-
-def test_h1_norm_eigenfunction(grids):
-    # <-lap psi, psi> identity with eigenvalue 2; limited by the O(h^2)
-    # midpoint quadrature entering the L2 side
-    ns = (50, 100, 200, 400)
-    errs = []
-    for n in ns:
-        g, st_ = grids[n]
-        psi = sample(g, 0, np.cos)
-        h1 = norm_sobolev(g, st_, psi, "H1")
-        l2 = norm_sobolev(g, st_, psi, "L2")
-        errs.append(abs(h1**2 - 2 * l2**2) / (2 * l2**2))
-    assert errs[1] < 2e-4
-    assert observed_order(ns, errs) >= 2.0
-
-
-def test_norm_unknown_order_rejected(grid100, stencils100):
-    psi = sample(grid100, 0, np.cos)
-    with pytest.raises(ValueError):
-        norm_sobolev(grid100, stencils100, psi, "H3")
-
-
-def test_norm_warns_on_nonzero_mean(grid100, stencils100):
-    psi = sample(grid100, 0, lambda t: 1 + np.cos(t))
-    with pytest.warns(UserWarning):
-        norm_sobolev(grid100, stencils100, psi, "H1")
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +370,7 @@ def test_noise_calibration_property(level, seed):
     rng = np.random.default_rng(1)
     y = DataVector(
         values=rng.standard_normal(24) + 1j * rng.standard_normal(24),
-        mask=np.arange(24),
+        window=slice(0, 24),
     )
     noisy, delta = add_noise(y, NoiseSpec(relative_level=level, seed=seed), g)
     measured = np.linalg.norm(noisy.values - y.values) / np.linalg.norm(y.values)
@@ -428,16 +382,20 @@ def test_noise_calibration_property(level, seed):
 @given(eps=st.floats(min_value=0.05, max_value=1.5), seed=st.integers(0, 2**31))
 def test_observation_projection_property(eps, seed):
     from rotwave import DataVector, ObservationScheme, observe
-    from rotwave.inversion import observation_mask
+    from rotwave.inversion import observation_window
 
     g = build_grid(32)
     scheme = ObservationScheme(kind="restricted", epsilon=float(eps))
     rng = np.random.default_rng(seed)
     psi = ComplexField(m=1, values=rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    mask = observation_mask(g, scheme)
+    window = observation_window(g, scheme)
+    # the window is the node set the scheme's inequalities pick
+    inside = np.where((g.nodes > eps) & (g.nodes < np.pi - eps))[0]
+    assert np.array_equal(np.arange(32)[window], inside)
+    size = window.stop - window.start
     d = DataVector(
-        values=rng.standard_normal(len(mask)) + 1j * rng.standard_normal(len(mask)),
-        mask=mask,
+        values=rng.standard_normal(size) + 1j * rng.standard_normal(size),
+        window=window,
     )
     lhs = data_pairing(g, observe(psi, scheme, g), d)
     rhs = inner_product(g, psi, zero_extension(g, 1, d)).real

@@ -33,7 +33,7 @@ from rotwave import (
 from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
 from rotwave.experiments import build_problem
 from rotwave.grid import SHARED_DISCRETIZATIONS
-from rotwave.inversion import DISCREPANCY_TAU, observation_mask
+from rotwave.inversion import DISCREPANCY_TAU, observation_window
 
 SCHEMES = [
     ObservationScheme(),
@@ -68,13 +68,23 @@ def test_observe_full_is_identity(grid100):
     psi = sample(grid100, 2, lambda t: np.sin(t) ** 2 * np.exp(1j * t))
     d = observe(psi, ObservationScheme(), grid100)
     assert np.array_equal(d.values, psi.values)
-    assert len(d.mask) == 100
+    assert d.window == slice(0, 100)
 
 
 def test_observe_restricted_mask_size(grid100):
     scheme = ObservationScheme(kind="restricted", epsilon=np.pi / 4)
     d = observe(sample(grid100, 0, np.sin), scheme, grid100)
-    assert len(d.mask) == 50
+    assert d.window == slice(25, 75)
+    # an epsilon on a node leaves that node out: the window is the set the
+    # strict inequalities epsilon < theta < pi - epsilon pick
+    for n in (16, 100, 1600):
+        nodes = build_grid(n).nodes
+        for j in (0, n // 8, n // 2 - 2):
+            eps = float(nodes[j])
+            window = observation_window(build_grid(n), ObservationScheme("restricted", eps))
+            inside = np.where((nodes > eps) & (nodes < np.pi - eps))[0]
+            assert window.start == j + 1
+            assert np.array_equal(np.arange(n)[window], inside), (n, j)
 
 
 def test_observe_real_part_of_imaginary_field(grid100):
@@ -98,7 +108,7 @@ def test_empty_observation_window_is_rejected():
     # the window (1.5, pi - 1.5)
     grid = build_grid(16)
     with pytest.raises(ConfigurationError, match="holds no node"):
-        observation_mask(grid, ObservationScheme(kind="restricted", epsilon=1.5))
+        observation_window(grid, ObservationScheme(kind="restricted", epsilon=1.5))
 
 
 def test_restricted_equals_masked_full(grid100):
@@ -106,7 +116,12 @@ def test_restricted_equals_masked_full(grid100):
     scheme = ObservationScheme(kind="restricted", epsilon=0.4)
     full = observe(psi, ObservationScheme(), grid100)
     restricted = observe(psi, scheme, grid100)
-    assert np.array_equal(restricted.values, full.values[restricted.mask])
+    assert np.array_equal(restricted.values, full.values[restricted.window])
+    # data from `observed` are a contiguous copy, holding no solve's vector
+    for each in SCHEMES:
+        truth, grid, _, problem = make_problem(n=32, scheme=each)
+        y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
+        assert y.values.flags.c_contiguous and y.values.flags.owndata, each
 
 
 def test_observe_adjoint_zero_extension():
@@ -118,17 +133,17 @@ def test_observe_adjoint_zero_extension():
     restricted = replace(full, scheme=scheme)
     metric = ParameterMetric(grid, stencils)
     system, psi = full.state(truth.gamma_true, truth.omega_exact(grid).values)
-    mask = restricted.mask
-    r = np.random.default_rng(3).standard_normal(len(mask))
+    window = restricted.window
+    r = np.random.default_rng(3).standard_normal(window.stop - window.start)
     extended = np.zeros(grid.n, dtype=complex)
-    extended[mask] = r
+    extended[window] = r
     pair, density = adjoint_gradient(
-        restricted, DataVector(values=r, mask=mask), psi, system, metric
+        restricted, DataVector(values=r, window=window), psi, system, metric
     )
     pair_full, density_full = adjoint_gradient(
-        full, DataVector(values=extended, mask=full.mask), psi, system, metric
+        full, DataVector(values=extended, window=full.window), psi, system, metric
     )
-    assert len(mask) < grid.n
+    assert len(r) < grid.n
     assert pair.dgamma == pair_full.dgamma
     assert np.array_equal(density, density_full)
     assert np.array_equal(pair.domega.values, pair_full.domega.values)
@@ -138,14 +153,14 @@ def test_observe_adjoint_zero_extension():
 def test_observe_adjoint_identity(grid100, scheme):
     # <L psi, d>_Y = Re <psi, L* d>_w with L* the zero-extension
     rng = np.random.default_rng(11)
-    mask = observation_mask(grid100, scheme)
+    window = observation_window(grid100, scheme)
     psi = ComplexField(
         m=2, values=rng.standard_normal(100) + 1j * rng.standard_normal(100)
     )
-    dv = rng.standard_normal(len(mask))
+    dv = rng.standard_normal(window.stop - window.start)
     if not scheme.real_part_only:
-        dv = dv + 1j * rng.standard_normal(len(mask))
-    d = DataVector(values=dv, mask=mask)
+        dv = dv + 1j * rng.standard_normal(len(dv))
+    d = DataVector(values=dv, window=window)
     lhs = data_pairing(grid100, observe(psi, scheme, grid100), d)
     rhs = float(inner_product(grid100, psi, zero_extension(grid100, 2, d)).real)
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -249,7 +264,7 @@ def test_sensitivity_taylor_remainder():
         pert = problem.observed(g0 + t * dp.dgamma, om0 + t * dom)
         rem = pert.values - base.values - t * sens.values
         ratios.append(
-            data_norm(grid, DataVector(values=rem, mask=base.mask)) / t**2
+            data_norm(grid, DataVector(values=rem, window=base.window)) / t**2
         )
     # remainder is O(t^2): the ratio stays bounded as t shrinks
     assert max(ratios) < 10 * ratios[0] + 1e-9
@@ -330,9 +345,9 @@ def _reachable_arrays(root, skip):
 
 
 def test_no_band_sized_array_outlives_a_call():
-    # the per-problem caches (source right-hand side, mask, window, weights)
-    # are vectors; a cached band or band template would grow every problem
-    # by a band (19 x 2n entries, about 1 MB at n = 1600).  The metric keeps
+    # the per-problem caches (source right-hand side, window) are small; a
+    # cached band or band template would grow every problem by a band
+    # (19 x 2n entries, about 1 MB at n = 1600).  The metric keeps
     # its own Riesz factorization by design, so that one band is skipped.
     truth, grid, stencils, problem = make_problem(n=400)
     metric = ParameterMetric(grid, stencils, gamma_scale=3000.0)
@@ -357,8 +372,7 @@ def test_gradient_zero_residual():
     truth, grid, stencils, problem = make_problem(n=64)
     metric = ParameterMetric(grid, stencils)
     system, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
-    mask = observation_mask(grid, problem.scheme)
-    zero = DataVector(values=np.zeros(len(mask), dtype=complex), mask=mask)
+    zero = DataVector(values=np.zeros(grid.n, dtype=complex), window=problem.window)
     grad, dens = adjoint_gradient(problem, zero, psi, system, metric)
     assert grad.dgamma == 0.0
     assert np.all(grad.domega.values == 0)
@@ -402,8 +416,8 @@ def test_landweber_trace_invariants_on_noisy_run():
     rng = np.random.default_rng(1)
     noise = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     noise *= 0.05 * np.linalg.norm(y_clean.values) / np.linalg.norm(noise)
-    y = DataVector(values=y_clean.values + noise, mask=y_clean.mask)
-    delta = data_norm(grid, DataVector(values=noise, mask=y.mask))
+    y = DataVector(values=y_clean.values + noise, window=y_clean.window)
+    delta = data_norm(grid, DataVector(values=noise, window=y.window))
     config = IterationConfig(max_iter=200, gamma_scale=3000.0)
     trace = nesterov_landweber(
         problem, y, delta=delta, config=config, gamma_init=3 * truth.gamma_true
@@ -461,6 +475,35 @@ def test_landweber_rejects_bad_start_and_noise_level(gamma_init, delta, match):
         nesterov_landweber(problem, y, delta=delta, config=config, gamma_init=gamma_init)
 
 
+def _refuse_to_solve(*args):
+    raise AssertionError("a state solve ran")
+
+
+def test_landweber_rejects_data_from_another_window(monkeypatch):
+    # restricted data on a full problem used to fail inside the first
+    # residual with a numpy broadcast error; now it fails before any solve
+    truth, grid, stencils, full = make_problem(n=32, truth_name="m2_default")
+    restricted = replace(full, scheme=ObservationScheme(kind="restricted", epsilon=0.3))
+    y = restricted.observed(truth.gamma_true, truth.omega_exact(grid).values)
+    monkeypatch.setattr(InverseProblem, "state", _refuse_to_solve)
+    config = IterationConfig(max_iter=20, gamma_scale=3000.0)
+    with pytest.raises(ConfigurationError, match=r"window slice\(3, 29, None\) != problem window"):
+        nesterov_landweber(full, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true)
+
+
+def test_landweber_rejects_complex_data_for_real_part_scheme(monkeypatch):
+    # complex data on a real-part-only problem used to run on with the
+    # residual stuck near the imaginary part's norm, to a failed line search
+    # or max_iter
+    truth, grid, stencils, full = make_problem(n=32, truth_name="m2_default")
+    real = replace(full, scheme=ObservationScheme(real_part_only=True))
+    y = full.observed(truth.gamma_true, truth.omega_exact(grid).values)
+    monkeypatch.setattr(InverseProblem, "state", _refuse_to_solve)
+    config = IterationConfig(max_iter=20, gamma_scale=3000.0)
+    with pytest.raises(ConfigurationError, match="complex data"):
+        nesterov_landweber(real, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -491,7 +534,7 @@ def test_landweber_momentum_weight_first_step_is_plain():
     metric = ParameterMetric(grid, stencils, gamma_scale=config.gamma_scale)
     system, psi = problem.state(gamma0, omega0)
     obs = observe(psi, problem.scheme, grid)
-    res = DataVector(values=obs.values - y.values, mask=obs.mask)
+    res = DataVector(values=obs.values - y.values, window=obs.window)
     grad, _ = adjoint_gradient(problem, res, psi, system, metric)
     mu = trace.step_sizes[0]
     gamma1, omega1 = trace.iterates[1]
@@ -669,7 +712,7 @@ def test_residual_is_observed_minus_data(scheme):
     res = problem.residual(gamma, om, y)[2]
     want = problem.observed(gamma, om).values - y.values
     assert res.values.dtype == want.dtype and res.values.tobytes() == want.tobytes()
-    assert np.array_equal(res.mask, problem.mask)
+    assert res.window == problem.window
 
 
 def test_observed_linear_in_source():
@@ -699,13 +742,13 @@ def test_tcc_ratio_gamma_only_perturbations():
         sys1, psi1 = problem.state(g1, om_true)
         f1 = observe(psi1, problem.scheme, grid)
         f2 = problem.observed(g2, om_true)
-        diff = DataVector(values=f1.values - f2.values, mask=f1.mask)
+        diff = DataVector(values=f1.values - f2.values, window=f1.window)
         dn = data_norm(grid, diff)
         if dn < 1e-13:
             continue
         step = GradientPair(dgamma=g1 - g2, domega=ScalarField(values=np.zeros(64)))
         lin = sensitivity(step, psi1, sys1, grid, stencils, problem.scheme)
-        rem = DataVector(values=f1.values - f2.values - lin.values, mask=f1.mask)
+        rem = DataVector(values=f1.values - f2.values - lin.values, window=f1.window)
         ratios.append(data_norm(grid, rem) / (metric.pair_norm(step) * dn))
     assert len(ratios) > 50
     assert np.isfinite(ratios).all()
