@@ -78,10 +78,11 @@ def test_observe_restricted_mask_size(grid100):
     # an epsilon on a node leaves that node out: the window is the set the
     # strict inequalities epsilon < theta < pi - epsilon pick
     for n in (16, 100, 1600):
-        nodes = build_grid(n).nodes
+        grid = build_grid(n)
+        nodes = grid.nodes
         for j in (0, n // 8, n // 2 - 2):
             eps = float(nodes[j])
-            window = observation_window(build_grid(n), ObservationScheme("restricted", eps))
+            window = observation_window(grid, ObservationScheme("restricted", eps))
             inside = np.where((nodes > eps) & (nodes < np.pi - eps))[0]
             assert window.start == j + 1
             assert np.array_equal(np.arange(n)[window], inside), (n, j)
