@@ -1,13 +1,16 @@
 """Golden record of the acceptance suite's reconstruction outputs.
 
-`tests/golden/contract.json` holds what criteria 6-9 compute: criterion
+`tests/golden/contract.json` holds what criteria 6-10 compute: criterion
 6's full-scheme and restricted-window traces (stop index and reason, state
-solves, gradients, accepted steps, residual history, final iterate), and
-criterion 7's 9 and the noise battery's 15 run records without `wall_ms`.
-The restricted trace and criterion 7's records pin the observed window, so
-a shifted window shows here.  The acceptance suite builds all of them from
-the set-ups below and compares them with `compare`: integers, strings,
-steps and config echoes must match exactly, other floats within
+solves, gradients, accepted steps, residual history, final iterate),
+criterion 7's 9 and the noise battery's 15 run records without `wall_ms`,
+and criterion 10's cone ratios at both radii; beside them, the state that
+`rotwave forward` writes for each catalogue truth at n = 100.  The
+restricted trace and criterion 7's records pin the observed window, so a
+shifted window shows here; the forward states pin the truth's clean state
+that every run's data are observed from.  The acceptance suite builds all
+of them from the set-ups below and compares them with `compare`: integers,
+strings, steps and config echoes must match exactly, other floats within
 `FLOAT_RTOL` (relative, element by element).
 
 Regenerate the file, from the repository root, with
@@ -42,7 +45,10 @@ from rotwave import (
     manufacture_truth,
     nesterov_landweber,
     run_experiment,
+    tcc_probe,
 )
+from rotwave.experiments import build_problem
+from rotwave.inversion import ParameterMetric
 
 CONTRACT_PATH = pathlib.Path(__file__).parent / "golden" / "contract.json"
 FLOAT_RTOL = 1e-12
@@ -52,6 +58,8 @@ BATTERY_SEEDS = range(5)
 RESTRICTED_SCHEME = ObservationScheme(kind="restricted", epsilon=0.2 * math.pi / 2)
 LEAKAGE_SEEDS = (0, 1, 2)
 LEAKAGE_FRACTIONS = (0.0, 0.2, 0.5)  # epsilon as a fraction of pi/2
+TCC_RADII = (0.1, 0.01)
+FORWARD_TRUTHS = ("m0_default", "m2_default", "m3_default")
 
 
 def clean33_problem(scheme: ObservationScheme = ObservationScheme()):
@@ -128,6 +136,28 @@ def leakage_records() -> dict:
     return {seed: [leakage_run(seed, f) for f in LEAKAGE_FRACTIONS] for seed in LEAKAGE_SEEDS}
 
 
+def tcc_reports(truth, grid, stencils, problem) -> dict:
+    """Criterion 10's cone probes on criterion 6's instance, by radius."""
+    metric = ParameterMetric(grid, stencils, gamma_scale=1.0)
+    om_true = truth.omega_exact(grid).values
+    return {
+        radius: tcc_probe(
+            problem, metric, truth.gamma_true, om_true,
+            radius=radius, n_samples=100, rng_seed=42,
+        )
+        for radius in TCC_RADII
+    }
+
+
+def forward_states() -> dict:
+    """The state `rotwave forward` writes for each of `FORWARD_TRUTHS` at
+    n = 100, by truth."""
+    return {
+        name: build_problem(ExperimentConfig(n=100, truth=name))[2]
+        for name in FORWARD_TRUTHS
+    }
+
+
 def trace_entry(trace) -> dict:
     gamma, omega = trace.iterates[trace.stop_index]
     return {
@@ -148,12 +178,30 @@ def record_entry(record) -> dict:
     return entry
 
 
-def contract(full_trace, restricted_trace, leakage: dict, battery: dict) -> dict:
+def tcc_entry(report) -> dict:
+    return {
+        "ratios": [float(r) for r in report.ratios],
+        "max_ratio": report.max_ratio,
+        "median_ratio": report.median_ratio,
+        "skipped": report.skipped,
+    }
+
+
+def state_entry(psi) -> dict:
+    return {"re_psi": [float(v) for v in psi.values.real],
+            "im_psi": [float(v) for v in psi.values.imag]}
+
+
+def contract(
+    full_trace, restricted_trace, leakage: dict, battery: dict, tcc: dict, states: dict
+) -> dict:
     return {
         "criterion_6_full": trace_entry(full_trace),
         "criterion_6_restricted": trace_entry(restricted_trace),
         "criterion_7_leakage": [record_entry(r) for seed in LEAKAGE_SEEDS for r in leakage[seed]],
         "noise_battery": [record_entry(r) for level in BATTERY_LEVELS for r in battery[level]],
+        "criterion_10_tcc": {str(radius): tcc_entry(tcc[radius]) for radius in TCC_RADII},
+        "forward_states": {name: state_entry(states[name]) for name in FORWARD_TRUTHS},
     }
 
 
@@ -211,7 +259,8 @@ def main() -> None:
     for scheme in (ObservationScheme(), RESTRICTED_SCHEME):
         truth, grid, _, problem = clean33_problem(scheme)
         traces.append(clean_reconstruction(truth, grid, problem)[2])
-    doc = contract(*traces, leakage_records(), noise_battery())
+    tcc = tcc_reports(*clean33_problem())
+    doc = contract(*traces, leakage_records(), noise_battery(), tcc, forward_states())
     CONTRACT_PATH.parent.mkdir(exist_ok=True)
     CONTRACT_PATH.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {CONTRACT_PATH}")

@@ -30,7 +30,6 @@ from rotwave import (
     data_norm,
     manufacture_truth,
     sensitivity,
-    tcc_probe,
 )
 from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
 from rotwave.grid import weighted_norm
@@ -351,22 +350,18 @@ def test_criterion_9_discrepancy_index(noise_battery):
     )
 
 
-def test_criterion_10_tcc_probe(clean33_problem):
+@pytest.fixture(scope="module")
+def tcc_reports(clean33_problem):
+    """Criterion 10's cone probes at R = 0.1 and 0.01, made once for the
+    criterion and the golden contract."""
+    return golden_contract.tcc_reports(*clean33_problem)
+
+
+def test_criterion_10_tcc_probe(clean33_problem, tcc_reports):
     truth, grid, stencils, problem = clean33_problem
     metric = ParameterMetric(grid, stencils, gamma_scale=1.0)
     om_true = truth.omega_exact(grid).values
-    reports = {
-        radius: tcc_probe(
-            problem,
-            metric,
-            truth.gamma_true,
-            om_true,
-            radius=radius,
-            n_samples=100,
-            rng_seed=42,
-        )
-        for radius in (0.1, 0.01)
-    }
+    reports = tcc_reports
     finite = np.isfinite(reports[0.1].max_ratio)
     shrink_ok = reports[0.01].max_ratio <= 2.0 * reports[0.1].max_ratio
 
@@ -416,12 +411,16 @@ def restricted33_trace():
     return golden_contract.clean_reconstruction(truth, grid, problem)[2]
 
 
-def test_golden_contract(clean33_run, restricted33_trace, leakage_records, noise_battery):
-    """Criterion 6's traces and criteria 7-9's records against
-    `tests/golden/contract.json` (see `golden_contract`)."""
+def test_golden_contract(
+    clean33_run, restricted33_trace, leakage_records, noise_battery, tcc_reports
+):
+    """Criterion 6's traces, criteria 7-9's records, criterion 10's cone
+    ratios and the forward states against `tests/golden/contract.json`
+    (see `golden_contract`)."""
     golden = json.loads(golden_contract.CONTRACT_PATH.read_text())
     actual = golden_contract.contract(
-        clean33_run[2], restricted33_trace, leakage_records, noise_battery
+        clean33_run[2], restricted33_trace, leakage_records, noise_battery,
+        tcc_reports, golden_contract.forward_states(),
     )
     mismatches, deviation = golden_contract.compare(golden, actual)
     report(
