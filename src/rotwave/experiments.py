@@ -11,6 +11,18 @@ coefficient array in the power basis; no computer algebra), never from the
 solver's own stencils: solving on any grid measures genuine discretization
 error (no inverse crime).
 
+An experiment's noise-free part is built once per process and shared by
+every run that needs it: `manufacture_truth` returns one read-only
+`GroundTruth` per (name, overrides), and `noise_free` keeps per (stencils,
+truth) the nodal source, Omega* and the clean state psi* (`NoiseFree`),
+weakly keyed on both, so an entry dies with either.  `build_problem` gives
+each run its own `InverseProblem` on the shared source and observes the
+run's data from the shared psi* through the run's scheme, so one clean
+state serves every noise level and observation scheme of a sweep; its
+arrays are read-only.  Clearing the grid and stencils caches
+(`build_grid.cache_clear()`, `build_stencils.cache_clear()`) drops all of
+it.
+
 Experiment configs are plain JSON documents; unknown keys are rejected.  A
 run writes a JSON record plus a per-iteration CSV, and sweeps aggregate the
 records into a summary CSV.
@@ -24,12 +36,23 @@ import json
 import math
 import pathlib
 import time
+import types
+import weakref
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import ComplexField, Grid, ScalarField, build_grid, build_stencils, weighted_norm
+from .grid import (
+    ComplexField,
+    DerivativeStencils,
+    Grid,
+    ScalarField,
+    build_grid,
+    build_stencils,
+    shared_cache,
+    weighted_norm,
+)
 from .inversion import (
     DataVector,
     InverseProblem,
@@ -40,6 +63,7 @@ from .inversion import (
     nesterov_landweber,
     observe,
 )
+from .operator import State
 
 ITERATION_CSV_HEADER = "iter,residual,gamma,rel_err_gamma,rel_err_omega,step_size"
 SWEEP_CSV_HEADER = (
@@ -280,7 +304,11 @@ TRUTH_PRESETS = {
 
 
 class GroundTruth:
-    """Closed-form truth with the source computed by exact polynomial algebra."""
+    """Closed-form truth with the source computed by exact polynomial algebra.
+
+    Read-only once built: `manufacture_truth` shares one truth between every
+    run that asks for the same settings, so setting an attribute raises.
+    """
 
     def __init__(
         self,
@@ -297,11 +325,11 @@ class GroundTruth:
         r,
     ):
         self.psi_name = psi_name
-        self.psi_coeffs = dict(psi_coeffs)
+        self.psi_coeffs = types.MappingProxyType(dict(psi_coeffs))
         self.amplitude = float(amplitude)
         self.phase = float(phase)
         self.omega_name = omega_name
-        self.omega_coeffs = dict(omega_coeffs)
+        self.omega_coeffs = types.MappingProxyType(dict(omega_coeffs))
         self.gamma_true = float(gamma_true)
         self.m = int(m)
         self.omega_freq = float(omega_freq)
@@ -334,7 +362,12 @@ class GroundTruth:
         self._source_im = (self.omega_freq - self.m * beta) * lap + self.m * alpha * q
         self._shape = (k, shape)
         self._omega = omega
-        self._amp = self.amplitude * np.exp(1j * self.phase)
+        self._amp = self.amplitude * np.exp(1j * self.phase)  # set last: seals the truth
+
+    def __setattr__(self, name, value):
+        if "_amp" in vars(self):
+            raise AttributeError(f"a GroundTruth is shared and read-only; cannot set {name!r}")
+        object.__setattr__(self, name, value)
 
     def psi_exact(self, grid: Grid) -> ComplexField:
         vals = self._amp * _on_grid(grid, *self._shape)
@@ -350,8 +383,16 @@ class GroundTruth:
         return ComplexField(m=self.m, values=self._amp * (re + 1j * im))
 
 
+@shared_cache
+def _shared_truth(name: str, overrides_json: str) -> GroundTruth:
+    return GroundTruth(**{**TRUTH_PRESETS[name], **json.loads(overrides_json)})
+
+
 def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
-    """Instantiate a catalogue truth, optionally overriding its fields."""
+    """A catalogue truth, optionally overriding its fields, shared per
+    process: the same name and equal overrides give the same read-only
+    `GroundTruth`, from a `grid.shared_cache` that `build_grid.cache_clear()`
+    empties."""
     if name not in TRUTH_PRESETS:
         raise ConfigurationError(
             f"unknown truth {name!r}; catalogue: {sorted(TRUTH_PRESETS)}"
@@ -365,7 +406,14 @@ def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
                 f"truth_overrides.{key} must be {_type_name(preset[key])}, got {value!r}"
             )
         preset[key] = value
-    return GroundTruth(**preset)
+    # the canonical form of the overrides: JSON with sorted keys, nested
+    # dicts included, which tells 1 from 1.0 and True, and 0.0 from -0.0,
+    # and reads back as values equal to the given ones
+    try:
+        canonical = json.dumps(overrides or {}, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError):  # no config file holds it; GroundTruth checks it
+        return GroundTruth(**preset)
+    return _shared_truth(name, canonical)
 
 
 # ----------------------------------------------------------------------
@@ -556,23 +604,67 @@ def _rel_errors(grid, truth, om_true, gamma, omega_values):
     return eg, weighted_norm(w, omega_values - om_true) / norm if norm > 0 else math.nan
 
 
+@dataclass(frozen=True, eq=False)
+class NoiseFree:
+    """A truth's nodal fields on one grid and its clean state: the part of a
+    run that no noise level or observation scheme changes.  Read-only."""
+
+    source: ComplexField
+    omega: np.ndarray  # Omega* at the nodes
+    state: State  # psi* = S(gamma*, Omega*), with its phi
+
+
+# per stencils object, each truth's `NoiseFree`; weak on both keys, so an
+# entry dies with its stencils or its truth
+_NOISE_FREE = weakref.WeakKeyDictionary()
+
+
+def noise_free(truth: GroundTruth, stencils: DerivativeStencils) -> NoiseFree:
+    """The truth's `NoiseFree` set-up on the stencils' grid, computed on first
+    use and then shared by every run on that grid."""
+    by_truth = _NOISE_FREE.get(stencils)
+    if by_truth is None:
+        by_truth = _NOISE_FREE[stencils] = weakref.WeakKeyDictionary()
+    setup = by_truth.get(truth)
+    if setup is None:
+        grid = stencils.grid
+        source = truth.source(grid)
+        omega = truth.omega_exact(grid).values
+        problem = InverseProblem(
+            grid=grid,
+            stencils=stencils,
+            m=truth.m,
+            omega_freq=truth.omega_freq,
+            source=source,
+            scheme=ObservationScheme(),
+            omega_ref=truth.omega_ref,
+        )
+        _, psi = problem.state(truth.gamma_true, omega)
+        for a in (source.values, omega, psi.values, psi.phi):
+            a.flags.writeable = False
+        setup = by_truth[truth] = NoiseFree(source=source, omega=omega, state=psi)
+    return setup
+
+
 def build_problem(config: ExperimentConfig):
     """Truth, problem bundle (with its grid and stencils), the truth's state
-    and its clean synthetic data."""
+    and its clean synthetic data.  The truth and its state are the shared,
+    read-only ones (`manufacture_truth`, `noise_free`); the problem and the
+    data are the run's own."""
     truth = manufacture_truth(config.truth, config.truth_overrides)
     grid = build_grid(config.n, truth.r)
+    stencils = build_stencils(grid)
+    clean = noise_free(truth, stencils)
     problem = InverseProblem(
         grid=grid,
-        stencils=build_stencils(grid),
+        stencils=stencils,
         m=truth.m,
         omega_freq=truth.omega_freq,
-        source=truth.source(grid),
+        source=clean.source,
         scheme=config.scheme,
         omega_ref=truth.omega_ref,
     )
-    _, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
-    y_clean = observe(psi, problem.scheme, grid)
-    return truth, problem, psi, y_clean
+    return truth, problem, clean.state, observe(clean.state, problem.scheme, grid)
 
 
 def csv_text(header: str, rows) -> str:
@@ -614,7 +706,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         problem, y_delta, delta, iteration, gamma_init=GAMMA_INIT_SCALE * truth.gamma_true
     )
     gamma_k, omega_k = trace.iterates[trace.stop_index]
-    om_true = truth.omega_exact(grid).values
+    om_true = noise_free(truth, problem.stencils).omega
     eg, eo = _rel_errors(grid, truth, om_true, gamma_k, omega_k)
     wall_ms = (time.perf_counter() - start) * 1e3
 

@@ -48,9 +48,14 @@ shared `Grid` per (int(n), float(r)) and `build_stencils` one shared
 the per-m delta_m, ghost fills, `alpha` and `BandRows.diagonals` that the
 stencils cache.  The shared arrays (`Grid.nodes`, `Grid.weights`, the ghost
 fills and every `BandRows`' weights, columns and diagonals) are read-only,
-so an in-place write raises instead of reaching later runs.
-`build_grid.cache_clear()` and `build_stencils.cache_clear()` drop the
-shared objects.
+so an in-place write raises instead of reaching later runs.  Upper layers
+share what they derive from one grid the same way: `shared_cache` gives
+them a cache of the same size (the truths of `experiments`), and what they
+keep per stencils object (the noise-free set-ups, the Riesz band) they key
+weakly on it, so that it dies with the stencils.
+`build_grid.cache_clear()` empties the grid cache and every `shared_cache`,
+and `build_stencils.cache_clear()` the stencils cache; the two together
+drop every shared object.
 """
 
 from __future__ import annotations
@@ -77,9 +82,21 @@ POLE_CONDITIONS = {0: (1, 3), 1: (0, 2), 2: (0, 1)}
 _GHOST_LAYERS = 2
 _FUNCTIONAL_POINTS = 6  # nodes per pole-condition functional (2 ghosts + 4 interior)
 
-# grids and stencils kept alive per process (least recently used dropped
-# first); covers the grid-convergence study's default sizes with room left
+# grids, stencils and truths kept alive per process (least recently used
+# dropped first); covers the grid-convergence study's default sizes with
+# room left
 SHARED_DISCRETIZATIONS = 8
+
+# the cache_clear of every `shared_cache`, all run by build_grid.cache_clear()
+_SHARED_CACHE_CLEARS = []
+
+
+def shared_cache(fn):
+    """`fn` behind a least-recently-used cache of `SHARED_DISCRETIZATIONS`
+    entries that `build_grid.cache_clear()` empties along with the grids."""
+    cached = functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)(fn)
+    _SHARED_CACHE_CLEARS.append(cached.cache_clear)
+    return cached
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -153,7 +170,7 @@ def build_grid(n: int, r: float = 1.0) -> Grid:
 # cached behind the canonical key, not on build_grid itself: lru_cache keys
 # on the call's form, so build_grid(100), build_grid(np.int64(100)) and
 # build_grid(100, r=1.0) would each build their own grid and stencils
-@functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)
+@shared_cache
 def _shared_grid(n: int, r: float) -> Grid:
     h = math.pi / n
     nodes = (np.arange(n) + 0.5) * h
@@ -161,7 +178,12 @@ def _shared_grid(n: int, r: float) -> Grid:
     return Grid(n=n, r=r, h=h, nodes=_read_only(nodes), weights=_read_only(weights))
 
 
-build_grid.cache_clear = _shared_grid.cache_clear
+def _clear_shared_caches() -> None:
+    for clear in _SHARED_CACHE_CLEARS:
+        clear()
+
+
+build_grid.cache_clear = _clear_shared_caches
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,10 +38,12 @@ most `MAX_BACKTRACKS` from the iterate.
 Work that a run does not change is done once: per problem, the cached
 `source_rhs` (the mixed right-hand side [f; 0]) and `window`; per (grid,
 scheme), `observation_window`, which every `observe` and so every
-`sensitivity` reads; per grid, the weight sum of `weighted_mean`.  The
-observed weights are the view `grid.weights[window]`.  No band-sized array
-outlives the call that factors it, apart from the metric's Riesz
-factorization.
+`sensitivity` reads; per grid, the weight sum of `weighted_mean`; per
+stencils object, the factored, read-only H2 Riesz band (`riesz_system`),
+which every `ParameterMetric` on that grid takes, whatever its gamma_scale,
+and which dies with the stencils.  The observed weights are the view
+`grid.weights[window]`.  No band-sized array outlives the call that
+factors it, apart from the Riesz factorization.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -50,6 +52,7 @@ verify them (adjoint identity, gradient, tangential cone) are in `checks`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -143,13 +146,27 @@ def data_norm(grid: Grid, d: DataVector) -> float:
 # parameter metric and Riesz map
 # ----------------------------------------------------------------------
 
+# the H2 Riesz band of each stencils object; an entry dies with its stencils
+_RIESZ_SYSTEMS = weakref.WeakKeyDictionary()
+
+
+def riesz_system(stencils: DerivativeStencils) -> WaveSystem:
+    """The factored, read-only Riesz band of `ParameterMetric` on the
+    stencils' grid: built on first use, then shared by every metric there."""
+    system = _RIESZ_SYSTEMS.get(stencils)
+    if system is None:
+        system = WaveSystem(stencils.delta_matrix(0), 1.0, pin_weights=stencils.grid.weights)
+        _RIESZ_SYSTEMS[stencils] = system.read_only()
+    return system
+
+
 class ParameterMetric:
     """Product metric gamma_scale * dgamma^2 + ||dOmega||_H2^2.
 
     The Omega block is A = delta_0^2.  Its Riesz map solves A q + lambda 1 =
     g - mean_w(g) with mean_w(q) = 0, which (A 1 = 0) is the mean-zero part
     of the real, mean-pinned m = 0 `WaveSystem` solve with gamma = 1 and no
-    d or a block.
+    d or a block: `riesz_system`, one per grid whatever the gamma_scale.
     The form <u, A v>_w keeps A on the second argument, which reproduces the
     raw density exactly and the discrete adjoint identity to roundoff.
     """
@@ -160,7 +177,7 @@ class ParameterMetric:
         self.grid = grid
         self.gamma_scale = float(gamma_scale)
         self._lap = stencils.delta_matrix(0)
-        self._system = WaveSystem(self._lap, 1.0, pin_weights=grid.weights)
+        self._system = riesz_system(stencils)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
         return g - weighted_mean(self.grid, g)
@@ -389,8 +406,14 @@ def nesterov_landweber(
         raise ConfigurationError(f"gamma_init must be finite and positive, got {gamma_init}")
     if not 0 <= delta < math.inf:
         raise ConfigurationError(f"noise level delta must be finite and nonnegative, got {delta}")
-    if y_delta.window != problem.window:
-        raise ConfigurationError(f"data window {y_delta.window} != problem window {problem.window}")
+    window = problem.window
+    if y_delta.window != window:
+        raise ConfigurationError(f"data window {y_delta.window} != problem window {window}")
+    if len(y_delta.values) != window.stop - window.start:
+        raise ConfigurationError(
+            f"data have {len(y_delta.values)} values; window {window} "
+            f"holds {window.stop - window.start} nodes"
+        )
     if problem.scheme.real_part_only and np.iscomplexobj(y_delta.values):
         raise ConfigurationError("complex data for a real-part-only observation scheme")
     grid = problem.grid

@@ -34,10 +34,11 @@ i d and i a through its imaginary view, so that no write casts.
 `WaveSystem` is the one type that builds, factors and solves a mixed
 band: the forward operator (`assemble_forward`, which in the package
 only `inversion.InverseProblem.state` calls) and the H2 Riesz map of
-`inversion.ParameterMetric` (the real m = 0 band with gamma = 1) each
-build one.  Its constructor factors K with gbtrf in place of the band (a
-C-ordered band would be copied and transposed by f2py first), so the
-system holds only the LU.  Every solve is one gbtrs against it, which
+`inversion.ParameterMetric` (the real m = 0 band with gamma = 1, one per
+grid, made read-only by `WaveSystem.read_only`) each build one.  Its
+constructor factors K with gbtrf in place of the band (a C-ordered band
+would be copied and transposed by f2py first), so the system holds only
+the LU.  Every solve is one gbtrs against it, which
 gives psi at the odd unknowns and phi at the even ones.
 `WaveSystem.solve_mixed` takes a right-hand side already in K's layout
 (`mixed_rhs`) and leaves it intact, so `inversion.InverseProblem` builds
@@ -236,6 +237,16 @@ class WaveSystem:
         self.pivot_ratio = float(pivots.min() / pivots.max())
         if self._pin is not None:
             self._pin.factor(self.lu, self.piv)
+
+    def read_only(self) -> "WaveSystem":
+        """Mark the factors read-only, for a system shared between runs; an
+        in-place write then raises.  Returns the system."""
+        arrays = [self.lu, self.piv]
+        if self._pin is not None:
+            arrays += [self._pin.v, self._pin.y, self._pin.cinv]
+        for a in arrays:
+            a.flags.writeable = False
+        return self
 
     def solve_mixed(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(psi, phi) from one solve of K [phi; psi] = full, a right-hand side

@@ -348,8 +348,8 @@ def _reachable_arrays(root, skip):
 def test_no_band_sized_array_outlives_a_call():
     # the per-problem caches (source right-hand side, window) are small; a
     # cached band or band template would grow every problem by a band
-    # (19 x 2n entries, about 1 MB at n = 1600).  The metric keeps
-    # its own Riesz factorization by design, so that one band is skipped.
+    # (19 x 2n entries, about 1 MB at n = 1600).  The metric holds its
+    # grid's shared Riesz factorization by design, so that one band is skipped.
     truth, grid, stencils, problem = make_problem(n=400)
     metric = ParameterMetric(grid, stencils, gamma_scale=3000.0)
     om = truth.omega_exact(grid).values
@@ -490,6 +490,18 @@ def test_landweber_rejects_data_from_another_window(monkeypatch):
     config = IterationConfig(max_iter=20, gamma_scale=3000.0)
     with pytest.raises(ConfigurationError, match=r"window slice\(3, 29, None\) != problem window"):
         nesterov_landweber(full, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true)
+
+
+def test_landweber_rejects_data_of_the_wrong_length(monkeypatch):
+    # 31 values on the n = 32 full window used to fail inside the first
+    # residual with numpy's broadcast error; now it fails before any solve
+    truth, grid, stencils, full = make_problem(n=32, truth_name="m2_default")
+    y = full.observed(truth.gamma_true, truth.omega_exact(grid).values)
+    short = DataVector(values=y.values[:-1], window=y.window)
+    monkeypatch.setattr(InverseProblem, "state", _refuse_to_solve)
+    config = IterationConfig(max_iter=20, gamma_scale=3000.0)
+    with pytest.raises(ConfigurationError, match=r"data have 31 values; window .* holds 32 nodes"):
+        nesterov_landweber(full, short, delta=0.0, config=config, gamma_init=3 * truth.gamma_true)
 
 
 def test_landweber_rejects_complex_data_for_real_part_scheme(monkeypatch):

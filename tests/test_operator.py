@@ -12,6 +12,7 @@ import rotwave.operator
 from rotwave import (
     ComplexField,
     ConfigurationError,
+    DerivativeStencils,
     InverseProblem,
     NearResonanceError,
     ObservationScheme,
@@ -254,10 +255,15 @@ def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, ste
     _assert_factored_in_place_and_dropped(system, passed[0])
 
 
-def test_riesz_band_is_factored_in_place(monkeypatch, grid100, stencils100):
-    # the real H2 metric band, as ParameterMetric assembles it
+def test_riesz_band_is_factored_in_place(monkeypatch, grid100):
+    # the real H2 metric band, as ParameterMetric assembles it.  The band is
+    # built once per stencils object, so the test takes stencils of its own
+    # (the shared ones may have built theirs already); a second metric on
+    # them factors nothing
+    stencils = DerivativeStencils(grid100)
     passed = _record_gbtrf_bands(monkeypatch)
-    system = ParameterMetric(grid100, stencils100)._system
+    system = ParameterMetric(grid100, stencils)._system
+    assert ParameterMetric(grid100, stencils, gamma_scale=3000.0)._system is system
     assert [band.dtype for band in passed] == [float]
     _assert_factored_in_place_and_dropped(system, passed[0])
 

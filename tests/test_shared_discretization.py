@@ -1,20 +1,27 @@
-"""One grid and one stencils object per (n, r) and process: the shared arrays
-refuse writes, and runs give the same numbers whether the discretization
-was built for them or reused from an earlier run."""
+"""One grid and one stencils object per (n, r) and process, and on them one
+noise-free set-up per truth (truth, nodal source, Omega*, clean state) and
+one Riesz band: the shared arrays refuse writes, each piece is built once
+per process, and runs give the same numbers whether it was built for them
+or reused from an earlier run."""
 
 import hashlib
+import math
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from dataclasses import replace
 
 import rotwave.experiments as experiments
+import rotwave.inversion as inversion
 from rotwave import (
     ExperimentConfig,
     InverseProblem,
     IterationConfig,
     NoiseSpec,
     ObservationScheme,
+    ParameterMetric,
     build_grid,
     build_stencils,
     data_norm,
@@ -29,9 +36,21 @@ def clear_shared():
     build_stencils.cache_clear()
 
 
+def m2_problem():
+    """build_problem's (truth, problem, psi*, y) for m2_default at n = 100."""
+    return experiments.build_problem(ExperimentConfig(n=100, truth="m2_default"))
+
+
 SHARED_ARRAYS = {
     "grid.weights": lambda g, st: g.weights,
     "grid.nodes": lambda g, st: g.nodes,
+    "source.values": lambda g, st: m2_problem()[1].source.values,
+    "source_rhs": lambda g, st: m2_problem()[1].source_rhs,
+    "psi*.values": lambda g, st: m2_problem()[2].values,
+    "psi*.phi": lambda g, st: m2_problem()[2].phi,
+    "omega*": lambda g, st: experiments.noise_free(m2_problem()[0], st).omega,
+    "riesz.lu": lambda g, st: ParameterMetric(g, st)._system.lu,
+    "riesz.pin.y": lambda g, st: ParameterMetric(g, st)._system._pin.y,
     "alpha.weights": lambda g, st: st.alpha.weights,
     "alpha.columns": lambda g, st: st.alpha.columns,
     **{
@@ -81,6 +100,94 @@ def test_sweep_records_equal_with_warm_and_cleared_caches(monkeypatch):
     warm = battery()
     assert len(warm) == 6 and all(r["stop_reason"] == "discrepancy" for r in warm)
     assert warm == cold
+
+
+def test_truth_shared_per_name_and_overrides_and_read_only():
+    overrides = {"gamma_true": 0.1, "psi_coeffs": {"b": 0.5}}
+    truth = manufacture_truth("m2_default", overrides)
+    assert manufacture_truth("m2_default", {"psi_coeffs": {"b": 0.5}, "gamma_true": 0.1}) is truth
+    assert manufacture_truth("m2_default", {"gamma_true": 0.1}) is not truth
+    assert manufacture_truth("m2_default", {"phase": -0.0}) is not manufacture_truth(
+        "m2_default", {"phase": 0.0}
+    )
+    with pytest.raises(AttributeError, match="read-only"):
+        truth.gamma_true = 0.2
+    with pytest.raises(TypeError):
+        truth.psi_coeffs["b"] = 0.6
+    clear_shared()
+    assert manufacture_truth("m2_default", overrides) is not truth
+
+
+def _sweep_rows(base, axis, values):
+    """The sweep's records without `wall_ms`."""
+    records, _ = sweep(base, axis, values)
+    return [{k: v for k, v in asdict(r).items() if k != "wall_ms"} for r in records]
+
+
+def test_epsilon_sweep_records_equal_with_warm_and_cleared_caches(monkeypatch):
+    # one truth observed on two windows: both runs read the same shared
+    # clean state, observed through each run's own scheme
+    base = ExperimentConfig(
+        run_id="shared_eps", n=100, truth="m3_default",
+        noise=NoiseSpec(relative_level=0.01, seed=0),
+        iteration=IterationConfig(max_iter=800, gamma_scale=3000.0),
+    )
+    values = [0.0, 0.2 * math.pi / 2]
+    run_experiment = experiments.run_experiment
+
+    def cold_run(config):
+        clear_shared()
+        return run_experiment(config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "run_experiment", cold_run)
+        cold = _sweep_rows(base, "epsilon_values", values)
+    warm = _sweep_rows(base, "epsilon_values", values)
+    assert [r["config"]["scheme"]["kind"] for r in warm] == ["full", "restricted"]
+    assert all(r["stop_reason"] == "discrepancy" for r in warm)
+    assert warm == cold
+
+
+def test_noise_sweep_builds_its_noise_free_set_up_once(monkeypatch):
+    # a three-level sweep manufactures the truth once, solves its clean
+    # state once and factors the Riesz band once.  Forward assemblies count
+    # outside the loop only (the loop's own are its iterates'); the Riesz
+    # band, which each loop's metric asks for, counts everywhere
+    counts = Counter()
+    in_loop = []
+
+    def counted(name, fn, outside_loop=True):
+        def wrapper(*args, **kwargs):
+            counts[name] += not (outside_loop and in_loop)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def loop(*args, **kwargs):
+        in_loop.append(True)
+        try:
+            return nesterov_landweber(*args, **kwargs)
+        finally:
+            in_loop.pop()
+
+    clear_shared()
+    monkeypatch.setattr(experiments.GroundTruth, "__init__",
+                        counted("truth", experiments.GroundTruth.__init__))
+    monkeypatch.setattr(inversion, "assemble_forward",
+                        counted("clean state", inversion.assemble_forward))
+    monkeypatch.setattr(inversion, "WaveSystem", counted("riesz", inversion.WaveSystem, False))
+    monkeypatch.setattr(experiments, "nesterov_landweber", loop)
+    base = ExperimentConfig(
+        run_id="shared_count", n=100, truth="m2_default",
+        iteration=IterationConfig(max_iter=800, gamma_scale=3000.0),
+    )
+    records, _ = sweep(base, "noise_levels", [0.01, 0.05, 0.20])
+    assert [r.stop_reason for r in records] == ["discrepancy"] * 3
+    assert counts == {"truth": 1, "clean state": 1, "riesz": 1}
+    # one clean state serves every scheme as well as every noise level
+    restricted = ObservationScheme(kind="restricted", epsilon=0.3)
+    psi = experiments.build_problem(base)[2]
+    assert experiments.build_problem(replace(base, scheme=restricted))[2] is psi
+    assert counts == {"truth": 1, "clean state": 1, "riesz": 1}
 
 
 def _criterion_6_digest():
