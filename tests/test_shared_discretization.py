@@ -7,11 +7,10 @@ or reused from an earlier run."""
 import hashlib
 import math
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import rotwave.experiments as experiments
 import rotwave.inversion as inversion
