@@ -141,7 +141,7 @@ def _probe_setup(config):
     of its iteration's gamma_scale: what each probe command runs on."""
     truth, problem, _, y = build_problem(config)
     gamma_scale = config.iteration.gamma_scale
-    metric = ParameterMetric(problem.grid, problem.stencils, gamma_scale=gamma_scale)
+    metric = ParameterMetric(problem.stencils, gamma_scale=gamma_scale)
     return truth, problem, y, metric
 
 

@@ -13,15 +13,13 @@ error (no inverse crime).
 
 An experiment's noise-free part is built once per process and shared by
 every run that needs it: `manufacture_truth` returns one read-only
-`GroundTruth` per (name, overrides), and `noise_free` keeps per (stencils,
-truth) the nodal source, Omega* and the clean state psi* (`NoiseFree`),
-weakly keyed on both, so an entry dies with either.  `build_problem` gives
-each run its own `InverseProblem` on the shared source and observes the
-run's data from the shared psi* through the run's scheme, so one clean
-state serves every noise level and observation scheme of a sweep; its
-arrays are read-only.  Clearing the grid and stencils caches
-(`build_grid.cache_clear()`, `build_stencils.cache_clear()`) drops all of
-it.
+`GroundTruth` per (name, overrides), and `noise_free` keeps, on the
+stencils of the run's grid, each truth's nodal source, Omega* and clean
+state psi* (`NoiseFree`), so that they die with the grid.  `build_problem`
+gives each run its own `InverseProblem` on the shared source and observes
+the run's data from the shared psi* through the run's scheme, so one
+clean state serves every noise level and observation scheme of a sweep;
+its arrays are read-only.  `build_grid.cache_clear()` drops all of it.
 
 Experiment configs are plain JSON documents; unknown keys are rejected.  A
 run writes a JSON record plus a per-iteration CSV, and sweeps aggregate the
@@ -37,7 +35,6 @@ import math
 import pathlib
 import time
 import types
-import weakref
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -606,65 +603,48 @@ def _rel_errors(grid, truth, om_true, gamma, omega_values):
 
 @dataclass(frozen=True, eq=False)
 class NoiseFree:
-    """A truth's nodal fields on one grid and its clean state: the part of a
-    run that no noise level or observation scheme changes.  Read-only."""
+    """A truth's problem on one grid under the full scheme, Omega* at the
+    nodes and the clean state: the part of a run that no noise level or
+    observation scheme changes.  Read-only."""
 
-    source: ComplexField
+    problem: InverseProblem  # its source is the truth's, at the nodes
     omega: np.ndarray  # Omega* at the nodes
     state: State  # psi* = S(gamma*, Omega*), with its phi
 
 
-# per stencils object, each truth's `NoiseFree`; weak on both keys, so an
-# entry dies with its stencils or its truth
-_NOISE_FREE = weakref.WeakKeyDictionary()
-
-
 def noise_free(truth: GroundTruth, stencils: DerivativeStencils) -> NoiseFree:
     """The truth's `NoiseFree` set-up on the stencils' grid, computed on first
-    use and then shared by every run on that grid."""
-    by_truth = _NOISE_FREE.get(stencils)
-    if by_truth is None:
-        by_truth = _NOISE_FREE[stencils] = weakref.WeakKeyDictionary()
-    setup = by_truth.get(truth)
+    use and kept in `stencils.derived`, so shared by every run on that grid."""
+    key = ("noise_free", truth)
+    setup = stencils.derived.get(key)
     if setup is None:
         grid = stencils.grid
-        source = truth.source(grid)
         omega = truth.omega_exact(grid).values
         problem = InverseProblem(
             grid=grid,
             stencils=stencils,
             m=truth.m,
             omega_freq=truth.omega_freq,
-            source=source,
+            source=truth.source(grid),
             scheme=ObservationScheme(),
             omega_ref=truth.omega_ref,
         )
         _, psi = problem.state(truth.gamma_true, omega)
-        for a in (source.values, omega, psi.values, psi.phi):
+        for a in (problem.source.values, omega, psi.values, psi.phi):
             a.flags.writeable = False
-        setup = by_truth[truth] = NoiseFree(source=source, omega=omega, state=psi)
+        setup = stencils.derived[key] = NoiseFree(problem=problem, omega=omega, state=psi)
     return setup
 
 
 def build_problem(config: ExperimentConfig):
     """Truth, problem bundle (with its grid and stencils), the truth's state
     and its clean synthetic data.  The truth and its state are the shared,
-    read-only ones (`manufacture_truth`, `noise_free`); the problem and the
-    data are the run's own."""
+    read-only ones (`manufacture_truth`, `noise_free`); the problem, the
+    noise-free one under the run's scheme, and the data are the run's own."""
     truth = manufacture_truth(config.truth, config.truth_overrides)
-    grid = build_grid(config.n, truth.r)
-    stencils = build_stencils(grid)
-    clean = noise_free(truth, stencils)
-    problem = InverseProblem(
-        grid=grid,
-        stencils=stencils,
-        m=truth.m,
-        omega_freq=truth.omega_freq,
-        source=clean.source,
-        scheme=config.scheme,
-        omega_ref=truth.omega_ref,
-    )
-    return truth, problem, clean.state, observe(clean.state, problem.scheme, grid)
+    clean = noise_free(truth, build_stencils(build_grid(config.n, truth.r)))
+    problem = replace(clean.problem, scheme=config.scheme)
+    return truth, problem, clean.state, observe(clean.state, problem.scheme, problem.grid)
 
 
 def csv_text(header: str, rows) -> str:

@@ -41,28 +41,28 @@ of six consecutive nodes per row, so each product costs O(n).  The
 fourth-order operator is never formed here; `operator` solves it in mixed
 form, with delta_m as its only stencil.
 
-Each discretization is built once per process.  `build_grid` returns one
-shared `Grid` per (int(n), float(r)) and `build_stencils` one shared
-`DerivativeStencils` per grid, each from a least-recently-used cache of
-`SHARED_DISCRETIZATIONS` entries; so repeated runs at one (n, r) also share
-the per-m delta_m, ghost fills, `alpha` and `BandRows.diagonals` that the
-stencils cache.  The shared arrays (`Grid.nodes`, `Grid.weights`, the ghost
+Each discretization is built once per process and owns everything derived
+from it.  `build_grid` returns one shared `Grid` per (int(n), float(r)),
+from a least-recently-used cache of `SHARED_DISCRETIZATIONS` entries, and
+what is derived from that (n, r) hangs off the grid and dies with it: its
+`DerivativeStencils` (`build_stencils(grid)` is `grid.stencils`, built on
+first use) with their per-m delta_m, ghost fills, `alpha` and
+`BandRows.diagonals`; the observation window of each epsilon
+(`Grid.windows`); and what upper layers build on the stencils, which they
+keep in `DerivativeStencils.derived` (the Riesz band, the noise-free
+set-ups).  The shared arrays (`Grid.nodes`, `Grid.weights`, the ghost
 fills and every `BandRows`' weights, columns and diagonals) are read-only,
-so an in-place write raises instead of reaching later runs.  Upper layers
-share what they derive from one grid the same way: `shared_cache` gives
-them a cache of the same size (the truths of `experiments`), and what they
-keep per stencils object (the noise-free set-ups, the Riesz band) they key
-weakly on it, so that it dies with the stencils.
-`build_grid.cache_clear()` empties the grid cache and every `shared_cache`,
-and `build_stencils.cache_clear()` the stencils cache; the two together
-drop every shared object.
+so an in-place write raises instead of reaching later runs.
+`shared_cache` gives an upper layer an LRU of the same size (the truths of
+`experiments`), and `build_grid.cache_clear()` empties it with the grid
+cache, which drops every shared object.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,8 @@ POLE_CONDITIONS = {0: (1, 3), 1: (0, 2), 2: (0, 1)}
 _GHOST_LAYERS = 2
 _FUNCTIONAL_POINTS = 6  # nodes per pole-condition functional (2 ghosts + 4 interior)
 
-# grids, stencils and truths kept alive per process (least recently used
-# dropped first); covers the grid-convergence study's default sizes with
-# room left
+# grids and truths kept alive per process (least recently used dropped
+# first); covers the grid-convergence study's default sizes with room left
 SHARED_DISCRETIZATIONS = 8
 
 # the cache_clear of every `shared_cache`, all run by build_grid.cache_clear()
@@ -131,18 +130,25 @@ def fd_weights(x0, nodes, order: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Cell-centered colatitude grid with quadrature weights r^2 sin(theta) h."""
+    """Cell-centered colatitude grid with quadrature weights r^2 sin(theta) h,
+    and the owner of what is derived from it (see the module docstring)."""
 
     n: int
     r: float
     h: float
     nodes: np.ndarray
     weights: np.ndarray
+    windows: dict = field(default_factory=dict, repr=False)  # `inversion.observation_window`
 
     @functools.cached_property
     def weight_sum(self):
         """Sum of the weights, the divisor of every `weighted_mean`."""
         return np.sum(self.weights)
+
+    @functools.cached_property
+    def stencils(self) -> "DerivativeStencils":
+        """This grid's derivative stencils, built on first use."""
+        return DerivativeStencils(self)
 
 
 def build_grid(n: int, r: float = 1.0) -> Grid:
@@ -261,6 +267,9 @@ class DerivativeStencils:
                   and Sobolev seminorms.
       alpha    -- the rotation map Omega -> alpha_Omega as `BandRows`, built
                   on first use.
+      derived  -- what upper layers build on these operators, under their
+                  own keys (inversion's Riesz band, experiments' noise-free
+                  set-up of each truth); it dies with the stencils.
 
     The boundary-value operator delta_m comes from `delta_matrix(m)`, which
     folds the ghost closure `ghost_fill(m)` for the pole conditions of
@@ -297,6 +306,7 @@ class DerivativeStencils:
 
         self._fill_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._delta_cache: dict[int, BandRows] = {}
+        self.derived: dict = {}
 
     @functools.cached_property
     def alpha(self) -> BandRows:
@@ -354,11 +364,10 @@ class DerivativeStencils:
         return self._delta_cache[key]
 
 
-@functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)
 def build_stencils(grid: Grid) -> DerivativeStencils:
-    """The stencils of `grid`, shared per process: cached on the grid's
-    identity, like `build_grid` on (n, r)."""
-    return DerivativeStencils(grid)
+    """The stencils of `grid`: its own `Grid.stencils`, so shared per (n, r)
+    like the grid."""
+    return grid.stencils
 
 
 # ----------------------------------------------------------------------

@@ -36,12 +36,13 @@ makes at most `MOMENTUM_BACKTRACKS` trials from the momentum point and at
 most `MAX_BACKTRACKS` from the iterate.
 
 Work that a run does not change is done once: per problem, the cached
-`source_rhs` (the mixed right-hand side [f; 0]) and `window`; per (grid,
-scheme), `observation_window`, which every `observe` and so every
-`sensitivity` reads; per grid, the weight sum of `weighted_mean`; per
-stencils object, the factored, read-only H2 Riesz band (`riesz_system`),
-which every `ParameterMetric` on that grid takes, whatever its gamma_scale,
-and which dies with the stencils.  The observed weights are the view
+`source_rhs` (the mixed right-hand side [f; 0]) and `window`; per grid,
+the window of each epsilon (`observation_window`, kept in `Grid.windows`),
+which every `observe` and so every `sensitivity` reads, and the weight sum
+of `weighted_mean`; per stencils object, the factored, read-only H2 Riesz
+band (`riesz_system`, kept in `DerivativeStencils.derived`), which every
+`ParameterMetric` on those stencils takes, whatever its gamma_scale.  Both
+die with their grid.  The observed weights are the view
 `grid.weights[window]`.  No band-sized array outlives the call that
 factors it, apart from the Riesz factorization.
 
@@ -52,9 +53,8 @@ verify them (adjoint identity, gradient, tangential cone) are in `checks`.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -109,18 +109,21 @@ class DataVector:
     window: slice  # the observed nodes (`observation_window`)
 
 
-@lru_cache(maxsize=32)  # (grid, scheme) pairs: a few per study
 def observation_window(grid: Grid, scheme: ObservationScheme) -> slice:
     """The nodes with epsilon < theta < pi - epsilon, one contiguous run, as
     a slice; a window that holds no node is a ConfigurationError, since it
-    would observe nothing.  Computed once per (grid, scheme)."""
+    would observe nothing.  Computed once per grid and epsilon, and kept in
+    `grid.windows`."""
     eps = scheme.epsilon
-    inside = np.flatnonzero((grid.nodes > eps) & (grid.nodes < math.pi - eps))
-    if len(inside) == 0:
-        raise ConfigurationError(
-            f"observation window (epsilon={eps}) holds no node of the n={grid.n} grid"
-        )
-    return slice(int(inside[0]), int(inside[-1]) + 1)
+    window = grid.windows.get(eps)
+    if window is None:
+        inside = np.flatnonzero((grid.nodes > eps) & (grid.nodes < math.pi - eps))
+        if len(inside) == 0:
+            raise ConfigurationError(
+                f"observation window (epsilon={eps}) holds no node of the n={grid.n} grid"
+            )
+        window = grid.windows[eps] = slice(int(inside[0]), int(inside[-1]) + 1)
+    return window
 
 
 def restrict(psi: np.ndarray, scheme: ObservationScheme, window: slice) -> np.ndarray:
@@ -146,17 +149,14 @@ def data_norm(grid: Grid, d: DataVector) -> float:
 # parameter metric and Riesz map
 # ----------------------------------------------------------------------
 
-# the H2 Riesz band of each stencils object; an entry dies with its stencils
-_RIESZ_SYSTEMS = weakref.WeakKeyDictionary()
-
-
 def riesz_system(stencils: DerivativeStencils) -> WaveSystem:
     """The factored, read-only Riesz band of `ParameterMetric` on the
-    stencils' grid: built on first use, then shared by every metric there."""
-    system = _RIESZ_SYSTEMS.get(stencils)
+    stencils' grid: built on first use and kept in `stencils.derived`, so
+    shared by every metric on them."""
+    system = stencils.derived.get("riesz")
     if system is None:
         system = WaveSystem(stencils.delta_matrix(0), 1.0, pin_weights=stencils.grid.weights)
-        _RIESZ_SYSTEMS[stencils] = system.read_only()
+        stencils.derived["riesz"] = system.read_only()
     return system
 
 
@@ -166,15 +166,15 @@ class ParameterMetric:
     The Omega block is A = delta_0^2.  Its Riesz map solves A q + lambda 1 =
     g - mean_w(g) with mean_w(q) = 0, which (A 1 = 0) is the mean-zero part
     of the real, mean-pinned m = 0 `WaveSystem` solve with gamma = 1 and no
-    d or a block: `riesz_system`, one per grid whatever the gamma_scale.
+    d or a block: `riesz_system`, one per stencils whatever the gamma_scale.
     The form <u, A v>_w keeps A on the second argument, which reproduces the
     raw density exactly and the discrete adjoint identity to roundoff.
     """
 
-    def __init__(self, grid, stencils, gamma_scale: float = 1.0):
+    def __init__(self, stencils: DerivativeStencils, gamma_scale: float = 1.0):
         if not 0 < gamma_scale < math.inf:  # NaN fails too
             raise ConfigurationError(f"gamma_scale must be finite and positive, got {gamma_scale}")
-        self.grid = grid
+        self.grid = stencils.grid
         self.gamma_scale = float(gamma_scale)
         self._lap = stencils.delta_matrix(0)
         self._system = riesz_system(stencils)
@@ -213,7 +213,8 @@ class GradientPair:
 
 @dataclass(frozen=True, eq=False)
 class InverseProblem:
-    """Everything fixed during a reconstruction run; the forward map needs gamma > 0."""
+    """Everything fixed during a reconstruction run; the forward map needs
+    gamma > 0.  The stencils must be the grid's own (`stencils.grid is grid`)."""
 
     grid: Grid
     stencils: DerivativeStencils
@@ -224,6 +225,12 @@ class InverseProblem:
     omega_ref: float = 0.0
 
     def __post_init__(self):
+        grid, other = self.grid, self.stencils.grid
+        if other is not grid:
+            raise ConfigurationError(
+                f"the problem's grid (n={grid.n}, r={grid.r}) has stencils built "
+                f"for another grid (n={other.n}, r={other.r})"
+            )
         n, m = len(self.source.values), self.source.m
         if n != self.grid.n or m != self.m:
             raise ConfigurationError(
@@ -249,7 +256,7 @@ class InverseProblem:
         """The factored forward operator at (gamma, Omega) and the state
         psi = S(gamma, Omega) from one `assemble_forward` and one solve."""
         system = assemble_forward(
-            gamma, omega_values, self.omega_ref, self.omega_freq, self.m, self.grid, self.stencils
+            gamma, omega_values, self.omega_ref, self.omega_freq, self.m, self.stencils
         )
         psi, phi = system.solve_mixed(self.source_rhs)
         return system, State(m=self.m, values=psi, phi=phi)
@@ -312,7 +319,7 @@ def adjoint_gradient(
     if m != 0:
         c = (psi.values.conj() * z).imag
         shear = (psi.phi.conj() * z).imag
-        density = m * (apply_alpha_adjoint(grid, problem.stencils, c) - shear)
+        density = m * (apply_alpha_adjoint(problem.stencils, c) - shear)
     else:
         density = np.zeros(grid.n)
     g = -density
@@ -417,7 +424,7 @@ def nesterov_landweber(
     if problem.scheme.real_part_only and np.iscomplexobj(y_delta.values):
         raise ConfigurationError("complex data for a real-part-only observation scheme")
     grid = problem.grid
-    metric = ParameterMetric(grid, problem.stencils, gamma_scale=config.gamma_scale)
+    metric = ParameterMetric(problem.stencils, gamma_scale=config.gamma_scale)
     threshold = max(DISCREPANCY_TAU * delta, config.residual_floor)
     state_solves = gradients = 0
 

@@ -35,10 +35,10 @@ i d and i a through its imaginary view, so that no write casts.
 band: the forward operator (`assemble_forward`, which in the package
 only `inversion.InverseProblem.state` calls) and the H2 Riesz map of
 `inversion.ParameterMetric` (the real m = 0 band with gamma = 1, one per
-grid, made read-only by `WaveSystem.read_only`) each build one.  Its
-constructor factors K with gbtrf in place of the band (a C-ordered band
-would be copied and transposed by f2py first), so the system holds only
-the LU.  Every solve is one gbtrs against it, which
+stencils object, made read-only by `WaveSystem.read_only`) each build
+one.  Its constructor factors K with gbtrf in place of the band (a
+C-ordered band would be copied and transposed by f2py first), so the
+system holds only the LU.  Every solve is one gbtrs against it, which
 gives psi at the odd unknowns and phi at the even ones.
 `WaveSystem.solve_mixed` takes a right-hand side already in K's layout
 (`mixed_rhs`) and leaves it intact, so `inversion.InverseProblem` builds
@@ -133,9 +133,10 @@ _GBTRF = {"d": _flapack.dgbtrf, "D": _flapack.zgbtrf}
 _GBTRS = {"d": _flapack.dgbtrs, "D": _flapack.zgbtrs}
 
 
-def apply_alpha_adjoint(grid: Grid, stencils: DerivativeStencils, v: np.ndarray) -> np.ndarray:
+def apply_alpha_adjoint(stencils: DerivativeStencils, v: np.ndarray) -> np.ndarray:
     """Weighted adjoint W^-1 alpha^T W v of the map Omega -> `stencils.alpha @ Omega`."""
-    return stencils.alpha.rmatvec(grid.weights * v) / grid.weights
+    w = stencils.grid.weights
+    return stencils.alpha.rmatvec(w * v) / w
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +293,6 @@ def assemble_forward(
     omega_ref: float,
     omega_freq: float,
     m: int,
-    grid: Grid,
     stencils: DerivativeStencils,
 ) -> WaveSystem:
     """The factored forward operator at (gamma, Omega) with Omega by its nodal
@@ -307,7 +307,7 @@ def assemble_forward(
     if m != 0:
         d = omega_freq - m * (omega - omega_ref)
         a = m * (stencils.alpha @ omega)
-    pin_weights = grid.weights if m == 0 else None
+    pin_weights = stencils.grid.weights if m == 0 else None
     system = WaveSystem(stencils.delta_matrix(m), gamma, d, a, pin_weights)
     if not system.pivot_ratio >= PIVOT_RTOL:
         raise NearResonanceError(omega_freq, m, system.pivot_ratio)
@@ -355,7 +355,8 @@ class DiagnosticReport:
     description: str
 
 
-def _h1_full_norm(grid: Grid, stencils: DerivativeStencils, values: np.ndarray) -> float:
+def _h1_full_norm(stencils: DerivativeStencils, values: np.ndarray) -> float:
+    grid = stencils.grid
     w = grid.weights
     return math.hypot(weighted_norm(w, values), weighted_norm(w, stencils.d1 @ values) / grid.r)
 
@@ -365,15 +366,14 @@ def frequency_condition(
     omega: np.ndarray,
     omega_ref: float,
     omega_freq: float,
-    grid: Grid,
     stencils: DerivativeStencils,
 ) -> DiagnosticReport:
     """Large-frequency invertibility bound: |omega| against
     (4/gamma^3) (C1 C2)^4 (||Omega-Omega_ref||_H1^2 + 9 ||Omega||_H1^2)^2,
     with the embedding constants C1 (H1 -> L6) and C2 (H^1/2 -> L3) set
     to 1."""
-    nb = _h1_full_norm(grid, stencils, omega - omega_ref)
-    na = _h1_full_norm(grid, stencils, omega)
+    nb = _h1_full_norm(stencils, omega - omega_ref)
+    na = _h1_full_norm(stencils, omega)
     rhs = 4.0 / gamma**3 * (nb**2 + 9.0 * na**2) ** 2
     return DiagnosticReport(
         satisfied=abs(omega_freq) > rhs,
@@ -387,11 +387,11 @@ def smallness_condition(
     gamma: float,
     omega: np.ndarray,
     m: int,
-    grid: Grid,
     stencils: DerivativeStencils,
 ) -> DiagnosticReport:
     """Uniqueness bound: ||Omega'||_L2 |m| C1 C2 / r compared against gamma,
     with the embedding constants C1 (H2 -> L3) and C2 (H1 -> L6) set to 1."""
+    grid = stencils.grid
     lhs = weighted_norm(grid.weights, stencils.d1 @ omega) * abs(m) / grid.r
     return DiagnosticReport(
         satisfied=lhs < gamma,

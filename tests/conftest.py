@@ -53,6 +53,12 @@ def grids():
     return out
 
 
+def clear_shared():
+    """Drop every shared grid, with all that hangs off it, and every shared
+    truth: the package's one clear (`build_grid.cache_clear()`)."""
+    build_grid.cache_clear()
+
+
 def observed_order(ns, errors, floor=0.0):
     """Least-squares convergence order, ignoring error values at the
     roundoff floor.  Returns +inf when everything is already at the floor."""

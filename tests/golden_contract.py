@@ -138,7 +138,7 @@ def leakage_records() -> dict:
 
 def tcc_reports(truth, grid, stencils, problem) -> dict:
     """Criterion 10's cone probes on criterion 6's instance, by radius."""
-    metric = ParameterMetric(grid, stencils, gamma_scale=1.0)
+    metric = ParameterMetric(stencils, gamma_scale=1.0)
     om_true = truth.omega_exact(grid).values
     return {
         radius: tcc_probe(

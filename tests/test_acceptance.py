@@ -13,7 +13,7 @@ from scipy.special import eval_legendre, lpmv
 
 import golden_contract
 from adjoint_reference import continuous_gradient
-from conftest import ACCEPTANCE, observed_order, wl2
+from conftest import ACCEPTANCE, clear_shared, observed_order, wl2
 from field_helpers import apply_delta_m, inner_product
 from rotwave import (
     ComplexField,
@@ -80,8 +80,7 @@ def clean33_run(clean33_problem):
 def test_criterion_1_operator_spectral_accuracy():
     # timed end to end, including grid/stencil/operator construction: the
     # shared discretizations are dropped first, so no earlier test warms them
-    build_grid.cache_clear()
-    build_stencils.cache_clear()
+    clear_shared()
     t0 = time.perf_counter()
     local = {n: (lambda g: (g, build_stencils(g)))(build_grid(n)) for n in NS}
     worst = ("", np.inf)
@@ -168,7 +167,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
             scheme=scheme,
             omega_ref=truth.omega_ref,
         )
-        metric = ParameterMetric(grid, stencils, gamma_scale=1.0)
+        metric = ParameterMetric(stencils, gamma_scale=1.0)
         worst = max(worst, adjoint_identity_mismatch(problem, metric, g0, om0, rng, 20))
     identity_ok = worst <= 1e-10
 
@@ -187,7 +186,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
             scheme=ObservationScheme(),
             omega_ref=truth_n.omega_ref,
         )
-        metric_n = ParameterMetric(gn, stn, gamma_scale=1.0)
+        metric_n = ParameterMetric(stn, gamma_scale=1.0)
         om_n = truth_n.omega_exact(gn).values
         y_n = problem_n.observed(truth_n.gamma_true, om_n)
         y_off = DataVector(values=0.9 * y_n.values, window=y_n.window)
@@ -216,7 +215,7 @@ def test_criterion_3_adjoint_identity(clean33_problem):
 
 def test_criterion_4_gradient_check(clean33_problem):
     truth, grid, stencils, problem = clean33_problem
-    metric = ParameterMetric(grid, stencils, gamma_scale=3.0)
+    metric = ParameterMetric(stencils, gamma_scale=3.0)
     y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
     rng = np.random.default_rng(77)
     worst = 0.0
@@ -239,7 +238,7 @@ def test_criterion_5_manufactured_forward_convergence(suite_grids):
         g, st = suite_grids[n]
         system = assemble_forward(
             truth.gamma_true, truth.omega_exact(g).values, truth.omega_ref,
-            truth.omega_freq, truth.m, g, st,
+            truth.omega_freq, truth.m, st,
         )
         psi, _ = system.solve_values(truth.source(g).values)
         ref = truth.psi_exact(g)
@@ -359,7 +358,7 @@ def tcc_reports(clean33_problem):
 
 def test_criterion_10_tcc_probe(clean33_problem, tcc_reports):
     truth, grid, stencils, problem = clean33_problem
-    metric = ParameterMetric(grid, stencils, gamma_scale=1.0)
+    metric = ParameterMetric(stencils, gamma_scale=1.0)
     om_true = truth.omega_exact(grid).values
     reports = tcc_reports
     finite = np.isfinite(reports[0.1].max_ratio)

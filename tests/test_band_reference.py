@@ -57,7 +57,7 @@ def test_band_solves_match_dense_lu(case, m):
     grid, stencils, omega, rng = case
     n, w = grid.n, grid.weights
     p = (0.05, omega, 0.1)
-    system = assemble_forward(*p, 1.3, m, grid, stencils)
+    system = assemble_forward(*p, 1.3, m, stencils)
     matrix = assemble_dense(*p, 1.3, m, grid, stencils)
     tol = EPS * np.linalg.cond(matrix, 1)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -88,7 +88,7 @@ def test_riesz_matches_dense_kkt(case):
     kkt = dense_kkt(grid, stencils)
     g = rng.standard_normal(n)
     want = np.linalg.solve(kkt, np.concatenate([g - np.sum(g * w) / np.sum(w), [0.0]]))[:n]
-    got = ParameterMetric(grid, stencils).riesz(g)
+    got = ParameterMetric(stencils).riesz(g)
     assert _rel(got, want) < EPS * np.linalg.cond(kkt, 1)
 
 
@@ -124,7 +124,7 @@ def test_loop_misfit_and_gradient_match_dense_lu(n, m, scheme):
     yv = rng.standard_normal(window.stop - window.start)
     if not problem.scheme.real_part_only:
         yv = yv + 1j * rng.standard_normal(len(yv))
-    metric = ParameterMetric(grid, stencils, gamma_scale=3000.0)
+    metric = ParameterMetric(stencils, gamma_scale=3000.0)
 
     system, psi, res = problem.residual(0.05, omega, DataVector(values=yv, window=window))
     misfit = data_norm(grid, res)

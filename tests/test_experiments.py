@@ -136,7 +136,7 @@ def test_zero_rotation_truth_runs():
     stencils = build_stencils(grid)
     system = assemble_forward(
         truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref,
-        truth.omega_freq, truth.m, grid, stencils,
+        truth.omega_freq, truth.m, stencils,
     )
     psi, _ = system.solve_values(truth.source(grid).values)
     ref = truth.psi_exact(grid)
@@ -161,7 +161,7 @@ def test_inverse_crime_guard():
         stencils = build_stencils(grid)
         system = assemble_forward(
             truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref,
-            truth.omega_freq, truth.m, grid, stencils,
+            truth.omega_freq, truth.m, stencils,
         )
         psi, _ = system.solve_values(truth.source(grid).values)
         ref = truth.psi_exact(grid)
@@ -180,7 +180,7 @@ def _clean_data(n=64):
     stencils = build_stencils(grid)
     system = assemble_forward(
         truth.gamma_true, truth.omega_exact(grid).values, truth.omega_ref,
-        truth.omega_freq, truth.m, grid, stencils,
+        truth.omega_freq, truth.m, stencils,
     )
     psi, _ = system.solve_values(truth.source(grid).values)
     return grid, DataVector(values=psi.copy(), window=slice(0, n))

@@ -26,7 +26,7 @@ problem = InverseProblem(grid=grid, stencils=stencils, m=truth.m,
                          omega_freq=truth.omega_freq, source=truth.source(grid),
                          scheme=ObservationScheme(), omega_ref=truth.omega_ref)
 _, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
-q = ParameterMetric(grid, stencils).riesz(np.cos(grid.nodes))
+q = ParameterMetric(stencils).riesz(np.cos(grid.nodes))
 assert np.all(np.isfinite(psi.values)) and np.all(np.isfinite(q))
 """
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from conftest import observed_order, wl2
+from conftest import clear_shared, observed_order, wl2
 from field_helpers import data_pairing, inner_product, sample, zero_extension
 from rotwave import (
     ComplexField,
@@ -104,6 +105,21 @@ def test_scheme_validation():
         ObservationScheme(kind="banana")
 
 
+@pytest.mark.parametrize("n, r", [(100, 2.0), (64, 1.0)], ids=["other_radius", "other_n"])
+def test_problem_rejects_stencils_of_another_grid(n, r):
+    # stencils of another radius would solve the wrong operator without a
+    # word, and stencils of another n fail at the first solve inside numpy
+    truth = manufacture_truth("m3_default")
+    grid = build_grid(100)
+    message = f"grid (n=100, r=1.0) has stencils built for another grid (n={n}, r={r})"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        InverseProblem(
+            grid=grid, stencils=build_stencils(build_grid(n, r)), m=truth.m,
+            omega_freq=truth.omega_freq, source=truth.source(grid),
+            scheme=ObservationScheme(), omega_ref=truth.omega_ref,
+        )
+
+
 def test_empty_observation_window_is_rejected():
     # at n = 16 the nodes nearest the equator lie pi/32 from it, outside
     # the window (1.5, pi - 1.5)
@@ -132,7 +148,7 @@ def test_observe_adjoint_zero_extension():
     truth, grid, stencils, full = make_problem(n=100)
     scheme = ObservationScheme(kind="restricted", epsilon=0.5, real_part_only=True)
     restricted = replace(full, scheme=scheme)
-    metric = ParameterMetric(grid, stencils)
+    metric = ParameterMetric(stencils)
     system, psi = full.state(truth.gamma_true, truth.omega_exact(grid).values)
     window = restricted.window
     r = np.random.default_rng(3).standard_normal(window.stop - window.start)
@@ -197,7 +213,7 @@ def test_riesz_eigenfunction_laws(grids):
         g, st_ = grids[n]
         l = 3
         dens = eval_legendre(l, np.cos(g.nodes))
-        out = ParameterMetric(g, st_).riesz(dens)
+        out = ParameterMetric(st_).riesz(dens)
         ref = dens / (l * (l + 1)) ** 2
         # compare up to the mean-zero projection of the input
         ref = ref - np.sum(ref * g.weights) / np.sum(g.weights)
@@ -207,20 +223,20 @@ def test_riesz_eigenfunction_laws(grids):
 
 
 def test_riesz_zero(grid100, stencils100):
-    out = ParameterMetric(grid100, stencils100).riesz(np.zeros(100))
+    out = ParameterMetric(stencils100).riesz(np.zeros(100))
     assert np.max(np.abs(out)) < 1e-14
 
 
 def test_riesz_output_mean_zero(grid100, stencils100):
     rng = np.random.default_rng(0)
-    out = ParameterMetric(grid100, stencils100).riesz(rng.standard_normal(100))
+    out = ParameterMetric(stencils100).riesz(rng.standard_normal(100))
     assert abs(np.sum(out * grid100.weights)) < 1e-10
 
 
 @pytest.mark.parametrize("gamma_scale", [math.nan, math.inf])
 def test_metric_rejects_non_finite_gamma_scale(grid100, stencils100, gamma_scale):
     with pytest.raises(ConfigurationError, match="gamma_scale"):
-        ParameterMetric(grid100, stencils100, gamma_scale=gamma_scale)
+        ParameterMetric(stencils100, gamma_scale=gamma_scale)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +269,7 @@ def test_sensitivity_taylor_remainder():
     g0 = truth.gamma_true
     om0 = truth.omega_exact(grid).values
     system, psi = problem.state(g0, om0)
-    metric = ParameterMetric(grid, stencils)
+    metric = ParameterMetric(stencils)
     rng = np.random.default_rng(7)
     dom = metric.project_mean_zero(rng.standard_normal(64))
     dom /= np.linalg.norm(dom)
@@ -280,7 +296,7 @@ def test_adjoint_identity_all_schemes(scheme):
         truth, grid, stencils, problem = make_problem(
             n=100, truth_name=truth_name, scheme=scheme
         )
-        metric = ParameterMetric(grid, stencils, gamma_scale=2.0)
+        metric = ParameterMetric(stencils, gamma_scale=2.0)
         points = {
             "truth": (truth.gamma_true, truth.omega_exact(grid).values),
             "start": (3 * truth.gamma_true, np.zeros(100)),
@@ -295,9 +311,9 @@ def test_adjoint_identity_all_schemes(scheme):
 def test_stencil_caches_die_with_their_stencils():
     # the band layout of delta_m and the alpha operator are cached on the
     # stencils, not in a module-level table that would keep every sweep
-    # run's delta_m rows alive.  The stencils themselves are shared per
-    # (n, r) from a bounded cache, so what stays alive is at most the bound,
-    # and clearing the caches frees it all.  Weakrefs to the rows as well as
+    # run's delta_m rows alive.  The stencils hang off their grid, which is
+    # shared per (n, r) from a bounded cache, so what stays alive is at most
+    # the bound, and the one clear frees it all.  Weakrefs to the rows as well as
     # to the stencils would catch a table that holds the rows alone.
     config = ExperimentConfig(run_id="shared", n=64, truth="m3_default")
     _, problem, _, _ = build_problem(config)
@@ -316,8 +332,7 @@ def test_stencil_caches_die_with_their_stencils():
     gc.collect()
     for column in zip(*swept):  # stencils, delta_2 rows, alpha rows
         assert sum(ref() is not None for ref in column) <= SHARED_DISCRETIZATIONS
-    build_grid.cache_clear()
-    build_stencils.cache_clear()
+    clear_shared()
     gc.collect()
     refs += [ref for row in swept for ref in row]
     assert [ref() for ref in refs] == [None] * len(refs)
@@ -348,10 +363,10 @@ def _reachable_arrays(root, skip):
 def test_no_band_sized_array_outlives_a_call():
     # the per-problem caches (source right-hand side, window) are small; a
     # cached band or band template would grow every problem by a band
-    # (19 x 2n entries, about 1 MB at n = 1600).  The metric holds its
-    # grid's shared Riesz factorization by design, so that one band is skipped.
+    # (19 x 2n entries, about 1 MB at n = 1600).  The stencils keep their
+    # shared Riesz factorization by design, so that one band is skipped.
     truth, grid, stencils, problem = make_problem(n=400)
-    metric = ParameterMetric(grid, stencils, gamma_scale=3000.0)
+    metric = ParameterMetric(stencils, gamma_scale=3000.0)
     om = truth.omega_exact(grid).values
     y = problem.observed(truth.gamma_true, om)
     problem.state(2 * truth.gamma_true, 0.5 * om)
@@ -361,9 +376,8 @@ def test_no_band_sized_array_outlives_a_call():
     nesterov_landweber(problem, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true)
     band_entries = 19 * 2 * grid.n
     assert system.lu.size == metric._system.lu.size == band_entries
-    arrays = _reachable_arrays(problem, skip=()) + _reachable_arrays(
-        metric, skip=(metric._system.lu,)
-    )
+    riesz = (metric._system.lu,)
+    arrays = _reachable_arrays(problem, skip=riesz) + _reachable_arrays(metric, skip=riesz)
     assert len(arrays) > 20  # the walk reached the caches and the stencils
     assert "source_rhs" in vars(problem)
     assert max(a.size for a in arrays) < band_entries
@@ -371,7 +385,7 @@ def test_no_band_sized_array_outlives_a_call():
 
 def test_gradient_zero_residual():
     truth, grid, stencils, problem = make_problem(n=64)
-    metric = ParameterMetric(grid, stencils)
+    metric = ParameterMetric(stencils)
     system, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
     zero = DataVector(values=np.zeros(grid.n, dtype=complex), window=problem.window)
     grad, dens = adjoint_gradient(problem, zero, psi, system, metric)
@@ -383,7 +397,7 @@ def test_gradient_matches_finite_differences():
     truth, grid, stencils, problem = make_problem(
         n=100, scheme=ObservationScheme(kind="restricted", epsilon=0.3)
     )
-    metric = ParameterMetric(grid, stencils, gamma_scale=3.0)
+    metric = ParameterMetric(stencils, gamma_scale=3.0)
     y = problem.observed(truth.gamma_true, truth.omega_exact(grid).values)
     rng = np.random.default_rng(9)
     # three parameter points x five directions (points away from the truth
@@ -544,7 +558,7 @@ def test_landweber_momentum_weight_first_step_is_plain():
     trace = nesterov_landweber(problem, y, delta=0.0, config=config, gamma_init=gamma0)
     assert trace.stop_index == 1
 
-    metric = ParameterMetric(grid, stencils, gamma_scale=config.gamma_scale)
+    metric = ParameterMetric(stencils, gamma_scale=config.gamma_scale)
     system, psi = problem.state(gamma0, omega0)
     obs = observe(psi, problem.scheme, grid)
     res = DataVector(values=obs.values - y.values, window=obs.window)
@@ -638,7 +652,7 @@ def test_tcc_probe_skips_degenerate_pairs():
     truth, grid, stencils, problem = make_problem(n=64)
     report = tcc_probe(
         problem,
-        ParameterMetric(grid, stencils),
+        ParameterMetric(stencils),
         truth.gamma_true,
         truth.omega_exact(grid).values,
         radius=1e-300,
@@ -653,7 +667,7 @@ def test_tcc_probe_bounded_ratios():
     truth, grid, stencils, problem = make_problem(n=64)
     report = tcc_probe(
         problem,
-        ParameterMetric(grid, stencils),
+        ParameterMetric(stencils),
         truth.gamma_true,
         truth.omega_exact(grid).values,
         radius=0.05,
@@ -667,7 +681,7 @@ def test_tcc_probe_bounded_ratios():
 
 def test_tcc_probe_validation():
     truth, grid, stencils, problem = make_problem(n=64)
-    metric = ParameterMetric(grid, stencils)
+    metric = ParameterMetric(stencils)
     with pytest.raises(ConfigurationError):
         tcc_probe(problem, metric, truth.gamma_true, np.zeros(64), -1.0, n_samples=2, rng_seed=0)
     with pytest.raises(ConfigurationError):
@@ -677,7 +691,7 @@ def test_tcc_probe_validation():
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 def test_tcc_probe_rejects_non_finite_radius(radius):
     truth, grid, stencils, problem = make_problem(n=64)
-    metric = ParameterMetric(grid, stencils)
+    metric = ParameterMetric(stencils)
     with pytest.raises(ConfigurationError, match="radius"):
         tcc_probe(problem, metric, truth.gamma_true, np.zeros(64), radius, 2, rng_seed=0)
 
@@ -694,7 +708,7 @@ def test_observed_matches_pipeline():
     truth, grid, stencils, problem = make_problem(n=64)
     om = truth.omega_exact(grid).values
     system = assemble_forward(
-        truth.gamma_true, om, truth.omega_ref, truth.omega_freq, truth.m, grid, stencils
+        truth.gamma_true, om, truth.omega_ref, truth.omega_freq, truth.m, stencils
     )
     psi, _ = system.solve_values(truth.source(grid).values)
     d = observe(ComplexField(m=truth.m, values=psi), problem.scheme, grid)
@@ -741,7 +755,7 @@ def test_observed_linear_in_source():
 def test_tcc_ratio_gamma_only_perturbations():
     # pairs differing only in the viscosity: ratios finite and bounded
     truth, grid, stencils, problem = make_problem(n=64)
-    metric = ParameterMetric(grid, stencils)
+    metric = ParameterMetric(stencils)
     om_true = truth.omega_exact(grid).values
     rng = np.random.default_rng(12)
     base_sys, base_psi = problem.state(truth.gamma_true, om_true)

@@ -92,7 +92,7 @@ def test_apply_alpha_adjoint_identity(n):
     for _ in range(5):
         u, v = rng.standard_normal(n), rng.standard_normal(n)
         lhs = np.sum((st_.alpha @ u) * v * w)
-        rhs = np.sum(u * apply_alpha_adjoint(g, st_, v) * w)
+        rhs = np.sum(u * apply_alpha_adjoint(st_, v) * w)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -136,7 +136,7 @@ def test_forward_reference_rotation_drops_beta(grid100, stencils100):
 
 def test_forward_rejects_nonpositive_gamma(grid100, stencils100):
     with pytest.raises(ConfigurationError):
-        assemble_forward(0.0, const_rotation(grid100, 1.0), 0.0, 1.0, 2, grid100, stencils100)
+        assemble_forward(0.0, const_rotation(grid100, 1.0), 0.0, 1.0, 2, stencils100)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
@@ -144,7 +144,7 @@ def test_forward_rejects_non_finite_gamma(grid100, stencils100, gamma):
     # `gamma <= 0` let both through: NaN factored a NaN band that read as a
     # near-resonance
     with pytest.raises(ConfigurationError, match="0 < gamma < inf"):
-        assemble_forward(gamma, const_rotation(grid100, 1.0), 0.0, 1.0, 2, grid100, stencils100)
+        assemble_forward(gamma, const_rotation(grid100, 1.0), 0.0, 1.0, 2, stencils100)
 
 
 def test_bandwidth_is_bounded(grid100, stencils100):
@@ -168,20 +168,20 @@ def manufactured_case(grid, stencils, gamma=0.3, om_freq=2.0, m=2, om0=0.8):
 
 def test_solve_manufactured(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    system = assemble_forward(*p, om_freq, m, stencils100)
     out, _ = system.solve_values(f.values)
     assert wl2(grid100, out - psi.values) / wl2(grid100, psi.values) < 1e-5
 
 
 def test_solve_zero_rhs(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    system = assemble_forward(*p, om_freq, m, stencils100)
     assert np.all(system.solve_values(np.zeros(100, dtype=complex))[0] == 0)
 
 
 def test_solve_linearity(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    system = assemble_forward(*p, om_freq, m, stencils100)
     x1, _ = system.solve_values(f.values)
     x2, _ = system.solve_values(2 * f.values)
     assert np.max(np.abs(x2 - 2 * x1)) < 1e-12 * np.max(np.abs(x1))
@@ -189,7 +189,7 @@ def test_solve_linearity(grid100, stencils100):
 
 def test_solve_residual_contract(grid100, stencils100):
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    system = assemble_forward(*p, om_freq, m, stencils100)
     x, _ = system.solve_values(f.values)
     matrix = assemble_dense(*p, om_freq, m, grid100, stencils100)
     res = np.linalg.norm(matrix @ x - f.values)
@@ -215,7 +215,7 @@ def test_factorization_reproduces_matrix(grid100, stencils100):
     # factorization quality measured by the backward residual (the forward
     # error is bounded by kappa * eps, not 1e-12, for a fourth-order band)
     p, psi, f, om_freq, m = manufactured_case(grid100, stencils100)
-    system = assemble_forward(*p, om_freq, m, grid100, stencils100)
+    system = assemble_forward(*p, om_freq, m, stencils100)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     matrix = assemble_dense(*p, om_freq, m, grid100, stencils100)
@@ -250,7 +250,7 @@ def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, ste
     # gbtrf writes the LU over the band only if the band is Fortran-ordered;
     # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin.
     passed = _record_gbtrf_bands(monkeypatch)
-    system = assemble_forward(0.05, np.cos(grid100.nodes) ** 2, 0.1, 1.3, m, grid100, stencils100)
+    system = assemble_forward(0.05, np.cos(grid100.nodes) ** 2, 0.1, 1.3, m, stencils100)
     assert [band.dtype for band in passed] == [complex]
     _assert_factored_in_place_and_dropped(system, passed[0])
 
@@ -262,8 +262,8 @@ def test_riesz_band_is_factored_in_place(monkeypatch, grid100):
     # them factors nothing
     stencils = DerivativeStencils(grid100)
     passed = _record_gbtrf_bands(monkeypatch)
-    system = ParameterMetric(grid100, stencils)._system
-    assert ParameterMetric(grid100, stencils, gamma_scale=3000.0)._system is system
+    system = ParameterMetric(stencils)._system
+    assert ParameterMetric(stencils, gamma_scale=3000.0)._system is system
     assert [band.dtype for band in passed] == [float]
     _assert_factored_in_place_and_dropped(system, passed[0])
 
@@ -286,7 +286,7 @@ def test_near_resonance_detection(grid100, stencils100):
     om0, m = 0.8, 1
     omega_freq = _resonant_frequency(stencils100, m, om0, l=2)
     with pytest.raises(NearResonanceError) as err:
-        assemble_forward(1e-15, const_rotation(grid100, om0), om0, omega_freq, m, grid100, stencils100)
+        assemble_forward(1e-15, const_rotation(grid100, om0), om0, omega_freq, m, stencils100)
     assert err.value.m == m
     assert err.value.omega_freq == pytest.approx(omega_freq)
 
@@ -405,7 +405,7 @@ def _mode_agreement(grids, m, omega_fn, omega_ref):
     for n in ns:
         g, st_ = grids[n]
         p = (0.4, omega_fn(g.nodes), omega_ref)
-        fwd = assemble_forward(*p, 2.0, m, g, st_)
+        fwd = assemble_forward(*p, 2.0, m, st_)
         con = assemble_adjoint(*p, 2.0, m, g, st_)
         x = np.cos(g.nodes)
         f = ComplexField(
@@ -426,7 +426,7 @@ def test_adjoint_modes_agree_m0(grids):
     for n in ns:
         g, st_ = grids[n]
         p = (0.4, np.cos(g.nodes) ** 2, 0.1)
-        fwd = assemble_forward(*p, 2.0, 0, g, st_)
+        fwd = assemble_forward(*p, 2.0, 0, st_)
         con = assemble_adjoint(*p, 2.0, 0, g, st_)
         x = np.cos(g.nodes)
         f = ComplexField(m=0, values=(lpmv(0, 1, x) + 0.5 * lpmv(0, 3, x)).astype(complex))
@@ -449,15 +449,15 @@ def test_adjoint_modes_agree_constant_rotation(grids):
 
 
 def test_frequency_condition_zero_rotation(grid100, stencils100):
-    rep = frequency_condition(1.0, const_rotation(grid100, 0.0), 0.0, 0.5, grid100, stencils100)
+    rep = frequency_condition(1.0, const_rotation(grid100, 0.0), 0.0, 0.5, stencils100)
     assert rep.rhs == pytest.approx(0.0, abs=1e-20)
     assert rep.satisfied
 
 
 def test_frequency_condition_monotone_in_gamma(grid100, stencils100):
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    r1 = frequency_condition(1.0, rot, 0.0, 1.0, grid100, stencils100)
-    r10 = frequency_condition(10.0, rot, 0.0, 1.0, grid100, stencils100)
+    r1 = frequency_condition(1.0, rot, 0.0, 1.0, stencils100)
+    r10 = frequency_condition(10.0, rot, 0.0, 1.0, stencils100)
     assert r10.rhs < r1.rhs
 
 
@@ -465,23 +465,23 @@ def test_frequency_condition_quadrature_value(grid100, stencils100):
     # Omega = cos^2, gamma = 1, r = 1, unit constants, Omega_ref = 0:
     # ||Omega||_H1^2 = 2/5 + 16/15 = 22/15, threshold = 4*(10*22/15)^2 = 7744/9
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep = frequency_condition(1.0, rot, 0.0, 1.0, grid100, stencils100)
+    rep = frequency_condition(1.0, rot, 0.0, 1.0, stencils100)
     assert rep.rhs == pytest.approx(7744 / 9, rel=1e-3)
     assert not rep.satisfied
 
 
 def test_smallness_condition_constant_and_m0(grid100, stencils100):
     rot_const = const_rotation(grid100, 5.0)
-    rep = smallness_condition(0.01, rot_const, 4, grid100, stencils100)
+    rep = smallness_condition(0.01, rot_const, 4, stencils100)
     assert rep.lhs < 1e-10 and rep.satisfied
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep0 = smallness_condition(0.01, rot, 0, grid100, stencils100)
+    rep0 = smallness_condition(0.01, rot, 0, stencils100)
     assert rep0.lhs == 0.0 and rep0.satisfied
 
 
 def test_smallness_condition_quadrature_value(grid100, stencils100):
     # ||Omega'||_L2 = sqrt(16/15) for Omega = cos^2 on r = 1
     rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep = smallness_condition(0.01, rot, 3, grid100, stencils100)
+    rep = smallness_condition(0.01, rot, 3, stencils100)
     assert rep.lhs == pytest.approx(3 * np.sqrt(16 / 15), rel=1e-3)
     assert not rep.satisfied

@@ -1,17 +1,21 @@
-"""One grid and one stencils object per (n, r) and process, and on them one
-noise-free set-up per truth (truth, nodal source, Omega*, clean state) and
-one Riesz band: the shared arrays refuse writes, each piece is built once
-per process, and runs give the same numbers whether it was built for them
-or reused from an earlier run."""
+"""One grid per (n, r) and process, and hanging off it its stencils, its
+observation windows, one Riesz band and one noise-free set-up per truth
+(truth, nodal source, Omega*, clean state): the shared arrays refuse
+writes, each piece is built once per process, the one clear drops them all,
+and runs give the same numbers whether a piece was built for them or
+reused from an earlier run."""
 
+import gc
 import hashlib
 import math
+import weakref
 from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from conftest import clear_shared
 import rotwave.experiments as experiments
 import rotwave.inversion as inversion
 from rotwave import (
@@ -30,11 +34,6 @@ from rotwave import (
 )
 
 
-def clear_shared():
-    build_grid.cache_clear()
-    build_stencils.cache_clear()
-
-
 def m2_problem():
     """build_problem's (truth, problem, psi*, y) for m2_default at n = 100."""
     return experiments.build_problem(ExperimentConfig(n=100, truth="m2_default"))
@@ -48,8 +47,8 @@ SHARED_ARRAYS = {
     "psi*.values": lambda g, st: m2_problem()[2].values,
     "psi*.phi": lambda g, st: m2_problem()[2].phi,
     "omega*": lambda g, st: experiments.noise_free(m2_problem()[0], st).omega,
-    "riesz.lu": lambda g, st: ParameterMetric(g, st)._system.lu,
-    "riesz.pin.y": lambda g, st: ParameterMetric(g, st)._system._pin.y,
+    "riesz.lu": lambda g, st: ParameterMetric(st)._system.lu,
+    "riesz.pin.y": lambda g, st: ParameterMetric(st)._system._pin.y,
     "alpha.weights": lambda g, st: st.alpha.weights,
     "alpha.columns": lambda g, st: st.alpha.columns,
     **{
@@ -70,6 +69,40 @@ def test_shared_arrays_refuse_in_place_writes(name):
     with pytest.raises(ValueError, match="read-only"):
         array *= 2.0
     assert np.array_equal(array, before)
+
+
+def _sweep_derived_refs():
+    """Weak references to the grid of an epsilon sweep, which holds the
+    sweep's two observation windows, and to all else the sweep derived from
+    that grid: the stencils, the truth, the Riesz band and the noise-free
+    set-up.  n = 48 and this truth serve no fixture, so nothing outside the
+    shared caches holds them."""
+    overrides = {"gamma_true": 0.06}
+    base = ExperimentConfig(
+        run_id="owned", n=48, truth="m2_default", truth_overrides=overrides,
+        noise=NoiseSpec(relative_level=0.05, seed=0),
+        iteration=IterationConfig(max_iter=5, gamma_scale=3000.0),
+    )
+    records, _ = sweep(base, "epsilon_values", [0.0, 0.3])
+    assert None not in records
+    truth = manufacture_truth("m2_default", overrides)
+    grid = build_grid(48, truth.r)
+    stencils = build_stencils(grid)
+    owned = {
+        "grid": grid,
+        "stencils": stencils,
+        "truth": truth,
+        "riesz": inversion.riesz_system(stencils),
+        "noise-free": experiments.noise_free(truth, stencils),
+    }
+    return {name: weakref.ref(obj) for name, obj in owned.items()}
+
+
+def test_one_clear_drops_a_sweep_grid_and_all_it_derived():
+    refs = _sweep_derived_refs()
+    clear_shared()
+    gc.collect()
+    assert {name: ref() is None for name, ref in refs.items()} == dict.fromkeys(refs, True)
 
 
 def test_sweep_records_equal_with_warm_and_cleared_caches(monkeypatch):
