@@ -15,6 +15,7 @@ from .grid import (
     build_stencils,
 )
 from .operator import (
+    AxisymmetricSystem,
     State,
     WaveSystem,
     apply_B_prime,

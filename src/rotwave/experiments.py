@@ -14,8 +14,10 @@ error (no inverse crime).
 An experiment's noise-free part is built once per process and shared by
 every run that needs it: `manufacture_truth` returns one read-only
 `GroundTruth` per (name, overrides), and `noise_free` keeps, on the
-stencils of the run's grid, each truth's nodal source, Omega* and clean
-state psi* (`NoiseFree`), so that they die with the grid.  `build_problem`
+stencils of the run's grid and under the truth's settings
+(`GroundTruth.settings`), each truth's nodal source, Omega* and clean
+state psi* (`NoiseFree`), so that they die with the grid and a truth made
+again after the truth cache dropped it finds them.  `build_problem`
 gives each run its own `InverseProblem` on the shared source and observes
 the run's data from the shared psi* through the run's scheme, so one
 clean state serves every noise level and observation scheme of a sweep;
@@ -332,6 +334,14 @@ class GroundTruth:
         self.omega_freq = float(omega_freq)
         self.omega_ref = float(omega_ref)
         self.r = float(r)
+        # one string per distinct set of settings, equal for equal ones:
+        # repr tells 0.0 from -0.0, which compare equal.  `noise_free` keys
+        # on it, so a truth evicted and made again finds its set-up
+        self.settings = repr((
+            psi_name, sorted(self.psi_coeffs.items()), self.amplitude, self.phase,
+            omega_name, sorted(self.omega_coeffs.items()), self.gamma_true, self.m,
+            self.omega_freq, self.omega_ref, self.r,
+        ))
         for name in ("amplitude", "phase", "gamma_true", "omega_freq", "omega_ref", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(
@@ -614,8 +624,9 @@ class NoiseFree:
 
 def noise_free(truth: GroundTruth, stencils: DerivativeStencils) -> NoiseFree:
     """The truth's `NoiseFree` set-up on the stencils' grid, computed on first
-    use and kept in `stencils.derived`, so shared by every run on that grid."""
-    key = ("noise_free", truth)
+    use and kept in `stencils.derived` under the truth's settings, so shared
+    by every run on that grid with an equal truth."""
+    key = ("noise_free", truth.settings)
     setup = stencils.derived.get(key)
     if setup is None:
         grid = stencils.grid

@@ -24,7 +24,7 @@ solve in the H2 metric, which acts as a smoothing preconditioner and pins
 the weighted mean to zero.
 
 `InverseProblem.state` is the one place a forward state is built and
-solved: one `assemble_forward` and one `WaveSystem.solve_mixed`.
+solved: one `assemble_forward` and one `solve_mixed` of the system it returns.
 `observe` is the one way to make data from a state (`observed` calls it),
 and `residual` restricts psi through the window and subtracts y.
 `nesterov_landweber` refuses data from another window, and complex data
@@ -44,7 +44,9 @@ band (`riesz_system`, kept in `DerivativeStencils.derived`), which every
 `ParameterMetric` on those stencils takes, whatever its gamma_scale.  Both
 die with their grid.  The observed weights are the view
 `grid.weights[window]`.  No band-sized array outlives the call that
-factors it, apart from the Riesz factorization.
+factors it, apart from the Riesz factorization and the m = 0 operator's
+node-pinned delta_0 (`operator.pinned_delta0`), one of each per stencils
+object.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -69,6 +71,7 @@ from .grid import (
     weighted_norm,
 )
 from .operator import (
+    ForwardSystem,
     State,
     WaveSystem,
     apply_alpha_adjoint,
@@ -252,7 +255,7 @@ class InverseProblem:
         full.flags.writeable = False
         return full
 
-    def state(self, gamma: float, omega_values: np.ndarray) -> tuple[WaveSystem, State]:
+    def state(self, gamma: float, omega_values: np.ndarray) -> tuple[ForwardSystem, State]:
         """The factored forward operator at (gamma, Omega) and the state
         psi = S(gamma, Omega) from one `assemble_forward` and one solve."""
         system = assemble_forward(
@@ -267,7 +270,7 @@ class InverseProblem:
 
     def residual(
         self, gamma: float, omega_values: np.ndarray, y: DataVector
-    ) -> tuple[WaveSystem, State, DataVector]:
+    ) -> tuple[ForwardSystem, State, DataVector]:
         """State at a point and its data residual F(p) - y = `restrict`(psi) - y."""
         system, psi = self.state(gamma, omega_values)
         r = restrict(psi.values, self.scheme, self.window) - y.values
@@ -277,7 +280,7 @@ class InverseProblem:
 def sensitivity(
     dp: GradientPair,
     psi: State,
-    system: WaveSystem,
+    system: ForwardSystem,
     grid: Grid,
     stencils: DerivativeStencils,
     scheme: ObservationScheme,
@@ -292,7 +295,7 @@ def adjoint_gradient(
     problem: InverseProblem,
     residual: DataVector,
     psi: State,
-    system: WaveSystem,
+    system: ForwardSystem,
     metric: ParameterMetric,
 ):
     """Riesz gradient of the misfit functional driven by a data residual.

@@ -32,8 +32,8 @@ five slice writes into LAPACK band storage, allocated in Fortran order:
 the real ones through the band's real view, the imaginary coefficients
 i d and i a through its imaginary view, so that no write casts.
 `WaveSystem` is the one type that builds, factors and solves a mixed
-band: the forward operator (`assemble_forward`, which in the package
-only `inversion.InverseProblem.state` calls) and the H2 Riesz map of
+band: the forward operator for m != 0 (`assemble_forward`, which in the
+package only `inversion.InverseProblem.state` calls) and the H2 Riesz map of
 `inversion.ParameterMetric` (the real m = 0 band with gamma = 1, one per
 stencils object, made read-only by `WaveSystem.read_only`) each build
 one.  Its constructor factors K with gbtrf in place of the band (a
@@ -59,12 +59,25 @@ For m = 0, delta_0 annihilates constants, so the axisymmetric problem is
 posed on mean-zero fields through the mean pin s 1 v^T (v = w / sum w)
 added to B: it removes the null space, acts as zero on discretely mean-zero
 fields and is self-adjoint in the weighted inner product, so the discrete
-and continuous adjoints share it.  The band carries a one-node pin
-s e_c e_c^T at the equator node c instead, on the a-entry of row 2c, and
-the difference s (1 v^T - e_c e_c^T) is a rank-2 Woodbury correction
-applied around each band solve, to phi as well as to psi (`_MeanPin`).  s
-is the largest entry of gamma delta_0 + i omega, the block of K the pin
-shares a row with.
+and continuous adjoints share it.  s is the largest entry of
+G = gamma delta_0 + i omega.  K has no coupling block then, so
+B_mean = G delta_0 + s 1 v^T splits into two n-point bands with
+kl = ku = 3 (`AxisymmetricSystem`, which `assemble_forward` builds for
+omega != 0): G, factored per build, and the node-pinned
+L_n = delta_0 + t e_c e_c^T at the equator node c, factored once per
+stencils object together with delta_0's left null vector
+ell = L_n^-T e_c (`pinned_delta0`).  ell^T B_mean psi = s (ell^T 1) v^T psi
+fixes the mean of psi, so a state is one G solve against the source minus
+its ell-component, then one L_n solve and a mean shift; the adjoint is the
+same two solves transposed, in the other order.  At omega = 0 G is
+singular, and near it G's pivots fall below `PIVOT_RTOL`; those m = 0
+operators keep the mixed band, which carries the one-node pin
+s e_c e_c^T on the a-entry of row 2c and turns it into the mean pin with a
+rank-2 Woodbury correction around each band solve, to phi as well as to
+psi (`_MeanPin`).  The H2 Riesz band is such a pinned mixed band too
+(gamma = 1, no d block, so G = delta_0 is singular), and it stays one:
+its solves feed every reconstruction, where a relative change of 2e-16 in
+the Riesz map moves criterion 6's residual history by up to 2e-8.
 
 gbtrf and gbtrs are scipy's own f2py wrappers, taken from its compiled
 LAPACK module `scipy.linalg._flapack`, which `_load_flapack` loads by file
@@ -98,11 +111,12 @@ from .grid import (
 # n = 100, m = 1, gamma = 1e-15 the ratio is 2.5e-14 / 1.2e-13 / 2.9e-13 on
 # the l = 2 / 3 / 5 resonances and 1.15e-4 / 9.05e-5 / 4.35e-5 a frequency
 # step of 1e-3 away.  On the default truths it is 4.0e-3 (m2) and 1.9e-3
-# (m3) at n = 100 and settles near 3.4e-3 and 1.5e-3 for larger n; for m0 it
-# falls like 1/n: 1.1e-3 at n = 1600, 2.8e-4 at n = 6400.
+# (m3) at n = 100 and settles near 3.4e-3 and 1.5e-3 for larger n; for m0,
+# the ratio of G = gamma delta_0 + i omega, it falls like 1/n: 3.9e-2 at
+# n = 100, 2.5e-3 at n = 1600, 6.1e-4 at n = 6400.
 PIVOT_RTOL = 1e-12
 
-_REACH = 3  # delta_m couples nodes at most this far apart
+_REACH = 3  # delta_m couples nodes at most this far apart; kl = ku of an n-point band
 _KL = _KU = 2 * _REACH  # sub- and superdiagonals of K, unknowns interleaved
 _DIAG = _KL + _KU  # band-storage row of the main diagonal (rows above: fill-in)
 _DELTA_ROWS = slice(_DIAG - _KL, _DIAG + _KL + 1, 2)  # band rows of delta_m's diagonals
@@ -144,12 +158,14 @@ def apply_alpha_adjoint(stencils: DerivativeStencils, v: np.ndarray) -> np.ndarr
 # ----------------------------------------------------------------------
 
 
-def _gbtrs(lu: np.ndarray, piv: np.ndarray, full: np.ndarray, trans: int, overwrite: int) -> np.ndarray:
-    """Solve against a band LU for `full`, a Fortran-ordered right-hand side
-    of the LU's dtype, in place of it when `overwrite` is 1 and else in a
-    copy that f2py makes."""
+def _gbtrs(
+    lu: np.ndarray, piv: np.ndarray, full: np.ndarray, trans: int, overwrite: int, kl: int = _KL
+) -> np.ndarray:
+    """Solve against a band LU with kl = ku (K's unless given) for `full`, a
+    Fortran-ordered right-hand side of the LU's dtype, in place of it when
+    `overwrite` is 1 and else in a copy that f2py makes."""
     gbtrs = _GBTRS[lu.dtype.char]
-    return gbtrs(lu, _KL, _KU, full, piv, trans=trans, overwrite_b=overwrite)[0]
+    return gbtrs(lu, kl, kl, full, piv, trans=trans, overwrite_b=overwrite)[0]
 
 
 def mixed_rhs(rhs: np.ndarray, dtype) -> np.ndarray:
@@ -279,6 +295,122 @@ class WaveSystem:
         return self.solve_adjoint_mixed(full) / weights
 
 
+# ----------------------------------------------------------------------
+# the m = 0 operator as two n-point bands
+# ----------------------------------------------------------------------
+
+
+def _delta0_band(stencils: DerivativeStencils, gamma: float) -> np.ndarray:
+    """gamma delta_0 in complex LAPACK band storage with kl = ku = 3
+    (fill-in rows above), Fortran-ordered for an in-place gbtrf."""
+    dia = stencils.delta_matrix(0).diagonals
+    band = np.zeros((3 * _REACH + 1, dia.shape[1]), dtype=complex, order="F")
+    band.real[_REACH:] = gamma * dia
+    return band
+
+
+class PinnedDelta0:
+    """What the m = 0 solves of one grid share: the LU of the node-pinned
+    L_n = delta_0 + t e_c e_c^T (c the equator node, t the largest |entry|
+    of delta_0), delta_0's left null vector ell = L_n^-T e_c with its sum,
+    and the mean pin's v = w / sum w.  L_n 1 = t e_c gives t ell_c = 1 and
+    so ell^T delta_0 = 0.  The LU is complex although L_n is real: one
+    zgbtrs on a complex vector is faster than dgbtrs on its real and
+    imaginary parts (54 against 75 us at n = 1600, one BLAS thread on a
+    2-vCPU x86-64 VM).  Read-only; built once per stencils object
+    (`pinned_delta0`)."""
+
+    def __init__(self, stencils: DerivativeStencils):
+        band = _delta0_band(stencils, 1.0)
+        node = band.shape[1] // 2
+        band.real[2 * _REACH, node] += np.max(np.abs(band[_REACH:]))
+        self.lu, self.piv, _ = _GBTRF["D"](band, _REACH, _REACH, overwrite_ab=1)
+        e = np.zeros(band.shape[1], dtype=complex)
+        e[node] = 1.0
+        self.ell = _gbtrs(self.lu, self.piv, e, 1, 1, _REACH).real
+        self.ell_sum = float(np.sum(self.ell))
+        w = stencils.grid.weights
+        self.v = w / np.sum(w)
+        for a in (self.lu, self.piv, self.ell, self.v):
+            a.flags.writeable = False
+
+
+def pinned_delta0(stencils: DerivativeStencils) -> PinnedDelta0:
+    """The stencils' `PinnedDelta0`: built on first use and kept in
+    `stencils.derived`, so shared by every m = 0 system on them."""
+    pinned = stencils.derived.get("delta0")
+    if pinned is None:
+        pinned = stencils.derived["delta0"] = PinnedDelta0(stencils)
+    return pinned
+
+
+class AxisymmetricSystem:
+    """The m = 0 operator B_mean = G delta_0 + s 1 v^T, G = gamma delta_0 +
+    i omega with omega != 0, s the largest |entry| of G: G's band factored
+    in place at construction (`lu`, `piv`, `pivot_ratio` are G's), solved
+    together with the grid's `PinnedDelta0`.  It offers `WaveSystem`'s
+    solves, which take and return the same arrays.
+
+    With ell^T G = i omega ell^T and ell^T delta_0 = 0, a state is
+    c = ell^T f / (s ell^T 1), phi = G^-1 (f - (ell^T f / ell^T 1) 1),
+    x = L_n^-1 phi, psi = x + (c - v^T x) 1; the adjoint B_mean^H a = g is
+    y = L_n^-T (g - (1^T g) v), b = G^-H y,
+    a = b + ((1^T g / s - 1^T b) / 1^T ell) ell.  G 1 = i omega 1 and
+    G^H ell = -i omega ell, so G^-1 and G^-H amplify those directions by
+    1 / omega.  Two projections, zero in exact arithmetic, keep the solves
+    accurate as omega -> 0: phi is projected onto ell^T phi = 0 along 1,
+    which removes rounding amplified along 1, and y onto 1^T y = 0 along
+    ell, which removes the O(1) part along ell that L_n^-T leaves and G^-H
+    would amplify.
+    """
+
+    def __init__(self, stencils: DerivativeStencils, gamma: float, omega_freq: float):
+        self._delta0 = pinned_delta0(stencils)
+        band = _delta0_band(stencils, gamma)
+        band.imag[2 * _REACH] = omega_freq
+        self.scale = float(np.max(np.abs(band[_REACH:])))
+        self.lu, self.piv, _ = _GBTRF["D"](band, _REACH, _REACH, overwrite_ab=1)
+        pivots = np.abs(self.lu[2 * _REACH])
+        self.pivot_ratio = float(pivots.min() / pivots.max())
+
+    def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, phi): psi = B_mean^-1 rhs and phi = delta_0 psi."""
+        pinned = self._delta0
+        ell_f = pinned.ell @ rhs
+        phi = _gbtrs(self.lu, self.piv, rhs - ell_f / pinned.ell_sum, 0, 1, _REACH)
+        phi -= (pinned.ell @ phi) / pinned.ell_sum
+        psi = _gbtrs(pinned.lu, pinned.piv, phi, 0, 0, _REACH)
+        psi += ell_f / (self.scale * pinned.ell_sum) - pinned.v @ psi
+        return psi, phi
+
+    def solve_mixed(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, phi) for the source at the even positions of `full`, a
+        right-hand side in K's layout (`mixed_rhs`), which stays as it is."""
+        return self.solve_values(full[0::2])
+
+    def _solve_adjoint(self, g: np.ndarray) -> np.ndarray:
+        """a with B_mean^H a = g."""
+        pinned = self._delta0
+        g_sum = np.sum(g)
+        y = _gbtrs(pinned.lu, pinned.piv, g - g_sum * pinned.v, 1, 1, _REACH)
+        y -= (np.sum(y) / pinned.ell_sum) * pinned.ell
+        a = _gbtrs(self.lu, self.piv, y, 2, 1, _REACH)
+        a += ((g_sum / self.scale - np.sum(a)) / pinned.ell_sum) * pinned.ell
+        return a
+
+    def solve_adjoint_mixed(self, full: np.ndarray) -> np.ndarray:
+        """a with B_mean^H a = g for g at the odd positions of `full`."""
+        return self._solve_adjoint(full[1::2])
+
+    def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Solve (W^-1 B_mean^H W) z = rhs: B_mean^H a = W rhs, then z = a / w."""
+        return self._solve_adjoint(weights * rhs) / weights
+
+
+# what `assemble_forward` returns; both offer the same solves
+ForwardSystem = WaveSystem | AxisymmetricSystem
+
+
 @dataclass(frozen=True, eq=False)
 class State(ComplexField):
     """A solved field psi together with phi = delta_m psi from the same mixed
@@ -294,21 +426,28 @@ def assemble_forward(
     omega_freq: float,
     m: int,
     stencils: DerivativeStencils,
-) -> WaveSystem:
+) -> ForwardSystem:
     """The factored forward operator at (gamma, Omega) with Omega by its nodal
-    values `omega`: the band of d = omega_freq - m beta and a = m alpha, or
-    of d = omega_freq and no a block and mean-pinned for m = 0.  The model
-    and both well-posedness bounds assume 0 < gamma < inf; any other gamma
-    (NaN too) is a ConfigurationError.  A pivot ratio below `PIVOT_RTOL`
-    raises `NearResonanceError`, a NaN one (zero or non-finite band) too."""
+    values `omega`: the band of d = omega_freq - m beta and a = m alpha; for
+    m = 0 the two bands of `AxisymmetricSystem`, or, when omega_freq = 0 or
+    G's pivot ratio is below `PIVOT_RTOL`, the mean-pinned band of
+    d = omega_freq and no a block.  The model and both well-posedness
+    bounds assume 0 < gamma < inf; any other gamma (NaN too) is a
+    ConfigurationError.  A pivot ratio below `PIVOT_RTOL` raises
+    `NearResonanceError`, a NaN one (zero or non-finite band) too."""
     if not 0 < gamma < math.inf:  # NaN fails too
         raise ConfigurationError(f"forward operator needs 0 < gamma < inf, got {gamma}")
-    d, a = omega_freq, None
-    if m != 0:
+    if m == 0:
+        if omega_freq != 0:
+            system = AxisymmetricSystem(stencils, gamma, omega_freq)
+            if system.pivot_ratio >= PIVOT_RTOL:
+                return system
+        system = WaveSystem(stencils.delta_matrix(0), gamma, omega_freq,
+                            pin_weights=stencils.grid.weights)
+    else:
         d = omega_freq - m * (omega - omega_ref)
         a = m * (stencils.alpha @ omega)
-    pin_weights = stencils.grid.weights if m == 0 else None
-    system = WaveSystem(stencils.delta_matrix(m), gamma, d, a, pin_weights)
+        system = WaveSystem(stencils.delta_matrix(m), gamma, d, a)
     if not system.pivot_ratio >= PIVOT_RTOL:
         raise NearResonanceError(omega_freq, m, system.pivot_ratio)
     return system

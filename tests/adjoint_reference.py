@@ -6,6 +6,9 @@ here densify the package's own band stencils instead:
 
 - `assemble_dense` is B with the m = 0 mean pin as an n x n matrix, the
   reference the band solves are checked against with dense LU;
+- `assemble_dense_mixed` is the same m = 0 operator in mixed form, a
+  2n x 2n matrix whose condition grows like n^2, not n^4, so that its
+  dense LU stays a reference to 1e-10 at n = 400;
 - `dense_kkt` is the KKT matrix whose solve the band Riesz map replaces;
 - `assemble_adjoint` and `continuous_gradient` discretize the analytic
   adjoint operator and the analytic form of the Omega gradient density;
@@ -45,6 +48,19 @@ def assemble_dense(gamma, omega, omega_ref, omega_freq, m, grid, stencils):
     else:
         mat = mat + mean_pin(grid, gamma, omega_freq, lap)
     return mat
+
+
+def assemble_dense_mixed(gamma, omega_freq, grid, stencils):
+    """[[gamma delta_0 + i omega, s 1 v^T], [-I, delta_0]], the m = 0 mixed
+    matrix with the mean pin: its solve against [f; 0] is [phi; psi] with
+    `assemble_dense` psi = f and phi = delta_0 psi, and its conjugate
+    transpose against [0; g] gives a with B^H a = g in the first half."""
+    n = grid.n
+    lap = dense(stencils.delta_matrix(0))
+    return np.block([
+        [gamma * lap + 1j * omega_freq * np.eye(n), mean_pin(grid, gamma, omega_freq, lap)],
+        [-np.eye(n), lap],
+    ])
 
 
 def dense_alpha(grid, stencils):

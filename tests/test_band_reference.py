@@ -8,6 +8,9 @@ Tolerances:
   the state's phi against delta_m of the dense psi.  The band answers sit
   10-1000x inside it; a dropped m = 0 correction (of psi or of phi) or a
   transposed adjoint moves them by O(1) on these random right-hand sides.
+- m = 0 solves against the dense mixed matrix (`assemble_dense_mixed`):
+  its condition grows like n^2, so its LU is good to about 5e-11 at
+  n = 400 and the gap is held to 1e-10.
 - apply_B_prime: both sides are the same products in another order; on a
   random state nothing cancels, so the gap is 50 eps relative.
 - the Nesterov-Landweber loop's misfit and gradient: the misfit inherits
@@ -19,22 +22,35 @@ Tolerances:
 import numpy as np
 import pytest
 
-from adjoint_reference import assemble_dense, dense, dense_alpha, dense_b_prime, dense_kkt
+from adjoint_reference import (
+    assemble_dense,
+    assemble_dense_mixed,
+    dense,
+    dense_alpha,
+    dense_b_prime,
+    dense_kkt,
+)
 from rotwave import (
     ComplexField,
     DataVector,
+    GradientPair,
     InverseProblem,
     ObservationScheme,
     ParameterMetric,
+    ScalarField,
+    State,
+    WaveSystem,
     adjoint_gradient,
     apply_B_prime,
     assemble_forward,
     build_grid,
     build_stencils,
     data_norm,
+    sensitivity,
 )
 from rotwave.grid import weighted_norm
 from rotwave.inversion import restrict
+from rotwave.operator import AxisymmetricSystem
 
 EPS = np.finfo(float).eps
 
@@ -70,6 +86,75 @@ def test_band_solves_match_dense_lu(case, m):
     adjoint = matrix.conj().T * (w[None, :] / w[:, None])  # W^-1 B^H W
     z = system.solve_weighted_adjoint(f, w)
     assert _rel(z, np.linalg.solve(adjoint, f)) < tol
+
+
+@pytest.mark.parametrize("omega_freq", [2.0, -1.3, 1e-3, 0.0])
+@pytest.mark.parametrize("n", [64, 100, 400])
+def test_m0_solves_match_dense_mixed_lu(n, omega_freq):
+    # the m = 0 operator, two n-point bands for omega != 0 and the pinned
+    # mixed band at omega = 0: state, phi, sensitivity and weighted adjoint
+    # against dense LU of the mixed matrix, and the state against dense LU
+    # of B, which is good only to eps * cond_1(B), far above 1e-10 at n = 400
+    grid = build_grid(n, r=0.9)
+    stencils = build_stencils(grid)
+    rng = np.random.default_rng([n, 7])
+    w = grid.weights
+    x = np.cos(grid.nodes)
+    omega = 0.6 + 0.3 * x**2 - 0.2 * x**3
+    system = assemble_forward(0.05, omega, 0.1, omega_freq, 0, stencils)
+    assert isinstance(system, WaveSystem if omega_freq == 0 else AxisymmetricSystem)
+    mixed = assemble_dense_mixed(0.05, omega_freq, grid, stencils)
+    zeros = np.zeros(n, dtype=complex)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    psi, phi = system.solve_values(f)
+    want = np.linalg.solve(mixed, np.concatenate([f, zeros]))
+    assert _rel(psi, want[n:]) < 1e-10
+    assert _rel(phi, want[:n]) < 1e-10
+    assert _rel(phi, dense(stencils.delta_matrix(0)) @ psi) < 1e-10
+    matrix = assemble_dense(0.05, omega, 0.1, omega_freq, 0, grid, stencils)
+    assert _rel(psi, np.linalg.solve(matrix, f)) < EPS * np.linalg.cond(matrix, 1)
+
+    dp = GradientPair(dgamma=0.3, domega=ScalarField(values=rng.standard_normal(n)))
+    state = State(m=0, values=psi, phi=phi)
+    sens = sensitivity(dp, state, system, grid, stencils, ObservationScheme())
+    rhs = dense_b_prime(dp.dgamma, dp.domega.values, psi, grid, stencils, 0)
+    assert _rel(sens.values, np.linalg.solve(mixed, np.concatenate([-rhs, zeros]))[n:]) < 1e-10
+
+    z = system.solve_weighted_adjoint(f, w)
+    a = np.linalg.solve(mixed.conj().T, np.concatenate([zeros, w * f]))[:n]
+    assert _rel(z, a / w) < 1e-10
+
+
+@pytest.mark.parametrize("omega_freq", [2.0, -1.3, 1e-3])
+def test_m0_two_bands_match_the_mixed_band_at_n1600(omega_freq):
+    # at n = 1600 dense LU is too slow to be the reference; the pinned mixed
+    # band, which serves omega = 0, is
+    grid = build_grid(1600)
+    stencils = build_stencils(grid)
+    rng = np.random.default_rng(1600)
+    w = grid.weights
+    system = assemble_forward(0.5, np.ones(grid.n), 0.0, omega_freq, 0, stencils)
+    assert isinstance(system, AxisymmetricSystem)
+    mixed = WaveSystem(stencils.delta_matrix(0), 0.5, omega_freq, pin_weights=w)
+    f = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    for got, want in zip(system.solve_values(f), mixed.solve_values(f)):
+        assert _rel(got, want) < 1e-10
+    assert _rel(system.solve_weighted_adjoint(f, w), mixed.solve_weighted_adjoint(f, w)) < 1e-10
+
+
+def test_m0_near_zero_frequency_keeps_the_mixed_band():
+    # G = gamma delta_0 + i omega is singular at omega = 0 and its pivot
+    # ratio falls below PIVOT_RTOL near it; those inputs solved on the mixed
+    # band before and still do
+    grid = build_grid(100)
+    stencils = build_stencils(grid)
+    f = np.cos(grid.nodes) + 0j
+    for omega_freq, kind in ((1e-9, AxisymmetricSystem), (1e-12, WaveSystem), (0.0, WaveSystem)):
+        system = assemble_forward(0.5, np.ones(grid.n), 0.0, omega_freq, 0, stencils)
+        assert isinstance(system, kind)
+        mixed = WaveSystem(stencils.delta_matrix(0), 0.5, omega_freq, pin_weights=grid.weights)
+        assert _rel(system.solve_values(f)[0], mixed.solve_values(f)[0]) < 1e-10
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])

@@ -26,7 +26,7 @@ from rotwave import (
 )
 from rotwave.experiments import ExperimentConfig, build_problem
 from rotwave.inversion import ParameterMetric
-from rotwave.operator import apply_alpha_adjoint
+from rotwave.operator import apply_alpha_adjoint, pinned_delta0
 
 
 def rotation(grid, fn):
@@ -246,13 +246,19 @@ def _assert_factored_in_place_and_dropped(system, band):
 
 
 @pytest.mark.parametrize("m", [0, 3])
-def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, stencils100, m):
+def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, m):
     # gbtrf writes the LU over the band only if the band is Fortran-ordered;
-    # otherwise f2py silently factors a copy.  m = 0 adds the Woodbury pin.
+    # otherwise f2py silently factors a copy.  For m = 0 the band is G's, and
+    # the stencils' node-pinned delta_0 is factored, in place too, before
+    # the first system on them only; so the test takes stencils of its own
+    stencils = DerivativeStencils(grid100)
     passed = _record_gbtrf_bands(monkeypatch)
-    system = assemble_forward(0.05, np.cos(grid100.nodes) ** 2, 0.1, 1.3, m, stencils100)
-    assert [band.dtype for band in passed] == [complex]
-    _assert_factored_in_place_and_dropped(system, passed[0])
+    for _ in range(2):
+        system = assemble_forward(0.05, np.cos(grid100.nodes) ** 2, 0.1, 1.3, m, stencils)
+        _assert_factored_in_place_and_dropped(system, passed[-1])
+    assert [band.dtype for band in passed] == [complex] * (3 if m == 0 else 2)
+    if m == 0:
+        assert np.shares_memory(pinned_delta0(stencils).lu, passed[0])
 
 
 def test_riesz_band_is_factored_in_place(monkeypatch, grid100):
@@ -301,7 +307,7 @@ TRUTHS = ("m0_default", "m2_default", "m3_default")
 )
 def test_default_truths_solve_at_n1600(truth_name, n):
     # the pivot-ratio guard must not mistake a fine grid for a resonance:
-    # the m = 0 band ratio falls like n^-1 (1.1e-3 at n = 1600, 2.8e-4 at
+    # the m = 0 ratio, G's, falls like n^-1 (2.5e-3 at n = 1600, 6.1e-4 at
     # n = 6400); m = 2, 3 stay near 3.4e-3 and 1.5e-3
     _, _, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
     assert np.all(np.isfinite(psi.values))

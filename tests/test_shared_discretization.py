@@ -19,6 +19,7 @@ from conftest import clear_shared
 import rotwave.experiments as experiments
 import rotwave.inversion as inversion
 from rotwave import (
+    GroundTruth,
     ExperimentConfig,
     InverseProblem,
     IterationConfig,
@@ -32,6 +33,7 @@ from rotwave import (
     nesterov_landweber,
     sweep,
 )
+from rotwave.operator import pinned_delta0
 
 
 def m2_problem():
@@ -49,6 +51,8 @@ SHARED_ARRAYS = {
     "omega*": lambda g, st: experiments.noise_free(m2_problem()[0], st).omega,
     "riesz.lu": lambda g, st: ParameterMetric(st)._system.lu,
     "riesz.pin.y": lambda g, st: ParameterMetric(st)._system._pin.y,
+    "delta0.lu": lambda g, st: pinned_delta0(st).lu,
+    "delta0.ell": lambda g, st: pinned_delta0(st).ell,
     "alpha.weights": lambda g, st: st.alpha.weights,
     "alpha.columns": lambda g, st: st.alpha.columns,
     **{
@@ -251,3 +255,24 @@ def test_criterion_6_trace_hash_equal_with_warm_and_cleared_caches():
     warm_stencils, warm = _criterion_6_digest()
     assert warm_stencils is cold_stencils
     assert warm == cold
+
+
+def test_noise_free_set_up_keyed_on_the_truth_settings():
+    # ten truths cycled twice through the truth cache of eight: each comes
+    # back as a new GroundTruth, which must find its set-up, not add one
+    clear_shared()
+    stencils = build_stencils(build_grid(64))
+    truths = lambda: [
+        manufacture_truth("m2_default", {"gamma_true": 0.05 + 0.01 * k}) for k in range(10)
+    ]
+    first = [experiments.noise_free(t, stencils) for t in truths()]
+    again = [experiments.noise_free(t, stencils) for t in truths()]
+    assert [a is b for a, b in zip(first, again)] == [True] * 10
+    setups = [k for k in stencils.derived if isinstance(k, tuple) and k[0] == "noise_free"]
+    assert len(setups) == 10
+    # an equal truth built apart shares the set-up; 0.0 and -0.0 do not
+    zero = experiments.noise_free(manufacture_truth("m2_default", {"phase": 0.0}), stencils)
+    apart = GroundTruth(**{**experiments.TRUTH_PRESETS["m2_default"], "phase": 0.0})
+    assert experiments.noise_free(apart, stencils) is zero
+    negative = manufacture_truth("m2_default", {"phase": -0.0})
+    assert experiments.noise_free(negative, stencils) is not zero
