@@ -49,10 +49,11 @@ what is derived from that (n, r) hangs off the grid and dies with it: its
 first use) with their per-m delta_m, ghost fills, `alpha` and
 `BandRows.diagonals`; the observation window of each epsilon
 (`Grid.windows`); and what upper layers build on the stencils, which they
-keep in `DerivativeStencils.derived` (the Riesz band, the noise-free
-set-ups).  The shared arrays (`Grid.nodes`, `Grid.weights`, the ghost
-fills and every `BandRows`' weights, columns and diagonals) are read-only,
-so an in-place write raises instead of reaching later runs.
+keep in `DerivativeStencils.derived` (the m = 0 operator's pinned
+delta_0, the noise-free set-ups).  The shared arrays (`Grid.nodes`,
+`Grid.weights`, the ghost fills and every `BandRows`' weights, columns and
+diagonals) are read-only, so an in-place write raises instead of reaching
+later runs.
 `shared_cache` gives an upper layer an LRU of the same size (the truths of
 `experiments`), and `build_grid.cache_clear()` empties it with the grid
 cache, which drops every shared object.
@@ -268,7 +269,7 @@ class DerivativeStencils:
       alpha    -- the rotation map Omega -> alpha_Omega as `BandRows`, built
                   on first use.
       derived  -- what upper layers build on these operators, under their
-                  own keys (inversion's Riesz band, experiments' noise-free
+                  own keys (operator's pinned delta_0, experiments' noise-free
                   set-up of each truth); it dies with the stencils.
 
     The boundary-value operator delta_m comes from `delta_matrix(m)`, which

@@ -39,14 +39,13 @@ Work that a run does not change is done once: per problem, the cached
 `source_rhs` (the mixed right-hand side [f; 0]) and `window`; per grid,
 the window of each epsilon (`observation_window`, kept in `Grid.windows`),
 which every `observe` and so every `sensitivity` reads, and the weight sum
-of `weighted_mean`; per stencils object, the factored, read-only H2 Riesz
-band (`riesz_system`, kept in `DerivativeStencils.derived`), which every
-`ParameterMetric` on those stencils takes, whatever its gamma_scale.  Both
-die with their grid.  The observed weights are the view
-`grid.weights[window]`.  No band-sized array outlives the call that
-factors it, apart from the Riesz factorization and the m = 0 operator's
-node-pinned delta_0 (`operator.pinned_delta0`), one of each per stencils
-object.
+of `weighted_mean`; per stencils object, the factored node-pinned delta_0
+of the m = 0 operator (`operator.pinned_delta0`, kept in
+`DerivativeStencils.derived`), on which every `ParameterMetric` solves its
+H2 Riesz map, whatever its gamma_scale, and every m = 0 state.  Both die
+with their grid.  The observed weights are the view `grid.weights[window]`.
+No band-sized array outlives the call that factors it, apart from that
+pinned delta_0, one per stencils object.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -71,9 +70,9 @@ from .grid import (
     weighted_norm,
 )
 from .operator import (
+    AxisymmetricSystem,
     ForwardSystem,
     State,
-    WaveSystem,
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
@@ -152,24 +151,14 @@ def data_norm(grid: Grid, d: DataVector) -> float:
 # parameter metric and Riesz map
 # ----------------------------------------------------------------------
 
-def riesz_system(stencils: DerivativeStencils) -> WaveSystem:
-    """The factored, read-only Riesz band of `ParameterMetric` on the
-    stencils' grid: built on first use and kept in `stencils.derived`, so
-    shared by every metric on them."""
-    system = stencils.derived.get("riesz")
-    if system is None:
-        system = WaveSystem(stencils.delta_matrix(0), 1.0, pin_weights=stencils.grid.weights)
-        stencils.derived["riesz"] = system.read_only()
-    return system
-
-
 class ParameterMetric:
     """Product metric gamma_scale * dgamma^2 + ||dOmega||_H2^2.
 
     The Omega block is A = delta_0^2.  Its Riesz map solves A q + lambda 1 =
-    g - mean_w(g) with mean_w(q) = 0, which (A 1 = 0) is the mean-zero part
-    of the real, mean-pinned m = 0 `WaveSystem` solve with gamma = 1 and no
-    d or a block: `riesz_system`, one per stencils whatever the gamma_scale.
+    g - mean_w(g) with mean_w(q) = 0, which (A 1 = 0) is the mean-zero real
+    part of the static m = 0 operator's solve with gamma = 1,
+    `AxisymmetricSystem(stencils, 1.0, 0.0)`: two zgbtrs on the stencils'
+    `operator.pinned_delta0`, which factors nothing of its own.
     The form <u, A v>_w keeps A on the second argument, which reproduces the
     raw density exactly and the discrete adjoint identity to roundoff.
     """
@@ -180,14 +169,15 @@ class ParameterMetric:
         self.grid = stencils.grid
         self.gamma_scale = float(gamma_scale)
         self._lap = stencils.delta_matrix(0)
-        self._system = riesz_system(stencils)
+        self._system = AxisymmetricSystem(stencils, 1.0, 0.0)
 
     def project_mean_zero(self, g: np.ndarray) -> np.ndarray:
         return g - weighted_mean(self.grid, g)
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """Solve the metric operator against a mean-zero projected density."""
-        return self.project_mean_zero(self._system.solve_values(np.asarray(g, dtype=float))[0])
+        psi = self._system.solve_values(np.asarray(g, dtype=float))[0]
+        return self.project_mean_zero(psi.real)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The metric operator A = delta_0^2 applied to v."""
@@ -251,7 +241,7 @@ class InverseProblem:
         """The source as the mixed system's right-hand side [f; 0]
         (`mixed_rhs`), built from `source` on the first solve; every state
         solve reads it and none writes it."""
-        full = mixed_rhs(self.source.values, complex)
+        full = mixed_rhs(self.source.values)
         full.flags.writeable = False
         return full
 

@@ -35,6 +35,7 @@ from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
 from rotwave.experiments import build_problem
 from rotwave.grid import SHARED_DISCRETIZATIONS
 from rotwave.inversion import DISCREPANCY_TAU, observation_window
+from rotwave.operator import pinned_delta0
 
 SCHEMES = [
     ObservationScheme(),
@@ -338,11 +339,10 @@ def test_stencil_caches_die_with_their_stencils():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def _reachable_arrays(root, skip):
+def _reachable_arrays(root):
     """Every numpy array reachable from `root` through instance attributes
-    (cached properties included), containers and array bases, except the
-    objects in `skip`."""
-    seen, found, stack = {id(s) for s in skip}, [], [root]
+    (cached properties included), containers and array bases."""
+    seen, found, stack = set(), [], [root]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
@@ -363,8 +363,9 @@ def _reachable_arrays(root, skip):
 def test_no_band_sized_array_outlives_a_call():
     # the per-problem caches (source right-hand side, window) are small; a
     # cached band or band template would grow every problem by a band
-    # (19 x 2n entries, about 1 MB at n = 1600).  The stencils keep their
-    # shared Riesz factorization by design, so that one band is skipped.
+    # (19 x 2n entries, about 1 MB at n = 1600).  The stencils keep the
+    # m = 0 operator's pinned delta_0 by design, which the Riesz map solves
+    # on: an n-point band of 10 x n entries.
     truth, grid, stencils, problem = make_problem(n=400)
     metric = ParameterMetric(stencils, gamma_scale=3000.0)
     om = truth.omega_exact(grid).values
@@ -375,9 +376,10 @@ def test_no_band_sized_array_outlives_a_call():
     config = IterationConfig(max_iter=3, gamma_scale=3000.0)
     nesterov_landweber(problem, y, delta=0.0, config=config, gamma_init=3 * truth.gamma_true)
     band_entries = 19 * 2 * grid.n
-    assert system.lu.size == metric._system.lu.size == band_entries
-    riesz = (metric._system.lu,)
-    arrays = _reachable_arrays(problem, skip=riesz) + _reachable_arrays(metric, skip=riesz)
+    assert system.lu.size == band_entries
+    assert metric._system.lu is pinned_delta0(stencils).lu
+    assert metric._system.lu.size == 10 * grid.n
+    arrays = _reachable_arrays(problem) + _reachable_arrays(metric)
     assert len(arrays) > 20  # the walk reached the caches and the stencils
     assert "source_rhs" in vars(problem)
     assert max(a.size for a in arrays) < band_entries

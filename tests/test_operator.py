@@ -226,15 +226,15 @@ def test_factorization_reproduces_matrix(grid100, stencils100):
 
 
 def _record_gbtrf_bands(monkeypatch):
-    """Route every gbtrf call through a recorder; return the bands it saw."""
+    """Route every zgbtrf call through a recorder; return the bands it saw."""
     passed = []
-    for code, gbtrf in list(rotwave.operator._GBTRF.items()):
+    zgbtrf = rotwave.operator._zgbtrf
 
-        def recording(band, *args, gbtrf=gbtrf, **kwargs):
-            passed.append(band)
-            return gbtrf(band, *args, **kwargs)
+    def recording(band, *args, **kwargs):
+        passed.append(band)
+        return zgbtrf(band, *args, **kwargs)
 
-        monkeypatch.setitem(rotwave.operator._GBTRF, code, recording)
+    monkeypatch.setattr(rotwave.operator, "_zgbtrf", recording)
     return passed
 
 
@@ -261,17 +261,33 @@ def test_system_factors_its_band_in_place_and_drops_it(monkeypatch, grid100, m):
         assert np.shares_memory(pinned_delta0(stencils).lu, passed[0])
 
 
-def test_riesz_band_is_factored_in_place(monkeypatch, grid100):
-    # the real H2 metric band, as ParameterMetric assembles it.  The band is
-    # built once per stencils object, so the test takes stencils of its own
-    # (the shared ones may have built theirs already); a second metric on
-    # them factors nothing
+def test_riesz_map_and_static_forward_factor_nothing_beyond_pinned_delta0(
+    monkeypatch, grid100
+):
+    # the H2 Riesz map and the m = 0 operator at omega = 0 solve on the
+    # stencils' pinned delta_0, which is factored once, on first use; so the
+    # test takes stencils of its own (the shared ones may have built theirs)
     stencils = DerivativeStencils(grid100)
     passed = _record_gbtrf_bands(monkeypatch)
-    system = ParameterMetric(stencils)._system
-    assert ParameterMetric(stencils, gamma_scale=3000.0)._system is system
-    assert [band.dtype for band in passed] == [float]
-    _assert_factored_in_place_and_dropped(system, passed[0])
+    g = np.cos(grid100.nodes) ** 3
+    for gamma_scale in (1.0, 3000.0):
+        ParameterMetric(stencils, gamma_scale=gamma_scale).riesz(g)
+    for gamma in (0.05, 0.5):
+        system = assemble_forward(gamma, np.ones(grid100.n), 0.0, 0.0, 0, stencils)
+        system.solve_values(g + 0j)
+        system.solve_weighted_adjoint(g + 0j, grid100.weights)
+    assert len(passed) == 1
+    assert np.shares_memory(pinned_delta0(stencils).lu, passed[0])
+
+
+@pytest.mark.parametrize("omega_freq", [math.inf, math.nan])
+def test_m0_non_finite_band_is_near_resonance(grid100, stencils100, omega_freq):
+    # m = 0 has no resonance to guard, but a non-finite band still must not
+    # hand out a NaN state
+    with pytest.raises(NearResonanceError) as err:
+        assemble_forward(0.5, np.ones(grid100.n), 0.0, omega_freq, 0, stencils100)
+    assert err.value.m == 0
+    assert not err.value.pivot_ratio > 0
 
 
 def _resonant_frequency(stencils, m, om0, l):
@@ -307,8 +323,9 @@ TRUTHS = ("m0_default", "m2_default", "m3_default")
 )
 def test_default_truths_solve_at_n1600(truth_name, n):
     # the pivot-ratio guard must not mistake a fine grid for a resonance:
-    # the m = 0 ratio, G's, falls like n^-1 (2.5e-3 at n = 1600, 6.1e-4 at
-    # n = 6400); m = 2, 3 stay near 3.4e-3 and 1.5e-3
+    # m = 2, 3 stay near 3.4e-3 and 1.5e-3.  m = 0 has no threshold, and
+    # its ratio, G's, falls like n^-1 (2.5e-3 at n = 1600, 6.1e-4 at
+    # n = 6400)
     _, _, psi, _ = build_problem(ExperimentConfig(n=n, truth=truth_name))
     assert np.all(np.isfinite(psi.values))
 

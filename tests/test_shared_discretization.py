@@ -1,5 +1,6 @@
 """One grid per (n, r) and process, and hanging off it its stencils, its
-observation windows, one Riesz band and one noise-free set-up per truth
+observation windows, one pinned delta_0 (on which the Riesz map solves)
+and one noise-free set-up per truth
 (truth, nodal source, Omega*, clean state): the shared arrays refuse
 writes, each piece is built once per process, the one clear drops them all,
 and runs give the same numbers whether a piece was built for them or
@@ -18,6 +19,7 @@ import pytest
 from conftest import clear_shared
 import rotwave.experiments as experiments
 import rotwave.inversion as inversion
+import rotwave.operator as operator
 from rotwave import (
     GroundTruth,
     ExperimentConfig,
@@ -33,7 +35,6 @@ from rotwave import (
     nesterov_landweber,
     sweep,
 )
-from rotwave.operator import pinned_delta0
 
 
 def m2_problem():
@@ -50,9 +51,9 @@ SHARED_ARRAYS = {
     "psi*.phi": lambda g, st: m2_problem()[2].phi,
     "omega*": lambda g, st: experiments.noise_free(m2_problem()[0], st).omega,
     "riesz.lu": lambda g, st: ParameterMetric(st)._system.lu,
-    "riesz.pin.y": lambda g, st: ParameterMetric(st)._system._pin.y,
-    "delta0.lu": lambda g, st: pinned_delta0(st).lu,
-    "delta0.ell": lambda g, st: pinned_delta0(st).ell,
+    "delta0.lu": lambda g, st: operator.pinned_delta0(st).lu,
+    "delta0.ell": lambda g, st: operator.pinned_delta0(st).ell,
+    "delta0.v": lambda g, st: operator.pinned_delta0(st).v,
     "alpha.weights": lambda g, st: st.alpha.weights,
     "alpha.columns": lambda g, st: st.alpha.columns,
     **{
@@ -78,8 +79,8 @@ def test_shared_arrays_refuse_in_place_writes(name):
 def _sweep_derived_refs():
     """Weak references to the grid of an epsilon sweep, which holds the
     sweep's two observation windows, and to all else the sweep derived from
-    that grid: the stencils, the truth, the Riesz band and the noise-free
-    set-up.  n = 48 and this truth serve no fixture, so nothing outside the
+    that grid: the stencils, the truth, the pinned delta_0 that the Riesz
+    map solves on, and the noise-free set-up.  n = 48 and this truth serve no fixture, so nothing outside the
     shared caches holds them."""
     overrides = {"gamma_true": 0.06}
     base = ExperimentConfig(
@@ -96,7 +97,7 @@ def _sweep_derived_refs():
         "grid": grid,
         "stencils": stencils,
         "truth": truth,
-        "riesz": inversion.riesz_system(stencils),
+        "pinned delta_0": operator.pinned_delta0(stencils),
         "noise-free": experiments.noise_free(truth, stencils),
     }
     return {name: weakref.ref(obj) for name, obj in owned.items()}
@@ -186,9 +187,10 @@ def test_epsilon_sweep_records_equal_with_warm_and_cleared_caches(monkeypatch):
 
 def test_noise_sweep_builds_its_noise_free_set_up_once(monkeypatch):
     # a three-level sweep manufactures the truth once, solves its clean
-    # state once and factors the Riesz band once.  Forward assemblies count
-    # outside the loop only (the loop's own are its iterates'); the Riesz
-    # band, which each loop's metric asks for, counts everywhere
+    # state once and factors the pinned delta_0 of its Riesz map once.
+    # Forward assemblies count outside the loop only (the loop's own are its
+    # iterates'); the pinned delta_0, which each loop's metric asks for,
+    # counts everywhere
     counts = Counter()
     in_loop = []
 
@@ -210,7 +212,7 @@ def test_noise_sweep_builds_its_noise_free_set_up_once(monkeypatch):
                         counted("truth", experiments.GroundTruth.__init__))
     monkeypatch.setattr(inversion, "assemble_forward",
                         counted("clean state", inversion.assemble_forward))
-    monkeypatch.setattr(inversion, "WaveSystem", counted("riesz", inversion.WaveSystem, False))
+    monkeypatch.setattr(operator, "PinnedDelta0", counted("riesz", operator.PinnedDelta0, False))
     monkeypatch.setattr(experiments, "nesterov_landweber", loop)
     base = ExperimentConfig(
         run_id="shared_count", n=100, truth="m2_default",
