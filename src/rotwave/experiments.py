@@ -6,10 +6,10 @@ the pole conditions *and* vanish like sin^|m| there, otherwise the
 manufactured source falls outside L^2 and the discretization error stops
 contracting.  Every shape and profile is sin^k(theta) times a polynomial in
 x = cos(theta), and the operator maps sin^|m| P(x) to sin^|m| times another
-polynomial, so sources come from exact polynomial algebra in x (`_Poly`, a
-coefficient array in the power basis; no computer algebra), never from the
-solver's own stencils: solving on any grid measures genuine discretization
-error (no inverse crime).
+polynomial, so sources come from exact polynomial algebra in x
+(numpy.polynomial's power basis, `_X`; no computer algebra), never from
+the solver's own stencils: solving on any grid measures genuine
+discretization error (no inverse crime).
 
 An experiment's noise-free part is built once per process and shared by
 every run that needs it: `manufacture_truth` returns one read-only
@@ -40,6 +40,7 @@ import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import ConfigurationError
 from .grid import (
@@ -74,85 +75,7 @@ SWEEP_CSV_HEADER = (
 # polynomial catalogue in x = cos(theta)
 # ----------------------------------------------------------------------
 
-class _Poly:
-    """Power-basis polynomial in x = cos(theta) with only the algebra the
-    catalogue uses: +, -, *, ** k, scalar /, deriv(m) and Horner evaluation.
-
-    Each operation is the arithmetic of the numpy.polynomial routine it
-    stands in for (np.convolve products in the same argument order, trailing
-    zero coefficients trimmed), so sources and fields are bit-identical to
-    the numpy.polynomial.Polynomial catalogue, at a fraction of the cost of
-    its input validation.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-
-    @staticmethod
-    def _coef(other) -> np.ndarray:
-        return other.c if isinstance(other, _Poly) else np.array([float(other)])
-
-    @staticmethod
-    def _trim(c: np.ndarray) -> "_Poly":
-        while len(c) > 1 and c[-1] == 0:
-            c = c[:-1]
-        return _Poly(c)
-
-    def __add__(self, other):
-        a, b = self.c, self._coef(other)
-        if len(a) < len(b):
-            a, b = b, a
-        a = a.copy()
-        a[: len(b)] += b
-        return self._trim(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly(-self.c)
-
-    def __sub__(self, other):
-        return self + -_Poly(self._coef(other))
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        return self._trim(np.convolve(self.c, self._coef(other)))
-
-    def __rmul__(self, other):
-        return self._trim(np.convolve(self._coef(other), self.c))
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return _Poly([1.0])
-        prd = self.c
-        for _ in range(k - 1):
-            prd = np.convolve(prd, self.c)
-        return _Poly(prd)
-
-    def __truediv__(self, scalar: float):
-        return _Poly(self.c / scalar)
-
-    def deriv(self, m: int = 1) -> "_Poly":
-        c = self.c
-        if m >= len(c):
-            return _Poly(c[:1] * 0)
-        for _ in range(m):
-            c = c[1:] * np.arange(1, len(c))
-        return _Poly(c)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        c = self.c
-        out = c[-1] + x * 0
-        for coef in c[-2::-1]:
-            out = coef + out * x
-        return out
-
-
-_X = _Poly([0.0, 1.0])
+_X = Polynomial([0.0, 1.0])  # x = cos(theta)
 
 
 def _coeff(coeffs: dict, group: str, key: str, default: float) -> float:
@@ -188,7 +111,7 @@ def _check_coeffs(kind: str, name: str, coeffs: dict, catalogue: dict) -> None:
         )
 
 
-def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, _Poly]:
+def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, Polynomial]:
     """Closed-form state shape sin^k(theta) P(cos theta), returned as (k, P).
 
     The complex amplitude is applied separately.
@@ -202,12 +125,12 @@ def _psi_shape(name: str, m: int, coeffs: dict) -> tuple[int, _Poly]:
     return 0, _coeff(coeffs, "psi_coeffs", "a", 1) * _X + b * _X**2  # cos_poly, m = 0 shapes
 
 
-def _omega_profile(name: str, coeffs: dict) -> _Poly:
+def _omega_profile(name: str, coeffs: dict) -> Polynomial:
     """Rotation profile Omega as a polynomial in cos(theta)."""
     _check_coeffs("rotation profile", name, coeffs, _PROFILE_COEFFS)
     coeff = lambda key, default: _coeff(coeffs, "omega_coeffs", key, default)
     if name == "constant":
-        return _Poly([coeff("a", 1)])
+        return Polynomial([coeff("a", 1)])
     if name == "solar_like":  # a + b cos^2; default mean-zero
         b = coeff("b", 1)
         a = -b / 3 if coeffs.get("a") is None else coeff("a", 0)
@@ -215,7 +138,7 @@ def _omega_profile(name: str, coeffs: dict) -> _Poly:
     return coeff("a", 0) + coeff("b", 1) * _X + coeff("c", -0.5) * _X**3  # odd_poly
 
 
-def _delta_m(q: _Poly, m: int, r: float) -> _Poly:
+def _delta_m(q: Polynomial, m: int, r: float) -> Polynomial:
     """delta_m(sin^|m| q) = sin^|m| * result, all in x = cos(theta).
 
     This is the associated-Legendre form of the separated Laplacian:
@@ -251,7 +174,7 @@ def _check_admissible(k: int, m: int) -> None:
         )
 
 
-def _on_grid(grid: Grid, k: int, poly: _Poly) -> np.ndarray:
+def _on_grid(grid: Grid, k: int, poly: Polynomial) -> np.ndarray:
     """sin^k(theta) * poly(cos(theta)) at the grid nodes."""
     return np.sin(grid.nodes) ** k * poly(np.cos(grid.nodes))
 
@@ -330,6 +253,9 @@ class GroundTruth:
         self.omega_name = omega_name
         self.omega_coeffs = types.MappingProxyType(dict(omega_coeffs))
         self.gamma_true = float(gamma_true)
+        # int(m) would truncate 2.5 to 2 and read True as 1
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ConfigurationError(f"truth m must be an integer, got {m!r}")
         self.m = int(m)
         self.omega_freq = float(omega_freq)
         self.omega_ref = float(omega_ref)

@@ -24,28 +24,30 @@ solve in the H2 metric, which acts as a smoothing preconditioner and pins
 the weighted mean to zero.
 
 `InverseProblem.state` is the one place a forward state is built and
-solved: one `assemble_forward` and one `solve_mixed` of the system it returns.
-`observe` is the one way to make data from a state (`observed` calls it),
-and `residual` restricts psi through the window and subtracts y.
-`nesterov_landweber` refuses data from another window, and complex data
-for a real-part-only scheme, before its first solve.  It takes every
-misfit and gradient from that path: a line-search trial's misfit is the
-`data_norm` of `residual`, and each search's gradient is one
-`adjoint_gradient`, one adjoint and one Riesz solve.  Its line search
-makes at most `MOMENTUM_BACKTRACKS` trials from the momentum point and at
-most `MAX_BACKTRACKS` from the iterate.
+solved: one `assemble_forward` and one `solve_values` of the system it
+returns.  The forward systems take and return nodal arrays only, so this
+module knows nothing of their band layouts.  `observe` is the one way to
+make data from a state (`observed` calls it), and `residual` restricts
+psi through the window and subtracts y.  `nesterov_landweber` refuses data
+from another window, and complex data for a real-part-only scheme, before
+its first solve.  It takes every misfit and gradient from that path: a
+line-search trial's misfit is the `data_norm` of `residual`, and each
+search's gradient is one `adjoint_gradient`, one `solve_weighted_adjoint`
+against the zero-extended residual L* r and one Riesz solve.  Its line
+search makes at most `MOMENTUM_BACKTRACKS` trials from the momentum point
+and at most `MAX_BACKTRACKS` from the iterate.
 
 Work that a run does not change is done once: per problem, the cached
-`source_rhs` (the mixed right-hand side [f; 0]) and `window`; per grid,
-the window of each epsilon (`observation_window`, kept in `Grid.windows`),
-which every `observe` and so every `sensitivity` reads, and the weight sum
-of `weighted_mean`; per stencils object, the factored node-pinned delta_0
-of the m = 0 operator (`operator.pinned_delta0`, kept in
-`DerivativeStencils.derived`), on which every `ParameterMetric` solves its
-H2 Riesz map, whatever its gamma_scale, and every m = 0 state.  Both die
-with their grid.  The observed weights are the view `grid.weights[window]`.
-No band-sized array outlives the call that factors it, apart from that
-pinned delta_0, one per stencils object.
+`window`; per grid, the window of each epsilon (`observation_window`, kept
+in `Grid.windows`), which every `observe` and so every `sensitivity`
+reads, and the weight sum of `weighted_mean`; per stencils object, the
+factored node-pinned delta_0 of the m = 0 operator
+(`operator.pinned_delta0`, kept in `DerivativeStencils.derived`), on which
+every `ParameterMetric` solves its H2 Riesz map, whatever its gamma_scale,
+and every m = 0 state.  Both die with their grid.  The observed weights
+are the view `grid.weights[window]`.  No band-sized array outlives the
+call that factors it, apart from that pinned delta_0, one per stencils
+object.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -76,7 +78,6 @@ from .operator import (
     apply_alpha_adjoint,
     apply_B_prime,
     assemble_forward,
-    mixed_rhs,
 )
 
 # ----------------------------------------------------------------------
@@ -236,22 +237,13 @@ class InverseProblem:
         """The observed nodes (`observation_window`)."""
         return observation_window(self.grid, self.scheme)
 
-    @cached_property
-    def source_rhs(self) -> np.ndarray:
-        """The source as the mixed system's right-hand side [f; 0]
-        (`mixed_rhs`), built from `source` on the first solve; every state
-        solve reads it and none writes it."""
-        full = mixed_rhs(self.source.values)
-        full.flags.writeable = False
-        return full
-
     def state(self, gamma: float, omega_values: np.ndarray) -> tuple[ForwardSystem, State]:
         """The factored forward operator at (gamma, Omega) and the state
         psi = S(gamma, Omega) from one `assemble_forward` and one solve."""
         system = assemble_forward(
             gamma, omega_values, self.omega_ref, self.omega_freq, self.m, self.stencils
         )
-        psi, phi = system.solve_mixed(self.source_rhs)
+        psi, phi = system.solve_values(self.source.values)
         return system, State(m=self.m, values=psi, phi=phi)
 
     def observed(self, gamma: float, omega_values: np.ndarray) -> DataVector:
@@ -304,10 +296,9 @@ def adjoint_gradient(
     """
     grid, m = problem.grid, problem.m
     w = grid.weights
-    # W L* residual at the odd (psi) positions of the window, zero elsewhere
-    full = np.zeros(2 * grid.n, dtype=complex)
-    full[1::2][residual.window] = w[residual.window] * residual.values
-    z = system.solve_adjoint_mixed(full) / w
+    extended = np.zeros(grid.n, dtype=complex)  # L* residual: zero off the window
+    extended[residual.window] = residual.values
+    z = system.solve_weighted_adjoint(extended, w)
     raw_gamma = float(((problem.stencils.delta_matrix(m) @ psi.phi) * z.conj() * w).sum().real)
     if m != 0:
         c = (psi.values.conj() * z).imag

@@ -36,22 +36,21 @@ band: the forward operator for m != 0 (`assemble_forward`, which in the
 package only `inversion.InverseProblem.state` calls).  Its constructor
 factors K with zgbtrf in place of the band (a C-ordered band would be
 copied and transposed by f2py first), so the system holds only the LU.
-Every solve is one zgbtrs against it, which gives psi at the odd unknowns
-and phi at the even ones.
-`WaveSystem.solve_mixed` takes a right-hand side already in K's layout
-(`mixed_rhs`) and leaves it intact, so `inversion.InverseProblem` builds
-its source's [f; 0] once.  The exact adjoint of the discrete
-operator with respect to the weighted inner product, W^-1 B^H W, is one
+Every forward system offers the same two solves, on nodal arrays:
+`solve_values` and `solve_weighted_adjoint`.  The interleaved layout stays
+inside `WaveSystem`: a state is one zgbtrs against [f; 0], built in the
+solve and overwritten by it, which gives psi at the odd unknowns and phi
+at the even ones.  The exact adjoint of the discrete operator with
+respect to the weighted inner product, W^-1 B^H W, is one
 conjugate-transposed solve with the roles swapped: K^H [a; b] = [0; g]
-gives B^H a = g, so g goes to the odd positions and a is read from the
-even ones (`WaveSystem.solve_adjoint_mixed`; `inversion.adjoint_gradient`
-writes W L* r straight into those positions).  Its
-condition number grows like n^2 where that of B grows like n^4.  A system
-lives as long as its caller holds it: the Nesterov-Landweber loop builds
-one per trial point and keeps none beyond the gradient taken at it.  So K's
-constant blocks (the -1 row and the delta_m diagonals of the psi columns)
-are written again on every build: a kept template would be a band-sized
-array per problem, about 1 MB at n = 1600.
+gives B^H a = g, so g = W rhs goes to the odd positions and a is read
+from the even ones.  K's condition number grows like n^2 where that of B
+grows like n^4.  A system lives as long as its caller holds it: the
+Nesterov-Landweber loop builds one per trial point and keeps none beyond
+the gradient taken at it.  So K's constant blocks (the -1 row and the
+delta_m diagonals of the psi columns) are written again on every build: a
+kept template would be a band-sized array per problem, about 1 MB at
+n = 1600.
 
 For m = 0, delta_0 annihilates constants, so the axisymmetric problem is
 posed on mean-zero fields through the mean pin s 1 v^T (v = w / sum w)
@@ -169,15 +168,6 @@ def _pivot_ratio(lu: np.ndarray, diag: int) -> float:
     return float(pivots.min()) / float(pivots.max())
 
 
-def mixed_rhs(rhs: np.ndarray) -> np.ndarray:
-    """[rhs; 0] in the interleaved layout of K's unknowns (rhs at the even
-    positions), complex and Fortran-ordered, as `WaveSystem.solve_mixed`
-    takes it."""
-    full = np.zeros((2 * len(rhs),) + rhs.shape[1:], dtype=complex, order="F")
-    full[0::2] = rhs
-    return full
-
-
 class WaveSystem:
     """The mixed band K = [[gamma L + i diag(d), i diag(a)], [-I, L]] of
     L = lap, the forward operator for m != 0, factored in place at
@@ -203,29 +193,20 @@ class WaveSystem:
         self.lu, self.piv, _ = _zgbtrf(band, _KL, _KU, overwrite_ab=1)
         self.pivot_ratio = _pivot_ratio(self.lu, _DIAG)
 
-    def solve_mixed(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, phi) from one solve of K [phi; psi] = full, a right-hand side
-        in K's layout (`mixed_rhs`) that the solve leaves as it is, so that a
-        caller can keep one."""
-        x = _gbtrs(self.lu, self.piv, full, 0, 0)
-        return x[1::2], x[0::2]
-
     def solve_values(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(psi, phi): psi = B^-1 rhs and phi = delta_m psi from one solve of
-        K [phi; psi] = [rhs; 0]."""
-        return self.solve_mixed(mixed_rhs(rhs))
-
-    def solve_adjoint_mixed(self, full: np.ndarray) -> np.ndarray:
-        """a with B^H a = g from one solve of K^H [a; b] = full, where `full`
-        holds g at the odd positions and zeros at the even ones; `full` is
-        overwritten."""
-        return _gbtrs(self.lu, self.piv, full, 2, 1)[0::2]
+        K [phi; psi] = [rhs; 0], in place of that right-hand side."""
+        full = np.zeros(2 * len(rhs), dtype=complex)
+        full[0::2] = rhs
+        x = _gbtrs(self.lu, self.piv, full, 0, 1)
+        return x[1::2], x[0::2]
 
     def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solve (W^-1 B^H W) z = rhs: B^H a = W rhs, then z = a / w."""
+        """Solve (W^-1 B^H W) z = rhs: B^H a = W rhs from one solve of
+        K^H [a; b] = [0; W rhs], then z = a / w."""
         full = np.zeros(2 * len(rhs), dtype=complex)
         full[1::2] = weights * rhs
-        return self.solve_adjoint_mixed(full) / weights
+        return _gbtrs(self.lu, self.piv, full, 2, 1)[0::2] / weights
 
 
 # ----------------------------------------------------------------------
@@ -328,14 +309,11 @@ class AxisymmetricSystem:
         psi += ell_f / (self.scale * pinned.ell_sum) - pinned.v @ psi
         return psi, phi
 
-    def solve_mixed(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, phi) for the source at the even positions of `full`, a
-        right-hand side in K's layout (`mixed_rhs`), which stays as it is."""
-        return self.solve_values(full[0::2])
-
-    def _solve_adjoint(self, g: np.ndarray) -> np.ndarray:
-        """a with B_mean^H a = g."""
+    def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Solve (W^-1 B_mean^H W) z = rhs: B_mean^H a = g for g = W rhs, then
+        z = a / w."""
         pinned = self._delta0
+        g = weights * rhs
         g_sum = np.sum(g)
         y = _gbtrs(pinned.lu, pinned.piv, g - g_sum * pinned.v, 1, 1, _REACH)
         y -= (np.sum(y) / pinned.ell_sum) * pinned.ell
@@ -343,15 +321,7 @@ class AxisymmetricSystem:
             y /= self._lu_scale
         a = _gbtrs(self.lu, self.piv, y, 2, 1, _REACH)
         a += ((g_sum / self.scale - np.sum(a)) / pinned.ell_sum) * pinned.ell
-        return a
-
-    def solve_adjoint_mixed(self, full: np.ndarray) -> np.ndarray:
-        """a with B_mean^H a = g for g at the odd positions of `full`."""
-        return self._solve_adjoint(full[1::2])
-
-    def solve_weighted_adjoint(self, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solve (W^-1 B_mean^H W) z = rhs: B_mean^H a = W rhs, then z = a / w."""
-        return self._solve_adjoint(weights * rhs) / weights
+        return a / weights
 
 
 # what `assemble_forward` returns; both offer the same solves

@@ -128,6 +128,18 @@ def test_truth_built_directly_rejects_non_finite_values(field, value):
         GroundTruth(**{**TRUTH_PRESETS["m3_default"], field: value})
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3"], ids=["2.5", "3.0", "True", "str"])
+def test_truth_built_directly_rejects_a_non_integer_m(m):
+    # int(m) would build an m = 2 truth from 2.5 and an m = 1 truth from True
+    with pytest.raises(ConfigurationError, match="truth m must be an integer"):
+        GroundTruth(**{**TRUTH_PRESETS["m3_default"], "m": m})
+
+
+def test_truth_built_directly_takes_a_numpy_integer_m():
+    truth = GroundTruth(**{**TRUTH_PRESETS["m3_default"], "m": np.int64(3)})
+    assert truth.m == 3 and type(truth.m) is int
+
+
 def test_zero_rotation_truth_runs():
     truth = manufacture_truth(
         "m2_default", {"omega_name": "constant", "omega_coeffs": {"a": 0}}

@@ -361,11 +361,11 @@ def _reachable_arrays(root):
 
 
 def test_no_band_sized_array_outlives_a_call():
-    # the per-problem caches (source right-hand side, window) are small; a
-    # cached band or band template would grow every problem by a band
-    # (19 x 2n entries, about 1 MB at n = 1600).  The stencils keep the
-    # m = 0 operator's pinned delta_0 by design, which the Riesz map solves
-    # on: an n-point band of 10 x n entries.
+    # the per-problem cache (the window) is small; a cached band or band
+    # template would grow every problem by a band (19 x 2n entries, about
+    # 1 MB at n = 1600).  The stencils keep the m = 0 operator's pinned
+    # delta_0 by design, which the Riesz map solves on: an n-point band of
+    # 10 x n entries.
     truth, grid, stencils, problem = make_problem(n=400)
     metric = ParameterMetric(stencils, gamma_scale=3000.0)
     om = truth.omega_exact(grid).values
@@ -381,7 +381,7 @@ def test_no_band_sized_array_outlives_a_call():
     assert metric._system.lu.size == 10 * grid.n
     arrays = _reachable_arrays(problem) + _reachable_arrays(metric)
     assert len(arrays) > 20  # the walk reached the caches and the stencils
-    assert "source_rhs" in vars(problem)
+    assert "window" in vars(problem)
     assert max(a.size for a in arrays) < band_entries
 
 
@@ -716,6 +716,17 @@ def test_observed_matches_pipeline():
     d = observe(ComplexField(m=truth.m, values=psi), problem.scheme, grid)
     d2 = problem.observed(truth.gamma_true, om)
     assert np.array_equal(d.values, d2.values)
+
+
+@pytest.mark.parametrize("name", ["m0_default", "m2_default", "m3_default"])
+def test_state_is_the_systems_solve_values(name):
+    # one forward path: the problem's state is its system's solve_values of
+    # the source, bit for bit, on both system types
+    truth, grid, stencils, problem = make_problem(n=100, truth_name=name)
+    system, psi = problem.state(truth.gamma_true, truth.omega_exact(grid).values)
+    values, phi = system.solve_values(problem.source.values)
+    assert np.array_equal(psi.values, values)
+    assert np.array_equal(psi.phi, phi)
 
 
 def test_trace_reports_the_data_norm():

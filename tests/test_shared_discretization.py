@@ -46,7 +46,6 @@ SHARED_ARRAYS = {
     "grid.weights": lambda g, st: g.weights,
     "grid.nodes": lambda g, st: g.nodes,
     "source.values": lambda g, st: m2_problem()[1].source.values,
-    "source_rhs": lambda g, st: m2_problem()[1].source_rhs,
     "psi*.values": lambda g, st: m2_problem()[2].values,
     "psi*.phi": lambda g, st: m2_problem()[2].phi,
     "omega*": lambda g, st: experiments.noise_free(m2_problem()[0], st).omega,
