@@ -20,8 +20,6 @@ from .operator import (
     WaveSystem,
     apply_B_prime,
     assemble_forward,
-    frequency_condition,
-    smallness_condition,
 )
 from .inversion import (
     DataVector,

@@ -264,8 +264,8 @@ class DerivativeStencils:
     Public attributes:
       d1, d2   -- first/second derivative `BandRows` acting on plain nodal
                   fields with one-sided stencils near the poles (no
-                  boundary conditions assumed); used for rotation profiles
-                  and Sobolev seminorms.
+                  boundary conditions assumed); `alpha` is built from
+                  them.
       alpha    -- the rotation map Omega -> alpha_Omega as `BandRows`, built
                   on first use.
       derived  -- what upper layers build on these operators, under their

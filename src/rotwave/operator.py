@@ -1,5 +1,4 @@
-"""Separated wave operator: mixed-form band assembly, solve, derivative and
-diagnostics.
+"""Separated wave operator: mixed-form band assembly, solve and derivative.
 
 The forward boundary-value operator for azimuthal order m at temporal
 frequency omega is
@@ -98,7 +97,6 @@ from .grid import (
     Grid,
     ScalarField,
     _check_field,
-    weighted_norm,
 )
 
 # near-resonance threshold on min|U_ii| / max|U_ii| of the band LU of K,
@@ -347,8 +345,8 @@ def assemble_forward(
     """The factored forward operator at (gamma, Omega) with Omega by its nodal
     values `omega`: for m != 0 the band of d = omega_freq - m beta and
     a = m alpha, for m = 0 the two bands of `AxisymmetricSystem`.  The model
-    and both well-posedness bounds assume 0 < gamma < inf; any other gamma
-    (NaN too) is a ConfigurationError.  For m != 0 a pivot ratio below
+    assumes 0 < gamma < inf; any other gamma (NaN too) is a
+    ConfigurationError.  For m != 0 a pivot ratio below
     `PIVOT_RTOL` raises `NearResonanceError`; for m = 0, which has no
     resonance, only a zero ratio does (an exactly singular G).  A NaN ratio
     (a non-finite band) raises it for every m."""
@@ -393,62 +391,3 @@ def apply_B_prime(
     if m != 0:
         out = out - 1j * m * dom * phi + 1j * m * (stencils.alpha @ dom) * psi.values
     return ComplexField(m=m, values=out)
-
-
-# ----------------------------------------------------------------------
-# well-posedness diagnostics (report-only)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagnosticReport:
-    satisfied: bool
-    lhs: float
-    rhs: float
-    description: str
-
-
-def _h1_full_norm(stencils: DerivativeStencils, values: np.ndarray) -> float:
-    grid = stencils.grid
-    w = grid.weights
-    return math.hypot(weighted_norm(w, values), weighted_norm(w, stencils.d1 @ values) / grid.r)
-
-
-def frequency_condition(
-    gamma: float,
-    omega: np.ndarray,
-    omega_ref: float,
-    omega_freq: float,
-    stencils: DerivativeStencils,
-) -> DiagnosticReport:
-    """Large-frequency invertibility bound: |omega| against
-    (4/gamma^3) (C1 C2)^4 (||Omega-Omega_ref||_H1^2 + 9 ||Omega||_H1^2)^2,
-    with the embedding constants C1 (H1 -> L6) and C2 (H^1/2 -> L3) set
-    to 1."""
-    nb = _h1_full_norm(stencils, omega - omega_ref)
-    na = _h1_full_norm(stencils, omega)
-    rhs = 4.0 / gamma**3 * (nb**2 + 9.0 * na**2) ** 2
-    return DiagnosticReport(
-        satisfied=abs(omega_freq) > rhs,
-        lhs=abs(omega_freq),
-        rhs=rhs,
-        description="|omega| exceeds the large-frequency invertibility threshold",
-    )
-
-
-def smallness_condition(
-    gamma: float,
-    omega: np.ndarray,
-    m: int,
-    stencils: DerivativeStencils,
-) -> DiagnosticReport:
-    """Uniqueness bound: ||Omega'||_L2 |m| C1 C2 / r compared against gamma,
-    with the embedding constants C1 (H2 -> L3) and C2 (H1 -> L6) set to 1."""
-    grid = stencils.grid
-    lhs = weighted_norm(grid.weights, stencils.d1 @ omega) * abs(m) / grid.r
-    return DiagnosticReport(
-        satisfied=lhs < gamma,
-        lhs=lhs,
-        rhs=gamma,
-        description="rotation-shear norm is small compared to the viscosity",
-    )

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import eval_legendre, lpmv
+from scipy.special import lpmv
 
 import golden_contract
 from adjoint_reference import continuous_gradient
@@ -31,7 +31,7 @@ from rotwave import (
     manufacture_truth,
     sensitivity,
 )
-from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
+from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch, smooth_pair
 from rotwave.grid import weighted_norm
 
 NS = (50, 100, 200, 400)
@@ -365,13 +365,9 @@ def test_criterion_10_tcc_probe(clean33_problem, tcc_reports):
     shrink_ok = reports[0.01].max_ratio <= 2.0 * reports[0.1].max_ratio
 
     # quadratic remainder scaling at three magnitudes of ||h||
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(6) / np.arange(1, 7) ** 1.5
-    dom = sum(c * eval_legendre(l + 1, np.cos(grid.nodes)) for l, c in enumerate(coeffs))
-    dom = metric.project_mean_zero(dom)
-    pair = GradientPair(dgamma=rng.standard_normal(), domega=ScalarField(values=dom))
+    pair = smooth_pair(np.random.default_rng(5), metric, 6)
     nrm = metric.pair_norm(pair)
-    dgamma, dom = pair.dgamma / nrm, dom / nrm
+    dgamma, dom = pair.dgamma / nrm, pair.domega.values / nrm
     system, psi = problem.state(truth.gamma_true, om_true)
     base = problem.observed(truth.gamma_true, om_true)
     ratios = []

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre
 from scipy.special import eval_legendre
 
 from conftest import clear_shared, observed_order, wl2
@@ -31,7 +32,7 @@ from rotwave import (
     sensitivity,
     tcc_probe,
 )
-from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch
+from rotwave.checks import adjoint_identity_mismatch, gradient_fd_mismatch, smooth_pair
 from rotwave.experiments import build_problem
 from rotwave.grid import SHARED_DISCRETIZATIONS
 from rotwave.inversion import DISCREPANCY_TAU, observation_window
@@ -727,6 +728,37 @@ def test_state_is_the_systems_solve_values(name):
     values, phi = system.solve_values(problem.source.values)
     assert np.array_equal(psi.values, values)
     assert np.array_equal(psi.phi, phi)
+
+
+@pytest.mark.parametrize(
+    "name,overrides",
+    [("m2_default", {"m": 1}), ("m2_default", {}), ("m3_default", {}), ("m3_default", {"m": 4})],
+    ids=["m1", "m2", "m3", "m4"],
+)
+def test_data_cannot_see_the_rotation_direction_of_a_sin_power_state(name, overrides):
+    # psi* ~ sin^m is an eigenfunction of delta_m, eigenvalue -m(m+1)/r^2, so
+    # Omega enters B psi* only through i m (m(m+1)/r^2 Omega + alpha_Omega)
+    # psi*, which vanishes on C = P'_m(cos theta): Omega* + C gives the same
+    # state, and the data move only by discretization error, while a generic
+    # smooth direction of the same weighted norm moves them by O(1)
+    moved = []
+    for n in (100, 200, 400):
+        truth, grid, stencils, problem = make_problem(n=n, truth_name=name, **overrides)
+        om = truth.omega_exact(grid).values
+        y = problem.observed(truth.gamma_true, om)
+        y_norm = data_norm(grid, y)
+        c = Legendre.basis(truth.m).deriv()(np.cos(grid.nodes))
+        moved.append(
+            data_norm(grid, problem.residual(truth.gamma_true, om + c / wl2(grid, c), y)[2])
+            / y_norm
+        )
+        g = smooth_pair(np.random.default_rng(truth.m), ParameterMetric(stencils), 6)
+        generic = g.domega.values / wl2(grid, g.domega.values)
+        assert data_norm(grid, problem.residual(truth.gamma_true, om + generic, y)[2]) >= (
+            1e-2 * y_norm
+        )
+    assert moved[0] <= 1e-6, moved
+    assert moved[1] <= moved[0] / 8 and moved[2] <= moved[1] / 8, moved
 
 
 def test_trace_reports_the_data_norm():

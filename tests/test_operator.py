@@ -21,8 +21,6 @@ from rotwave import (
     assemble_forward,
     build_grid,
     build_stencils,
-    frequency_condition,
-    smallness_condition,
 )
 from rotwave.experiments import ExperimentConfig, build_problem
 from rotwave.inversion import ParameterMetric
@@ -464,47 +462,3 @@ def test_adjoint_modes_agree_constant_rotation(grids):
     ns, errs = _mode_agreement(grids, 2, lambda t: np.full_like(t, 0.8), 0.3)
     assert errs[1] < 1e-3
     assert observed_order(ns, errs, floor=1e-12) >= 2.5
-
-
-# ----------------------------------------------------------------------
-# diagnostics
-# ----------------------------------------------------------------------
-
-
-def test_frequency_condition_zero_rotation(grid100, stencils100):
-    rep = frequency_condition(1.0, const_rotation(grid100, 0.0), 0.0, 0.5, stencils100)
-    assert rep.rhs == pytest.approx(0.0, abs=1e-20)
-    assert rep.satisfied
-
-
-def test_frequency_condition_monotone_in_gamma(grid100, stencils100):
-    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    r1 = frequency_condition(1.0, rot, 0.0, 1.0, stencils100)
-    r10 = frequency_condition(10.0, rot, 0.0, 1.0, stencils100)
-    assert r10.rhs < r1.rhs
-
-
-def test_frequency_condition_quadrature_value(grid100, stencils100):
-    # Omega = cos^2, gamma = 1, r = 1, unit constants, Omega_ref = 0:
-    # ||Omega||_H1^2 = 2/5 + 16/15 = 22/15, threshold = 4*(10*22/15)^2 = 7744/9
-    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep = frequency_condition(1.0, rot, 0.0, 1.0, stencils100)
-    assert rep.rhs == pytest.approx(7744 / 9, rel=1e-3)
-    assert not rep.satisfied
-
-
-def test_smallness_condition_constant_and_m0(grid100, stencils100):
-    rot_const = const_rotation(grid100, 5.0)
-    rep = smallness_condition(0.01, rot_const, 4, stencils100)
-    assert rep.lhs < 1e-10 and rep.satisfied
-    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep0 = smallness_condition(0.01, rot, 0, stencils100)
-    assert rep0.lhs == 0.0 and rep0.satisfied
-
-
-def test_smallness_condition_quadrature_value(grid100, stencils100):
-    # ||Omega'||_L2 = sqrt(16/15) for Omega = cos^2 on r = 1
-    rot = rotation(grid100, lambda t: np.cos(t) ** 2)
-    rep = smallness_condition(0.01, rot, 3, stencils100)
-    assert rep.lhs == pytest.approx(3 * np.sqrt(16 / 15), rel=1e-3)
-    assert not rep.satisfied

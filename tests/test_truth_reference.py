@@ -117,11 +117,15 @@ def test_polynomial_truth_matches_sympy_reference(preset, overrides):
     psi_ref, omega_ref, source_ref = _reference(truth)
     for n in (64, 400, 1600):
         grid = build_grid(n, truth.r)
-        th = grid.nodes
+        # every node within 8 of a pole, where the theta form cancels, and
+        # about 32 interior nodes: the 30-digit reference costs about 0.5 ms
+        # per node and field
+        nodes = np.r_[0:8, 8 : n - 8 : max(1, (n - 16) // 32), n - 8 : n]
+        th = grid.nodes[nodes]
         for got, want in (
-            (truth.source(grid).values, source_ref(th)),
-            (truth.psi_exact(grid).values, psi_ref(th)),
-            (truth.omega_exact(grid).values, omega_ref(th)),
+            (truth.source(grid).values[nodes], source_ref(th)),
+            (truth.psi_exact(grid).values[nodes], psi_ref(th)),
+            (truth.omega_exact(grid).values[nodes], omega_ref(th)),
         ):
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert rel <= 1e-13, (preset, overrides, n, rel)
