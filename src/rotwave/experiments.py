@@ -529,11 +529,11 @@ class RunRecord:
 
 def _rel_errors(grid, truth, om_true, gamma, omega_values):
     """Relative errors of gamma and of Omega (weighted L2) against the truth,
-    whose nodal Omega is `om_true`; the Omega error is NaN when Omega* = 0,
-    which leaves it undefined."""
+    whose nodal Omega is `om_true`; the Omega error is NaN where it is
+    undefined (Omega* = 0) or Omega is not identified (m = 0)."""
     w = grid.weights
     eg = abs(gamma - truth.gamma_true) / abs(truth.gamma_true)
-    norm = weighted_norm(w, om_true)
+    norm = weighted_norm(w, om_true) if truth.m != 0 else 0.0
     return eg, weighted_norm(w, omega_values - om_true) / norm if norm > 0 else math.nan
 
 
@@ -646,7 +646,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         state_solves=trace.state_solves,
         gradients=trace.gradients,
         threshold=trace.threshold,
-        delta=trace.delta,
+        delta=delta,
     )
     if config.output_dir is not None:
         path = pathlib.Path(config.output_dir) / f"{config.run_id}_record.json"

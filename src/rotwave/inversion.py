@@ -33,9 +33,9 @@ from another window, and complex data for a real-part-only scheme, before
 its first solve.  It takes every misfit and gradient from that path: a
 line-search trial's misfit is the `data_norm` of `residual`, and each
 search's gradient is one `adjoint_gradient`, one `solve_weighted_adjoint`
-against the zero-extended residual L* r and one Riesz solve.  Its line
-search makes at most `MOMENTUM_BACKTRACKS` trials from the momentum point
-and at most `MAX_BACKTRACKS` from the iterate.
+against the zero-extended residual L* r and, for m != 0, one Riesz solve.
+Its line search makes at most `MOMENTUM_BACKTRACKS` trials from the
+momentum point and at most `MAX_BACKTRACKS` from the iterate.
 
 Work that a run does not change is done once: per problem, the cached
 `window`; per grid, the window of each epsilon (`observation_window`, kept
@@ -291,8 +291,9 @@ def adjoint_gradient(
     parts pair z with +B'(.) psi; the Omega part applies the weighted
     adjoint of the alpha coefficient map, the discretely exact counterpart
     of the analytic (sin/r^2) d/dtheta((1/sin) d/dtheta(.)) form.  The
-    functional is their negative because the sensitivity is
-    F'(p) dp = -L B^-1 B'(dp) psi; domega is the Riesz map of it.
+    functional is their negative because the sensitivity is F'(p) dp =
+    -L B^-1 B'(dp) psi; domega is the Riesz map of it, zero without a solve
+    at m = 0, where Omega does not enter B.
     """
     grid, m = problem.grid, problem.m
     w = grid.weights
@@ -303,12 +304,12 @@ def adjoint_gradient(
     if m != 0:
         c = (psi.values.conj() * z).imag
         shear = (psi.phi.conj() * z).imag
-        density = m * (apply_alpha_adjoint(problem.stencils, c) - shear)
-    else:
-        density = np.zeros(grid.n)
-    g = -density
+        g = -(m * (apply_alpha_adjoint(problem.stencils, c) - shear))
+        domega = metric.riesz(g)
+    else:  # Omega does not enter B: a zero density, whose Riesz map is zero
+        g, domega = np.zeros(grid.n), np.zeros(grid.n)
     dgamma = -raw_gamma / metric.gamma_scale
-    return GradientPair(dgamma=dgamma, domega=ScalarField(values=metric.riesz(g))), g
+    return GradientPair(dgamma=dgamma, domega=ScalarField(values=domega)), g
 
 
 # ----------------------------------------------------------------------
@@ -352,16 +353,21 @@ class IterationConfig:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionTrace:
+    """What one `nesterov_landweber` run computed, and nothing it was given."""
+
     iterates: list  # (gamma_k, omega_k values) for k = 0..K
     residuals: list  # ||F(p_k) - y||_Y for k = 0..K
     step_sizes: list  # accepted mu_k per update (length K)
-    stop_index: int
     stop_reason: str  # discrepancy | residual_floor | max_iter |
     #                   line_search_failure | near_resonance
     threshold: float
-    delta: float
     state_solves: int  # forward solves made, the first one included
     gradients: int  # adjoint gradients made, one per line search
+
+    @property
+    def stop_index(self) -> int:
+        """K, the index of the last iterate."""
+        return len(self.iterates) - 1
 
 
 def nesterov_landweber(
@@ -374,24 +380,26 @@ def nesterov_landweber(
     """Accelerated Landweber with discrepancy stopping, from (gamma_init, 0).
 
     It stops at residual <= max(`DISCREPANCY_TAU` * delta, residual_floor);
-    gamma_init must lie in (0, inf) and delta in [0, inf).  Two-line
-    iteration with momentum weight (k-1)/(k+alpha-1), alpha =
-    `NESTEROV_ALPHA`, gradient step from a warm-started backtracking line
-    search (Armijo decrease on the half-squared misfit): the first trial
-    step is `MU0`, each backtrack multiplies it by `SHRINK`, and a step is
-    accepted under the Armijo constant `ARMIJO_C`; the next iteration
-    starts at the accepted step / `SHRINK`.  A monotone safeguard falls
-    back to a plain gradient step from p_k whenever the accelerated step
-    would increase the misfit; this keeps the residual history
-    nonincreasing, which the discrepancy principle relies on.  The search
-    from the momentum point makes at most `MOMENTUM_BACKTRACKS` trials, the
-    fallback at most `MAX_BACKTRACKS`.  A trial's misfit is the norm of
-    `InverseProblem.residual`; at each search's start point the gradient is
-    `adjoint_gradient` of the same residual; the first search's is that of
-    the initial misfit (z_1 = p_0).  No momentum point or trial with gamma
-    outside (0, inf) is solved.  The trace counts state solves and gradients.
-    Data from another window than the problem's, or complex data for a
-    real-part-only scheme, are a ConfigurationError.
+    gamma_init must lie in (0, inf) and delta in [0, inf).  The loop carries
+    one parameter vector p of n + 1 values (p[0] = gamma, p[1:] = Omega at
+    the nodes): the momentum point, each search direction, each trial and
+    the accepted point are such a vector.  Two-line iteration with momentum
+    weight (k-1)/(k+alpha-1), alpha = `NESTEROV_ALPHA`, gradient step from
+    a warm-started backtracking line search (Armijo decrease on the
+    half-squared misfit): the first trial step is `MU0`, each backtrack
+    multiplies it by `SHRINK`, and a step is accepted under the Armijo
+    constant `ARMIJO_C`; the next iteration starts at the accepted step /
+    `SHRINK`.  A monotone safeguard falls back to a plain gradient step
+    from p_k whenever the accelerated step would increase the misfit; this
+    keeps the residual history nonincreasing, which the discrepancy
+    principle relies on.  The search from the momentum point makes at most
+    `MOMENTUM_BACKTRACKS` trials, the fallback at most `MAX_BACKTRACKS`.  A
+    trial's misfit is the norm of `InverseProblem.residual`; at each
+    search's start point the gradient is `adjoint_gradient` of the same
+    residual; the first search's is that of the initial misfit (z_1 =
+    p_0).  No momentum point or trial with gamma outside (0, inf) is
+    solved.  Data from another window than the problem's, or complex data
+    for a real-part-only scheme, are a ConfigurationError.
     """
     if not 0 < gamma_init < math.inf:  # NaN fails too
         raise ConfigurationError(f"gamma_init must be finite and positive, got {gamma_init}")
@@ -412,25 +420,23 @@ def nesterov_landweber(
     threshold = max(DISCREPANCY_TAU * delta, config.residual_floor)
     state_solves = gradients = 0
 
-    def solve(ga, om):
-        """(system, state, residual) of `InverseProblem.residual` at p = (ga, om)."""
+    def solve(point):
+        """(system, state, residual) of `InverseProblem.residual` at a point."""
         nonlocal state_solves
         state_solves += 1
-        return problem.residual(ga, om, y_delta)
+        return problem.residual(float(point[0]), point[1:], y_delta)
 
-    gamma = float(gamma_init)
-    omega = np.zeros(grid.n)
-
-    iterates = [(gamma, omega.copy())]
+    p = np.concatenate(([gamma_init], np.zeros(grid.n)))
+    iterates = [(float(p[0]), p[1:].copy())]
     step_sizes: list[float] = []
     stop_reason = None
     try:
-        at_src = solve(gamma, omega)
+        at_src = solve(p)
         res_current = data_norm(grid, at_src[2])
     except NearResonanceError:
         res_current, stop_reason = float("nan"), "near_resonance"
     residuals = [res_current]
-    gamma_prev, omega_prev = gamma, omega.copy()
+    p_prev = p
     mu_start = MU0
 
     k = 0
@@ -444,38 +450,33 @@ def nesterov_landweber(
             break
         k += 1
         weight = (k - 1) / (k + NESTEROV_ALPHA - 1)
-        z_gamma = gamma + weight * (gamma - gamma_prev)
-        z_omega = omega + weight * (omega - omega_prev)
-        if not 0 < z_gamma < math.inf:
-            z_gamma, z_omega = gamma, omega  # momentum point infeasible
+        z = p + weight * (p - p_prev)
+        if not 0 < z[0] < math.inf:
+            z = p  # momentum point infeasible
 
         accepted = None
-        for src_gamma, src_omega, is_fallback in (
-            (z_gamma, z_omega, False),
-            (gamma, omega, True),
-        ):
+        for src, is_fallback in ((z, False), (p, True)):
             if k > 1 or is_fallback:  # z_1 = p_0, whose solve gave the first misfit
                 try:
-                    at_src = solve(src_gamma, src_omega)
+                    at_src = solve(src)
                 except NearResonanceError:
                     stop_reason = "near_resonance"
                     break
             system, psi, res_vec = at_src
             gradients += 1
             grad, g_density = adjoint_gradient(problem, res_vec, psi, system, metric)
-            dgamma, domega = grad.dgamma, grad.domega.values
+            step = np.concatenate(([grad.dgamma], grad.domega.values))
             phi0 = 0.5 * data_norm(grid, res_vec) ** 2
-            decrease = metric.gamma_scale * dgamma**2 + float(
-                (domega * g_density * grid.weights).sum()
+            decrease = metric.gamma_scale * grad.dgamma**2 + float(
+                (step[1:] * g_density * grid.weights).sum()
             )
             decrease = max(decrease, 0.0)
             mu = mu_start
             for _ in range(MAX_BACKTRACKS if is_fallback else MOMENTUM_BACKTRACKS):
-                trial_gamma = src_gamma - mu * dgamma
-                trial_omega = src_omega - mu * domega
-                if 0 < trial_gamma < math.inf:
+                trial = src - mu * step
+                if 0 < trial[0] < math.inf:
                     try:
-                        trial_res = data_norm(grid, solve(trial_gamma, trial_omega)[2])
+                        trial_res = data_norm(grid, solve(trial)[2])
                     except NearResonanceError:
                         mu *= SHRINK
                         continue
@@ -483,7 +484,7 @@ def nesterov_landweber(
                     armijo = phi <= phi0 - ARMIJO_C * mu * decrease
                     monotone = trial_res <= res_current or is_fallback
                     if armijo and monotone:
-                        accepted = (trial_gamma, trial_omega, trial_res, mu)
+                        accepted = (trial, trial_res, mu)
                         break
                 mu *= SHRINK
             if accepted is not None:
@@ -491,9 +492,9 @@ def nesterov_landweber(
         if accepted is None:  # stop_reason is set if a state solve failed
             stop_reason = stop_reason or "line_search_failure"
             break
-        gamma_prev, omega_prev = gamma, omega
-        gamma, omega, res_current, mu = accepted
-        iterates.append((gamma, omega.copy()))
+        p_prev = p
+        p, res_current, mu = accepted
+        iterates.append((float(p[0]), p[1:].copy()))
         residuals.append(res_current)
         step_sizes.append(mu)
         mu_start = mu / SHRINK
@@ -502,10 +503,8 @@ def nesterov_landweber(
         iterates=iterates,
         residuals=residuals,
         step_sizes=step_sizes,
-        stop_index=len(iterates) - 1,
         stop_reason=stop_reason,
         threshold=threshold,
-        delta=delta,
         state_solves=state_solves,
         gradients=gradients,
     )

@@ -197,8 +197,10 @@ def test_m0_band_equations_backward_error(n, omega_freq):
     assert _inf(r) <= 100 * EPS * bound
 
 
-# m = 1 and 2 at m2_default's gamma, omega and Omega; m = 3 at m3_default's
+# m = 1 and 2 at m2_default's gamma, omega and Omega; m = 3 at m3_default's;
+# then the same three at gamma = 1e-3, 50x below the presets' viscosity
 WAVE_TRUTHS = [("m2_default", {"m": 1}), ("m2_default", {}), ("m3_default", {})]
+WAVE_TRUTHS += [(preset, {**overrides, "gamma_true": 1e-3}) for preset, overrides in WAVE_TRUTHS]
 
 
 @pytest.mark.parametrize("preset,overrides", WAVE_TRUTHS)

@@ -383,6 +383,18 @@ def test_zero_rotation_reconstruction_reports_nan_omega_error(tmp_path, capsys):
     assert len(rows) == 1 and "error" not in rows[0] and rows[0].split(",")[7] == "nan"
 
 
+def test_m0_reconstruction_reports_omega_as_not_identified(tmp_path):
+    # at m = 0 Omega does not enter B, so the data cannot see it: the record
+    # says so with a NaN Omega error instead of 1.0, which read as a failed
+    # run, and gamma is fitted as before (K = 13 in 47 state solves)
+    out = tmp_path / "m0"
+    assert main(["reconstruct", "--overrides", "truth=m0_default", "--output-dir", str(out)]) == 0
+    record = json.loads((out / "run_record.json").read_text())
+    assert math.isnan(record["rel_err_omega"]) and math.isfinite(record["rel_err_gamma"])
+    assert record["rel_err_gamma"] < 1e-7
+    assert (record["stop_index"], record["state_solves"]) == (13, 47)
+
+
 def test_unread_truth_coefficient_exits_2(tmp_path):
     cfg = write_config(tmp_path, truth_overrides={"psi_coeffs": {"bb": 5.0}})
     out = tmp_path / "truth_coeffs"

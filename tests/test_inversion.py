@@ -396,6 +396,19 @@ def test_gradient_zero_residual():
     assert np.all(grad.domega.values == 0)
 
 
+def test_m0_gradient_makes_no_riesz_solve(monkeypatch):
+    # at m = 0 Omega does not enter B, so the Omega density is zero and its
+    # Riesz map, which would be zero too, is not solved
+    truth, grid, stencils, problem = make_problem(n=64, truth_name="m0_default")
+    metric = ParameterMetric(stencils)
+    monkeypatch.setattr(metric, "riesz", None)  # any call raises TypeError
+    y = problem.observed(truth.gamma_true, np.zeros(grid.n))
+    system, psi, res = problem.residual(2 * truth.gamma_true, np.zeros(grid.n), y)
+    grad, density = adjoint_gradient(problem, res, psi, system, metric)
+    assert grad.dgamma != 0.0
+    assert np.all(grad.domega.values == 0) and np.all(density == 0)
+
+
 def test_gradient_matches_finite_differences():
     truth, grid, stencils, problem = make_problem(
         n=100, scheme=ObservationScheme(kind="restricted", epsilon=0.3)
