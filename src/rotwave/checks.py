@@ -111,12 +111,19 @@ def gradient_fd_mismatch(
 
 @dataclass(frozen=True, eq=False)
 class TCCReport:
+    """The cone ratio of each pair the probe evaluated and the number of
+    pairs it skipped; `max_ratio` and `median_ratio` are NaN without a ratio."""
+
     ratios: np.ndarray
-    max_ratio: float
-    median_ratio: float
     skipped: int
-    radius: float
-    samples: int
+
+    @property
+    def max_ratio(self) -> float:
+        return float(self.ratios.max()) if len(self.ratios) else math.nan
+
+    @property
+    def median_ratio(self) -> float:
+        return float(np.median(self.ratios)) if len(self.ratios) else math.nan
 
 
 def tcc_probe(
@@ -177,12 +184,4 @@ def tcc_probe(
         lin = sensitivity(step, psi1, sys1, grid, problem.stencils, problem.scheme)
         rem_norm = data_norm(grid, DataVector(values=diff.values - lin.values, window=diff.window))
         ratios.append(rem_norm / (metric.pair_norm(step) * diff_norm))
-    ratios = np.asarray(ratios)
-    return TCCReport(
-        ratios=ratios,
-        max_ratio=float(ratios.max()) if len(ratios) else float("nan"),
-        median_ratio=float(np.median(ratios)) if len(ratios) else float("nan"),
-        skipped=skipped,
-        radius=radius,
-        samples=n_samples,
-    )
+    return TCCReport(ratios=np.asarray(ratios), skipped=skipped)

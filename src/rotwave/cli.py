@@ -36,6 +36,9 @@ from .grid import weighted_norm
 from .inversion import ParameterMetric
 
 
+ROUNDING_FLOOR = 1e-10  # relative L2 error of a manufactured state solved to rounding
+
+
 def _parse_value(text: str):
     try:
         return json.loads(text)
@@ -179,7 +182,7 @@ def cmd_tcc(args, config, outdir) -> int:
     )
     (outdir / "tcc_ratios.csv").write_text(csv_text("sample,ratio", enumerate(report.ratios)))
     print(
-        f"tcc: radius={report.radius:g} samples={report.samples} "
+        f"tcc: radius={config.probe.radius:g} samples={config.probe.samples} "
         f"max={report.max_ratio:.4f} median={report.median_ratio:.4f} "
         f"skipped={report.skipped}"
     )
@@ -223,18 +226,24 @@ def cmd_grid_convergence(args, config, outdir) -> int:
         w = problem.grid.weights
         errors.append(weighted_norm(w, psi.values - ref.values) / weighted_norm(w, ref.values))
     (outdir / "grid_convergence.csv").write_text(csv_text("n,rel_l2_error", zip(sizes, errors)))
-    # one order per refinement step: a single fit through every size lets a
-    # roundoff-polluted point decide the order of the whole study
-    by_n = sorted(dict(zip(sizes, errors)).items())
-    orders = [
-        f"{n0}->{n1} {np.log(e0 / e1) / np.log(n1 / n0):.2f}"
-        for (n0, e0), (n1, e1) in zip(by_n, by_n[1:])
-    ]
     print(
         f"grid-convergence: errors {['%.3e' % e for e in errors]} "
-        f"observed order {', '.join(orders)}"
+        f"observed order {', '.join(_step_orders(sizes, errors))}"
     )
     return 0
+
+
+def _step_orders(sizes: list[int], errors: list[float]) -> list[str]:
+    """`n0->n1 order` per refinement step over the sorted distinct sizes (one
+    fit through all would let a roundoff-polluted point decide the study), or
+    `n0->n1 floor` where the error does not fall and is <= `ROUNDING_FLOOR`."""
+    by_n = sorted(dict(zip(sizes, errors)).items())
+    return [
+        f"{n0}->{n1} floor"
+        if e0 <= e1 <= ROUNDING_FLOOR
+        else f"{n0}->{n1} {np.log(e0 / e1) / np.log(n1 / n0):.2f}"
+        for (n0, e0), (n1, e1) in zip(by_n, by_n[1:])
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -419,10 +419,6 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         return _dataclass_from_dict(cls, doc, "config")
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
 
 _NESTED = {
     "scheme": ObservationScheme,
@@ -521,10 +517,6 @@ class RunRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls(**json.loads(text))
 
 
 def _rel_errors(grid, truth, om_true, gamma, omega_values):

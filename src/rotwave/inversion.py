@@ -180,12 +180,9 @@ class ParameterMetric:
         psi = self._system.solve_values(np.asarray(g, dtype=float))[0]
         return self.project_mean_zero(psi.real)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """The metric operator A = delta_0^2 applied to v."""
-        return self._lap @ (self._lap @ v)
-
     def pair_inner(self, a: "GradientPair", b: "GradientPair") -> float:
-        omega = np.sum(a.domega.values * self.apply(b.domega.values) * self.grid.weights)
+        op_b = self._lap @ (self._lap @ b.domega.values)  # A b, A = delta_0^2
+        omega = np.sum(a.domega.values * op_b * self.grid.weights)
         return self.gamma_scale * a.dgamma * b.dgamma + float(omega)
 
     def pair_norm(self, a: "GradientPair") -> float:

@@ -367,7 +367,7 @@ def assemble_forward(
 
 def apply_B_prime(
     dgamma: float,
-    domega: ScalarField | np.ndarray,
+    domega: ScalarField,
     psi: ComplexField,
     grid: Grid,
     stencils: DerivativeStencils,
@@ -383,7 +383,7 @@ def apply_B_prime(
     exact, not a linearization.
     """
     _check_field(grid, psi, m)
-    dom = domega.values if isinstance(domega, ScalarField) else np.asarray(domega, float)
+    dom = domega.values
     lap = stencils.delta_matrix(m)
     if phi is None:
         phi = lap @ psi.values

@@ -62,10 +62,10 @@ TCC_RADII = (0.1, 0.01)
 FORWARD_TRUTHS = ("m0_default", "m2_default", "m3_default")
 
 
-def clean33_problem(scheme: ObservationScheme = ObservationScheme()):
-    """Criterion 6's instance: m3_default at n = 100, full observation
-    unless `scheme` says otherwise."""
-    truth = manufacture_truth("m3_default")
+def clean33_problem(scheme: ObservationScheme = ObservationScheme(), truth_overrides=None):
+    """Criterion 6's instance: m3_default, with `truth_overrides` if given,
+    at n = 100, full observation unless `scheme` says otherwise."""
+    truth = manufacture_truth("m3_default", truth_overrides)
     grid = build_grid(100, truth.r)
     stencils = build_stencils(grid)
     problem = InverseProblem(

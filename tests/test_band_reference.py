@@ -241,7 +241,8 @@ def test_b_prime_matches_dense(case, m):
     n = grid.n
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     domega = rng.standard_normal(n)
-    got = apply_B_prime(0.3, domega, ComplexField(m=m, values=psi), grid, stencils, m).values
+    field = ComplexField(m=m, values=psi)
+    got = apply_B_prime(0.3, ScalarField(values=domega), field, grid, stencils, m).values
     assert _rel(got, dense_b_prime(0.3, domega, psi, grid, stencils, m)) < 50 * EPS
 
 

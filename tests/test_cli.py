@@ -570,6 +570,33 @@ def test_grid_convergence_prints_each_refinement_order(tmp_path, capsys):
         assert float(order) >= 3.5, key  # the operator is fourth order
 
 
+@pytest.mark.parametrize(
+    "truth, sizes, printed",
+    [
+        ("m0_default", "400,800,1600", "400->800 5.32, 800->1600 floor"),
+        ("m3_default", "800,1600,3200", "800->1600 4.99, 1600->3200 floor"),
+    ],
+)
+def test_grid_convergence_names_the_rounding_floor(tmp_path, capsys, truth, sizes, printed):
+    # the last step of each study reached rounding (5.8e-12 and 8.0e-13 at
+    # n = 1600) and printed an order of -3.10 and -0.01
+    cfg = write_config(tmp_path, truth=truth)
+    argv = ["grid-convergence", "--config", cfg, "--output-dir", str(tmp_path), "--sizes", sizes]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split("observed order ")[1].strip() == printed
+
+
+def test_grid_convergence_keeps_an_order_that_rises_above_the_floor():
+    sizes = [100, 200, 400, 800, 1600, 3200]
+    errors = [1e-6, 6.25e-8, 2.5e-7, 1e-11, 4e-11, 4e-9]
+    assert cli._step_orders(sizes, errors) == [
+        "100->200 4.00",
+        "200->400 -2.00",  # rises above the floor
+        "400->800 14.61",
+        "800->1600 floor",  # rises, but stays at or below it
+        "1600->3200 -6.64",  # rises from below the floor to above it
+    ]
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 STUDIES = [
     shlex.split(line)
@@ -608,6 +635,6 @@ def test_study_command_runs(tmp_path, monkeypatch, argv):
 
 def test_readme_config_schema_loads():
     block = README.read_text().split("### Config schema")[1].split("```json\n")[1]
-    config = ExperimentConfig.from_json(block.split("```")[0])
+    config = ExperimentConfig.from_dict(json.loads(block.split("```")[0]))
     assert config.run_id == "clean33"
     assert config.scheme == ObservationScheme(kind="restricted", epsilon=0.314)

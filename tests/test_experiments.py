@@ -269,7 +269,7 @@ def test_run_experiment_record_fields(tmp_path):
         "near_resonance",
     )
     # record round-trips losslessly through JSON
-    clone = RunRecord.from_json(record.to_json())
+    clone = RunRecord(**json.loads(record.to_json()))
     assert clone == record
     # iteration CSV exists with the documented header
     csv_text = (tmp_path / "t0_iterations.csv").read_text()
@@ -397,7 +397,7 @@ def test_config_json_round_trip():
         scheme=ObservationScheme(kind="restricted", epsilon=0.3),
         iteration=IterationConfig(max_iter=77, gamma_scale=12.0),
     )
-    clone = ExperimentConfig.from_json(config.to_json())
+    clone = ExperimentConfig.from_dict(json.loads(config.to_json()))
     assert clone == config
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.polynomial import Legendre
+from scipy.linalg import null_space
 from scipy.special import eval_legendre
 
 from conftest import clear_shared, observed_order, wl2
@@ -239,6 +240,39 @@ def test_riesz_output_mean_zero(grid100, stencils100):
 def test_metric_rejects_non_finite_gamma_scale(grid100, stencils100, gamma_scale):
     with pytest.raises(ConfigurationError, match="gamma_scale"):
         ParameterMetric(stencils100, gamma_scale=gamma_scale)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
+@pytest.mark.parametrize("n", [32, 100, 400])
+def test_metric_is_positive_semidefinite_on_mean_zero_directions(n):
+    # The Omega block of pair_inner, u^T M v, read off pair_inner itself.
+    # M = W delta_0^2 couples nodes at most 6 apart, so with the probe b_c =
+    # sum of e_j over j = c (mod 13), pair_inner(e_i, b_c) is M_ij for the
+    # one such j within 6 of i.  The metric's analyses assume an inner
+    # product: the symmetric part of M must have no negative eigenvalue on
+    # the W-mean-zero directions, in which pair_inner measures Omega.
+    grid = build_grid(n)
+    metric = ParameterMetric(build_stencils(grid))
+
+    def pair(values):
+        return GradientPair(dgamma=0.0, domega=ScalarField(values=values))
+
+    reach, nodes, eye = 6, np.arange(n), np.eye(n)
+    width = 2 * reach + 1
+    form = np.zeros((n, n))
+    for c in range(width):
+        probe = pair((nodes % width == c).astype(float))
+        for i in nodes:
+            j = i + (c - i + reach) % width - reach
+            if 0 <= j < n:
+                form[i, j] = metric.pair_inner(pair(eye[i]), probe)
+    u, v = np.random.default_rng(0).standard_normal((2, n))
+    gap = abs(u @ form @ v - metric.pair_inner(pair(u), pair(v)))
+    if not gap <= 1e-12 * (abs(u) @ abs(form) @ abs(v)):
+        pytest.fail(f"pair_inner couples nodes more than {reach} apart; widen the probes")
+    basis = null_space(grid.weights[None, :])  # orthonormal, W-mean-zero
+    eig = np.linalg.eigvalsh(basis.T @ ((form + form.T) / 2) @ basis)
+    assert eig[0] >= -1e-10 * eig[-1], (eig[:3], eig[-1])
 
 
 # ----------------------------------------------------------------------

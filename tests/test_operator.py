@@ -368,13 +368,13 @@ def test_resonance_scan_shows_isolated_dips(grid100, stencils100):
 
 def test_b_prime_zero_direction(grid100, stencils100):
     psi = sample(grid100, 2, lambda t: np.sin(t) ** 2)
-    out = apply_B_prime(0.0, np.zeros(100), psi, grid100, stencils100, 2)
+    out = apply_B_prime(0.0, ScalarField(values=np.zeros(100)), psi, grid100, stencils100, 2)
     assert np.all(out.values == 0)
 
 
 def test_b_prime_gamma_direction_eigen(grid100, stencils100):
     psi = sample(grid100, 2, lambda t: np.sin(t) ** 2)
-    out = apply_B_prime(1.0, np.zeros(100), psi, grid100, stencils100, 2)
+    out = apply_B_prime(1.0, ScalarField(values=np.zeros(100)), psi, grid100, stencils100, 2)
     assert np.max(np.abs(out.values - 36 * psi.values)) < 300 * grid100.h**3
 
 
@@ -388,7 +388,7 @@ def test_b_prime_affine_exactness(grid100, stencils100):
     b0 = assemble_dense(0.6, om_vals, 0.2, 2.0, 2, grid100, stencils100)
     b1 = assemble_dense(0.6 + dgamma, om_vals + dom_vals, 0.2, 2.0, 2, grid100, stencils100)
     diff = (b1 - b0) @ psi.values
-    bp = apply_B_prime(dgamma, dom_vals, psi, grid100, stencils100, 2)
+    bp = apply_B_prime(dgamma, ScalarField(values=dom_vals), psi, grid100, stencils100, 2)
     scale = np.max(np.abs(diff))
     assert np.max(np.abs(diff - bp.values)) < 1e-12 * scale
 
