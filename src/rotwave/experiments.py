@@ -13,7 +13,8 @@ discretization error (no inverse crime).
 
 An experiment's noise-free part is built once per process and shared by
 every run that needs it: `manufacture_truth` returns one read-only
-`GroundTruth` per (name, overrides), and `noise_free` keeps, on the
+`GroundTruth` per resolved settings (the preset with the overrides
+applied, keyed as sorted-key JSON), and `noise_free` keeps, on the
 stencils of the run's grid and under the truth's settings
 (`GroundTruth.settings`), each truth's nodal source, Omega* and clean
 state psi* (`NoiseFree`), so that they die with the grid and a truth made
@@ -317,36 +318,28 @@ class GroundTruth:
 
 
 @shared_cache
-def _shared_truth(name: str, overrides_json: str) -> GroundTruth:
-    return GroundTruth(**{**TRUTH_PRESETS[name], **json.loads(overrides_json)})
+def _shared_truth(settings_json: str) -> GroundTruth:
+    return GroundTruth(**json.loads(settings_json))
 
 
 def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
     """A catalogue truth, optionally overriding its fields, shared per
-    process: the same name and equal overrides give the same read-only
-    `GroundTruth`, from a `grid.shared_cache` that `build_grid.cache_clear()`
-    empties."""
+    process: equal resolved settings (the preset with the overrides applied)
+    give the same read-only `GroundTruth`, from a `grid.shared_cache` that
+    `build_grid.cache_clear()` empties."""
     if name not in TRUTH_PRESETS:
         raise ConfigurationError(
             f"unknown truth {name!r}; catalogue: {sorted(TRUTH_PRESETS)}"
         )
-    preset = dict(TRUTH_PRESETS[name])
-    for key, value in (overrides or {}).items():
-        if key not in preset:
-            raise ConfigurationError(f"unknown truth override {key!r}")
-        if not _fits(value, preset[key]):
-            raise ConfigurationError(
-                f"truth_overrides.{key} must be {_type_name(preset[key])}, got {value!r}"
-            )
-        preset[key] = value
-    # the canonical form of the overrides: JSON with sorted keys, nested
-    # dicts included, which tells 1 from 1.0 and True, and 0.0 from -0.0,
-    # and reads back as values equal to the given ones
+    preset = TRUTH_PRESETS[name]
+    settings = {**preset, **_checked(overrides or {}, preset, "truth_overrides")}
+    # sorted-key JSON tells 1 from 1.0 and True, and 0.0 from -0.0, and reads
+    # back equal values; NaN and infinities reach GroundTruth's checks
     try:
-        canonical = json.dumps(overrides or {}, sort_keys=True, allow_nan=False)
-    except (TypeError, ValueError):  # no config file holds it; GroundTruth checks it
-        return GroundTruth(**preset)
-    return _shared_truth(name, canonical)
+        settings_json = json.dumps(settings, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"truth_overrides must be plain JSON values: {exc}") from exc
+    return _shared_truth(settings_json)
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +405,10 @@ class ExperimentConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     output_dir: str | None = None
 
+    def __post_init__(self):  # run_id names the run's files in output_dir
+        if self.run_id in ("", ".", "..") or {"/", "\\", "\0"} & set(self.run_id):
+            raise ConfigurationError(f"run_id must be a file name, got {self.run_id!r}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
@@ -444,18 +441,12 @@ def _fits(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _type_name(default) -> str:
-    """What `_fits` asks of a value for a field with this default."""
-    return "a finite float" if isinstance(default, float) else type(default).__name__
-
-
-def _dataclass_from_dict(cls, doc: dict, path: str):
+def _checked(doc: dict, defaults: dict, path: str) -> dict:
+    """`doc`, its nested sections read as their dataclasses, once every key
+    has a default that its value `_fits`: the one validator of configs and
+    truth overrides."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path} must be an object")
-    defaults = {
-        f.name: f.default if f.default is not MISSING else f.default_factory()
-        for f in fields(cls)
-    }
     unknown = set(doc) - set(defaults)
     if unknown:
         raise ConfigurationError(f"unknown keys in {path}: {sorted(unknown)}")
@@ -463,11 +454,20 @@ def _dataclass_from_dict(cls, doc: dict, path: str):
     for key, value in doc.items():
         if key in _NESTED and isinstance(value, dict):
             value = _dataclass_from_dict(_NESTED[key], value, f"{path}.{key}")
-        if not _fits(value, defaults[key]):
-            raise ConfigurationError(
-                f"{path}.{key} must be {_type_name(defaults[key])}, got {value!r}"
-            )
+        default = defaults[key]
+        if not _fits(value, default):
+            kind = "a finite float" if isinstance(default, float) else type(default).__name__
+            raise ConfigurationError(f"{path}.{key} must be {kind}, got {value!r}")
         kwargs[key] = value
+    return kwargs
+
+
+def _dataclass_from_dict(cls, doc: dict, path: str):
+    defaults = {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+    }
+    kwargs = _checked(doc, defaults, path)
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -46,14 +46,14 @@ from it.  `build_grid` returns one shared `Grid` per (int(n), float(r)),
 from a least-recently-used cache of `SHARED_DISCRETIZATIONS` entries, and
 what is derived from that (n, r) hangs off the grid and dies with it: its
 `DerivativeStencils` (`build_stencils(grid)` is `grid.stencils`, built on
-first use) with their per-m delta_m, ghost fills, `alpha` and
-`BandRows.diagonals`; the observation window of each epsilon
-(`Grid.windows`); and what upper layers build on the stencils, which they
-keep in `DerivativeStencils.derived` (the m = 0 operator's pinned
-delta_0, the noise-free set-ups).  The shared arrays (`Grid.nodes`,
-`Grid.weights`, the ghost fills and every `BandRows`' weights, columns and
-diagonals) are read-only, so an in-place write raises instead of reaching
-later runs.
+first use) with their per-m delta_m (the ghost fill it folds in is
+computed for each build and not kept), `alpha` and `BandRows.diagonals`;
+and what upper layers build on the stencils, which they keep in
+`DerivativeStencils.derived` (the m = 0 operator's pinned delta_0, the
+noise-free set-ups).  The grid holds nothing of the observation layer.
+The shared arrays (`Grid.nodes`, `Grid.weights` and every `BandRows`'
+weights, columns and diagonals) are read-only, so an in-place write
+raises instead of reaching later runs.
 `shared_cache` gives an upper layer an LRU of the same size (the truths of
 `experiments`), and `build_grid.cache_clear()` empties it with the grid
 cache, which drops every shared object.
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,7 +139,6 @@ class Grid:
     h: float
     nodes: np.ndarray
     weights: np.ndarray
-    windows: dict = field(default_factory=dict, repr=False)  # `inversion.observation_window`
 
     @functools.cached_property
     def weight_sum(self):
@@ -305,7 +304,6 @@ class DerivativeStencils:
         lap[south, 1:] += d2[south]
         self._lap_ext = lap
 
-        self._fill_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._delta_cache: dict[int, BandRows] = {}
         self.derived: dict = {}
 
@@ -324,9 +322,6 @@ class DerivativeStencils:
         """2 x 4 maps (north, south) from the four nodes nearest a pole to
         that pole's two ghost values, eliminating the Gamma_m conditions."""
         key = min(abs(int(m)), 2)
-        cached = self._fill_cache.get(key)
-        if cached is not None:
-            return cached
         g, k, h = _GHOST_LAYERS, _FUNCTIONAL_POINTS, self.grid.h
         poles = np.array([0.0, math.pi])
         pts = np.stack([self._theta_ext[:k], self._theta_ext[-k:]])
@@ -336,8 +331,7 @@ class DerivativeStencils:
         ghosts = np.stack([w[0, :, :g], w[1, :, -g:]])
         interior = np.stack([w[0, :, g:], w[1, :, :-g]])
         north, south = -np.linalg.solve(ghosts, interior)
-        self._fill_cache[key] = (_read_only(north), _read_only(south))
-        return self._fill_cache[key]
+        return north, south
 
     def delta_matrix(self, m: int) -> BandRows:
         """delta_m including the Gamma_m closure, as band rows."""

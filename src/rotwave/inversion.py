@@ -37,17 +37,16 @@ against the zero-extended residual L* r and, for m != 0, one Riesz solve.
 Its line search makes at most `MOMENTUM_BACKTRACKS` trials from the
 momentum point and at most `MAX_BACKTRACKS` from the iterate.
 
-Work that a run does not change is done once: per problem, the cached
-`window`; per grid, the window of each epsilon (`observation_window`, kept
-in `Grid.windows`), which every `observe` and so every `sensitivity`
-reads, and the weight sum of `weighted_mean`; per stencils object, the
-factored node-pinned delta_0 of the m = 0 operator
-(`operator.pinned_delta0`, kept in `DerivativeStencils.derived`), on which
-every `ParameterMetric` solves its H2 Riesz map, whatever its gamma_scale,
-and every m = 0 state.  Both die with their grid.  The observed weights
-are the view `grid.weights[window]`.  No band-sized array outlives the
-call that factors it, apart from that pinned delta_0, one per stencils
-object.
+Work that a run does not change is done once: per problem, the
+`window`, its one cache (a bare `observe`, as a `sensitivity` makes,
+computes the slice again, a few microseconds); per grid, the weight sum
+of `weighted_mean`; per stencils object, the factored node-pinned delta_0
+of the m = 0 operator (`operator.pinned_delta0`, kept in
+`DerivativeStencils.derived`), on which every `ParameterMetric` solves
+its H2 Riesz map, whatever its gamma_scale, and every m = 0 state.  Both
+die with their grid.  The observed weights are the view
+`grid.weights[window]`.  No band-sized array outlives the call that
+factors it, apart from that pinned delta_0, one per stencils object.
 
 This module holds the inverse problem and its solver only; the probes that
 verify them (adjoint identity, gradient, tangential cone) are in `checks`.
@@ -115,18 +114,14 @@ class DataVector:
 def observation_window(grid: Grid, scheme: ObservationScheme) -> slice:
     """The nodes with epsilon < theta < pi - epsilon, one contiguous run, as
     a slice; a window that holds no node is a ConfigurationError, since it
-    would observe nothing.  Computed once per grid and epsilon, and kept in
-    `grid.windows`."""
+    would observe nothing.  `InverseProblem.window` keeps a problem's."""
     eps = scheme.epsilon
-    window = grid.windows.get(eps)
-    if window is None:
-        inside = np.flatnonzero((grid.nodes > eps) & (grid.nodes < math.pi - eps))
-        if len(inside) == 0:
-            raise ConfigurationError(
-                f"observation window (epsilon={eps}) holds no node of the n={grid.n} grid"
-            )
-        window = grid.windows[eps] = slice(int(inside[0]), int(inside[-1]) + 1)
-    return window
+    inside = np.flatnonzero((grid.nodes > eps) & (grid.nodes < math.pi - eps))
+    if len(inside) == 0:
+        raise ConfigurationError(
+            f"observation window (epsilon={eps}) holds no node of the n={grid.n} grid"
+        )
+    return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
 def restrict(psi: np.ndarray, scheme: ObservationScheme, window: slice) -> np.ndarray:

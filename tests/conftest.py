@@ -1,21 +1,23 @@
 import json
 import os
+import sys
 
 # keep BLAS single-threaded: the dense kernels here are tiny and thread
-# sync costs dominate otherwise (also required by the acceptance timing)
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+# sync costs dominate otherwise (also required by the acceptance timing).
+# BLAS reads these once, when numpy first loads it, so setting one after
+# numpy has been imported would do nothing
+_UNSET = [var for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+          if var not in os.environ]
+if _UNSET and "numpy" in sys.modules:
+    raise RuntimeError(
+        f"numpy was imported before tests/conftest.py could set {_UNSET}; "
+        "set them to 1 in the environment"
+    )
+for var in _UNSET:
+    os.environ[var] = "1"
 
 import numpy as np
 import pytest
-
-try:
-    from threadpoolctl import threadpool_limits
-
-    threadpool_limits(limits=1)
-except ImportError:
-    pass
 
 from rotwave import build_grid, build_stencils
 

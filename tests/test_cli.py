@@ -421,6 +421,31 @@ def test_override_sets_truth_fields(tmp_path):
     assert echoed == {"gamma_true": 0.1, "psi_coeffs": {"b": 2}}
 
 
+@pytest.mark.parametrize(
+    "run_id", ["a/b", "a\\b", "..", "", ".", "a\0b"],
+    ids=["slash", "backslash", "dotdot", "empty", "dot", "nul"],
+)
+def test_run_id_that_is_not_a_file_name_exits_2(tmp_path, run_id):
+    # a/b used to die with a FileNotFoundError traceback and a\0b with a
+    # ValueError one, each with exit 1 and no error.json
+    out = tmp_path / "run_id"
+    overrides = ["--overrides", f"run_id={run_id},n=32,iteration.max_iter=3"]
+    assert main(["reconstruct", *overrides, "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and "run_id" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_run_id_cannot_escape_the_output_directory(tmp_path):
+    # ../escaped used to write escaped_record.json and escaped_iterations.csv
+    # into the output directory's parent
+    out = tmp_path / "outer" / "inner"
+    cfg = write_config(tmp_path, run_id="../escaped", iteration={"max_iter": 3})
+    assert main(["reconstruct", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "configuration"
+    assert sorted(p.name for p in (tmp_path / "outer").rglob("*")) == ["error.json", "inner"]
+
+
 def test_override_of_unknown_truth_field_exits_2(tmp_path):
     out = tmp_path / "truth_nope"
     assert main(["forward", "--overrides", "truth_overrides.nope=1", "--output-dir", str(out)]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,10 +89,25 @@ def test_truth_rejects_wrong_vanishing_rate():
 
 
 def test_truth_unknown_override_rejected():
-    with pytest.raises(ConfigurationError):
+    # the config validator's message: one validator for both
+    with pytest.raises(ConfigurationError, match=r"unknown keys in truth_overrides: \['bogus'\]"):
         manufacture_truth("m3_default", {"bogus": 1})
     with pytest.raises(ConfigurationError):
         manufacture_truth("nonexistent")
+
+
+def test_truth_shared_per_resolved_settings():
+    # m2_default with m3's order and frequency is m3_default: the key is the
+    # preset with the overrides applied, not the name and the overrides
+    assert manufacture_truth("m2_default", {"m": 3, "omega_freq": 3.0}) is manufacture_truth(
+        "m3_default"
+    )
+
+
+def test_truth_override_that_json_cannot_encode_is_rejected():
+    # only Python can pass such a value; it used to build an uncached truth
+    with pytest.raises(ConfigurationError, match="truth_overrides"):
+        manufacture_truth("m3_default", {"psi_coeffs": {"b": Fraction(1, 4)}})
 
 
 @pytest.mark.parametrize(

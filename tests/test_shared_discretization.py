@@ -76,9 +76,8 @@ def test_shared_arrays_refuse_in_place_writes(name):
 
 
 def _sweep_derived_refs():
-    """Weak references to the grid of an epsilon sweep, which holds the
-    sweep's two observation windows, and to all else the sweep derived from
-    that grid: the stencils, the truth, the pinned delta_0 that the Riesz
+    """Weak references to the grid of an epsilon sweep, and to all else the
+    sweep derived from that grid: the stencils, the truth, the pinned delta_0 that the Riesz
     map solves on, and the noise-free set-up.  n = 48 and this truth serve no fixture, so nothing outside the
     shared caches holds them."""
     overrides = {"gamma_true": 0.06}
