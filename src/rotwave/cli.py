@@ -31,6 +31,7 @@ from .experiments import (
     csv_text,
     run_experiment,
     sweep,
+    write_output,
 )
 from .grid import weighted_norm
 from .inversion import ParameterMetric
@@ -84,18 +85,14 @@ def _output_dir(args, config_dir=None) -> pathlib.Path:
 
 def _echo_config(config: ExperimentConfig, outdir: pathlib.Path) -> ExperimentConfig:
     config = replace(config, output_dir=str(outdir))
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "config.json").write_text(config.to_json())
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write output directory {outdir}: {exc}") from exc
+    write_output(outdir / "config.json", config.to_json())
     return config
 
 
 def cmd_forward(args, config, outdir) -> int:
     truth, problem, psi, _ = build_problem(config)
     rows = [[th, v.real, v.imag] for th, v in zip(problem.grid.nodes, psi.values)]
-    (outdir / "state.csv").write_text(csv_text("theta,re_psi,im_psi", rows))
+    write_output(outdir / "state.csv", csv_text("theta,re_psi,im_psi", rows))
     print(
         f"forward: n={config.n} (omega,m)=({truth.omega_freq:g},{truth.m}) "
         f"state written to {outdir/'state.csv'}"
@@ -131,8 +128,9 @@ def _report_check(args, outdir, check: str, worst: float, bound: float) -> int:
     gradient_check.json).  Exit code 0 when it is within its bound;
     otherwise a numerical failure, which `main` reports with exit code 3 and
     an error.json."""
-    (outdir / f"{args.command.replace('-', '_')}.json").write_text(
-        json.dumps({"max_relative_mismatch": worst, "trials": args.trials})
+    write_output(
+        outdir / f"{args.command.replace('-', '_')}.json",
+        json.dumps({"max_relative_mismatch": worst, "trials": args.trials}),
     )
     if not worst <= bound:  # a NaN mismatch fails too
         raise ArithmeticError(f"{check} mismatch {worst:.3e} exceeds its bound {bound:g}")
@@ -180,7 +178,7 @@ def cmd_tcc(args, config, outdir) -> int:
         n_samples=config.probe.samples,
         rng_seed=config.noise.seed,
     )
-    (outdir / "tcc_ratios.csv").write_text(csv_text("sample,ratio", enumerate(report.ratios)))
+    write_output(outdir / "tcc_ratios.csv", csv_text("sample,ratio", enumerate(report.ratios)))
     print(
         f"tcc: radius={config.probe.radius:g} samples={config.probe.samples} "
         f"max={report.max_ratio:.4f} median={report.median_ratio:.4f} "
@@ -196,7 +194,7 @@ def cmd_sweep(args, config, outdir) -> int:
     if not isinstance(values, list):
         values = [_parse_value(v) for v in args.values.split(",")] if args.values else []
     records, summary = sweep(config, args.axis, values)
-    (outdir / "sweep_summary.csv").write_text(summary)
+    write_output(outdir / "sweep_summary.csv", summary)
     if args.verbose:
         for record in records:
             if record is not None:
@@ -225,7 +223,7 @@ def cmd_grid_convergence(args, config, outdir) -> int:
         ref = truth.psi_exact(problem.grid)
         w = problem.grid.weights
         errors.append(weighted_norm(w, psi.values - ref.values) / weighted_norm(w, ref.values))
-    (outdir / "grid_convergence.csv").write_text(csv_text("n,rel_l2_error", zip(sizes, errors)))
+    write_output(outdir / "grid_convergence.csv", csv_text("n,rel_l2_error", zip(sizes, errors)))
     print(
         f"grid-convergence: errors {['%.3e' % e for e in errors]} "
         f"observed order {', '.join(_step_orders(sizes, errors))}"

@@ -12,17 +12,17 @@ the solver's own stencils: solving on any grid measures genuine
 discretization error (no inverse crime).
 
 An experiment's noise-free part is built once per process and shared by
-every run that needs it: `manufacture_truth` returns one read-only
-`GroundTruth` per resolved settings (the preset with the overrides
-applied, keyed as sorted-key JSON), and `noise_free` keeps, on the
-stencils of the run's grid and under the truth's settings
-(`GroundTruth.settings`), each truth's nodal source, Omega* and clean
-state psi* (`NoiseFree`), so that they die with the grid and a truth made
-again after the truth cache dropped it finds them.  `build_problem`
-gives each run its own `InverseProblem` on the shared source and observes
-the run's data from the shared psi* through the run's scheme, so one
-clean state serves every noise level and observation scheme of a sweep;
-its arrays are read-only.  `build_grid.cache_clear()` drops all of it.
+every run that needs it, and like all else derived from one (n, r) it
+hangs off the run's grid.  `build_problem` resolves a run's truth
+settings (the preset with the overrides applied) to one sorted-key JSON
+string, and `noise_free` keeps under that string, on the stencils of the
+run's grid, the read-only `GroundTruth` built from it with its nodal
+source, Omega* and clean state psi* (`NoiseFree`).  Each run gets its own
+`InverseProblem` on the shared source and observes its data from the
+shared psi* through its own scheme, so one clean state serves every noise
+level and observation scheme of a sweep; its arrays are read-only.
+`build_grid.cache_clear()` drops all of it.  `manufacture_truth` builds a
+fresh truth from the same settings.
 
 Experiment configs are plain JSON documents; unknown keys are rejected.  A
 run writes a JSON record plus a per-iteration CSV, and sweeps aggregate the
@@ -36,6 +36,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 import time
 import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -51,7 +52,6 @@ from .grid import (
     ScalarField,
     build_grid,
     build_stencils,
-    shared_cache,
     weighted_norm,
 )
 from .inversion import (
@@ -81,17 +81,13 @@ _X = Polynomial([0.0, 1.0])  # x = cos(theta)
 
 def _coeff(coeffs: dict, group: str, key: str, default: float) -> float:
     """Coefficient `key` of the truth's `group` (psi_coeffs or omega_coeffs),
-    which must be a finite number."""
+    which must fit a float field (`_fits`)."""
     value = coeffs.get(key, default)
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not math.isfinite(x):
+    if not _fits(value, 0.0):
         raise ConfigurationError(
             f"truth_overrides.{group}.{key} must be a finite number, got {value!r}"
         )
-    return x
+    return float(value)
 
 
 # the coefficients each state shape and rotation profile reads
@@ -229,8 +225,9 @@ TRUTH_PRESETS = {
 class GroundTruth:
     """Closed-form truth with the source computed by exact polynomial algebra.
 
-    Read-only once built: `manufacture_truth` shares one truth between every
-    run that asks for the same settings, so setting an attribute raises.
+    Read-only once built: `noise_free` shares one truth between every run
+    on a grid that asks for the same settings, so setting an attribute
+    raises.
     """
 
     def __init__(
@@ -261,14 +258,6 @@ class GroundTruth:
         self.omega_freq = float(omega_freq)
         self.omega_ref = float(omega_ref)
         self.r = float(r)
-        # one string per distinct set of settings, equal for equal ones:
-        # repr tells 0.0 from -0.0, which compare equal.  `noise_free` keys
-        # on it, so a truth evicted and made again finds its set-up
-        self.settings = repr((
-            psi_name, sorted(self.psi_coeffs.items()), self.amplitude, self.phase,
-            omega_name, sorted(self.omega_coeffs.items()), self.gamma_true, self.m,
-            self.omega_freq, self.omega_ref, self.r,
-        ))
         for name in ("amplitude", "phase", "gamma_true", "omega_freq", "omega_ref", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(
@@ -317,16 +306,10 @@ class GroundTruth:
         return ComplexField(m=self.m, values=self._amp * (re + 1j * im))
 
 
-@shared_cache
-def _shared_truth(settings_json: str) -> GroundTruth:
-    return GroundTruth(**json.loads(settings_json))
-
-
-def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
-    """A catalogue truth, optionally overriding its fields, shared per
-    process: equal resolved settings (the preset with the overrides applied)
-    give the same read-only `GroundTruth`, from a `grid.shared_cache` that
-    `build_grid.cache_clear()` empties."""
+def _truth_settings(name: str, overrides: dict | None = None) -> tuple[dict, str]:
+    """The resolved settings of a catalogue truth (the preset with the
+    overrides applied) and their sorted-key JSON, which keys the truth's
+    noise-free set-up."""
     if name not in TRUTH_PRESETS:
         raise ConfigurationError(
             f"unknown truth {name!r}; catalogue: {sorted(TRUTH_PRESETS)}"
@@ -339,7 +322,13 @@ def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
         settings_json = json.dumps(settings, sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"truth_overrides must be plain JSON values: {exc}") from exc
-    return _shared_truth(settings_json)
+    return settings, settings_json
+
+
+def manufacture_truth(name: str, overrides: dict | None = None) -> GroundTruth:
+    """A fresh catalogue truth, optionally overriding its fields, built from
+    the resolved settings' JSON as the truth of a run's `noise_free` set-up is."""
+    return GroundTruth(**json.loads(_truth_settings(name, overrides)[1]))
 
 
 # ----------------------------------------------------------------------
@@ -429,15 +418,15 @@ def _fits(value, default) -> bool:
     """Whether a config value has the type of its field's default.
 
     An int field takes an int but not a bool or a float; a float field takes
-    an int or a finite float, not NaN or an infinity; a field defaulting to
-    None takes anything.
+    a finite float or an int that converts to one, not NaN, an infinity or
+    an int past float's range; a field defaulting to None takes anything.
     """
     if default is None:
         return True
     if isinstance(value, bool) and not isinstance(default, bool):
         return False
     if isinstance(default, float):
-        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, type(default))
 
 
@@ -477,7 +466,7 @@ def _dataclass_from_dict(cls, doc: dict, path: str):
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     """Apply dotted-key overrides like {'iteration.max_iter': 50}.  Under the
     free-form `truth_overrides` dict a missing key (nested ones such as
-    `psi_coeffs.b` too) is created; `manufacture_truth` validates it."""
+    `psi_coeffs.b` too) is created; `build_problem` validates it."""
     doc = asdict(config)
     for dotted, value in overrides.items():
         parts = dotted.split(".")
@@ -531,22 +520,25 @@ def _rel_errors(grid, truth, om_true, gamma, omega_values):
 
 @dataclass(frozen=True, eq=False)
 class NoiseFree:
-    """A truth's problem on one grid under the full scheme, Omega* at the
+    """A truth, its problem on one grid under the full scheme, Omega* at the
     nodes and the clean state: the part of a run that no noise level or
     observation scheme changes.  Read-only."""
 
+    truth: GroundTruth
     problem: InverseProblem  # its source is the truth's, at the nodes
     omega: np.ndarray  # Omega* at the nodes
     state: State  # psi* = S(gamma*, Omega*), with its phi
 
 
-def noise_free(truth: GroundTruth, stencils: DerivativeStencils) -> NoiseFree:
-    """The truth's `NoiseFree` set-up on the stencils' grid, computed on first
-    use and kept in `stencils.derived` under the truth's settings, so shared
-    by every run on that grid with an equal truth."""
-    key = ("noise_free", truth.settings)
+def noise_free(settings_json: str, stencils: DerivativeStencils) -> NoiseFree:
+    """The `NoiseFree` set-up of the truth with these resolved settings (see
+    `_truth_settings`) on the stencils' grid, computed on first use and kept
+    in `stencils.derived` under the settings, so shared by every run on that
+    grid with equal settings."""
+    key = ("noise_free", settings_json)
     setup = stencils.derived.get(key)
     if setup is None:
+        truth = GroundTruth(**json.loads(settings_json))
         grid = stencils.grid
         omega = truth.omega_exact(grid).values
         problem = InverseProblem(
@@ -561,19 +553,26 @@ def noise_free(truth: GroundTruth, stencils: DerivativeStencils) -> NoiseFree:
         _, psi = problem.state(truth.gamma_true, omega)
         for a in (problem.source.values, omega, psi.values, psi.phi):
             a.flags.writeable = False
-        setup = stencils.derived[key] = NoiseFree(problem=problem, omega=omega, state=psi)
+        setup = stencils.derived[key] = NoiseFree(truth, problem, omega, psi)
     return setup
+
+
+def _run_inputs(config: ExperimentConfig) -> tuple[NoiseFree, InverseProblem, DataVector]:
+    """The run's shared `NoiseFree` set-up, its own problem (the set-up's
+    under the run's scheme) and its clean data."""
+    settings, settings_json = _truth_settings(config.truth, config.truth_overrides)
+    clean = noise_free(settings_json, build_stencils(build_grid(config.n, settings["r"])))
+    problem = replace(clean.problem, scheme=config.scheme)
+    return clean, problem, observe(clean.state, problem.scheme, problem.grid)
 
 
 def build_problem(config: ExperimentConfig):
     """Truth, problem bundle (with its grid and stencils), the truth's state
     and its clean synthetic data.  The truth and its state are the shared,
-    read-only ones (`manufacture_truth`, `noise_free`); the problem, the
-    noise-free one under the run's scheme, and the data are the run's own."""
-    truth = manufacture_truth(config.truth, config.truth_overrides)
-    clean = noise_free(truth, build_stencils(build_grid(config.n, truth.r)))
-    problem = replace(clean.problem, scheme=config.scheme)
-    return truth, problem, clean.state, observe(clean.state, problem.scheme, problem.grid)
+    read-only ones of the run's `noise_free` set-up; the problem, the
+    set-up's under the run's scheme, and the data are the run's own."""
+    clean, problem, y = _run_inputs(config)
+    return clean.truth, problem, clean.state, y
 
 
 def csv_text(header: str, rows) -> str:
@@ -587,6 +586,16 @@ def csv_text(header: str, rows) -> str:
         [c if isinstance(c, (str, int)) else repr(float(c)) for c in row] for row in rows
     )
     return buf.getvalue()
+
+
+def write_output(path: pathlib.Path, text: str) -> None:
+    """Write `text` to `path`, making its directory; an OS error (a name too
+    long, a full disk, no permission) is a ConfigurationError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def iteration_table(
@@ -606,8 +615,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Manufacture, observe, corrupt, reconstruct from (`GAMMA_INIT_SCALE` *
     gamma_true, 0) and record one experiment."""
     start = time.perf_counter()
-    truth, problem, _, y_clean = build_problem(config)
-    grid = problem.grid
+    clean, problem, y_clean = _run_inputs(config)
+    truth, om_true, grid = clean.truth, clean.omega, problem.grid
     y_delta, delta = add_noise(y_clean, config.noise, grid)
     floor = max(config.iteration.residual_floor, RESIDUAL_FLOOR_REL * data_norm(grid, y_delta))
     iteration = replace(config.iteration, residual_floor=floor)
@@ -615,17 +624,14 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         problem, y_delta, delta, iteration, gamma_init=GAMMA_INIT_SCALE * truth.gamma_true
     )
     gamma_k, omega_k = trace.iterates[trace.stop_index]
-    om_true = noise_free(truth, problem.stencils).omega
     eg, eo = _rel_errors(grid, truth, om_true, gamma_k, omega_k)
     wall_ms = (time.perf_counter() - start) * 1e3
 
     csv_path = None
     if config.output_dir is not None:
-        outdir = pathlib.Path(config.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        csv_path = str(outdir / f"{config.run_id}_iterations.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(iteration_table(grid, truth, om_true, trace))
+        path = pathlib.Path(config.output_dir) / f"{config.run_id}_iterations.csv"
+        write_output(path, iteration_table(grid, truth, om_true, trace))
+        csv_path = str(path)
     record = RunRecord(
         config=asdict(config),
         stop_index=trace.stop_index,
@@ -641,8 +647,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         delta=delta,
     )
     if config.output_dir is not None:
-        path = pathlib.Path(config.output_dir) / f"{config.run_id}_record.json"
-        path.write_text(record.to_json())
+        write_output(pathlib.Path(config.output_dir) / f"{config.run_id}_record.json",
+                     record.to_json())
     return record
 
 

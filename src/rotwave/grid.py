@@ -50,13 +50,12 @@ first use) with their per-m delta_m (the ghost fill it folds in is
 computed for each build and not kept), `alpha` and `BandRows.diagonals`;
 and what upper layers build on the stencils, which they keep in
 `DerivativeStencils.derived` (the m = 0 operator's pinned delta_0, the
-noise-free set-ups).  The grid holds nothing of the observation layer.
-The shared arrays (`Grid.nodes`, `Grid.weights` and every `BandRows`'
-weights, columns and diagonals) are read-only, so an in-place write
-raises instead of reaching later runs.
-`shared_cache` gives an upper layer an LRU of the same size (the truths of
-`experiments`), and `build_grid.cache_clear()` empties it with the grid
-cache, which drops every shared object.
+noise-free set-ups with their truths).  The grid holds nothing of the
+observation layer.  The shared arrays (`Grid.nodes`, `Grid.weights` and
+every `BandRows`' weights, columns and diagonals) are read-only, so an
+in-place write raises instead of reaching later runs.
+`build_grid.cache_clear()` empties the grid cache, which drops every
+shared object.
 """
 
 from __future__ import annotations
@@ -83,20 +82,9 @@ POLE_CONDITIONS = {0: (1, 3), 1: (0, 2), 2: (0, 1)}
 _GHOST_LAYERS = 2
 _FUNCTIONAL_POINTS = 6  # nodes per pole-condition functional (2 ghosts + 4 interior)
 
-# grids and truths kept alive per process (least recently used dropped
-# first); covers the grid-convergence study's default sizes with room left
+# grids kept alive per process (least recently used dropped first); covers
+# the grid-convergence study's default sizes with room left
 SHARED_DISCRETIZATIONS = 8
-
-# the cache_clear of every `shared_cache`, all run by build_grid.cache_clear()
-_SHARED_CACHE_CLEARS = []
-
-
-def shared_cache(fn):
-    """`fn` behind a least-recently-used cache of `SHARED_DISCRETIZATIONS`
-    entries that `build_grid.cache_clear()` empties along with the grids."""
-    cached = functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)(fn)
-    _SHARED_CACHE_CLEARS.append(cached.cache_clear)
-    return cached
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -176,7 +164,7 @@ def build_grid(n: int, r: float = 1.0) -> Grid:
 # cached behind the canonical key, not on build_grid itself: lru_cache keys
 # on the call's form, so build_grid(100), build_grid(np.int64(100)) and
 # build_grid(100, r=1.0) would each build their own grid and stencils
-@shared_cache
+@functools.lru_cache(maxsize=SHARED_DISCRETIZATIONS)
 def _shared_grid(n: int, r: float) -> Grid:
     h = math.pi / n
     nodes = (np.arange(n) + 0.5) * h
@@ -184,12 +172,7 @@ def _shared_grid(n: int, r: float) -> Grid:
     return Grid(n=n, r=r, h=h, nodes=_read_only(nodes), weights=_read_only(weights))
 
 
-def _clear_shared_caches() -> None:
-    for clear in _SHARED_CACHE_CLEARS:
-        clear()
-
-
-build_grid.cache_clear = _clear_shared_caches
+build_grid.cache_clear = _shared_grid.cache_clear
 
 
 @dataclass(frozen=True, eq=False)

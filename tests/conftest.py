@@ -56,8 +56,8 @@ def grids():
 
 
 def clear_shared():
-    """Drop every shared grid, with all that hangs off it, and every shared
-    truth: the package's one clear (`build_grid.cache_clear()`)."""
+    """Drop every shared grid with all that hangs off it, the shared truths
+    too: the package's one clear (`build_grid.cache_clear()`)."""
     build_grid.cache_clear()
 
 

@@ -328,6 +328,28 @@ def test_mistyped_truth_override_exits_2(tmp_path, key, value):
 
 
 @pytest.mark.parametrize(
+    "overrides,name",
+    [
+        ({"psi_coeffs": {"b": "0.5"}}, "psi_coeffs.b"),
+        ({"psi_coeffs": {"b": True}}, "psi_coeffs.b"),
+        ({"psi_coeffs": {"b": 10**400}}, "psi_coeffs.b"),
+        ({"gamma_true": 10**400}, "gamma_true"),
+    ],
+    ids=["coeff-str", "coeff-bool", "coeff-huge-int", "gamma-huge-int"],
+)
+def test_truth_value_that_is_not_a_float_exits_2(tmp_path, overrides, name):
+    # a coefficient "0.5" or true used to be stored as it came and key a
+    # truth apart from 0.5; an int past float's range used to overflow (a
+    # numerical failure, exit 3) in the truth's float fields
+    cfg = write_config(tmp_path, truth_overrides=overrides)
+    out = tmp_path / "truth_value"
+    assert main(["forward", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert f"truth_overrides.{name} must be" in err["message"]
+
+
+@pytest.mark.parametrize(
     "command,override",
     [
         ("reconstruct", "iteration.gamma_scale=NaN"),
@@ -444,6 +466,39 @@ def test_run_id_cannot_escape_the_output_directory(tmp_path):
     assert main(["reconstruct", "--config", cfg, "--output-dir", str(out)]) == 2
     assert json.loads((out / "error.json").read_text())["error"] == "configuration"
     assert sorted(p.name for p in (tmp_path / "outer").rglob("*")) == ["error.json", "inner"]
+
+
+def test_run_output_that_cannot_be_written_exits_2(tmp_path):
+    # a 300-character run_id names files past the file-name limit: the run
+    # used to end in an OSError traceback with exit 1 and only config.json
+    out = tmp_path / "long_run_id"
+    overrides = ["--overrides", f"run_id={'x' * 300},n=32,iteration.max_iter=2"]
+    assert main(["reconstruct", *overrides, "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration"
+    assert str(out / ("x" * 300 + "_iterations.csv")) in err["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "error.json"]
+
+
+def test_result_file_that_cannot_be_written_exits_2(tmp_path):
+    # a directory in the way of state.csv used to end in an
+    # IsADirectoryError traceback with exit 1
+    out = tmp_path / "blocked"
+    (out / "state.csv").mkdir(parents=True)
+    assert main(["forward", "--overrides", "n=32", "--output-dir", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "configuration" and str(out / "state.csv") in err["message"]
+
+
+def test_sweep_records_a_run_whose_output_cannot_be_written(tmp_path):
+    out = tmp_path / "long_sweep"
+    overrides = ["--overrides", f"run_id={'x' * 300},n=32,iteration.max_iter=2"]
+    argv = ["sweep", "--values", "0.05,0.2", *overrides, "--output-dir", str(out)]
+    assert main(argv) == 0
+    rows = list(csv.DictReader((out / "sweep_summary.csv").open()))
+    errors = [row["wall_ms"] for row in rows]
+    assert len(errors) == 2
+    assert all(e.startswith("error: ConfigurationError: cannot write") for e in errors)
 
 
 def test_override_of_unknown_truth_field_exits_2(tmp_path):

@@ -97,11 +97,15 @@ def test_truth_unknown_override_rejected():
 
 
 def test_truth_shared_per_resolved_settings():
-    # m2_default with m3's order and frequency is m3_default: the key is the
-    # preset with the overrides applied, not the name and the overrides
-    assert manufacture_truth("m2_default", {"m": 3, "omega_freq": 3.0}) is manufacture_truth(
-        "m3_default"
+    # m2_default with m3's order and frequency is m3_default: the noise-free
+    # set-up is keyed on the preset with the overrides applied, not on the
+    # name and the overrides, so both runs get one truth and one clean state
+    as_m3 = {"m": 3, "omega_freq": 3.0}
+    truth, _, psi, _ = experiments.build_problem(
+        ExperimentConfig(n=64, truth="m2_default", truth_overrides=as_m3)
     )
+    again = experiments.build_problem(ExperimentConfig(n=64, truth="m3_default"))
+    assert again[0] is truth and again[2] is psi
 
 
 def test_truth_override_that_json_cannot_encode_is_rejected():

@@ -8,6 +8,7 @@ reused from an earlier run."""
 
 import gc
 import hashlib
+import json
 import math
 import weakref
 from collections import Counter
@@ -21,7 +22,7 @@ import rotwave.experiments as experiments
 import rotwave.inversion as inversion
 import rotwave.operator as operator
 from rotwave import (
-    GroundTruth,
+    ConfigurationError,
     ExperimentConfig,
     InverseProblem,
     IterationConfig,
@@ -42,13 +43,19 @@ def m2_problem():
     return experiments.build_problem(ExperimentConfig(n=100, truth="m2_default"))
 
 
+def settings_json(name, overrides=None):
+    """A catalogue truth's resolved settings as `noise_free` keys them: the
+    preset with the overrides applied, as sorted-key JSON."""
+    return json.dumps({**experiments.TRUTH_PRESETS[name], **(overrides or {})}, sort_keys=True)
+
+
 SHARED_ARRAYS = {
     "grid.weights": lambda g, st: g.weights,
     "grid.nodes": lambda g, st: g.nodes,
     "source.values": lambda g, st: m2_problem()[1].source.values,
     "psi*.values": lambda g, st: m2_problem()[2].values,
     "psi*.phi": lambda g, st: m2_problem()[2].phi,
-    "omega*": lambda g, st: experiments.noise_free(m2_problem()[0], st).omega,
+    "omega*": lambda g, st: experiments.noise_free(settings_json("m2_default"), st).omega,
     "riesz.lu": lambda g, st: ParameterMetric(st)._system.lu,
     "delta0.lu": lambda g, st: operator.pinned_delta0(st).lu,
     "delta0.ell": lambda g, st: operator.pinned_delta0(st).ell,
@@ -77,9 +84,9 @@ def test_shared_arrays_refuse_in_place_writes(name):
 
 def _sweep_derived_refs():
     """Weak references to the grid of an epsilon sweep, and to all else the
-    sweep derived from that grid: the stencils, the truth, the pinned delta_0 that the Riesz
-    map solves on, and the noise-free set-up.  n = 48 and this truth serve no fixture, so nothing outside the
-    shared caches holds them."""
+    sweep derived from that grid: the stencils, the pinned delta_0 that the Riesz
+    map solves on, and the noise-free set-up with its truth.  n = 48 and this truth serve no fixture, so nothing outside the
+    grid cache holds them."""
     overrides = {"gamma_true": 0.06}
     base = ExperimentConfig(
         run_id="owned", n=48, truth="m2_default", truth_overrides=overrides,
@@ -88,15 +95,15 @@ def _sweep_derived_refs():
     )
     records, _ = sweep(base, "epsilon_values", [0.0, 0.3])
     assert None not in records
-    truth = manufacture_truth("m2_default", overrides)
-    grid = build_grid(48, truth.r)
+    grid = build_grid(48)
     stencils = build_stencils(grid)
+    setup = experiments.noise_free(settings_json("m2_default", overrides), stencils)
     owned = {
         "grid": grid,
         "stencils": stencils,
-        "truth": truth,
+        "truth": setup.truth,
         "pinned delta_0": operator.pinned_delta0(stencils),
-        "noise-free": experiments.noise_free(truth, stencils),
+        "noise-free": setup,
     }
     return {name: weakref.ref(obj) for name, obj in owned.items()}
 
@@ -138,19 +145,23 @@ def test_sweep_records_equal_with_warm_and_cleared_caches(monkeypatch):
 
 
 def test_truth_shared_per_name_and_overrides_and_read_only():
+    # a run's truth is its noise-free set-up's, shared by every run on the
+    # grid with equal resolved settings
+    def run_truth(overrides):
+        config = ExperimentConfig(n=64, truth="m2_default", truth_overrides=overrides)
+        return experiments.build_problem(config)[0]
+
     overrides = {"gamma_true": 0.1, "psi_coeffs": {"b": 0.5}}
-    truth = manufacture_truth("m2_default", overrides)
-    assert manufacture_truth("m2_default", {"psi_coeffs": {"b": 0.5}, "gamma_true": 0.1}) is truth
-    assert manufacture_truth("m2_default", {"gamma_true": 0.1}) is not truth
-    assert manufacture_truth("m2_default", {"phase": -0.0}) is not manufacture_truth(
-        "m2_default", {"phase": 0.0}
-    )
+    truth = run_truth(overrides)
+    assert run_truth({"psi_coeffs": {"b": 0.5}, "gamma_true": 0.1}) is truth
+    assert run_truth({"gamma_true": 0.1}) is not truth
+    assert run_truth({"phase": -0.0}) is not run_truth({"phase": 0.0})
     with pytest.raises(AttributeError, match="read-only"):
         truth.gamma_true = 0.2
     with pytest.raises(TypeError):
         truth.psi_coeffs["b"] = 0.6
     clear_shared()
-    assert manufacture_truth("m2_default", overrides) is not truth
+    assert run_truth(overrides) is not truth
 
 
 def _sweep_rows(base, axis, values):
@@ -258,21 +269,33 @@ def test_criterion_6_trace_hash_equal_with_warm_and_cleared_caches():
 
 
 def test_noise_free_set_up_keyed_on_the_truth_settings():
-    # ten truths cycled twice through the truth cache of eight: each comes
-    # back as a new GroundTruth, which must find its set-up, not add one
+    # ten settings, each asked for twice: the string finds its set-up, whose
+    # truth is built from it, and adds no second one
     clear_shared()
     stencils = build_stencils(build_grid(64))
-    truths = lambda: [
-        manufacture_truth("m2_default", {"gamma_true": 0.05 + 0.01 * k}) for k in range(10)
-    ]
-    first = [experiments.noise_free(t, stencils) for t in truths()]
-    again = [experiments.noise_free(t, stencils) for t in truths()]
+    set_up = lambda **kw: experiments.noise_free(settings_json("m2_default", kw), stencils)
+    gammas = [0.05 + 0.01 * k for k in range(10)]
+    first = [set_up(gamma_true=g) for g in gammas]
+    again = [set_up(gamma_true=g) for g in gammas]
     assert [a is b for a, b in zip(first, again)] == [True] * 10
+    assert [setup.truth.gamma_true for setup in first] == gammas
     setups = [k for k in stencils.derived if isinstance(k, tuple) and k[0] == "noise_free"]
     assert len(setups) == 10
-    # an equal truth built apart shares the set-up; 0.0 and -0.0 do not
-    zero = experiments.noise_free(manufacture_truth("m2_default", {"phase": 0.0}), stencils)
-    apart = GroundTruth(**{**experiments.TRUTH_PRESETS["m2_default"], "phase": 0.0})
-    assert experiments.noise_free(apart, stencils) is zero
-    negative = manufacture_truth("m2_default", {"phase": -0.0})
-    assert experiments.noise_free(negative, stencils) is not zero
+    # build_problem finds the set-up under the same string; 0.0 and -0.0,
+    # and 1 and 1.0, are told apart
+    zero = set_up(phase=0.0)
+    config = ExperimentConfig(n=64, truth="m2_default", truth_overrides={"phase": 0.0})
+    assert experiments.build_problem(config)[0] is zero.truth
+    assert set_up(phase=-0.0) is not zero
+    assert set_up(gamma_true=1) is not set_up(gamma_true=1.0)
+
+
+def test_rejected_truth_leaves_no_set_up():
+    # the truth is validated as its set-up is built: a rejected one leaves
+    # nothing on the grid's stencils
+    stencils = build_stencils(build_grid(64))
+    before = set(stencils.derived)
+    config = ExperimentConfig(n=64, truth="m2_default", truth_overrides={"amplitude": 0})
+    with pytest.raises(ConfigurationError, match="amplitude"):
+        experiments.build_problem(config)
+    assert set(stencils.derived) == before

@@ -15,7 +15,7 @@ import pytest
 import sympy as sp
 from numpy.polynomial import Polynomial
 
-from rotwave import build_grid, experiments, manufacture_truth
+from rotwave import build_grid, build_stencils, experiments, manufacture_truth
 
 TH = sp.symbols("theta", positive=True)
 
@@ -136,17 +136,24 @@ def test_polynomial_truth_matches_sympy_reference(preset, overrides):
     "preset,overrides", [(name, {}) for name in ("m0_default", "m2_default", "m3_default")] + CASES
 )
 def test_poly_catalogue_is_bitwise_numpy_polynomial(preset, overrides):
-    # the catalogue is numpy.polynomial's power basis, and the shared truth,
-    # rebuilt from its canonical JSON overrides, gives bit for bit what a
-    # GroundTruth built here from the same settings gives: the truth cache
-    # hands back one object per settings, so only a direct build compares
+    # the catalogue is numpy.polynomial's power basis, and a truth rebuilt
+    # from its canonical JSON settings (`manufacture_truth`, and the truth of
+    # the noise-free set-up that runs share) gives bit for bit what a
+    # GroundTruth built here from the same settings gives, as do the
+    # set-up's nodal source and Omega*
     overrides = {**overrides, "omega_ref": 0.15, "r": 0.8} if overrides else {}
-    shared = manufacture_truth(preset, overrides)
+    made = manufacture_truth(preset, overrides)
     reference = experiments.GroundTruth(**{**experiments.TRUTH_PRESETS[preset], **overrides})
+    settings_json = experiments._truth_settings(preset, overrides)[1]
     assert isinstance(experiments._X, Polynomial)
     for n in (100, 1600):
-        grid = build_grid(n, shared.r)
+        grid = build_grid(n, made.r)
+        setup = experiments.noise_free(settings_json, build_stencils(grid))
+        nodal = {"source": setup.problem.source.values, "omega_exact": setup.omega}
         for field in ("source", "psi_exact", "omega_exact"):
-            got = getattr(shared, field)(grid).values
             want = getattr(reference, field)(grid).values
-            assert np.array_equal(got, want), (preset, overrides, n, field)
+            for truth in (made, setup.truth):
+                got = getattr(truth, field)(grid).values
+                assert np.array_equal(got, want), (preset, overrides, n, field)
+            if field in nodal:
+                assert np.array_equal(nodal[field], want), (preset, overrides, n, field)
